@@ -39,7 +39,7 @@ def main():
         print(f"quotient dims by weight: {g.dims_by_weight()}")
 
         tower = tower_from_cdga(a, top)
-        voe = {n: verify_one_equivalence(a, n) for n in range(2, top)}
+        voe = {n: verify_one_equivalence(a, tower, n) for n in range(2, top)}
         print(
             "one-equivalence (h1 iso, h2 kernel):",
             {n: (v["h1_iso"], v["h2_kernel_inclusion"]) for n, v in voe.items()},

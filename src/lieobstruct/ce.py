@@ -397,11 +397,13 @@ def canonical_connection(a: FiniteCdga, n: int):
     if n < 1:
         raise CeError(f"stage must be >= 1, got {n}")
     g = lcs_quotient(holonomy(a), n)
-    omega = {}
-    for i, img in enumerate(g.gen_images):
-        for k, c in img.items():
-            omega[(i, k)] = c
-    return g, omega
+    return g, _canonical_omega(g)
+
+
+def _canonical_omega(g: NilpotentLieAlgebra) -> dict:
+    """The canonical connection read off the images of the holonomy
+    generators in a quotient of the holonomy Lie algebra."""
+    return {(i, k): c for i, img in enumerate(g.gen_images) for k, c in img.items()}
 
 
 def classifying_stage(a: FiniteCdga, n: int) -> CdgaMorphism:
@@ -463,10 +465,8 @@ def hirsch_tower(p, max_stage: int = 5) -> HirschTower:
         small, big = stages[n], stages[n + 1]
         incl = _stage_inclusion(small, big)
         ds = small.algebra.dim
-        for k in range(ds, big.algebra.dim):
-            for (row, col) in big.cdga.diff[1].entries:
-                if col != k:
-                    continue
+        for (row, col) in big.cdga.diff[1].entries:
+            if col >= ds:
                 i, j = big.tuples[2][row]
                 if i >= ds or j >= ds:
                     raise CeError(
@@ -483,28 +483,23 @@ def tower_from_cdga(a: FiniteCdga, max_stage: int = 5) -> HirschTower:
 # ---------------------------------------------------------------------------
 # stage checks
 
-def verify_one_equivalence(a: FiniteCdga, n: int) -> dict:
+def verify_one_equivalence(a: FiniteCdga, tower: HirschTower, n: int) -> dict:
     """Finite-stage form of the classifying map being a 1-minimal model map:
     H^1(f_n) bijective, and every H^2 class of stage n killed by f_n already
-    dies one stage up the tower."""
-    if n < 2:
-        raise CeError(f"stage must be >= 2, got {n}")
-    p = holonomy(a)
-    g_n = lcs_quotient(p, n)
-    g_next = lcs_quotient(p, n + 1)
-    ce_n = ce_cochain(g_n, 3)
-    ce_next = ce_cochain(g_next, 3)
-    omega = {}
-    for i, img in enumerate(g_n.gen_images):
-        for k, c in img.items():
-            omega[(i, k)] = c
+    dies one stage up the tower.  The tower is the one of a's holonomy, and
+    needs stage n + 1."""
+    if not 2 <= n < tower.max_stage:
+        raise CeError(f"need 2 <= n < {tower.max_stage}, got n={n}")
+    ce_n = tower.stages[n]
+    g_n = ce_n.algebra
+    omega = _canonical_omega(g_n)
     if not is_flat(a, g_n, omega):
         raise CeError("canonical connection failed the Maurer-Cartan check")
     f = _morphism_from_connection(a, ce_n, omega)
     h1 = induced_cohomology_matrix(f, 1)
     h1_iso = h1.rows == h1.cols and rank(h1) == h1.rows
     m_f = induced_cohomology_matrix(f, 2)
-    m_q = induced_cohomology_matrix(_stage_inclusion(ce_n, ce_next), 2)
+    m_q = induced_cohomology_matrix(tower.inclusions[n], 2)
     ker_f = kernel(m_f)
     ker_q = kernel(m_q)
     return {
@@ -519,14 +514,15 @@ def check_stability(tower: HirschTower, m: int, n: int) -> dict:
     kernel into stage n+1."""
     if not 2 <= n < m <= tower.max_stage:
         raise CeError(f"need 2 <= n < m <= {tower.max_stage}, got n={n} m={m}")
-    ce_n = tower.stages[n]
-    incl_m = _stage_inclusion(ce_n, tower.stages[m])
+    incl_next = tower.inclusions[n]
+    if m == n + 1:
+        incl_m = incl_next
+    else:
+        incl_m = _stage_inclusion(tower.stages[n], tower.stages[m])
     h1 = induced_cohomology_matrix(incl_m, 1)
     prop_i = h1.rows == h1.cols and rank(h1) == h1.rows
     k_m = kernel(induced_cohomology_matrix(incl_m, 2))
-    k_next = kernel(
-        induced_cohomology_matrix(_stage_inclusion(ce_n, tower.stages[n + 1]), 2)
-    )
+    k_next = kernel(induced_cohomology_matrix(incl_next, 2))
     prop_ii = k_m.contains_space(k_next) and k_next.contains_space(k_m)
     return {"prop_i": prop_i, "prop_ii": prop_ii}
 

@@ -33,6 +33,7 @@ from functools import lru_cache
 from .freelie import (
     LieElement,
     LieError,
+    _word_int,
     apply_morphism,
     bracket,
     gen_elt,
@@ -237,13 +238,6 @@ class _IntRank:
         return False
 
 
-def _tuple_key(letters, n_gens):
-    k = 0
-    for g in letters:
-        k = k * n_gens + g
-    return k
-
-
 def _h2_derived(n_gens: int, level: int, degree_cap: int) -> dict:
     """H2 dims for free/(derived subalgebra): word counts minus ad-image
     ranks, computed per multidegree in tensor-algebra coordinates."""
@@ -263,8 +257,8 @@ def _h2_derived(n_gens: int, level: int, degree_cap: int) -> dict:
             vec: dict = {}
             for u, c in t.items():
                 for key, s in (
-                    (_tuple_key((g,) + u, n_gens), c),
-                    (_tuple_key(u + (g,), n_gens), -c),
+                    (_word_int((g,) + u, n_gens), c),
+                    (_word_int(u + (g,), n_gens), -c),
                 ):
                     x = vec.get(key, 0) + s
                     if x:

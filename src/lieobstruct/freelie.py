@@ -465,11 +465,6 @@ class LieElement:
     def degrees(self):
         return sorted({w.degree for w in self.terms})
 
-    def min_degree(self):
-        if not self.terms:
-            return None
-        return min(w.degree for w in self.terms)
-
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
@@ -678,4 +673,7 @@ class _Parser:
 
 def parse_element(text: str, names) -> LieElement:
     """Parse nested bracket expressions like '[x,[x,y]] - 2*[y,[x,y]]'."""
-    return _Parser(text, names).parse()
+    try:
+        return _Parser(text, names).parse()
+    except RecursionError:
+        raise LieError("brackets nest too deeply to parse") from None

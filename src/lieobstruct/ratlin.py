@@ -61,12 +61,6 @@ def vec_add(u: dict, v: dict, c: Fraction = ONE) -> dict:
     return out
 
 
-def vec_scale(u: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {k: c * x for k, x in u.items()}
-
-
 @dataclass(frozen=True)
 class SparseMatrix:
     """Immutable sparse matrix with Fraction entries.

@@ -131,8 +131,9 @@ def test_criterion_05_one_equivalence():
     t0 = perf_counter()
     ok = True
     for a in ALL_CDGAS:
+        tower = tower_from_cdga(a, 5)
         for n in (2, 3, 4):
-            out = verify_one_equivalence(a, n)
+            out = verify_one_equivalence(a, tower, n)
             ok = ok and out == {"h1_iso": True, "h2_kernel_inclusion": True}
     elapsed = perf_counter() - t0
     ok = ok and elapsed < 60

@@ -329,14 +329,22 @@ def test_classifying_stage_needs_two():
 
 def test_one_equivalence_all_examples():
     for a in ALL_CDGAS:
+        tower = tower_from_cdga(a, 5)
         for n in (2, 3, 4):
-            out = verify_one_equivalence(a, n)
+            out = verify_one_equivalence(a, tower, n)
             assert out == {"h1_iso": True, "h2_kernel_inclusion": True}
 
 
 def test_one_equivalence_needs_stage_two():
     with pytest.raises(CeError):
-        verify_one_equivalence(HEIS, 1)
+        verify_one_equivalence(HEIS, tower_from_cdga(HEIS, 3), 1)
+
+
+def test_one_equivalence_needs_the_next_stage():
+    tower = tower_from_cdga(HEIS, 3)
+    assert verify_one_equivalence(HEIS, tower, 2)["h1_iso"]
+    with pytest.raises(CeError):
+        verify_one_equivalence(HEIS, tower, tower.max_stage)
 
 
 # ---------------------------------------------------------------------------

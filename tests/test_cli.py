@@ -1,5 +1,6 @@
 """Command line interface: subcommands, report shapes, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,15 @@ def test_h2scan_malformed_relator(tmp_path, capsys):
     assert "message" in err
 
 
+def test_h2scan_deeply_nested_relator_is_domain_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    relator = "[x," * 1200 + "y" + "]" * 1200
+    deep.write_text(json.dumps({"generators": ["x", "y"], "relators": [relator]}))
+    code, err = run_error(capsys, "h2scan", str(deep), "--deg", "3")
+    assert code == 1
+    assert err["type"] == "PresentationError"
+
+
 def test_holonomy_heis(capsys):
     report = run_report(
         capsys, "holonomy", data_path("heis.json"), "--lcs", "5"
@@ -142,6 +152,24 @@ def test_classify_heis(capsys):
         for cell in block.values():
             assert cell == {"prop_i": True, "prop_ii": True}
     assert res["filtration"]["all_equal"] is True
+
+
+CLASSIFY_STAGE5_SHA256 = {
+    "heis": "4220c1c74587fd024bffb49f461eea63fdfa2dc7be97238bfdb76a45cf162277",
+    "noncarnot": "612bce2de850d55e504b022bdb8e0a0b1cb34c1fad556a23964bf48ca91c00db",
+    "torus": "cbcb915d441d93ee30795d82c5fb6155398a96aa2f83f2d39ab250cddfc1a9d0",
+    "wedge2": "afb8eda2e7bdb166aafd5ea73ce5adb541d3a4a84979f69e7ed344d678fdbba7",
+}
+
+
+@pytest.mark.parametrize("model", sorted(CLASSIFY_STAGE5_SHA256))
+def test_classify_stage5_report_is_pinned(model, tmp_path, capsys):
+    """Pins the whole stage-5 report, d1 entries included."""
+    out = tmp_path / "report.json"
+    argv = ["classify", data_path(model + ".json"), "--stage", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASSIFY_STAGE5_SHA256[model]
 
 
 def test_classify_stage_one_is_usage_error(capsys):
