@@ -24,6 +24,7 @@ from .ratlin import (
     ONE,
     ZERO,
     EchelonForm,
+    InternalError,
     SparseMatrix,
     Subspace,
     kernel,
@@ -524,7 +525,8 @@ def resonance_dim(a: FiniteCdga, omega: dict, i: int) -> int:
     # degree-1 squares vanish; spot-check it before trusting the ranks
     if i + 1 <= a.top - 1:
         nxt = _twisted_matrix(a, omega, i + 1)
-        assert nxt.matmul(sq).is_zero()
+        if not nxt.matmul(sq).is_zero():
+            raise InternalError("twisted differential does not square to zero")
     r_i = rank(sq)
     r_prev = rank(_twisted_matrix(a, omega, i - 1)) if i >= 1 else 0
     return a.dim(i) - r_i - r_prev
@@ -625,17 +627,19 @@ def fixed_subcdga(action: GroupAction):
         for g in action.elements:
             acc = acc.add(action.morphisms[g].maps[i])
         p = acc.scale(order)
-        assert p.matmul(p) == p
+        if p.matmul(p) != p:
+            raise InternalError("averaging projector is not idempotent")
         projectors.append(p)
     for i in range(a.top):
         # the projector commutes with d because every group element does
-        assert a.diff[i].matmul(projectors[i]) == projectors[i + 1].matmul(a.diff[i])
+        if a.diff[i].matmul(projectors[i]) != projectors[i + 1].matmul(a.diff[i]):
+            raise InternalError("averaging projector does not commute with d")
     subs = []
     for i in range(a.top + 1):
         vecs = [projectors[i].matvec({k: ONE}) for k in range(a.dim(i))]
         subs.append(Subspace.span([v for v in vecs if v], a.dim(i)))
     if subs[0].dim != 1:
-        raise AssertionError("the unit must be invariant")
+        raise InternalError("the unit must be invariant")
 
     def coords(i, vec):
         out = {r: vec.get(p, ZERO) for r, p in enumerate(subs[i].pivots)}
@@ -644,7 +648,7 @@ def fixed_subcdga(action: GroupAction):
         for r, c in out.items():
             check = vec_add(check, subs[i].basis_rows[r], -c)
         if check:
-            raise AssertionError("vector claimed invariant is not in the span")
+            raise InternalError("vector claimed invariant is not in the span")
         return out
 
     names = [("1",)]

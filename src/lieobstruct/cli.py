@@ -4,8 +4,9 @@ Each subcommand parses its input files, runs one library pipeline, and emits
 a single JSON report on stdout (or to --out).  Reports are deterministic for
 a fixed configuration: keys are sorted, list orders are fixed by the library,
 and wall-clock timings appear only when --timings is passed.  Exit codes:
-0 success, 1 domain error, 2 usage error.  Errors are printed to stderr as a
-JSON object {"error": {"type": ..., "message": ...}}.
+0 success, 1 domain error or failed internal invariant (InternalError), 2
+usage error.  Errors are printed to stderr as a JSON object
+{"error": {"type": ..., "message": ...}}.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .fplie import (
     presentation_to_dict,
 )
 from .freelie import LieError, hall_basis_derived, multidegree
-from .ratlin import LinAlgError, scalar_to_json
+from .ratlin import InternalError, LinAlgError, scalar_to_json
 
 __all__ = ["main"]
 
@@ -352,7 +353,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _print_error("usage", str(exc))
         return 2
-    except (LieError, PresentationError, CdgaError, CeError, LinAlgError) as exc:
+    except (
+        LieError, PresentationError, CdgaError, CeError, LinAlgError, InternalError
+    ) as exc:
         _print_error(type(exc).__name__, str(exc))
         return 1
     except OSError as exc:

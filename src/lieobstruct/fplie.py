@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .freelie import (
@@ -45,7 +44,7 @@ from .freelie import (
     word_str,
     zero,
 )
-from .ratlin import ONE, ZERO, EchelonForm, Subspace, quotient_basis
+from .ratlin import ONE, ZERO, EchelonForm, InternalError, Subspace, quotient_basis
 
 __all__ = [
     "DerivedIdeal",
@@ -199,45 +198,6 @@ def _require_homogeneous(p: LiePresentation):
                 )
 
 
-class _IntRank:
-    """Rank-only echelon over integer sparse vectors, fraction-free.
-
-    Row operations are p*v - a*row, so everything stays integral; inserted
-    rows are divided by their content to keep entries small.  Used where only
-    ranks are needed and Fraction arithmetic would dominate.
-    """
-
-    def __init__(self):
-        self.rows = {}
-
-    def insert(self, vec: dict) -> bool:
-        from math import gcd
-
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            c = min(vec)
-            got = self.rows.get(c)
-            if got is None:
-                g = 0
-                for v in vec.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    vec = {k: v // g for k, v in vec.items()}
-                self.rows[c] = vec
-                return True
-            p = got[c]
-            a = vec[c]
-            new = {k: p * v for k, v in vec.items()}
-            for k, v in got.items():
-                x = new.get(k, 0) - a * v
-                if x:
-                    new[k] = x
-                else:
-                    new.pop(k, None)
-            vec = new
-        return False
-
-
 def _h2_derived(n_gens: int, level: int, degree_cap: int) -> dict:
     """H2 dims for free/(derived subalgebra): word counts minus ad-image
     ranks, computed per multidegree in tensor-algebra coordinates."""
@@ -270,8 +230,8 @@ def _h2_derived(n_gens: int, level: int, degree_cap: int) -> dict:
             )
             ech = echelons.get(key)
             if ech is None:
-                ech = echelons[key] = _IntRank()
-            if ech.insert(vec):
+                ech = echelons[key] = EchelonForm()
+            if ech.insert(vec)[0]:
                 ranks[d] = ranks.get(d, 0) + 1
     return {
         k: j_dims.get(k, 0) - ranks.get(k, 0) for k in range(1, degree_cap + 1)
@@ -299,9 +259,9 @@ def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
             b = bracket(g, s).truncate(degree_cap)
             if b.is_zero():
                 continue
-            res, _ = ech2.insert(_coords(b, degree_cap))
-            if res:
-                d = words[min(res)].degree
+            row, piv = ech2.insert(_coords(b, degree_cap))
+            if row:
+                d = words[piv].degree
                 ad_dims[d] = ad_dims.get(d, 0) + 1
     return {
         k: j_dims.get(k, 0) - ad_dims.get(k, 0) for k in range(1, degree_cap + 1)
@@ -386,7 +346,7 @@ def _eliminate_linear(p: LiePresentation, cap: int):
             subs = [expr if j == z else gen_elt(m, j) for j in range(m)]
             expr = apply_morphism(expr, subs, m, max_degree=cap)
         else:
-            raise AssertionError("generator elimination did not converge")
+            raise InternalError("generator elimination did not converge")
         mm = m - 1
         reindexed = [
             zero(mm) if j == z else gen_elt(mm, j if j < z else j - 1)
@@ -581,7 +541,8 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         brackets=brackets,
         gen_images=gen_images,
     )
-    assert alg.check_filtration()
+    if not alg.check_filtration():
+        raise InternalError("quotient brackets break the weight filtration")
     return alg
 
 
@@ -630,11 +591,11 @@ class _AdBasis:
         for w, c in e.terms.items():
             pos = self.word_pos.get(w)
             if pos is None:
-                raise AssertionError("homogeneous component outside monomial span")
+                raise InternalError("homogeneous component outside monomial span")
             vec[pos] = c
         res, combo = self.ech.reduce(vec)
         if res:
-            raise AssertionError("ad monomials failed to span a graded piece")
+            raise InternalError("ad monomials failed to span a graded piece")
         return {self.attempts[i]: c for i, c in (combo or {}).items()}
 
 
@@ -690,7 +651,7 @@ def linearize_presentation(p: LiePresentation, max_relator_degree: int) -> LiePr
             for J, c in sorted(_ad_basis(n, d).express(comp).items()):
                 acc = acc + c * gen_elt(nn, pos[J])
         if acc.is_zero():
-            raise AssertionError("relator vanished during rewriting")
+            raise InternalError("relator vanished during rewriting")
         relators.append(acc)
     return LiePresentation(names, FiniteList(tuple(relators)))
 

@@ -19,7 +19,8 @@ multidegree) and solving the resulting exact linear system over the basis
 words of the same multidegree.  Two shortcut cases avoid the solve: a
 bracket of two distinct same-level words is itself a basis word, and
 appending a small enough previous-level word to a left-normed bracket just
-extends it.  Everything is Fraction arithmetic; no floats.
+extends it.  The solve is fraction-free inside the echelon and only its
+reported coefficients are Fractions; no floats.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratlin import ONE, ZERO, EchelonForm
+from .ratlin import ONE, ZERO, EchelonForm, InternalError
 
 __all__ = [
     "HallWord",
@@ -270,7 +271,8 @@ def witt_dim(n_gens: int, degree: int) -> int:
         raise LieError(f"alphabet size must be >= 1, got {n_gens}")
     total = sum(_mobius(d) * n_gens ** (degree // d) for d in _divisors(degree))
     q, r = divmod(total, degree)
-    assert r == 0
+    if r:
+        raise InternalError(f"necklace count {total} is not divisible by {degree}")
     return q
 
 
@@ -340,28 +342,30 @@ def _word_int(letters, n_gens):
 
 
 class _MultidegreeSolver:
-    """Expresses tensor polynomials of one multidegree over the basis words."""
+    """Expresses tensor polynomials of one multidegree over the basis words.
+
+    Hall words are a Z-basis, so the tensor rows stay integral and the
+    echelon never sees a Fraction until it reports the coefficients.
+    """
 
     def __init__(self, n_gens, md):
         self.n_gens = n_gens
         self.words = hall_words_of_degree(n_gens, sum(md)).get(md, ())
         self.ech = EchelonForm(track=True)
         for w in self.words:
-            row = {
-                _word_int(u, n_gens): Fraction(c)
-                for u, c in tensor_expand(w).items()
-            }
-            res, _ = self.ech.insert(row)
-            assert res, "basis words must expand independently"
+            row, _ = self.ech.insert(
+                {_word_int(u, n_gens): c for u, c in tensor_expand(w).items()}
+            )
+            if not row:
+                raise InternalError("basis words must expand independently")
 
     def solve(self, tensor_poly: dict) -> dict:
-        row = {
-            _word_int(u, self.n_gens): Fraction(c) for u, c in tensor_poly.items()
-        }
-        res, combo = self.ech.reduce(row)
+        res, combo = self.ech.reduce(
+            {_word_int(u, self.n_gens): c for u, c in tensor_poly.items()}
+        )
         if res:
-            raise AssertionError("commutator expansion escaped the Lie span")
-        return {self.words[i]: c for i, c in (combo or {}).items()}
+            raise InternalError("commutator expansion escaped the Lie span")
+        return {self.words[i]: c for i, c in combo.items()}
 
 
 _SOLVERS: dict = {}
@@ -623,7 +627,7 @@ class _Parser:
             self.pos += 1
             acc = acc + sign * self.parse_term()
         if acc.n_gens != n:
-            raise AssertionError
+            raise InternalError("parsed sum left the generator alphabet")
         return acc
 
     def parse_term(self) -> LieElement:

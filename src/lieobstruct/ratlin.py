@@ -6,6 +6,11 @@ Fraction entries, so this module stays small and boring.  Sparse rows are
 dicts keyed by column index, elimination follows a fixed pivot rule (first
 nonzero column, lowest row index), and there is no floating point anywhere.
 
+EchelonForm is the one elimination engine.  It is fraction-free inside: each
+input has its denominators cleared once, stored rows are primitive integer
+vectors, and Fractions appear only at its boundary (residuals, combinations
+and RREF rows), all of which are canonical.
+
 The dense Gaussian elimination oracle used to certify this module lives in
 the test suite, not here.
 """
@@ -14,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Scalar = Fraction
@@ -25,6 +31,10 @@ ONE = Fraction(1)
 
 class LinAlgError(ValueError):
     """Raised on shape mismatches and malformed inputs."""
+
+
+class InternalError(RuntimeError):
+    """A runtime invariant of the library failed: a bug, not bad input."""
 
 
 def scal(x) -> Fraction:
@@ -178,23 +188,55 @@ class SparseMatrix:
         return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
 
 
+def _cleared(vec: Mapping) -> tuple[dict, int]:
+    """vec times the lcm of its denominators, as an integer dict, and the lcm."""
+    den = 1
+    for x in vec.values():
+        d = x.denominator
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return {k: x.numerator for k, x in vec.items() if x}, 1
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
+
+
+def _content(vec: dict) -> int:
+    """gcd of the entries, 0 for the zero vector."""
+    g = 0
+    for x in vec.values():
+        g = gcd(g, x)
+        if g == 1:
+            break
+    return g
+
+
 class EchelonForm:
-    """Incrementally built row echelon form over arbitrary integer columns.
+    """Incrementally built row echelon form over arbitrary integer columns,
+    fraction-free inside.
 
     Rows are kept forward-reduced only: each stored row's first nonzero column
     is its pivot, and no two rows share a pivot.  That is enough for rank,
     membership and combination tracking, and it avoids rewriting old rows on
     every insert.  Column order is plain int order.
 
-    With track=True, each reduction also returns the coefficients of the
-    inserted rows that were subtracted, so callers can solve "express this
-    vector over those" problems without a second pass.
+    Inputs may hold ints or Fractions; each one has its denominators cleared
+    once, by their lcm.  Stored rows are primitive integer vectors with a
+    positive lead, and a reduction step is p*v - a*row with a and p divided
+    by their gcd first (fraction-free elimination in the manner of Bareiss).
+    Fractions appear only at the boundary: the residual and combination that
+    reduce returns, and the RREF rows of backsubstitute.  All three are
+    canonical, so they do not depend on how rows were scaled inside.
+
+    With track=True, each stored row also carries an integer combination of
+    the inputs and one positive integer denominator (row = combo /
+    denominator, both divided by their common gcd), so reduce can say which
+    inserted vectors it subtracted without a second pass.
     """
 
     def __init__(self, track: bool = False):
         self.pivot_rows: dict[int, dict] = {}
         self.track = track
-        self.combos: dict[int, dict] = {}
+        self.combos: dict[int, tuple[dict, int]] = {}
         self.n_inserted = 0
 
     @property
@@ -205,88 +247,173 @@ class EchelonForm:
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
-    def reduce(self, vec: Mapping[int, Fraction]):
-        """Reduce vec against the stored rows.
+    def _eliminate(self, cur: dict, stop: bool, steps: list | None):
+        """Clear the pivot columns of the integer vector cur, in place.
 
-        Returns (residual, combo).  combo maps insert-order indices to the
-        coefficient of that inserted row in vec - residual; it is None unless
-        tracking is on.
+        Afterwards cur == scale*(cur on entry) - sum of integer multiples of
+        stored rows; returns (scale, lead).  With stop, elimination ends at
+        the first support column that has no pivot row, and lead is that
+        column; otherwise, or when there is none, lead is None.  steps, when
+        given, receives (pivot, a, p) for each step cur = p*cur - a*row.
 
         Stored rows have all their tail columns strictly beyond the pivot, so
         walking the support in increasing column order visits every column
         that can ever need clearing exactly once.
         """
-        res = dict(vec)
-        combo: dict | None = {} if self.track else None
-        heap = sorted(res)
-        heapify(heap)
+        rows = self.pivot_rows
+        scale = 1
+        heap = sorted(cur)
         while heap:
             k = heappop(heap)
-            c = res.get(k)
-            if not c:
+            a = cur.get(k)
+            if a is None:
                 continue
-            row = self.pivot_rows.get(k)
+            row = rows.get(k)
             if row is None:
+                if stop:
+                    return scale, k
                 continue
+            p = row[k]
+            if p != 1:
+                g = gcd(a, p)
+                if g != 1:
+                    a //= g
+                    p //= g
+                if p != 1:
+                    for kk, x in cur.items():
+                        cur[kk] = p * x
+                    scale *= p
             for kk, x in row.items():
-                y = res.get(kk, ZERO) - c * x
-                if y:
-                    if kk not in res:
-                        heappush(heap, kk)
-                    res[kk] = y
+                y = cur.get(kk)
+                if y is None:
+                    cur[kk] = -a * x
+                    heappush(heap, kk)
                 else:
-                    res.pop(kk, None)
-            if combo is not None:
-                for idx, cf in self.combos[k].items():
-                    y = combo.get(idx, ZERO) + c * cf
+                    y -= a * x
                     if y:
-                        combo[idx] = y
+                        cur[kk] = y
                     else:
-                        combo.pop(idx, None)
+                        del cur[kk]
+            if steps is not None:
+                steps.append((k, a, p))
+        return scale, None
+
+    def _subtracted(self, steps: list) -> tuple[dict, int]:
+        """The combination of inputs that the steps subtracted, as
+        (numerators, common denominator).
+
+        Step t's row ends up multiplied by its a times the p of every later
+        step, since each later step rescales everything before it.
+        """
+        den = 1
+        for k, _, _ in steps:
+            den = lcm(den, self.combos[k][1])
+        num: dict = {}
+        mult = 1
+        for k, a, p in reversed(steps):
+            combo, d = self.combos[k]
+            f = a * mult * (den // d)
+            for j, x in combo.items():
+                y = num.get(j, 0) + f * x
+                if y:
+                    num[j] = y
+                else:
+                    del num[j]
+            mult *= p
+        return num, den
+
+    def reduce(self, vec: Mapping[int, Fraction]):
+        """Reduce vec against the stored rows.
+
+        Returns (residual, combo), both with Fraction values.  The residual
+        is the unique vector in vec + span that vanishes at every pivot.
+        combo maps insert-order indices to the coefficient of that inserted
+        vector in vec - residual; it is None unless tracking is on.
+        """
+        cur, den = _cleared(vec)
+        steps = [] if self.track else None
+        scale, _ = self._eliminate(cur, False, steps)
+        den *= scale
+        res = {k: Fraction(x, den) for k, x in cur.items()}
+        if steps is None:
+            return res, None
+        num, e = self._subtracted(steps)
+        den *= e
+        combo = {j: Fraction(x, den) for j, x in num.items()}
         return res, combo
 
     def insert(self, vec: Mapping[int, Fraction]):
-        """Reduce vec and store the residual if nonzero.
+        """Store vec, reduced up to its first column without a pivot row,
+        unless it lies in the span already.
 
-        Returns (residual, combo) as in reduce; residual == {} means vec was
-        already in the span.
+        Returns (row, pivot): the stored integer row and its pivot column,
+        min(row), when the rank rose, else ({}, None).
         """
         idx = self.n_inserted
         self.n_inserted += 1
-        res, combo = self.reduce(vec)
-        if res:
-            lead = min(res)
-            c = res[lead]
-            row = {k: x / c for k, x in res.items()}
-            self.pivot_rows[lead] = row
-            if self.track:
-                own = {idx: ONE / c}
-                for i, cf in (combo or {}).items():
-                    own[i] = -cf / c
-                self.combos[lead] = own
-        return res, combo
+        cur, den = _cleared(vec)
+        steps = [] if self.track else None
+        scale, lead = self._eliminate(cur, True, steps)
+        if lead is None:
+            return {}, None
+        g = _content(cur)
+        if cur[lead] < 0:
+            g = -g
+        if g != 1:
+            cur = {k: x // g for k, x in cur.items()}
+        self.pivot_rows[lead] = cur
+        if steps is not None:
+            # cur == (scale*e*den*vec - num) / e before the content came out
+            num, e = self._subtracted(steps)
+            combo = {j: -x for j, x in num.items()}
+            combo[idx] = scale * e * den
+            d = e * g
+            if d < 0:
+                combo = {j: -x for j, x in combo.items()}
+                d = -d
+            h = gcd(d, _content(combo))
+            if h != 1:
+                combo = {j: x // h for j, x in combo.items()}
+                d //= h
+            self.combos[lead] = (combo, d)
+        return cur, lead
 
     def contains(self, vec: Mapping[int, Fraction]) -> bool:
-        res, _ = self.reduce(vec)
-        return not res
+        cur, _ = _cleared(vec)
+        return self._eliminate(cur, True, None)[1] is None
 
     def backsubstitute(self) -> list[dict]:
         """Return the fully reduced (RREF) rows, sorted by pivot column."""
         pivots = self.pivots
-        out = [dict(self.pivot_rows[p]) for p in pivots]
+        where = {q: i for i, q in enumerate(pivots)}
+        out = [None] * len(pivots)
         for i in range(len(pivots) - 1, -1, -1):
-            row = out[i]
-            for j in range(i + 1, len(pivots)):
-                q = pivots[j]
-                c = row.get(q)
-                if c:
-                    for k, x in out[j].items():
-                        y = row.get(k, ZERO) - c * x
+            row = self.pivot_rows[pivots[i]]
+            # later rows are fully reduced already, so subtracting one clears
+            # its pivot here and adds no other pivot column
+            later = sorted(k for k in row if k in where and k != pivots[i])
+            if later:
+                row = dict(row)
+                for q in later:
+                    a = row[q]
+                    other = out[where[q]]
+                    p = other[q]
+                    g = gcd(a, p)
+                    a //= g
+                    p //= g
+                    if p != 1:
+                        row = {k: p * x for k, x in row.items()}
+                    for k, x in other.items():
+                        y = row.get(k, 0) - a * x
                         if y:
                             row[k] = y
                         else:
-                            row.pop(k, None)
-        return out
+                            del row[k]
+                g = _content(row)
+                if g != 1:
+                    row = {k: x // g for k, x in row.items()}
+            out[i] = row
+        return [{k: Fraction(x, row[q]) for k, x in row.items()} for q, row in zip(pivots, out)]
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:

@@ -172,6 +172,41 @@ def test_classify_stage5_report_is_pinned(model, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASSIFY_STAGE5_SHA256[model]
 
 
+GOLDEN_REPORT_SHA256 = {
+    ("h2scan", "pres_cubic.json", "--deg", "10"):
+        "ea72e638a88743dd1f0431b16288a83f0dcd21c9d19296b6b89bc19b3ee57a09",
+    ("h2scan", "free_metabelian.json", "--deg", "12"):
+        "9236e491e062b86ce160536860ea214aafcc22eeaa6e21d3e70a6ed58f6d650a",
+    ("holonomy", "noncarnot.json", "--lcs", "7"):
+        "2d5cbeed3d55633666a414eda8acd1454b1586f5cd3b33be1375ca76cb8b1d27",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(GOLDEN_REPORT_SHA256), ids=lambda c: f"{c[0]}-{c[1][:-5]}-{c[3]}"
+)
+def test_report_is_pinned(case, tmp_path, capsys):
+    """Pins whole h2scan and holonomy reports, ideal_x2_dims and relators
+    included."""
+    command, model, flag, cap = case
+    out = tmp_path / "report.json"
+    argv = [command, data_path(model), flag, cap, "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[case]
+
+
+def test_internal_error_is_reported_as_json(monkeypatch, capsys):
+    """A failing runtime invariant exits 1 with a JSON error, not a traceback."""
+    from lieobstruct import fplie
+
+    monkeypatch.setattr(fplie.NilpotentLieAlgebra, "check_filtration", lambda self: False)
+    code, err = run_error(capsys, "holonomy", data_path("heis.json"), "--lcs", "3")
+    assert code == 1
+    assert err["type"] == "InternalError"
+    assert "filtration" in err["message"]
+
+
 def test_classify_stage_one_is_usage_error(capsys):
     code, err = run_error(
         capsys, "classify", data_path("heis.json"), "--stage", "1"

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieobstruct.ratlin import (
@@ -54,15 +54,19 @@ def to_dense(sm: SparseMatrix):
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
+# denominators 1..5, so the engine's denominator clearing is exercised
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=5)
+)
 
 
 @st.composite
-def dense_matrices(draw, max_rows=6, max_cols=6):
+def dense_matrices(draw, max_rows=6, max_cols=6, entries=small_ints):
     nr = draw(st.integers(min_value=1, max_value=max_rows))
     nc = draw(st.integers(min_value=1, max_value=max_cols))
     rows = draw(
         st.lists(
-            st.lists(small_ints, min_size=nc, max_size=nc),
+            st.lists(entries, min_size=nc, max_size=nc),
             min_size=nr,
             max_size=nr,
         )
@@ -70,8 +74,31 @@ def dense_matrices(draw, max_rows=6, max_cols=6):
     return rows
 
 
-@given(dense_matrices())
-@settings(max_examples=150, deadline=None)
+def dense_kernel(rows):
+    """Oracle: kernel basis read off the dense RREF, one vector per free column."""
+    nc = len(rows[0])
+    red, pivots = dense_rref(rows)
+    vecs = []
+    for f in (j for j in range(nc) if j not in pivots):
+        v = {f: Fraction(1)}
+        for r, p in enumerate(pivots):
+            if red[r][f]:
+                v[p] = -red[r][f]
+        vecs.append(v)
+    return vecs
+
+
+# integer matrices take the engine's no-denominator path, rational ones the
+# clearing path
+any_matrices = st.one_of(dense_matrices(), dense_matrices(entries=small_rationals))
+
+
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+@given(any_matrices)
+@settings(max_examples=300, deadline=None)
 def test_rref_matches_dense_oracle(rows):
     m = SparseMatrix.from_rows(rows, cols=len(rows[0]))
     red, pivots = rref(m)
@@ -79,9 +106,10 @@ def test_rref_matches_dense_oracle(rows):
     assert list(pivots) == oracle_pivots
     got = red.to_dense()
     assert got == oracle_rows
+    assert rank(m) == len(oracle_pivots)
 
 
-@given(dense_matrices())
+@given(any_matrices)
 @settings(max_examples=100, deadline=None)
 def test_rref_idempotent_and_rank_nullity(rows):
     m = SparseMatrix.from_rows(rows, cols=len(rows[0]))
@@ -93,13 +121,14 @@ def test_rref_idempotent_and_rank_nullity(rows):
     assert len(pivots) + ker.dim == m.cols
 
 
-@given(dense_matrices())
-@settings(max_examples=100, deadline=None)
+@given(any_matrices)
+@settings(max_examples=200, deadline=None)
 def test_kernel_vectors_annihilate(rows):
     m = SparseMatrix.from_rows(rows, cols=len(rows[0]))
     ker = kernel(m)
     for v in ker.basis_rows:
         assert m.matvec(v) == {}
+    assert ker == Subspace.span(dense_kernel(rows), m.cols)
 
 
 def test_scal_rejects_floats():
@@ -183,3 +212,79 @@ def test_matmul_transpose_roundtrip():
 
 def test_rank_of_identity():
     assert rank(SparseMatrix.identity(7)) == 7
+
+
+@given(
+    dense_matrices(max_rows=5, max_cols=6, entries=small_rationals),
+    st.lists(small_rationals, min_size=6, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_tracked_reduce_law(rows, target):
+    """vec - residual == sum combo[i] * v_i, and the residual is zero at
+    every pivot, for rational inputs with mixed int and Fraction values."""
+    nc = len(rows[0])
+    vecs = [sparse(r) for r in rows]
+    vecs = [{j: int(x) if x.denominator == 1 else x for j, x in v.items()} for v in vecs]
+    ech = EchelonForm(track=True)
+    for v in vecs:
+        ech.insert(v)
+    vec = sparse(target[:nc])
+    res, combo = ech.reduce(vec)
+    assert all(isinstance(x, Fraction) and x for x in res.values())
+    assert all(isinstance(x, Fraction) and x for x in combo.values())
+    lhs = dict(vec)
+    for j, x in res.items():
+        lhs[j] = lhs.get(j, 0) - x
+    rhs: dict = {}
+    for i, c in combo.items():
+        for j, x in vecs[i].items():
+            rhs[j] = rhs.get(j, 0) + c * x
+    assert {j: x for j, x in lhs.items() if x} == {j: x for j, x in rhs.items() if x}
+    for p in ech.pivots:
+        assert p not in res
+    # the residual is canonical: an untracked echelon gives the same one
+    plain = EchelonForm()
+    for v in vecs:
+        plain.insert(v)
+    assert plain.reduce(vec) == (res, None)
+    assert plain.contains(vec) == (not res)
+
+
+@given(
+    dense_matrices(max_rows=5, max_cols=6, entries=small_rationals),
+    st.lists(small_rationals, min_size=5, max_size=5),
+)
+@example(
+    # mixed int/Fraction rows: rises, dependent, rises, dependent, zero, rises
+    rows=[
+        [Fraction(1, 2), 0, 3, 0],
+        [1, 0, 6, 0],
+        [0, Fraction(2, 3), 0, 0],
+        [Fraction(-1, 4), Fraction(1, 3), Fraction(-3, 2), 0],
+        [0, 0, 0, 0],
+        [0, 0, 5, 1],
+    ],
+    coeffs=[1, -2, 3, Fraction(1, 2), 0],
+)
+@settings(max_examples=150, deadline=None)
+def test_insert_reports_rank_changes(rows, coeffs):
+    ech = EchelonForm()
+    for r in rows:
+        before = ech.pivots
+        out = ech.insert(sparse(r))
+        assert len(out) == 2
+        if out[0]:
+            assert len(ech.pivots) == len(before) + 1
+            (new,) = set(ech.pivots) - set(before)
+            assert min(out[0]) == new == out[1]
+        else:
+            assert ech.pivots == before
+    # a combination of inserted vectors is dependent: rank stays put
+    combo: dict = {}
+    for c, r in zip(coeffs, rows):
+        for j, x in enumerate(r):
+            combo[j] = combo.get(j, 0) + c * x
+    rank_before = ech.rank
+    out = ech.insert({j: x for j, x in combo.items() if x})
+    assert not out[0]
+    assert ech.rank == rank_before
