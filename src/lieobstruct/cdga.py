@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .ratlin import (
     ONE,
@@ -31,6 +32,7 @@ from .ratlin import (
     rank,
     scal,
     scalar_to_json,
+    scan_rational,
     vec_add,
 )
 
@@ -64,6 +66,30 @@ class CdgaError(ValueError):
 
 def _clean(vec: dict) -> dict:
     return {k: v for k, v in vec.items() if v}
+
+
+def _graded_mul(prod: dict, top: int, i: int, u: dict, j: int, v: dict) -> dict:
+    """Product of a degree-i and a degree-j element under the product table
+    prod of a cdga with the given top degree."""
+    if i == 0:
+        c = u.get(0, ZERO)
+        return _clean({k: c * x for k, x in v.items()})
+    if j == 0:
+        c = v.get(0, ZERO)
+        return _clean({k: c * x for k, x in u.items()})
+    if i + j > top:
+        return {}
+    table = prod.get((i, j), {})
+    out: dict = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            for k, c in table.get((a, b), {}).items():
+                z = out.get(k, ZERO) + x * y * c
+                if z:
+                    out[k] = z
+                else:
+                    del out[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,25 +149,7 @@ class FiniteCdga:
 
     def mul(self, i: int, u: dict, j: int, v: dict) -> dict:
         """Product of a degree-i and a degree-j element."""
-        if i == 0:
-            c = u.get(0, ZERO)
-            return _clean({k: c * x for k, x in v.items()})
-        if j == 0:
-            c = v.get(0, ZERO)
-            return _clean({k: c * x for k, x in u.items()})
-        if i + j > self.top:
-            return {}
-        table = self.prod.get((i, j), {})
-        out: dict = {}
-        for a, x in u.items():
-            for b, y in v.items():
-                for k, c in table.get((a, b), {}).items():
-                    z = out.get(k, ZERO) + x * y * c
-                    if z:
-                        out[k] = z
-                    else:
-                        del out[k]
-        return out
+        return _graded_mul(self.prod, self.top, i, u, j, v)
 
     # -- load-time validation ---------------------------------------------
 
@@ -724,21 +732,6 @@ class _ExprParser:
             self.error("trailing input")
         return degree, _clean(vec)
 
-    def _rational(self):
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        num = int(self.text[start:self.pos])
-        if self.peek() == "/":
-            self.pos += 1
-            dstart = self.pos
-            while self.peek().isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                self.error("missing denominator")
-            return Fraction(num, int(self.text[dstart:self.pos]))
-        return Fraction(num)
-
     def _name(self):
         start = self.pos
         while self.peek().isalnum() or self.peek() == "_":
@@ -753,7 +746,11 @@ class _ExprParser:
     def _term(self, sign):
         c = Fraction(sign)
         if self.peek().isdigit():
-            c *= self._rational()
+            try:
+                x, self.pos = scan_rational(self.text, self.pos)
+            except ValueError as exc:
+                self.error(str(exc))
+            c *= x
             if self.peek() != "*":
                 self.error("a coefficient must be followed by '*'")
             self.pos += 1
@@ -843,36 +840,16 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
     # odd-degree squares are zero by omission; nonzero ones would fail the
     # graded-commutativity check in the constructor
 
-    def cdga_mul(i, u, j, v):
-        if i == 0:
-            c = u.get(0, ZERO)
-            return _clean({k: c * x for k, x in v.items()})
-        if j == 0:
-            c = v.get(0, ZERO)
-            return _clean({k: c * x for k, x in u.items()})
-        if i + j > top:
-            return {}
-        table = prod.get((i, j), {})
-        out: dict = {}
-        for ax, x in u.items():
-            for bx, y in v.items():
-                for k, c in table.get((ax, bx), {}).items():
-                    z = out.get(k, ZERO) + x * y * c
-                    if z:
-                        out[k] = z
-                    else:
-                        del out[k]
-        return out
-
     d_raw = data.get("d", {})
     if not isinstance(d_raw, dict):
         raise CdgaError('"d" must be an object')
     diff_entries: dict = {}
+    mul = partial(_graded_mul, prod, top)
     for nm, val in sorted(d_raw.items()):
         if nm not in lookup:
             raise CdgaError(f'"d" key {nm!r} is not a basis name')
         i, k = lookup[nm]
-        out = _ExprParser(str(val), lookup, cdga_mul).parse()
+        out = _ExprParser(str(val), lookup, mul).parse()
         if out is None:
             continue
         deg, vec = out

@@ -6,11 +6,15 @@ here is degree-truncated: ideal spans live inside the free Lie algebra in
 degrees <= D, lower-central-series quotients live in the free nilpotent
 algebra of the matching class.
 
-The ideal span uses the fact that for an ideal generated by a set R, the
-subspace [L, J] equals [A, J] where A is the generator alphabet, so closing R
-under bracketing with generators alone already spans the ideal degreewise.
-The second homology of L = free/J is J/[L, J] (Hopf's formula), computed
-degree by degree for homogeneous relator schemes.
+Both the ideal span and the Hopf formula use the fact that for an ideal J
+generated by a set R, the subspace [L, J] equals [A, J] where A is the
+generator alphabet, so closing R under bracketing with generators alone
+already spans the ideal degreewise.  Ideal spans live in Hall (basis-word)
+coordinates.  The second homology of L = free/J is J/[L, J] (Hopf's
+formula), computed degree by degree for homogeneous relator schemes in
+tensor-algebra coordinates: it needs only ranks, which do not depend on the
+basis, and there the bracket with a generator g is g*t - t*g, with no
+rewriting into the basis.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
@@ -25,7 +29,7 @@ chosen at different class bounds agree wherever both exist.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,14 +41,22 @@ from .freelie import (
     bracket,
     gen_elt,
     hall_basis_derived,
-    multidegree,
+    lie_tensor,
     parse_element,
     format_element,
     tensor_expand,
     word_str,
     zero,
 )
-from .ratlin import ONE, ZERO, EchelonForm, InternalError, Subspace, quotient_basis
+from .ratlin import (
+    ONE,
+    ZERO,
+    EchelonForm,
+    InternalError,
+    Subspace,
+    _cleared,
+    quotient_basis,
+)
 
 __all__ = [
     "DerivedIdeal",
@@ -147,46 +159,35 @@ def _relator_instances(p: LiePresentation, max_degree: int):
     ]
 
 
-def _ideal_closure(p: LiePresentation, max_degree: int):
-    """Echelon of the truncated ideal plus a spanning list of elements.
+def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
+    """The degree <= cap part of the ideal generated by the relator scheme,
+    as a subspace of the free Lie algebra in the basis-word coordinates.
 
     Elements that reduce to zero against the running span are dropped without
     queueing their generator brackets; linearity of ad makes that sound.
     """
-    n = p.n_gens
-    gens = [gen_elt(n, i) for i in range(n)]
-    ech = EchelonForm()
-    spanning = []
-    pool = deque(_relator_instances(p, max_degree))
-    while pool:
-        e = pool.popleft()
-        if e.is_zero():
-            continue
-        res, _ = ech.insert(_coords(e, max_degree))
-        if res:
-            spanning.append(e)
-            for g in gens:
-                b = bracket(g, e).truncate(max_degree)
-                if not b.is_zero():
-                    pool.append(b)
-    return ech, spanning
-
-
-def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
-    """The degree <= cap part of the ideal generated by the relator scheme,
-    as a subspace of the free Lie algebra in the basis-word coordinates."""
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
-    if p.n_gens == 0:
+    n = p.n_gens
+    if n == 0:
         return Subspace(0, (), ())
-    ech, _ = _ideal_closure(p, degree_cap)
+    gens = [gen_elt(n, i) for i in range(n)]
+    ech = EchelonForm()
+    pool = deque(_relator_instances(p, degree_cap))
+    while pool:
+        e = pool.popleft()
+        if ech.insert(_coords(e, degree_cap))[0]:
+            for g in gens:
+                b = bracket(g, e).truncate(degree_cap)
+                if not b.is_zero():
+                    pool.append(b)
     rows = ech.backsubstitute()
-    ambient = len(_word_index(p.n_gens, degree_cap))
+    ambient = len(_word_index(n, degree_cap))
     return Subspace(ambient, tuple(rows), tuple(ech.pivots))
 
 
 # ---------------------------------------------------------------------------
-# Hopf-formula second homology, degree by degree
+# Hopf-formula second homology, degree by degree, in tensor coordinates
 
 def _require_homogeneous(p: LiePresentation):
     if isinstance(p.scheme, FiniteList):
@@ -198,71 +199,75 @@ def _require_homogeneous(p: LiePresentation):
                 )
 
 
-def _h2_derived(n_gens: int, level: int, degree_cap: int) -> dict:
-    """H2 dims for free/(derived subalgebra): word counts minus ad-image
-    ranks, computed per multidegree in tensor-algebra coordinates."""
-    words = hall_basis_derived(n_gens, level, degree_cap)
-    j_dims: dict = {}
-    for w in words:
-        j_dims[w.degree] = j_dims.get(w.degree, 0) + 1
-    ranks: dict = {}
-    echelons: dict = {}
-    for w in words:
-        d = w.degree + 1
-        if d > degree_cap:
-            continue
-        t = tensor_expand(w)
-        md = multidegree(w, n_gens)
-        for g in range(n_gens):
-            vec: dict = {}
-            for u, c in t.items():
-                for key, s in (
-                    (_word_int((g,) + u, n_gens), c),
-                    (_word_int(u + (g,), n_gens), -c),
-                ):
-                    x = vec.get(key, 0) + s
-                    if x:
-                        vec[key] = x
-                    else:
-                        vec.pop(key, None)
-            key = tuple(
-                m + (1 if i == g else 0) for i, m in enumerate(md)
-            )
-            ech = echelons.get(key)
-            if ech is None:
-                ech = echelons[key] = EchelonForm()
-            if ech.insert(vec)[0]:
-                ranks[d] = ranks.get(d, 0) + 1
-    return {
-        k: j_dims.get(k, 0) - ranks.get(k, 0) for k in range(1, degree_cap + 1)
-    }
+def _tensor_vec(t: dict, n_gens: int) -> dict:
+    """A tensor polynomial {letter tuple: coefficient} as an integer vector
+    over _word_int columns, denominators cleared."""
+    return _cleared({_word_int(u, n_gens): c for u, c in t.items()})[0]
+
+
+def _ad_gen(g: int, v: dict, degree: int, n_gens: int) -> dict:
+    """g*v - v*g for a vector v of the given degree over _word_int columns."""
+    shift = g * n_gens ** degree
+    out = {k + shift: c for k, c in v.items()}
+    for k, c in v.items():
+        key = k * n_gens + g
+        x = out.get(key, 0) - c
+        if x:
+            out[key] = x
+        else:
+            del out[key]
+    return out
 
 
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
-    """dim (J/[L,J])_k for 1 <= k <= cap, via Hopf's formula."""
+    """dim (J/[L,J])_k for 1 <= k <= cap, via Hopf's formula.
+
+    J and [L,J] = [A,J] are ranked in the tensor algebra, where the bracket
+    with a generator g is g*t - t*g and needs no rewriting into the basis.
+    Columns are letter words, one echelon per total degree.  A derived
+    ideal's basis words of level >= k span J already; a finite relator list
+    is closed under the generator brackets, which the closure feeds to the
+    [L,J] echelon as it goes.
+    """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
     _require_homogeneous(p)
-    if isinstance(p.scheme, DerivedIdeal):
-        return _h2_derived(p.n_gens, p.scheme.level, degree_cap)
-    ech, spanning = _ideal_closure(p, degree_cap)
-    words = hall_basis_derived(p.n_gens, 0, degree_cap)
+    n = p.n_gens
     j_dims: dict = {}
-    for piv in ech.pivots:
-        d = words[piv].degree
-        j_dims[d] = j_dims.get(d, 0) + 1
-    gens = [gen_elt(p.n_gens, i) for i in range(p.n_gens)]
-    ech2 = EchelonForm()
     ad_dims: dict = {}
-    for s in spanning:
-        for g in gens:
-            b = bracket(g, s).truncate(degree_cap)
-            if b.is_zero():
-                continue
-            row, piv = ech2.insert(_coords(b, degree_cap))
-            if row:
-                d = words[piv].degree
-                ad_dims[d] = ad_dims.get(d, 0) + 1
+    ad_echelons = defaultdict(EchelonForm)
+
+    def ad_images(d: int, v: dict) -> list:
+        """Insert ad_g(v) for every generator g into the [L,J] echelon of
+        degree d + 1 and return the nonzero images."""
+        ech = ad_echelons[d + 1]
+        out = []
+        for g in range(n):
+            b = _ad_gen(g, v, d, n)
+            if b:
+                if ech.insert(b)[0]:
+                    ad_dims[d + 1] = ad_dims.get(d + 1, 0) + 1
+                out.append(b)
+        return out
+
+    if isinstance(p.scheme, DerivedIdeal):
+        for w in hall_basis_derived(n, p.scheme.level, degree_cap):
+            d = w.degree
+            j_dims[d] = j_dims.get(d, 0) + 1
+            if d < degree_cap:
+                ad_images(d, _tensor_vec(tensor_expand(w), n))
+    else:
+        j_echelons = defaultdict(EchelonForm)
+        pool = deque(
+            (r.degrees()[0], _tensor_vec(lie_tensor(r), n))
+            for r in _relator_instances(p, degree_cap)
+        )
+        while pool:
+            d, v = pool.popleft()
+            if j_echelons[d].insert(v)[0]:
+                j_dims[d] = j_dims.get(d, 0) + 1
+                if d < degree_cap:
+                    pool.extend((d + 1, b) for b in ad_images(d, v))
     return {
         k: j_dims.get(k, 0) - ad_dims.get(k, 0) for k in range(1, degree_cap + 1)
     }

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratlin import ONE, ZERO, EchelonForm, InternalError
+from .ratlin import ONE, ZERO, EchelonForm, InternalError, scan_rational
 
 __all__ = [
     "HallWord",
@@ -633,27 +633,15 @@ class _Parser:
     def parse_term(self) -> LieElement:
         c = ONE
         if self.peek().isdigit():
-            c = self.parse_rational()
+            try:
+                c, self.pos = scan_rational(self.text, self.pos)
+            except ValueError as exc:
+                self.error(str(exc))
             if self.peek() == "*":
                 self.pos += 1
             else:
                 self.error("a coefficient must be followed by '*' and a bracket or generator")
         return c * self.parse_monomial()
-
-    def parse_rational(self) -> Fraction:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        num = int(self.text[start:self.pos])
-        if self.peek() == "/":
-            self.pos += 1
-            dstart = self.pos
-            while self.peek().isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                self.error("missing denominator")
-            return Fraction(num, int(self.text[dstart:self.pos]))
-        return Fraction(num)
 
     def parse_monomial(self) -> LieElement:
         n = len(self.names)

@@ -17,6 +17,7 @@ the test suite, not here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -49,6 +50,29 @@ def scal(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise LinAlgError(f"not an exact scalar: {x!r} of type {type(x).__name__}")
+
+
+_RATIONAL = re.compile(r"(\d+)(/(\d*))?")
+
+
+def scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
+    """Read a coefficient 'n' or 'n/m' in decimal digits at text[pos:].
+
+    Returns the value and the position just past it.  A malformed
+    coefficient or a missing or zero denominator raises ValueError, which
+    each expression parser re-raises as its own error.
+    """
+    m = _RATIONAL.match(text, pos)
+    if m is None:
+        raise ValueError("expected a coefficient")
+    num, slash, den = m.groups()
+    if slash is None:
+        return Fraction(int(num)), m.end()
+    if not den:
+        raise ValueError("missing denominator")
+    if not int(den):
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den)), m.end()
 
 
 def scalar_to_json(x):
@@ -111,9 +135,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
-
-    def row(self, i: int) -> dict:
-        return {j: x for (r, j), x in self.entries.items() if r == i}
 
     def row_list(self) -> list[dict]:
         out = [dict() for _ in range(self.rows)]
@@ -484,12 +505,6 @@ class Subspace:
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis_rows)
-
-    def extend(self, vectors: Iterable[Mapping[int, Fraction]]) -> "Subspace":
-        return Subspace.span(list(self.basis_rows) + list(vectors), self.ambient)
-
-    def matrix(self) -> SparseMatrix:
-        return SparseMatrix.from_rows(self.basis_rows, self.ambient) if self.basis_rows else SparseMatrix(0, self.ambient, {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

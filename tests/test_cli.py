@@ -95,6 +95,42 @@ def test_h2scan_deeply_nested_relator_is_domain_error(tmp_path, capsys):
     assert err["type"] == "PresentationError"
 
 
+@pytest.mark.parametrize(
+    "relator, message",
+    [("1/0*[x,y]", "zero denominator"), ("\u00b2*[x,y]", "expected a coefficient")],
+    ids=["zero-denominator", "superscript-digit"],
+)
+def test_h2scan_bad_coefficient_is_domain_error(relator, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"generators": ["x", "y"], "relators": [relator]}))
+    code, err = run_error(capsys, "h2scan", str(bad), "--deg", "3")
+    assert code == 1
+    assert err["type"] == "PresentationError"
+    assert message in err["message"]
+
+
+def test_holonomy_zero_denominator_is_domain_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "degrees": {"1": ["a"], "2": ["b"]},
+        "d": {},
+        "mu": {"a*a": "1/0*b"},
+    }))
+    code, err = run_error(capsys, "holonomy", str(bad))
+    assert code == 1
+    assert err["type"] == "CdgaError"
+    assert "zero denominator" in err["message"]
+
+
+def test_resonance_zero_denominator_point_is_domain_error(capsys):
+    code, err = run_error(
+        capsys, "resonance", data_path("wedge2.json"), "--point", "1/0*a1"
+    )
+    assert code == 1
+    assert err["type"] == "CdgaError"
+    assert "zero denominator" in err["message"]
+
+
 def test_holonomy_heis(capsys):
     report = run_report(
         capsys, "holonomy", data_path("heis.json"), "--lcs", "5"
@@ -177,6 +213,8 @@ GOLDEN_REPORT_SHA256 = {
         "ea72e638a88743dd1f0431b16288a83f0dcd21c9d19296b6b89bc19b3ee57a09",
     ("h2scan", "free_metabelian.json", "--deg", "12"):
         "9236e491e062b86ce160536860ea214aafcc22eeaa6e21d3e70a6ed58f6d650a",
+    ("h2scan", "pres_torus.json", "--deg", "10"):
+        "8c1e0d66eca03410493316a364b77ca722b3c909bd6efb2658cd6ec5d8b00db9",
     ("holonomy", "noncarnot.json", "--lcs", "7"):
         "2d5cbeed3d55633666a414eda8acd1454b1586f5cd3b33be1375ca76cb8b1d27",
 }

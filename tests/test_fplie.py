@@ -2,12 +2,14 @@
 
 The independent oracle for ideal_span is a brute-force closure that brackets
 with every basis word, not just generators; the two must agree degreewise.
-Quotient structure constants are validated through the Jacobi and filtration
-checks plus hand-computed small examples.
+The Hall-coordinate Hopf H2 (closure, then generator brackets ranked in
+basis-word coordinates) is kept here as the reference for the
+tensor-coordinate h2_graded.  Quotient structure constants are validated
+through the Jacobi and filtration checks plus hand-computed small examples.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from lieobstruct.freelie import (
     gen_elt,
     generator,
     hall_basis_derived,
+    hall_words_of_degree,
     parse_element,
     witt_dim,
 )
@@ -28,6 +31,7 @@ from lieobstruct.fplie import (
     LiePresentation,
     PresentationError,
     _coords,
+    _relator_instances,
     finiteness_scan,
     h2_graded,
     ideal_span,
@@ -156,26 +160,68 @@ def test_h2_metabelian_small_degrees():
     assert dims[1] == dims[2] == dims[3] == dims[4] == 0
 
 
-def test_h2_metabelian_fast_path_against_hall_coordinates():
-    """Recompute the derived-ideal H2 with generic Hall-coordinate ranks."""
-    cap = 8
-    words = hall_basis_derived(2, 0, cap)
-    j_span = ideal_span(METAB, cap)
-    j_dims = {}
-    for i in j_span.pivots:
-        d = words[i].degree
-        j_dims[d] = j_dims.get(d, 0) + 1
+def hall_h2_reference(p, cap):
+    """Hopf H2 in Hall coordinates: close the relators under generator
+    brackets, then rank the generator brackets of the closure's spanning
+    elements; pivot degrees give the dimensions."""
+    n = p.n_gens
+    words = hall_basis_derived(n, 0, cap)
+    gens = [gen_elt(n, i) for i in range(n)]
     ech = EchelonForm()
-    ad_dims = {}
-    for w in hall_basis_derived(2, 2, cap - 1):
-        for g in range(2):
-            b = bracket(gen_elt(2, g), LieElement(2, {w: ONE}))
-            res, _ = ech.insert(_coords(b, cap))
-            if res:
-                d = w.degree + 1
-                ad_dims[d] = ad_dims.get(d, 0) + 1
-    slow = {k: j_dims.get(k, 0) - ad_dims.get(k, 0) for k in range(1, cap + 1)}
-    assert h2_graded(METAB, cap) == slow
+    spanning = []
+    pool = deque(_relator_instances(p, cap))
+    while pool:
+        e = pool.popleft()
+        if ech.insert(_coords(e, cap))[0]:
+            spanning.append(e)
+            pool.extend(bracket(g, e).truncate(cap) for g in gens)
+    j_dims = Counter(words[piv].degree for piv in ech.pivots)
+    ech2 = EchelonForm()
+    ad_dims = Counter()
+    for e in spanning:
+        for g in gens:
+            piv = ech2.insert(_coords(bracket(g, e).truncate(cap), cap))[1]
+            if piv is not None:
+                ad_dims[words[piv].degree] += 1
+    return {k: j_dims[k] - ad_dims[k] for k in range(1, cap + 1)}
+
+
+def random_homogeneous_presentation(rng, n_gens, cap):
+    """One or two homogeneous relators with Fraction coefficients, each
+    summing basis words from one or two multidegrees of its degree; half the
+    time one more relator, a multiple of a generator bracket of the first,
+    which H2 must not count."""
+    relators = []
+    for _ in range(1 if n_gens == 1 else rng.randint(1, 2)):
+        d = 1 if n_gens == 1 else rng.randint(2, min(cap, 4))
+        groups = list(hall_words_of_degree(n_gens, d).values())
+        terms = {}
+        for ws in rng.sample(groups, min(len(groups), rng.randint(1, 2))):
+            terms[rng.choice(ws)] = Fraction(
+                rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)
+            )
+        relators.append(LieElement(n_gens, terms))
+    g = gen_elt(n_gens, rng.randrange(n_gens))
+    consequence = Fraction(rng.randint(1, 3), 2) * bracket(g, relators[0])
+    if rng.random() < 0.5 and not consequence.truncate(cap).is_zero():
+        relators.append(consequence)
+    names = tuple(f"x{i + 1}" for i in range(n_gens))
+    return LiePresentation(names, FiniteList(tuple(relators)))
+
+
+def test_h2_metabelian_fast_path_against_hall_coordinates():
+    for n, level, cap in ((2, 2, 8), (2, 1, 7), (2, 3, 10), (3, 1, 5), (3, 2, 6)):
+        p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
+        assert h2_graded(p, cap) == hall_h2_reference(p, cap)
+
+
+def test_h2_matches_hall_coordinate_reference():
+    rng = random.Random(20261018)
+    cases = [(1, 4)] + [(2, cap) for cap in (5, 6, 6, 7, 7, 7) + (8,) * 8]
+    cases += [(3, cap) for cap in (4, 4, 4, 5, 5, 5)]
+    for n, cap in cases:
+        p = random_homogeneous_presentation(rng, n, cap)
+        assert h2_graded(p, cap) == hall_h2_reference(p, cap), presentation_to_dict(p)
 
 
 def test_h2_rejects_inhomogeneous():
