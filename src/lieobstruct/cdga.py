@@ -359,15 +359,11 @@ def induced_cohomology_matrix(f: CdgaMorphism, i: int) -> SparseMatrix:
     """Matrix of H^i(f) over the representative bases of source and target."""
     src = _CohomologyData(f.source, i) if i <= f.source.top else None
     tgt = _CohomologyData(f.target, i) if i <= f.target.top else None
-    nsrc = src.dim if src else 0
-    ntgt = tgt.dim if tgt else 0
-    entries = {}
-    if src and tgt:
-        for col, rep in enumerate(src.reps):
-            img = f.apply(i, rep)
-            for row, c in tgt.class_coords(img).items():
-                entries[(row, col)] = c
-    return SparseMatrix(ntgt, nsrc, entries)
+    if src is None or tgt is None:
+        return SparseMatrix(tgt.dim if tgt else 0, src.dim if src else 0)
+    return SparseMatrix.from_columns(
+        tgt.dim, [tgt.class_coords(f.apply(i, rep)) for rep in src.reps]
+    )
 
 
 def is_q_equivalence(f: CdgaMorphism, q: int) -> bool:
@@ -390,13 +386,8 @@ def _degree_drop(a: FiniteCdga, new_top: int) -> FiniteCdga:
     if new_top >= a.top:
         return a
     names = a.names[: new_top + 1]
-    diff = []
-    for i in range(new_top + 1):
-        rows = len(names[i + 1]) if i + 1 <= new_top else 0
-        entries = {
-            (r, c): v for (r, c), v in a.diff[i].entries.items() if r < rows
-        } if rows else {}
-        diff.append(SparseMatrix(rows, len(names[i]), entries))
+    diff = list(a.diff[:new_top])
+    diff.append(SparseMatrix(0, len(names[new_top])))
     prod = {
         (i, j): table
         for (i, j), table in a.prod.items()
@@ -437,17 +428,13 @@ def truncate(a: FiniteCdga, q: int):
         out = {r: vec.get(p, ZERO) for r, p in enumerate(sub.pivots)}
         return _clean(out)
 
-    diff = []
-    for i in range(q + 1):
-        if i < q:
-            diff.append(quot.diff[i])
-        else:
-            entries = {}
-            for k in range(quot.dim(q)):
-                for r, c in coords(quot.d_apply(q, {k: ONE})).items():
-                    entries[(r, k)] = c
-            diff.append(SparseMatrix(sub.dim, quot.dim(q), entries))
-    diff.append(SparseMatrix(0, sub.dim, {}))
+    diff = list(quot.diff[:q])
+    diff.append(
+        SparseMatrix.from_columns(
+            sub.dim, [coords(quot.d_apply(q, {k: ONE})) for k in range(quot.dim(q))]
+        )
+    )
+    diff.append(SparseMatrix(0, sub.dim))
     prod = {}
     for (i, j), table in quot.prod.items():
         if i + j <= q:
@@ -462,11 +449,7 @@ def truncate(a: FiniteCdga, q: int):
                 prod[(i, j)] = new_table
     out = FiniteCdga(tuple(names), tuple(diff), prod)
     mats = [SparseMatrix.identity(quot.dim(i)) for i in range(q + 1)]
-    entries = {}
-    for r, row in enumerate(sub.basis_rows):
-        for k, c in row.items():
-            entries[(k, r)] = c
-    mats.append(SparseMatrix(quot.dim(q + 1), sub.dim, entries))
+    mats.append(SparseMatrix.from_columns(quot.dim(q + 1), sub.basis_rows))
     incl = CdgaMorphism(out, quot, tuple(mats))
     return out, incl
 
@@ -505,13 +488,13 @@ def holonomy(a: FiniteCdga):
 # resonance
 
 def _twisted_matrix(a: FiniteCdga, omega: dict, i: int) -> SparseMatrix:
-    entries = {}
-    rows = a.dim(i + 1)
-    for k in range(a.dim(i)):
-        v = vec_add(a.d_apply(i, {k: ONE}), a.mul(1, omega, i, {k: ONE}))
-        for r, c in v.items():
-            entries[(r, k)] = c
-    return SparseMatrix(rows, a.dim(i), entries)
+    return SparseMatrix.from_columns(
+        a.dim(i + 1),
+        [
+            vec_add(a.d_apply(i, {k: ONE}), a.mul(1, omega, i, {k: ONE}))
+            for k in range(a.dim(i))
+        ],
+    )
 
 
 def _require_cocycle(a: FiniteCdga, omega: dict):
@@ -631,7 +614,7 @@ def fixed_subcdga(action: GroupAction):
     order = Fraction(1, len(action.elements))
     projectors = []
     for i in range(a.top + 1):
-        acc = SparseMatrix(a.dim(i), a.dim(i), {})
+        acc = SparseMatrix(a.dim(i), a.dim(i))
         for g in action.elements:
             acc = acc.add(action.morphisms[g].maps[i])
         p = acc.scale(order)
@@ -665,13 +648,11 @@ def fixed_subcdga(action: GroupAction):
     diff = []
     for i in range(a.top + 1):
         rows = subs[i + 1].dim if i + 1 <= a.top else 0
-        entries = {}
-        for k, row in enumerate(subs[i].basis_rows):
+        columns = []
+        for row in subs[i].basis_rows:
             dv = a.d_apply(i, dict(row))
-            if dv:
-                for r, c in coords(i + 1, dv).items():
-                    entries[(r, k)] = c
-        diff.append(SparseMatrix(rows, subs[i].dim, entries))
+            columns.append(coords(i + 1, dv) if dv else {})
+        diff.append(SparseMatrix.from_columns(rows, columns))
     prod = {}
     for i in range(1, a.top):
         for j in range(1, a.top + 1 - i):
@@ -684,14 +665,10 @@ def fixed_subcdga(action: GroupAction):
             if table:
                 prod[(i, j)] = table
     fixed = FiniteCdga(tuple(names), tuple(diff), prod)
-    mats = []
-    for i in range(a.top + 1):
-        entries = {}
-        for r, row in enumerate(subs[i].basis_rows):
-            for k, c in row.items():
-                entries[(k, r)] = c
-        mats.append(SparseMatrix(a.dim(i), subs[i].dim, entries))
-    incl = CdgaMorphism(fixed, a, tuple(mats))
+    mats = tuple(
+        SparseMatrix.from_columns(a.dim(i), subs[i].basis_rows) for i in range(a.top + 1)
+    )
+    incl = CdgaMorphism(fixed, a, mats)
     return fixed, incl
 
 
@@ -843,7 +820,7 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
     d_raw = data.get("d", {})
     if not isinstance(d_raw, dict):
         raise CdgaError('"d" must be an object')
-    diff_entries: dict = {}
+    images = [[{} for _ in row] for row in names]
     mul = partial(_graded_mul, prod, top)
     for nm, val in sorted(d_raw.items()):
         if nm not in lookup:
@@ -855,12 +832,11 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
         deg, vec = out
         if deg != i + 1:
             raise CdgaError(f"d({nm}) has degree {deg}, want {i + 1}")
-        for r, c in vec.items():
-            diff_entries.setdefault(i, {})[(r, k)] = c
+        images[i][k] = vec
     diff = []
     for i in range(top + 1):
         rows = len(names[i + 1]) if i + 1 <= top else 0
-        diff.append(SparseMatrix(rows, len(names[i]), diff_entries.get(i, {})))
+        diff.append(SparseMatrix.from_columns(rows, images[i]))
     return FiniteCdga(tuple(names), tuple(diff), prod)
 
 
@@ -916,39 +892,45 @@ def action_from_dict(a: FiniteCdga, data: dict) -> GroupAction:
     elements = data.get("elements")
     if not isinstance(elements, list) or not elements:
         raise CdgaError('"elements" must be a nonempty list')
+    if not all(isinstance(g, str) for g in elements):
+        raise CdgaError('"elements" must be a list of element names')
     table_raw = data.get("table", {})
+    if not isinstance(table_raw, dict):
+        raise CdgaError('"table" must be an object')
     table = {}
     for key, val in table_raw.items():
         parts = key.split(",")
         if len(parts) != 2:
             raise CdgaError(f"table key must be 'g,h', got {key!r}")
+        if not isinstance(val, str):
+            raise CdgaError(f"table value at {key!r} must be an element name")
         table[(parts[0], parts[1])] = val
     lookup = {}
     for i, row in enumerate(a.names):
         for k, nm in enumerate(row):
             lookup[nm] = (i, k)
     maps_raw = data.get("maps", {})
+    if not isinstance(maps_raw, dict):
+        raise CdgaError('"maps" must be an object')
     morphisms = {}
     for g in elements:
         given = maps_raw.get(g, {})
-        mats_entries = [dict() for _ in range(a.top + 1)]
-        mats_entries[0][(0, 0)] = ONE
+        if not isinstance(given, dict):
+            raise CdgaError(f'"maps"[{g!r}] must be an object')
+        mats = [SparseMatrix.identity(1)]
         for i in range(1, a.top + 1):
-            for k, nm in enumerate(a.names[i]):
-                val = given.get(nm, nm)
-                out = _ExprParser(str(val), lookup, a.mul).parse()
+            columns = []
+            for nm in a.names[i]:
+                out = _ExprParser(str(given.get(nm, nm)), lookup, a.mul).parse()
                 if out is None:
+                    columns.append({})
                     continue
                 deg, vec = out
                 if deg != i:
                     raise CdgaError(f"action image of {nm!r} has degree {deg}")
-                for r, c in vec.items():
-                    mats_entries[i][(r, k)] = c
-        mats = tuple(
-            SparseMatrix(a.dim(i), a.dim(i), mats_entries[i])
-            for i in range(a.top + 1)
-        )
-        morphisms[g] = CdgaMorphism(a, a, mats)
+                columns.append(vec)
+            mats.append(SparseMatrix.from_columns(a.dim(i), columns))
+        morphisms[g] = CdgaMorphism(a, a, tuple(mats))
     return GroupAction(tuple(elements), table, morphisms)
 
 

@@ -121,28 +121,25 @@ def ce_cochain(g: NilpotentLieAlgebra, degree_cap: int = 3) -> CeComplex:
                 out[pos] = out.get(pos, ZERO) - c
         return {p: c for p, c in out.items() if c}
 
-    diff_entries = [dict() for _ in range(degree_cap + 1)]
-    for k in range(m):
-        for p, c in d_generator(k).items():
-            diff_entries[1][(p, k)] = c
+    def d_pair(i: int, j: int) -> dict:
+        acc: dict = {}
+        for factor, other, sgn in ((i, j, 1), (j, i, -1)):
+            for p, c in d_generator(factor).items():
+                w = _merge_wedge(tuples[2][p], (other,))
+                if w is None:
+                    continue
+                ws, wt = w
+                pos = positions[3][wt]
+                acc[pos] = acc.get(pos, ZERO) + sgn * ws * c
+        return {pos: c for pos, c in acc.items() if c}
+
+    images = {1: [d_generator(k) for k in range(m)]}
     if degree_cap >= 3:
-        for col, (i, j) in enumerate(tuples[2]):
-            acc: dict = {}
-            for factor, other, sgn in ((i, j, 1), (j, i, -1)):
-                for p, c in d_generator(factor).items():
-                    w = _merge_wedge(tuples[2][p], (other,))
-                    if w is None:
-                        continue
-                    ws, wt = w
-                    pos = positions[3][wt]
-                    acc[pos] = acc.get(pos, ZERO) + sgn * ws * c
-            for pos, c in acc.items():
-                if c:
-                    diff_entries[2][(pos, col)] = c
+        images[2] = [d_pair(i, j) for i, j in tuples[2]]
     diff = []
     for n in range(degree_cap + 1):
         rows = len(tuples[n + 1]) if n + 1 <= degree_cap else 0
-        diff.append(SparseMatrix(rows, len(tuples[n]), diff_entries[n]))
+        diff.append(SparseMatrix.from_columns(rows, images.get(n, [{}] * len(tuples[n]))))
 
     prod = {}
     for i in range(1, degree_cap):
@@ -171,10 +168,10 @@ def ce_chain_boundary(g: NilpotentLieAlgebra, n: int) -> SparseMatrix:
     m = g.dim
     if n == 0:
         return SparseMatrix(0, 1, {})
-    cols = list(combinations(range(m), n))
     rows = {t: i for i, t in enumerate(combinations(range(m), n - 1))}
-    entries: dict = {}
-    for col, t in enumerate(cols):
+    columns = []
+    for t in combinations(range(m), n):
+        vec: dict = {}
         for a in range(n):
             for b in range(a + 1, n):
                 br = g.bracket_vec({t[a]: ONE}, {t[b]: ONE})
@@ -187,13 +184,14 @@ def ce_chain_boundary(g: NilpotentLieAlgebra, n: int) -> SparseMatrix:
                     if w is None:
                         continue
                     sgn, wt = w
-                    key = (rows[wt], col)
-                    v = entries.get(key, ZERO) + sign0 * sgn * c
+                    key = rows[wt]
+                    v = vec.get(key, ZERO) + sign0 * sgn * c
                     if v:
-                        entries[key] = v
+                        vec[key] = v
                     else:
-                        del entries[key]
-    return SparseMatrix(len(rows), len(cols), entries)
+                        del vec[key]
+        columns.append(vec)
+    return SparseMatrix.from_columns(len(rows), columns)
 
 
 def lie_homology(g: NilpotentLieAlgebra, n: int) -> int:
@@ -306,30 +304,27 @@ def is_flat(a: FiniteCdga, g: NilpotentLieAlgebra, omega: dict) -> bool:
 def _morphism_from_connection(a, ce: CeComplex, omega: dict) -> CdgaMorphism:
     g = ce.algebra
     cols = _connection_columns(a, g, omega)
-    maps = [SparseMatrix.identity(1)]
-    entries = {}
-    for k, col in cols.items():
-        for i, c in col.items():
-            entries[(i, k)] = c
-    maps.append(SparseMatrix(a.dim(1), g.dim, entries))
 
     def image1(k):
-        return dict(cols.get(k, {}))
+        return cols.get(k, {})
 
-    entries2 = {}
-    for pos, (k, l) in enumerate(ce.tuples[2]):
-        v = a.mul(1, image1(k), 1, image1(l))
-        for r, c in v.items():
-            entries2[(r, pos)] = c
-    maps.append(SparseMatrix(a.dim(2), len(ce.tuples[2]), entries2))
+    maps = [
+        SparseMatrix.identity(1),
+        SparseMatrix.from_columns(a.dim(1), [image1(k) for k in range(g.dim)]),
+        SparseMatrix.from_columns(
+            a.dim(2), [a.mul(1, image1(k), 1, image1(l)) for k, l in ce.tuples[2]]
+        ),
+    ]
     if ce.cap >= 3:
-        entries3 = {}
-        for pos, (k, l, r) in enumerate(ce.tuples[3]):
-            tail = maps[2].col(ce.positions[2][(l, r)])
-            v = a.mul(1, image1(k), 2, tail)
-            for row, c in v.items():
-                entries3[(row, pos)] = c
-        maps.append(SparseMatrix(a.dim(3), len(ce.tuples[3]), entries3))
+        maps.append(
+            SparseMatrix.from_columns(
+                a.dim(3),
+                [
+                    a.mul(1, image1(k), 2, maps[2].col(ce.positions[2][(l, r)]))
+                    for k, l, r in ce.tuples[3]
+                ],
+            )
+        )
     return CdgaMorphism(ce.cdga, a, tuple(maps))
 
 
@@ -436,18 +431,18 @@ def _stage_inclusion(small: CeComplex, big: CeComplex) -> CdgaMorphism:
     ds = small.algebra.dim
     if big.algebra.labels[:ds] != small.algebra.labels:
         raise CeError("tower stages do not share a compatible basis")
-    maps = [SparseMatrix.identity(1)]
-    maps.append(
-        SparseMatrix(big.algebra.dim, ds, {(k, k): ONE for k in range(ds)})
-    )
+    maps = [
+        SparseMatrix.identity(1),
+        SparseMatrix.from_columns(big.algebra.dim, [{k: ONE} for k in range(ds)]),
+    ]
     for deg in (2, 3):
         if deg > small.cap:
             break
-        entries = {}
-        for col, t in enumerate(small.tuples[deg]):
-            entries[(big.positions[deg][t], col)] = ONE
         maps.append(
-            SparseMatrix(len(big.tuples[deg]), len(small.tuples[deg]), entries)
+            SparseMatrix.from_columns(
+                len(big.tuples[deg]),
+                [{big.positions[deg][t]: ONE} for t in small.tuples[deg]],
+            )
         )
     return CdgaMorphism(small.cdga, big.cdga, tuple(maps))
 
@@ -465,8 +460,9 @@ def hirsch_tower(p, max_stage: int = 5) -> HirschTower:
         small, big = stages[n], stages[n + 1]
         incl = _stage_inclusion(small, big)
         ds = small.algebra.dim
-        for (row, col) in big.cdga.diff[1].entries:
-            if col >= ds:
+        d1 = big.cdga.diff[1]
+        for col in range(ds, d1.cols):
+            for row in d1.col(col):
                 i, j = big.tuples[2][row]
                 if i >= ds or j >= ds:
                     raise CeError(
@@ -564,13 +560,11 @@ def canonical_filtration(tower: HirschTower) -> dict:
     all_equal = True
     for stage in range(2, tower.max_stage + 1):
         ech = wedge_square(w)
-        entries = {}
-        for t in range(mdim):
-            img = d1.matvec({t: ONE})
-            res, _ = ech.reduce(img)
-            for row, c in res.items():
-                entries[(row, t)] = c
-        w = kernel(SparseMatrix(pair_count, mdim, entries))
+        w = kernel(
+            SparseMatrix.from_columns(
+                pair_count, [ech.reduce(d1.col(t))[0] for t in range(mdim)]
+            )
+        )
         v_dim = tower.stages[stage].algebra.dim
         expected = Subspace.span([{k: ONE} for k in range(v_dim)], mdim)
         equal = w == expected

@@ -209,13 +209,11 @@ def cmd_classify(args, phases: _Phases) -> dict:
     stages = {}
     for n, ce in sorted(tower.stages.items()):
         d1 = ce.cdga.diff[1]
+        entries = sorted((r, c, v) for c in range(d1.cols) for r, v in d1.col(c).items())
         stages[n] = {
             "dim": ce.algebra.dim,
             "dims_by_weight": ce.algebra.dims_by_weight(),
-            "d1": [
-                [r, c, scalar_to_json(v)]
-                for (r, c), v in sorted(d1.entries.items())
-            ],
+            "d1": [[r, c, scalar_to_json(v)] for r, c, v in entries],
         }
     one_equiv = {}
     for n in range(2, args.stage + 1):

@@ -676,7 +676,7 @@ def presentation_from_dict(data: dict) -> LiePresentation:
         if relators:
             raise PresentationError("a derived-ideal scheme takes no relator list")
         level = scheme["derived"]
-        if not isinstance(level, int):
+        if isinstance(level, bool) or not isinstance(level, int):
             raise PresentationError("derived level must be an integer")
         return LiePresentation(tuple(gens), DerivedIdeal(level))
     if scheme != "finite":

@@ -2,9 +2,15 @@
 
 Everything downstream (free Lie algebra normal forms, nilpotent quotients,
 cohomology of finite cdgas) reduces to row reduction of sparse matrices with
-Fraction entries, so this module stays small and boring.  Sparse rows are
-dicts keyed by column index, elimination follows a fixed pivot rule (first
-nonzero column, lowest row index), and there is no floating point anywhere.
+Fraction entries, so this module stays small and boring.  Sparse vectors
+are dicts keyed by coordinate index, elimination follows a fixed pivot rule
+(first nonzero column, lowest row index), and there is no floating point
+anywhere.
+
+SparseMatrix stores its nonzero columns, {col: {row: Fraction}}, and nothing
+else: callers build it from the column vectors they compute, matvec touches
+only the columns in its vector's support, and col(j) is a lookup.  rank and
+kernel transpose once into rows for the echelon engine.
 
 EchelonForm is the one elimination engine.  It is fraction-free inside: each
 input has its denominators cleared once, stored rows are primitive integer
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
@@ -97,63 +103,53 @@ def vec_add(u: dict, v: dict, c: Fraction = ONE) -> dict:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Immutable sparse matrix with Fraction entries.
+    """Immutable sparse matrix with Fraction entries, stored by columns.
 
-    entries maps (row, col) -> nonzero Fraction.  Rows and cols may be zero;
-    an empty matrix of a given shape is fine.
+    columns maps col -> {row: nonzero Fraction}; a column with no nonzero
+    entry is absent.  Rows and cols may be zero; an empty matrix of a given
+    shape is fine.  Matrices here are built from, and applied to, basis
+    vectors, so column storage makes both a lookup per basis vector.
     """
 
     rows: int
     cols: int
-    entries: dict = field(default_factory=dict)
+    columns: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for (i, j), x in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise LinAlgError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-            if not isinstance(x, Fraction):
-                raise LinAlgError(f"entry ({i},{j}) is not a Fraction: {x!r}")
-            if x == 0:
-                raise LinAlgError(f"explicit zero stored at ({i},{j})")
+        for j, col in self.columns.items():
+            if not 0 <= j < self.cols:
+                raise LinAlgError(f"column {j} outside {self.rows}x{self.cols}")
+            if not col:
+                raise LinAlgError(f"empty column {j} stored")
+            for i, x in col.items():
+                if not 0 <= i < self.rows:
+                    raise LinAlgError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
+                if not isinstance(x, Fraction):
+                    raise LinAlgError(f"entry ({i},{j}) is not a Fraction: {x!r}")
+                if x == 0:
+                    raise LinAlgError(f"explicit zero stored at ({i},{j})")
 
     @classmethod
-    def from_rows(cls, row_vecs: Iterable[Mapping[int, Fraction] | Iterable], cols: int) -> "SparseMatrix":
-        entries = {}
-        n = 0
-        for i, rv in enumerate(row_vecs):
-            n = i + 1
-            if isinstance(rv, Mapping):
-                items = rv.items()
-            else:
-                items = enumerate(rv)
-            for j, x in items:
-                x = scal(x)
-                if x:
-                    entries[(i, j)] = x
-        return cls(n, cols, entries)
+    def from_columns(cls, rows: int, vectors: Sequence[Mapping[int, Fraction]]) -> "SparseMatrix":
+        """The rows x len(vectors) matrix whose j-th column is vectors[j]."""
+        return cls(rows, len(vectors), {j: dict(v) for j, v in enumerate(vectors) if v})
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
-
-    def row_list(self) -> list[dict]:
-        out = [dict() for _ in range(self.rows)]
-        for (i, j), x in self.entries.items():
-            out[i][j] = x
-        return out
+        return cls(n, n, {i: {i: ONE} for i in range(n)})
 
     def col(self, j: int) -> dict:
-        return {i: x for (i, c), x in self.entries.items() if c == j}
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, {(j, i): x for (i, j), x in self.entries.items()})
+        return dict(self.columns.get(j, ()))
 
     def matvec(self, v: Mapping[int, Fraction]) -> dict:
         """Apply to a sparse column vector keyed by column index."""
         out: dict = {}
-        for (i, j), x in self.entries.items():
-            c = v.get(j)
-            if c:
+        columns = self.columns
+        for j, c in v.items():
+            col = columns.get(j)
+            if col is None or not c:
+                continue
+            for i, x in col.items():
                 y = out.get(i, ZERO) + x * c
                 if y:
                     out[i] = y
@@ -164,49 +160,37 @@ class SparseMatrix:
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        rows_of_other = other.row_list()
-        entries: dict = {}
-        for (i, j), x in self.entries.items():
-            for k, y in rows_of_other[j].items():
-                key = (i, k)
-                z = entries.get(key, ZERO) + x * y
-                if z:
-                    entries[key] = z
-                else:
-                    del entries[key]
-        return SparseMatrix(self.rows, other.cols, entries)
+        columns = {}
+        for j, col in other.columns.items():
+            v = self.matvec(col)
+            if v:
+                columns[j] = v
+        return SparseMatrix(self.rows, other.cols, columns)
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in add")
-        entries = dict(self.entries)
-        for key, x in other.entries.items():
-            y = entries.get(key, ZERO) + x
-            if y:
-                entries[key] = y
+        columns = dict(self.columns)
+        for j, col in other.columns.items():
+            v = vec_add(columns.get(j, {}), col)
+            if v:
+                columns[j] = v
             else:
-                entries.pop(key, None)
-        return SparseMatrix(self.rows, self.cols, entries)
+                del columns[j]
+        return SparseMatrix(self.rows, self.cols, columns)
 
     def scale(self, c: Fraction) -> "SparseMatrix":
         c = scal(c)
         if not c:
-            return SparseMatrix(self.rows, self.cols, {})
-        return SparseMatrix(self.rows, self.cols, {k: c * x for k, x in self.entries.items()})
-
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (i, j), x in self.entries.items():
-            out[i][j] = x
-        return out
+            return SparseMatrix(self.rows, self.cols)
+        return SparseMatrix(
+            self.rows,
+            self.cols,
+            {j: {i: c * x for i, x in col.items()} for j, col in self.columns.items()},
+        )
 
     def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return not self.columns
 
 
 def _cleared(vec: Mapping) -> tuple[dict, int]:
@@ -437,26 +421,20 @@ class EchelonForm:
         return [{k: Fraction(x, row[q]) for k, x in row.items()} for q, row in zip(pivots, out)]
 
 
-def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns.
-
-    Pivot selection scans columns left to right and takes the lowest-index
-    remaining row with a nonzero entry, then fully reduces.  The result is
-    the canonical RREF, with zero rows dropped.
-    """
+def _row_echelon(m: SparseMatrix) -> EchelonForm:
+    """EchelonForm of the rows of m, transposed out of its columns once."""
+    rows = [{} for _ in range(m.rows)]
+    for j, col in m.columns.items():
+        for i, x in col.items():
+            rows[i][j] = x
     ech = EchelonForm()
-    for row in m.row_list():
+    for row in rows:
         ech.insert(row)
-    rows = ech.backsubstitute()
-    out = SparseMatrix.from_rows(rows, m.cols) if rows else SparseMatrix(0, m.cols, {})
-    return out, tuple(ech.pivots)
+    return ech
 
 
 def rank(m: SparseMatrix) -> int:
-    ech = EchelonForm()
-    for row in m.row_list():
-        ech.insert(row)
-    return ech.rank
+    return _row_echelon(m).rank
 
 
 @dataclass(frozen=True)
@@ -514,15 +492,17 @@ class Subspace:
 
 def kernel(m: SparseMatrix) -> Subspace:
     """Right kernel {v : m v = 0} as a Subspace of Q^cols."""
-    red, pivots = rref(m)
+    ech = _row_echelon(m)
+    red = ech.backsubstitute()
+    pivots = ech.pivots
     pivot_set = set(pivots)
-    rows = red.row_list()
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     vecs = []
-    for f in free_cols:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
         v = {f: ONE}
-        for r, p in enumerate(pivots):
-            c = rows[r].get(f)
+        for p, row in zip(pivots, red):
+            c = row.get(f)
             if c:
                 v[p] = -c
         vecs.append(v)
@@ -543,19 +523,18 @@ class QuotientBasis:
 
 
 def quotient_basis(s: Subspace) -> QuotientBasis:
-    pivot_set = set(s.pivots)
-    reps = tuple(j for j in range(s.ambient) if j not in pivot_set)
+    pivot_rows = dict(zip(s.pivots, s.basis_rows))
+    reps = tuple(j for j in range(s.ambient) if j not in pivot_rows)
     rep_index = {j: i for i, j in enumerate(reps)}
-    entries: dict = {}
-    for j in reps:
-        entries[(rep_index[j], j)] = ONE
-    for p, row in zip(s.pivots, s.basis_rows):
-        for k, x in row.items():
-            if k == p:
-                continue
-            # k is a non-pivot column since the basis is in RREF
-            entries[(rep_index[k], p)] = -x
-    return QuotientBasis(reps, SparseMatrix(len(reps), s.ambient, entries))
+    columns = []
+    for j in range(s.ambient):
+        row = pivot_rows.get(j)
+        if row is None:
+            columns.append({rep_index[j]: ONE})
+        else:
+            # the other columns of an RREF row are non-pivot columns
+            columns.append({rep_index[k]: -x for k, x in row.items() if k != j})
+    return QuotientBasis(reps, SparseMatrix.from_columns(len(reps), columns))
 
 
 def express_in_columns(m: SparseMatrix, target: Mapping[int, Fraction]) -> dict | None:

@@ -131,6 +131,32 @@ def test_resonance_zero_denominator_point_is_domain_error(capsys):
     assert "zero denominator" in err["message"]
 
 
+def test_h2scan_boolean_derived_level_is_domain_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"generators": ["x", "y"], "scheme": {"derived": True}}))
+    code, err = run_error(capsys, "h2scan", str(bad), "--deg", "3")
+    assert code == 1
+    assert err["type"] == "PresentationError"
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        {"elements": ["e"], "table": [], "maps": {}},
+        {"elements": ["e"], "table": {"e,e": "e"}, "maps": []},
+        {"elements": ["e"], "table": {"e,e": "e"}, "maps": {"e": "x"}},
+        {"elements": [["e"]], "table": {"e,e": "e"}, "maps": {}},
+    ],
+    ids=["table-list", "maps-list", "map-string", "element-list"],
+)
+def test_fixed_malformed_action_is_domain_error(action, tmp_path, capsys):
+    bad = tmp_path / "action.json"
+    bad.write_text(json.dumps(action))
+    code, err = run_error(capsys, "fixed", data_path("torus.json"), str(bad))
+    assert code == 1
+    assert err["type"] == "CdgaError"
+
+
 def test_holonomy_heis(capsys):
     report = run_report(
         capsys, "holonomy", data_path("heis.json"), "--lcs", "5"
@@ -217,19 +243,26 @@ GOLDEN_REPORT_SHA256 = {
         "8c1e0d66eca03410493316a364b77ca722b3c909bd6efb2658cd6ec5d8b00db9",
     ("holonomy", "noncarnot.json", "--lcs", "7"):
         "2d5cbeed3d55633666a414eda8acd1454b1586f5cd3b33be1375ca76cb8b1d27",
+    ("fixed", "torus.json", "swap_torus.json"):
+        "a3e7d7dfcf8b9828cf62db8aa517a163c973e8fd27ebf6db48f19afd21bb9af6",
+    ("resonance", "wedge2.json"):
+        "8c6ffe849552dbd0faaef076f2ab29ad4b2e7e3e7a2498932f5ecf73929168d6",
+    ("resonance", "heis.json", "--point", "a1"):
+        "95500a48e791b76c7fcc334ef87e955b8e6002020ce1b3ee791c573af4469561",
 }
 
 
-@pytest.mark.parametrize(
-    "case", sorted(GOLDEN_REPORT_SHA256), ids=lambda c: f"{c[0]}-{c[1][:-5]}-{c[3]}"
-)
+def _case_id(case):
+    return "-".join(a[:-5] if a.endswith(".json") else a for a in case if not a.startswith("--"))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=_case_id)
 def test_report_is_pinned(case, tmp_path, capsys):
-    """Pins whole h2scan and holonomy reports, ideal_x2_dims and relators
-    included."""
-    command, model, flag, cap = case
+    """Pins whole reports: h2scan (ideal_x2_dims included), holonomy
+    (relators included), fixed, and resonance probe and point dims."""
     out = tmp_path / "report.json"
-    argv = [command, data_path(model), flag, cap, "--out", str(out)]
-    assert main(argv) == 0
+    argv = [data_path(a) if a.endswith(".json") else a for a in case]
+    assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[case]
 

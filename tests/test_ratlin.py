@@ -15,7 +15,6 @@ from lieobstruct.ratlin import (
     kernel,
     quotient_basis,
     rank,
-    rref,
     scal,
 )
 
@@ -49,8 +48,28 @@ def dense_rref(mat):
     return nonzero, pivots
 
 
-def to_dense(sm: SparseMatrix):
-    return sm.to_dense()
+def dense_of(sm: SparseMatrix):
+    return [[sm.col(j).get(i, Fraction(0)) for j in range(sm.cols)] for i in range(sm.rows)]
+
+
+def matrix_of(dense, nr, nc):
+    """The nr x nc SparseMatrix of a dense list of rows."""
+    return SparseMatrix.from_columns(
+        nr, [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(nc)]
+    )
+
+
+def matrix(rows):
+    return matrix_of([[Fraction(x) for x in row] for row in rows], len(rows), len(rows[0]))
+
+
+def rref_rows(rows):
+    """(RREF rows, pivots) of EchelonForm.backsubstitute, as dense rows."""
+    ech = EchelonForm()
+    for r in rows:
+        ech.insert(sparse(r))
+    red = [[row.get(j, Fraction(0)) for j in range(len(rows[0]))] for row in ech.backsubstitute()]
+    return red, ech.pivots
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -100,31 +119,27 @@ def sparse(row):
 @given(any_matrices)
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_dense_oracle(rows):
-    m = SparseMatrix.from_rows(rows, cols=len(rows[0]))
-    red, pivots = rref(m)
+    red, pivots = rref_rows(rows)
     oracle_rows, oracle_pivots = dense_rref(rows)
-    assert list(pivots) == oracle_pivots
-    got = red.to_dense()
-    assert got == oracle_rows
-    assert rank(m) == len(oracle_pivots)
+    assert pivots == oracle_pivots
+    assert red == oracle_rows
+    assert rank(matrix(rows)) == len(oracle_pivots)
 
 
 @given(any_matrices)
 @settings(max_examples=100, deadline=None)
 def test_rref_idempotent_and_rank_nullity(rows):
-    m = SparseMatrix.from_rows(rows, cols=len(rows[0]))
-    red, pivots = rref(m)
-    red2, pivots2 = rref(red)
-    assert red2 == red
-    assert pivots2 == pivots
-    ker = kernel(m)
-    assert len(pivots) + ker.dim == m.cols
+    red, pivots = rref_rows(rows)
+    if red:
+        assert rref_rows(red) == (red, pivots)
+    ker = kernel(matrix(rows))
+    assert len(pivots) + ker.dim == len(rows[0])
 
 
 @given(any_matrices)
 @settings(max_examples=200, deadline=None)
 def test_kernel_vectors_annihilate(rows):
-    m = SparseMatrix.from_rows(rows, cols=len(rows[0]))
+    m = matrix(rows)
     ker = kernel(m)
     for v in ker.basis_rows:
         assert m.matvec(v) == {}
@@ -139,10 +154,19 @@ def test_scal_rejects_floats():
 
 
 def test_sparse_matrix_validation():
-    with pytest.raises(LinAlgError):
-        SparseMatrix(1, 1, {(0, 0): Fraction(0)})
-    with pytest.raises(LinAlgError):
-        SparseMatrix(1, 1, {(0, 2): Fraction(1)})
+    for columns in (
+        {0: {1: Fraction(1)}},  # row out of range
+        {2: {0: Fraction(1)}},  # column out of range
+        {-1: {0: Fraction(1)}},
+        {0: {0: Fraction(0)}},  # explicit zero
+        {0: {0: 1}},  # not a Fraction
+        {0: {}},  # empty column
+    ):
+        with pytest.raises(LinAlgError):
+            SparseMatrix(1, 2, columns)
+    for vector in ({1: Fraction(1)}, {0: Fraction(0)}, {0: 1}):
+        with pytest.raises(LinAlgError):
+            SparseMatrix.from_columns(1, [{}, vector])
 
 
 def test_quotient_basis_example():
@@ -187,27 +211,37 @@ def test_echelon_combo_tracking():
 
 
 def test_express_in_columns():
-    m = SparseMatrix.from_rows([[1, 0], [1, 1], [0, 2]], cols=2)
+    m = matrix([[1, 0], [1, 1], [0, 2]])
     x = express_in_columns(m, {0: Fraction(3), 1: Fraction(1), 2: Fraction(-4)})
     assert x == {0: Fraction(3), 1: Fraction(-2)}
     # vectors outside the column span
     assert express_in_columns(m, {0: Fraction(1)}) is None
-    m2 = SparseMatrix.from_rows([[1], [0], [0]], cols=1)
+    m2 = matrix([[1], [0], [0]])
     assert express_in_columns(m2, {1: Fraction(1)}) is None
 
 
 def test_matmul_transpose_roundtrip():
-    a = SparseMatrix.from_rows([[1, 2], [3, 4], [0, 1]], cols=2)
-    b = SparseMatrix.from_rows([[1, -1, 0], [2, 0, 1]], cols=3)
+    a = matrix([[1, 2], [3, 4], [0, 1]])
+    b = matrix([[1, -1, 0], [2, 0, 1]])
     ab = a.matmul(b)
-    assert ab.to_dense() == [
+    assert dense_of(ab) == [
         [Fraction(5), Fraction(-1), Fraction(2)],
         [Fraction(11), Fraction(-3), Fraction(4)],
         [Fraction(2), Fraction(0), Fraction(1)],
     ]
-    assert a.transpose().transpose() == a
+
+    def transposed(m):
+        return matrix_of([list(col) for col in zip(*dense_of(m))], m.cols, m.rows)
+
+    # the first row cancels
+    assert a.matvec({0: Fraction(2), 1: Fraction(-1)}) == {1: Fraction(2), 2: Fraction(-1)}
+    # (ab)^T = b^T a^T
+    assert transposed(ab) == transposed(b).matmul(transposed(a))
+    assert transposed(transposed(a)) == a
     with pytest.raises(LinAlgError):
         b.matmul(b)
+    with pytest.raises(LinAlgError):
+        a.add(b)
 
 
 def test_rank_of_identity():
@@ -288,3 +322,55 @@ def test_insert_reports_rank_changes(rows, coeffs):
     out = ech.insert({j: x for j, x in combo.items() if x})
     assert not out[0]
     assert ech.rank == rank_before
+
+
+# -- SparseMatrix against list-of-lists arithmetic ----------------------------
+
+# +-1 entries make sums cancel often, so dropping a cancelled entry is tested
+entries_or_zero = st.one_of(
+    st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]), small_rationals
+)
+
+
+@st.composite
+def shaped_dense(draw, nr, nc):
+    """An nr x nc dense Fraction matrix, often with all-zero columns."""
+    rows = draw(
+        st.lists(
+            st.lists(entries_or_zero, min_size=nc, max_size=nc),
+            min_size=nr,
+            max_size=nr,
+        )
+    )
+    for j, blank in enumerate(draw(st.lists(st.booleans(), min_size=nc, max_size=nc))):
+        if blank:
+            for row in rows:
+                row[j] = Fraction(0)
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_matrix_ops_match_dense_oracle(data):
+    n, k, m = (data.draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    a = data.draw(shaped_dense(n, k))
+    a2 = data.draw(shaped_dense(n, k))
+    b = data.draw(shaped_dense(k, m))
+    v = data.draw(st.lists(entries_or_zero, min_size=k, max_size=k))
+    c = data.draw(entries_or_zero)
+    sa, sa2, sb = matrix_of(a, n, k), matrix_of(a2, n, k), matrix_of(b, k, m)
+    assert dense_of(sa) == a
+    assert sa.matvec(sparse(v)) == sparse([sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a])
+    ab = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)] for i in range(n)]
+    prod = sa.matmul(sb)
+    assert (prod.rows, prod.cols) == (n, m)
+    assert dense_of(prod) == ab
+    total = sa.add(sa2)
+    assert (total.rows, total.cols) == (n, k)
+    assert dense_of(total) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)]
+    assert dense_of(sa.scale(c)) == [[c * x for x in row] for row in a]
+    assert sa.scale(c).is_zero() == (not any(c * x for row in a for x in row))
+    assert (sa == sa2) == (a == a2)
+    assert sa == matrix_of(a, n, k)
+    if (n, k) != (k, m):
+        assert sa != sb
