@@ -3,7 +3,10 @@ classifying maps, and the stability checks on towers of nilpotent quotients.
 
 The cochain complex of a finite-dimensional nilpotent Lie algebra is built as
 a finite cdga on the exterior algebra of the dual space, with d = -beta* on
-generators extended by the graded Leibniz rule; the chain complex carries the
+generators extended by the graded Leibniz rule.  It is an exterior stage: its
+product is computed by rule (cdga.WedgeProduct) and never stored.  The Jacobi
+identity is checked as d^2 = 0 on generators, to which it is equivalent
+(Chevalley-Eilenberg 1948).  The chain complex carries the
 boundary del_n(x_1 ^ ... ^ x_n) = sum over i < j of (-1)^(i+j)
 [x_i, x_j] ^ (the rest).  On top of those sit Maurer-Cartan connections
 (d omega + 1/2 [omega, omega] = 0), the cdga morphisms C(g) -> A they induce,
@@ -16,13 +19,14 @@ comes from counting transpositions, so results are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .cdga import (
     CdgaMorphism,
     FiniteCdga,
+    WedgeProduct,
+    _merge_wedge,
     holonomy,
     induced_cohomology_matrix,
 )
@@ -48,12 +52,8 @@ __all__ = [
     "ce_chain_boundary",
     "ce_cochain",
     "check_stability",
-    "classifying_stage",
-    "flat_to_lie_map",
-    "flat_to_morphism",
     "hirsch_tower",
     "is_flat",
-    "lie_homology",
     "lie_homology_by_weight",
     "tower_from_cdga",
     "verify_one_equivalence",
@@ -64,67 +64,56 @@ class CeError(ValueError):
     pass
 
 
-def _merge_wedge(t1: tuple, t2: tuple):
-    """Concatenate two strictly increasing index tuples into one, returning
-    (sign, sorted tuple) or None when an index repeats."""
-    merged = list(t1)
-    sign = 1
-    for x in t2:
-        pos = len(merged)
-        while pos > 0 and merged[pos - 1] > x:
-            pos -= 1
-        if pos > 0 and merged[pos - 1] == x:
-            return None
-        if (len(merged) - pos) % 2 == 1:
-            sign = -sign
-        merged.insert(pos, x)
-    return sign, tuple(merged)
-
-
 @dataclass(frozen=True)
 class CeComplex:
-    """Cochain cdga of a nilpotent Lie algebra through degree cap, together
-    with the exterior index tuples backing each named basis element."""
+    """Cochain cdga of a nilpotent Lie algebra through degree cap.  Its
+    WedgeProduct holds the exterior index tuples backing each named basis
+    element."""
 
     algebra: NilpotentLieAlgebra
     cap: int
     cdga: FiniteCdga
-    tuples: tuple
-    positions: tuple = field(repr=False)
+
+    @property
+    def tuples(self) -> tuple:
+        return self.cdga.prod.tuples
+
+    @property
+    def positions(self) -> tuple:
+        return self.cdga.prod.positions
 
 
 def ce_cochain(g: NilpotentLieAlgebra, degree_cap: int = 3) -> CeComplex:
-    """The Chevalley-Eilenberg cochain cdga of g through degree_cap."""
+    """The Chevalley-Eilenberg cochain cdga of g through degree_cap, as an
+    exterior stage.  d on degree 2 is built from d on generators by the
+    Leibniz rule, and d^2 = 0 on generators is checked: it is equivalent to
+    the Jacobi identity for the structure constants."""
     if degree_cap < 2:
         raise CeError(f"cochain degree cap must be >= 2, got {degree_cap}")
     if degree_cap > 3:
         raise CeError("cochain degree cap above 3 is not supported")
-    if not g.check_jacobi():
-        raise CeError("structure constants fail the Jacobi identity")
     m = g.dim
-    tuples = [((),)]
-    for n in range(1, degree_cap + 1):
-        tuples.append(tuple(combinations(range(m), n)))
-    positions = tuple({t: i for i, t in enumerate(row)} for row in tuples)
+    full = WedgeProduct(m, 3)
+    tuples, positions = full.tuples, full.positions
     names = [("1",)]
     for n in range(1, degree_cap + 1):
         names.append(
             tuple("^".join(f"u{i + 1}" for i in t) for t in tuples[n])
         )
 
-    def d_generator(k: int) -> dict:
-        out = {}
-        for (i, j), table in g.brackets.items():
-            c = table.get(k)
+    # d(u_k) = -sum over i < j of c_ij^k u_i^u_j
+    d_gen = [{} for _ in range(m)]
+    for (i, j), table in g.brackets.items():
+        pos = positions[2][(i, j)]
+        for k, c in table.items():
             if c:
-                pos = positions[2][(i, j)]
-                out[pos] = out.get(pos, ZERO) - c
-        return {p: c for p, c in out.items() if c}
+                d_gen[k][pos] = -c
 
     def d_pair(i: int, j: int) -> dict:
+        # d(u_i^u_j) = d(u_i)^u_j - u_i^d(u_j) = d(u_i)^u_j - d(u_j)^u_i
         acc: dict = {}
         for factor, other, sgn in ((i, j, 1), (j, i, -1)):
-            for p, c in d_generator(factor).items():
+            for p, c in d_gen[factor].items():
                 w = _merge_wedge(tuples[2][p], (other,))
                 if w is None:
                     continue
@@ -133,29 +122,17 @@ def ce_cochain(g: NilpotentLieAlgebra, degree_cap: int = 3) -> CeComplex:
                 acc[pos] = acc.get(pos, ZERO) + sgn * ws * c
         return {pos: c for pos, c in acc.items() if c}
 
-    images = {1: [d_generator(k) for k in range(m)]}
-    if degree_cap >= 3:
-        images[2] = [d_pair(i, j) for i, j in tuples[2]]
-    diff = []
-    for n in range(degree_cap + 1):
-        rows = len(tuples[n + 1]) if n + 1 <= degree_cap else 0
-        diff.append(SparseMatrix.from_columns(rows, images.get(n, [{}] * len(tuples[n]))))
-
-    prod = {}
-    for i in range(1, degree_cap):
-        for j in range(1, degree_cap + 1 - i):
-            table = {}
-            for a, ta in enumerate(tuples[i]):
-                for b, tb in enumerate(tuples[j]):
-                    w = _merge_wedge(ta, tb)
-                    if w is None:
-                        continue
-                    sgn, wt = w
-                    table[(a, b)] = {positions[i + j][wt]: scal(sgn)}
-            if table:
-                prod[(i, j)] = table
-    cdga = FiniteCdga(tuple(names), tuple(diff), prod)
-    return CeComplex(g, degree_cap, cdga, tuple(tuple(r) for r in tuples), positions)
+    # at cap 2, d on degree 2 is built for this d^2 = 0 check only
+    d_pairs = [d_pair(i, j) for i, j in tuples[2]]
+    d2 = SparseMatrix.from_columns(len(tuples[3]), d_pairs)
+    if any(d2.matvec(v) for v in d_gen):
+        raise CeError("structure constants fail the Jacobi identity")
+    diff = [SparseMatrix(m, 1), SparseMatrix.from_columns(len(tuples[2]), d_gen)]
+    if degree_cap == 3:
+        diff.append(d2)
+    diff.append(SparseMatrix(0, len(tuples[degree_cap])))
+    rule = full if degree_cap == 3 else WedgeProduct(m, degree_cap)
+    return CeComplex(g, degree_cap, FiniteCdga(tuple(names), tuple(diff), rule))
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +169,6 @@ def ce_chain_boundary(g: NilpotentLieAlgebra, n: int) -> SparseMatrix:
                         del vec[key]
         columns.append(vec)
     return SparseMatrix.from_columns(len(rows), columns)
-
-
-def lie_homology(g: NilpotentLieAlgebra, n: int) -> int:
-    """dim H_n(g) = dim ker(del_n) - rank(del_(n+1))."""
-    if n < 0:
-        raise CeError(f"homology degree must be >= 0, got {n}")
-    dim_n = comb(g.dim, n)
-    return dim_n - rank(ce_chain_boundary(g, n)) - rank(ce_chain_boundary(g, n + 1))
 
 
 def _require_graded(g: NilpotentLieAlgebra):
@@ -328,61 +297,6 @@ def _morphism_from_connection(a, ce: CeComplex, omega: dict) -> CdgaMorphism:
     return CdgaMorphism(ce.cdga, a, tuple(maps))
 
 
-def flat_to_morphism(a: FiniteCdga, g: NilpotentLieAlgebra, omega: dict) -> CdgaMorphism:
-    """The cdga morphism C(g) -> a induced by a flat connection; degree 1 is
-    the transpose of omega's matrix and higher degrees are forced by
-    multiplicativity."""
-    if not is_flat(a, g, omega):
-        raise CeError("connection is not flat")
-    return _morphism_from_connection(a, ce_cochain(g, 3), omega)
-
-
-def _evaluate_element(g: NilpotentLieAlgebra, elem, images) -> dict:
-    memo: dict = {}
-
-    def value(word):
-        got = memo.get(word)
-        if got is not None:
-            return got
-        if word.level == 0 and word.children is None:
-            v = dict(images[word.gen])
-        else:
-            v = value(word.children[0])
-            for child in word.children[1:]:
-                v = g.bracket_vec(v, value(child))
-        memo[word] = v
-        return v
-
-    out: dict = {}
-    for word, c in elem.terms.items():
-        out = vec_add(out, value(word), c)
-    return out
-
-
-def flat_to_lie_map(a: FiniteCdga, g: NilpotentLieAlgebra, omega: dict):
-    """Images of the holonomy generators under the Lie morphism h(a) -> g
-    matching a flat connection; every relator is checked to die in g."""
-    if not is_flat(a, g, omega):
-        raise CeError("connection is not flat")
-    cols = _connection_columns(a, g, omega)
-    p = holonomy(a)
-    images = []
-    for i in range(len(p.generators)):
-        img: dict = {}
-        for k, col in cols.items():
-            c = col.get(i)
-            if c:
-                img[k] = c
-        images.append(img)
-    for rel in p.scheme.relators:
-        if _evaluate_element(g, rel, images):
-            raise CeError(
-                "holonomy relator does not vanish in the target; the "
-                "connection does not define a Lie morphism"
-            )
-    return tuple(images)
-
-
 # ---------------------------------------------------------------------------
 # canonical connections and classifying maps
 
@@ -399,17 +313,6 @@ def _canonical_omega(g: NilpotentLieAlgebra) -> dict:
     """The canonical connection read off the images of the holonomy
     generators in a quotient of the holonomy Lie algebra."""
     return {(i, k): c for i, img in enumerate(g.gen_images) for k, c in img.items()}
-
-
-def classifying_stage(a: FiniteCdga, n: int) -> CdgaMorphism:
-    """The stage-n classifying map C(h(a)/Gamma_n) -> a at the canonical
-    connection."""
-    if n < 2:
-        raise CeError(f"classifying stage must be >= 2, got {n}")
-    g, omega = canonical_connection(a, n)
-    if not is_flat(a, g, omega):
-        raise CeError("canonical connection failed the Maurer-Cartan check")
-    return _morphism_from_connection(a, ce_cochain(g, 3), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Chevalley-Eilenberg complexes, flat connections, classifying maps, and
 the tower stability checks."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,20 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieobstruct import data_path
-from lieobstruct.cdga import cohomology, load_cdga
+from lieobstruct.cdga import (
+    CdgaError,
+    CdgaMorphism,
+    FiniteCdga,
+    WedgeProduct,
+    _merge_wedge,
+    cdga_from_dict,
+    cohomology,
+    holonomy,
+    load_cdga,
+    truncate,
+)
 from lieobstruct.ce import (
     CeError,
+    _morphism_from_connection,
     canonical_connection,
     canonical_filtration,
     ce_chain_boundary,
     ce_cochain,
     check_stability,
-    classifying_stage,
-    flat_to_lie_map,
-    flat_to_morphism,
     hirsch_tower,
     is_flat,
-    lie_homology,
     lie_homology_by_weight,
     tower_from_cdga,
     verify_one_equivalence,
@@ -34,6 +44,8 @@ from lieobstruct.fplie import (
     load_presentation,
     presentation_from_dict,
 )
+from lieobstruct.freelie import format_element
+from lieobstruct.ratlin import SparseMatrix, rank
 
 ONE = Fraction(1)
 
@@ -52,6 +64,69 @@ def abelian(n):
         {"generators": [f"g{i}" for i in range(n)], "relators": []}
     )
     return lcs_quotient(p, 2)
+
+
+def random_cdga(seed, gens, classes):
+    """A seeded cdga with d = 0 and top degree 2: each product of two
+    degree-1 basis elements is a random integer combination of the
+    degree-2 basis."""
+    rng = random.Random(seed)
+    ones = [f"a{i + 1}" for i in range(gens)]
+    twos = [f"b{k + 1}" for k in range(classes)]
+    mu = {}
+    for i, j in combinations(range(gens), 2):
+        terms = []
+        for name in twos:
+            c = rng.randint(-2, 2)
+            if c:
+                terms.append(f"{'-' if c < 0 else '+'}{abs(c)}*{name}")
+        if terms:
+            mu[f"{ones[i]}*{ones[j]}"] = "".join(terms)
+    return cdga_from_dict({"degrees": {"1": ones, "2": twos}, "d": {}, "mu": mu})
+
+
+RANDOM_CDGAS = [random_cdga(5, 3, 2), random_cdga(6, 4, 4)]
+
+
+def homology_dim(g, n):
+    """dim H_n(g) = dim ker(del_n) - rank(del_(n+1))."""
+    return comb(g.dim, n) - rank(ce_chain_boundary(g, n)) - rank(ce_chain_boundary(g, n + 1))
+
+
+def classifying_map(a, n):
+    """The stage-n classifying map C(h(a)/Gamma_n) -> a at the canonical
+    connection."""
+    g, omega = canonical_connection(a, n)
+    assert is_flat(a, g, omega)
+    return _morphism_from_connection(a, ce_cochain(g, 3), omega)
+
+
+def wedge_table_reference(ce):
+    """The exterior stage with its product stored as a full table, built the
+    way ce_cochain used to build it; all four generic checks run on it."""
+    prod = {}
+    for i in range(1, ce.cap):
+        for j in range(1, ce.cap + 1 - i):
+            table = {}
+            for a, ta in enumerate(ce.tuples[i]):
+                for b, tb in enumerate(ce.tuples[j]):
+                    w = _merge_wedge(ta, tb)
+                    if w is None:
+                        continue
+                    sgn, wt = w
+                    table[(a, b)] = {ce.positions[i + j][wt]: Fraction(sgn)}
+            if table:
+                prod[(i, j)] = table
+    return FiniteCdga(ce.cdga.names, ce.cdga.diff, prod)
+
+
+def assert_same_products(a, b):
+    assert a.names == b.names
+    for i in range(a.top + 1):
+        for j in range(a.top + 1 - i):
+            for x in range(a.dim(i)):
+                for y in range(a.dim(j)):
+                    assert a.mul(i, {x: ONE}, j, {y: ONE}) == b.mul(i, {x: ONE}, j, {y: ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +169,8 @@ def test_cochain_rejects_bad_caps():
         ce_cochain(HEIS_ALG, 4)
 
 
-def test_cochain_rejects_jacobi_failure():
-    bad = NilpotentLieAlgebra(
+def jacobi_failure():
+    return NilpotentLieAlgebra(
         class_bound=3,
         gen_names=("e1", "e2", "e3", "e4"),
         labels=("e1", "e2", "e3", "e4"),
@@ -103,15 +178,84 @@ def test_cochain_rejects_jacobi_failure():
         brackets={(0, 1): {2: ONE}, (2, 3): {0: ONE}},
         gen_images=({0: ONE}, {1: ONE}, {2: ONE}, {3: ONE}),
     )
+
+
+def test_cochain_rejects_jacobi_failure():
+    bad = jacobi_failure()
     assert not bad.check_jacobi()
-    with pytest.raises(CeError):
+    with pytest.raises(CeError, match="Jacobi"):
         ce_cochain(bad, 3)
+
+
+def test_cochain_cap_two_rejects_jacobi_failure():
+    with pytest.raises(CeError, match="Jacobi"):
+        ce_cochain(jacobi_failure(), 2)
 
 
 def test_cochain_cap_two_has_no_triple_degree():
     ce = ce_cochain(HEIS_ALG, 2)
     assert ce.cdga.top == 2
     assert len(ce.tuples) == 3
+
+
+def test_cochain_is_an_exterior_stage():
+    ce = ce_cochain(HEIS_ALG, 3)
+    assert isinstance(ce.cdga.prod, WedgeProduct)
+    # u1 * (u2^u3) is the top class, u2 * (u1^u3) its negative
+    assert ce.cdga.mul(1, {0: ONE}, 2, {2: ONE}) == {0: ONE}
+    assert ce.cdga.mul(1, {1: ONE}, 2, {1: ONE}) == {0: -ONE}
+    assert ce.cdga.mul(1, {1: ONE}, 1, {1: ONE}) == {}
+
+
+def test_exterior_products_match_table_reference():
+    """The product by rule equals the old stored table on every basis pair,
+    and the table-backed reference passes all four generic checks, for
+    stages 2-5 of every bundled model and two seeded random cdgas."""
+    for a in ALL_CDGAS + RANDOM_CDGAS:
+        for ce in tower_from_cdga(a, 5).stages.values():
+            assert_same_products(ce.cdga, wedge_table_reference(ce))
+
+
+def test_exterior_stage_checks_dimensions():
+    ce = ce_cochain(HEIS_ALG, 3)
+    with pytest.raises(CdgaError, match="exterior"):
+        FiniteCdga(ce.cdga.names, ce.cdga.diff, WedgeProduct(4, 3))
+    with pytest.raises(CdgaError, match="stops below"):
+        FiniteCdga(ce.cdga.names, ce.cdga.diff, WedgeProduct(3, 2))
+
+
+def test_exterior_stage_rejects_leibniz_sign_flip():
+    """A sign flip in one d(u_i^u_j) column that d^2 = 0 cannot see."""
+    ce = ce_cochain(lcs_quotient(FREE2, 4), 3)
+    d1, d2 = ce.cdga.diff[1], ce.cdga.diff[2]
+    hit = {p for k in range(d1.cols) for p in d1.col(k)}
+    p = next(p for p in range(d2.cols) if d2.col(p) and p not in hit)
+    cols = [d2.col(q) for q in range(d2.cols)]
+    cols[p] = {r: -c for r, c in cols[p].items()}
+    diff = list(ce.cdga.diff)
+    diff[2] = SparseMatrix.from_columns(d2.rows, cols)
+    with pytest.raises(CdgaError, match="Leibniz"):
+        FiniteCdga(ce.cdga.names, tuple(diff), ce.cdga.prod)
+    ref = wedge_table_reference(ce)
+    with pytest.raises(CdgaError, match="Leibniz"):
+        FiniteCdga(ref.names, tuple(diff), ref.prod)
+
+
+def test_truncate_and_holonomy_match_table_reference():
+    for a in ALL_CDGAS + RANDOM_CDGAS:
+        for ce in tower_from_cdga(a, 4).stages.values():
+            ref = wedge_table_reference(ce)
+            for q in (1, 2):
+                got, incl = truncate(ce.cdga, q)
+                want, want_incl = truncate(ref, q)
+                assert got.diff == want.diff
+                assert_same_products(got, want)
+                assert incl.maps == want_incl.maps
+            p, want = holonomy(ce.cdga), holonomy(ref)
+            assert p.generators == want.generators
+            assert [format_element(r, p.generators) for r in p.scheme.relators] == [
+                format_element(r, p.generators) for r in want.scheme.relators
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +297,13 @@ def test_cochain_is_transpose_of_boundary():
 
 
 def test_heisenberg_homology():
-    assert [lie_homology(HEIS_ALG, n) for n in range(4)] == [1, 2, 2, 1]
+    assert [homology_dim(HEIS_ALG, n) for n in range(4)] == [1, 2, 2, 1]
 
 
 def test_abelian_homology_is_binomial():
     g = abelian(4)
     for n in range(5):
-        assert lie_homology(g, n) == comb(4, n)
+        assert homology_dim(g, n) == comb(4, n)
 
 
 def test_homology_by_weight_heisenberg():
@@ -209,7 +353,7 @@ def test_truncation_h2_dimension_formula():
             )
             j_n = ideal_span(p, n).dim - ideal_span(p, n - 1).dim
             expected = sum(fp.get(k, 0) for k in range(2, n + 1)) + witt_n - j_n
-            assert lie_homology(g, 2) == expected
+            assert homology_dim(g, 2) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +377,9 @@ def test_nonflat_connection_detected():
     # on the torus algebra a1.a2 is the top class, so the bracket term of
     # the Maurer-Cartan equation cannot cancel
     assert not is_flat(TORUS, g, omega)
-    with pytest.raises(CeError):
-        flat_to_morphism(TORUS, g, omega)
+    # so the induced degreewise maps do not commute with d
+    with pytest.raises(CdgaError, match="commute with d"):
+        _morphism_from_connection(TORUS, ce_cochain(g, 3), omega)
 
 
 def test_connection_entries_validated():
@@ -264,7 +409,7 @@ def test_abelian_target_makes_everything_flat(omega):
 
 def test_flat_morphism_recovers_connection():
     g, omega = canonical_connection(HEIS, 3)
-    f = flat_to_morphism(HEIS, g, omega)
+    f = _morphism_from_connection(HEIS, ce_cochain(g, 3), omega)
     assert {(i, k): c for k in range(g.dim) for i, c in f.maps[1].col(k).items()} == omega
     # u3 is sent to -a3
     assert f.apply(1, {2: ONE}) == {2: Fraction(-1)}
@@ -273,27 +418,9 @@ def test_flat_morphism_recovers_connection():
 
 
 def test_zero_connection_morphism_kills_positive_degrees():
-    f = flat_to_morphism(HEIS, HEIS_ALG, {})
+    f = _morphism_from_connection(HEIS, ce_cochain(HEIS_ALG, 3), {})
     for i in range(1, 4):
         assert f.maps[i].is_zero()
-
-
-def test_flat_lie_map_canonical_is_projection():
-    g, omega = canonical_connection(HEIS, 3)
-    images = flat_to_lie_map(HEIS, g, omega)
-    assert images == g.gen_images
-
-
-def test_flat_lie_map_zero_and_abelian():
-    assert flat_to_lie_map(HEIS, HEIS_ALG, {}) == ({}, {}, {})
-    g = abelian(2)
-    images = flat_to_lie_map(TORUS, g, {(0, 0): ONE, (1, 1): ONE})
-    assert images == ({0: ONE}, {1: ONE})
-
-
-def test_flat_lie_map_rejects_nonflat():
-    with pytest.raises(CeError):
-        flat_to_lie_map(TORUS, lcs_quotient(FREE2, 3), {(0, 0): ONE, (1, 1): ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -301,29 +428,55 @@ def test_flat_lie_map_rejects_nonflat():
 
 
 def test_classifying_stage_two():
-    f = classifying_stage(HEIS, 2)
+    f = classifying_map(HEIS, 2)
     # the class-2 quotient is the 2-dimensional abelianization
     assert f.source.dim(1) == 2
     assert f.maps[1].columns == {0: {0: ONE}, 1: {1: ONE}}
 
 
 def test_classifying_stage_three_gains_a_weight_two_class():
-    f = classifying_stage(HEIS, 3)
+    f = classifying_map(HEIS, 3)
     assert f.source.dim(1) == 3
     assert f.apply(1, {2: ONE}) == {2: Fraction(-1)}
 
 
 def test_classifying_stages_are_tower_compatible():
     tower = tower_from_cdga(HEIS, 3)
-    f2 = classifying_stage(HEIS, 2)
-    f3 = classifying_stage(HEIS, 3)
+    f2 = classifying_map(HEIS, 2)
+    f3 = classifying_map(HEIS, 3)
     composed = f3.compose(tower.inclusions[2])
     assert composed.maps == f2.maps
 
 
-def test_classifying_stage_needs_two():
-    with pytest.raises(CeError):
-        classifying_stage(HEIS, 1)
+def with_column(f, degree, k, vec):
+    maps = list(f.maps)
+    m = maps[degree]
+    cols = [m.col(c) for c in range(m.cols)]
+    cols[k] = vec
+    maps[degree] = SparseMatrix.from_columns(m.rows, cols)
+    return tuple(maps)
+
+
+def test_classifying_map_wrong_degree_two_column_rejected():
+    # the torus has d = 0, so only multiplicativity sees u1^u2 -> 2 a1.a2
+    f = classifying_map(TORUS, 3)
+    col = f.maps[2].col(0)
+    assert col
+    maps = with_column(f, 2, 0, {r: 2 * c for r, c in col.items()})
+    with pytest.raises(CdgaError, match="not multiplicative"):
+        CdgaMorphism(f.source, f.target, maps)
+
+
+def test_classifying_map_wrong_degree_three_column_rejected():
+    # d vanishes on the degree-2 cochains of the Heisenberg algebra, so only
+    # multiplicativity sees a wrong image of u1^u2^u3
+    f = classifying_map(HEIS, 3)
+    assert f.source.diff[2].is_zero()
+    col = f.maps[3].col(0)
+    assert col
+    maps = with_column(f, 3, 0, {r: 2 * c for r, c in col.items()})
+    with pytest.raises(CdgaError, match="not multiplicative"):
+        CdgaMorphism(f.source, f.target, maps)
 
 
 # ---------------------------------------------------------------------------

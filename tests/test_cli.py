@@ -249,6 +249,8 @@ GOLDEN_REPORT_SHA256 = {
         "8c6ffe849552dbd0faaef076f2ab29ad4b2e7e3e7a2498932f5ecf73929168d6",
     ("resonance", "heis.json", "--point", "a1"):
         "95500a48e791b76c7fcc334ef87e955b8e6002020ce1b3ee791c573af4469561",
+    ("classify", "wedge2.json", "--stage", "7"):
+        "62fe5fd25ce6b137439eed1283adafec43940100de4df565954b51b5c98d1aa4",
 }
 
 
@@ -259,7 +261,8 @@ def _case_id(case):
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=_case_id)
 def test_report_is_pinned(case, tmp_path, capsys):
     """Pins whole reports: h2scan (ideal_x2_dims included), holonomy
-    (relators included), fixed, and resonance probe and point dims."""
+    (relators included), fixed, resonance probe and point dims, and one
+    classify report whose tower reaches stage 8 of a free Lie algebra."""
     out = tmp_path / "report.json"
     argv = [data_path(a) if a.endswith(".json") else a for a in case]
     assert main(argv + ["--out", str(out)]) == 0
