@@ -182,11 +182,15 @@ class FiniteCdga:
       algebra is fixed by its values on generators, so the rule then holds on
       every product of two degree-1 elements; on a product of degree 3 both
       sides lie in degree 4, which is zero.
+
+    A cdga is immutable, so its cohomology data is built once per degree, on
+    first use, and kept in a private memo that equality and repr ignore.
     """
 
     names: tuple
     diff: tuple
     prod: object
+    _cohomology: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.names or len(self.names[0]) != 1:
@@ -438,8 +442,6 @@ class _CohomologyData:
     """Cocycle representatives of H^i plus class coordinates of cocycles."""
 
     def __init__(self, a: FiniteCdga, i: int):
-        self.a = a
-        self.i = i
         self.ech = EchelonForm(track=True)
         self.rep_of_attempt = {}
         self.reps = []
@@ -477,20 +479,28 @@ class _CohomologyData:
         return out
 
 
+def _cohomology_data(a: FiniteCdga, i: int) -> _CohomologyData:
+    """a's cohomology data in degree i, from its memo."""
+    data = a._cohomology.get(i)
+    if data is None:
+        data = a._cohomology[i] = _CohomologyData(a, i)
+    return data
+
+
 def cohomology(a: FiniteCdga, i: int):
     """(Betti number, cocycle representatives) in degree i."""
     if i < 0:
         raise CdgaError(f"degree must be >= 0, got {i}")
     if i > a.top:
         return 0, ()
-    data = _CohomologyData(a, i)
-    return data.dim, tuple(data.reps)
+    data = _cohomology_data(a, i)
+    return data.dim, tuple(dict(rep) for rep in data.reps)
 
 
 def induced_cohomology_matrix(f: CdgaMorphism, i: int) -> SparseMatrix:
     """Matrix of H^i(f) over the representative bases of source and target."""
-    src = _CohomologyData(f.source, i) if i <= f.source.top else None
-    tgt = _CohomologyData(f.target, i) if i <= f.target.top else None
+    src = _cohomology_data(f.source, i) if i <= f.source.top else None
+    tgt = _cohomology_data(f.target, i) if i <= f.target.top else None
     if src is None or tgt is None:
         return SparseMatrix(tgt.dim if tgt else 0, src.dim if src else 0)
     return SparseMatrix.from_columns(
@@ -872,6 +882,10 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
         keys = sorted(int(k) for k in degrees)
     except ValueError as exc:
         raise CdgaError(f"bad degree key: {exc}") from exc
+    for k in degrees:
+        # rows are looked up by str(i) below, so any other spelling is lost
+        if str(int(k)) != k:
+            raise CdgaError(f"degree key {k!r} must be written {str(int(k))!r}")
     if any(k < 1 for k in keys):
         raise CdgaError("degrees start at 1; the unit is implicit")
     top = max(keys)

@@ -457,25 +457,6 @@ class NilpotentLieAlgebra:
                     return False
         return True
 
-    def to_dict(self) -> dict:
-        from .ratlin import scalar_to_json
-
-        return {
-            "class_bound": self.class_bound,
-            "generators": list(self.gen_names),
-            "basis": list(self.labels),
-            "weights": list(self.weights),
-            "brackets": {
-                f"{i},{j}": {str(k): scalar_to_json(c) for k, c in sorted(table.items())}
-                for (i, j), table in sorted(self.brackets.items())
-                if table
-            },
-            "generator_images": {
-                name: {str(k): scalar_to_json(c) for k, c in sorted(img.items())}
-                for name, img in zip(self.gen_names, self.gen_images)
-            },
-        }
-
 
 def _empty_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     return NilpotentLieAlgebra(
@@ -560,44 +541,29 @@ def lcs_graded_dims(p: LiePresentation, class_bound: int) -> dict:
 # ---------------------------------------------------------------------------
 # linear-plus-quadratic rewriting
 
-def _ad_monomial(indices, n_gens: int) -> LieElement:
-    """Right-nested bracket [x_{i1}, [x_{i2}, [... x_{ik}]]]."""
-    e = gen_elt(n_gens, indices[-1])
-    for i in reversed(indices[:-1]):
-        e = bracket(gen_elt(n_gens, i), e)
-    return e
-
-
 class _AdBasis:
-    """Tracked echelon over the degree-d ad monomials, in lexicographic
-    order, for writing homogeneous elements as monomial combinations with
-    free coordinates set to zero."""
+    """Tracked echelon over the degree-d right-normed ad monomials
+    [x_{i1}, [x_{i2}, [... x_{ik}]]], in lexicographic order, for writing
+    homogeneous elements as monomial combinations with free coordinates set
+    to zero.  Rows are tensor images over _word_int columns: the set of
+    independent monomials and the expression over them do not depend on the
+    coordinates."""
 
     def __init__(self, n_gens, degree):
         from itertools import product
 
         self.n_gens = n_gens
-        self.degree = degree
         self.ech = EchelonForm(track=True)
         # combo indices count every insert attempt, so keep them all
-        self.attempts = []
-        self.word_pos = {}
-        for J in product(range(n_gens), repeat=degree):
-            e = _ad_monomial(J, n_gens)
-            vec = {}
-            for w, c in e.terms.items():
-                pos = self.word_pos.setdefault(w, len(self.word_pos))
-                vec[pos] = c
+        self.attempts = list(product(range(n_gens), repeat=degree))
+        for J in self.attempts:
+            vec = {J[-1]: 1}
+            for d, i in enumerate(reversed(J[:-1]), 1):
+                vec = _ad_gen(i, vec, d, n_gens)
             self.ech.insert(vec)
-            self.attempts.append(J)
 
     def express(self, e: LieElement) -> dict:
-        vec = {}
-        for w, c in e.terms.items():
-            pos = self.word_pos.get(w)
-            if pos is None:
-                raise InternalError("homogeneous component outside monomial span")
-            vec[pos] = c
+        vec = {_word_int(u, self.n_gens): c for u, c in lie_tensor(e).items()}
         res, combo = self.ech.reduce(vec)
         if res:
             raise InternalError("ad monomials failed to span a graded piece")

@@ -16,16 +16,22 @@ from lieobstruct.cdga import (
     CdgaMorphism,
     FiniteCdga,
     WedgeProduct,
+    _CohomologyData,
+    _cohomology_data,
     _merge_wedge,
     cdga_from_dict,
     cohomology,
     holonomy,
+    identity_morphism,
+    induced_cohomology_matrix,
     load_cdga,
     truncate,
 )
 from lieobstruct.ce import (
     CeError,
     _morphism_from_connection,
+    _stage_inclusion,
+    _stage_map,
     canonical_connection,
     canonical_filtration,
     ce_chain_boundary,
@@ -45,7 +51,7 @@ from lieobstruct.fplie import (
     presentation_from_dict,
 )
 from lieobstruct.freelie import format_element
-from lieobstruct.ratlin import SparseMatrix, rank
+from lieobstruct.ratlin import SparseMatrix, kernel, rank
 
 ONE = Fraction(1)
 
@@ -563,6 +569,54 @@ def test_stability_validates_stage_order():
         check_stability(t, 2, 2)
     with pytest.raises(CeError):
         check_stability(t, 4, 2)
+
+
+def test_stage_maps_compose_to_the_direct_inclusion():
+    """H^1 and H^2 of stage n -> m, read as the product of the adjacent
+    inclusions' matrices, equal those of the inclusion built directly, which
+    passes the full morphism checks."""
+    for a in ALL_CDGAS + RANDOM_CDGAS:
+        t = tower_from_cdga(a, 5)
+        for n in range(2, 5):
+            for m in range(n + 1, 6):
+                direct = _stage_inclusion(t.stages[n], t.stages[m])
+                for i in (1, 2):
+                    assert _stage_map(t, n, m, i) == induced_cohomology_matrix(direct, i)
+
+
+def test_memoised_cohomology_matches_a_fresh_build():
+    for a in ALL_CDGAS + RANDOM_CDGAS:
+        t = tower_from_cdga(a, 4)
+        for c in [a] + [ce.cdga for ce in t.stages.values()]:
+            for i in range(c.top + 1):
+                memo = _cohomology_data(c, i)
+                assert _cohomology_data(c, i) is memo
+                fresh = _CohomologyData(c, i)
+                assert memo.dim == fresh.dim
+                assert memo.reps == fresh.reps
+                for v in kernel(c.diff[i]).basis_rows:
+                    assert memo.class_coords(v) == fresh.class_coords(v)
+
+
+def test_cohomology_hands_out_copies_of_the_memo():
+    a = load_cdga(data_path("heis.json"))
+    _, reps = cohomology(a, 1)
+    reps[0][1] = ONE
+    assert cohomology(a, 1)[1] == ({0: ONE}, {1: ONE})
+
+
+def test_warm_memo_keeps_equality_and_composition():
+    warm = load_cdga(data_path("noncarnot.json"))
+    for i in range(warm.top + 1):
+        cohomology(warm, i)
+    fresh = load_cdga(data_path("noncarnot.json"))
+    assert warm._cohomology and not fresh._cohomology
+    assert warm == fresh and repr(warm) == repr(fresh)
+    f = identity_morphism(warm).compose(identity_morphism(fresh))
+    assert f.source is fresh and f.target is warm
+    for i in range(warm.top + 1):
+        m = induced_cohomology_matrix(f, i)
+        assert m == SparseMatrix.identity(cohomology(warm, i)[0])
 
 
 def test_canonical_filtration_matches_defining_filtration():

@@ -122,6 +122,23 @@ def test_holonomy_zero_denominator_is_domain_error(tmp_path, capsys):
     assert "zero denominator" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "degrees",
+    [
+        {"01": ["a1", "a2"], "2": ["b"]},
+        {"1": ["a1", "a2"], "01": ["c"], "2": ["b"]},
+    ],
+    ids=["only-padded", "padded-beside-plain"],
+)
+def test_holonomy_noncanonical_degree_key_is_domain_error(degrees, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degrees": degrees}))
+    code, err = run_error(capsys, "holonomy", str(bad))
+    assert code == 1
+    assert err["type"] == "CdgaError"
+    assert "'01'" in err["message"]
+
+
 def test_resonance_zero_denominator_point_is_domain_error(capsys):
     code, err = run_error(
         capsys, "resonance", data_path("wedge2.json"), "--point", "1/0*a1"
@@ -251,6 +268,14 @@ GOLDEN_REPORT_SHA256 = {
         "95500a48e791b76c7fcc334ef87e955b8e6002020ce1b3ee791c573af4469561",
     ("classify", "wedge2.json", "--stage", "7"):
         "62fe5fd25ce6b137439eed1283adafec43940100de4df565954b51b5c98d1aa4",
+    ("classify", "wedge2.json", "--stage", "8"):
+        "646967edf2e393a21a9fea768dddb17005988cb5bf3304309e5482b454ff949b",
+    ("classify", "noncarnot.json", "--stage", "6"):
+        "5ddb78a40386dc16960710b3833d1c92b228c22ed625926bacd5ebb2cc43de72",
+    ("linearize", "pres_cubic.json"):
+        "064f6780ac974c9d7b4ee77db8e92dce93b2afe319de26bcf46f4e4106e95c15",
+    ("linearize", "pres_noncarnot.json"):
+        "d43188494eb5f8e8e0472ddf91adc4a98fec758d278632c299e211a179b01ef5",
 }
 
 
@@ -261,8 +286,9 @@ def _case_id(case):
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=_case_id)
 def test_report_is_pinned(case, tmp_path, capsys):
     """Pins whole reports: h2scan (ideal_x2_dims included), holonomy
-    (relators included), fixed, resonance probe and point dims, and one
-    classify report whose tower reaches stage 8 of a free Lie algebra."""
+    (relators included), fixed, resonance probe and point dims, linearize,
+    and classify reports whose towers reach stage 9 of a free Lie algebra
+    and stage 7 of noncarnot."""
     out = tmp_path / "report.json"
     argv = [data_path(a) if a.endswith(".json") else a for a in case]
     assert main(argv + ["--out", str(out)]) == 0

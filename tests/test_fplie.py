@@ -400,9 +400,9 @@ def test_presentation_json_errors(tmp_path):
         load_presentation(bad)
 
 
-def test_quotient_to_dict_shape():
-    d = lcs_quotient(HEIS, 4).to_dict()
-    assert d["basis"] == ["x1", "x2", "[x1,x2]"]
-    assert d["weights"] == [1, 1, 2]
-    assert d["brackets"] == {"0,1": {"2": 1}}
-    assert d["generator_images"]["x3"] == {"2": -1}
+def test_quotient_shape():
+    q = lcs_quotient(HEIS, 4)
+    assert q.labels == ("x1", "x2", "[x1,x2]")
+    assert q.weights == (1, 1, 2)
+    assert {pair: t for pair, t in q.brackets.items() if t} == {(0, 1): {2: 1}}
+    assert dict(zip(q.gen_names, q.gen_images))["x3"] == {2: -1}
