@@ -17,7 +17,8 @@ generated in degrees <= q (same cohomology through q, monomorphism in q+1),
 cohomology with explicit representatives, the holonomy Lie presentation dual
 to d and the product on degree 1, resonance dimensions for twisted
 differentials d + omega.(-), probing for nontrivial degree-1 resonance, and
-fixed sub-cdgas of finite group actions via the averaging projector.
+fixed sub-cdgas of finite group actions via the averaging projector.  A[q]
+and fixed sub-cdgas are both read off per-degree spans by one builder.
 """
 
 from __future__ import annotations
@@ -509,7 +510,7 @@ def induced_cohomology_matrix(f: CdgaMorphism, i: int) -> SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# truncation A[q]
+# sub-cdgas and the truncation A[q]
 
 def _degree_drop(a: FiniteCdga, new_top: int) -> FiniteCdga:
     """Quotient by everything above new_top."""
@@ -525,6 +526,47 @@ def _degree_drop(a: FiniteCdga, new_top: int) -> FiniteCdga:
     return FiniteCdga(names, tuple(diff), prod)
 
 
+def _subcdga(a: FiniteCdga, subs, names):
+    """The sub-cdga of a spanned in each degree i by the RREF rows of
+    subs[i], with basis names[i], together with its inclusion into a.  Its
+    differential, product and inclusion are read off those rows; every
+    coordinate read is checked, so a span that d or the product leaves
+    raises InternalError.  subs has one entry per degree of a."""
+
+    def coords(i, vec):
+        sub = subs[i]
+        out = _clean({r: vec.get(p, ZERO) for r, p in enumerate(sub.pivots)})
+        check: dict = dict(vec)
+        for r, c in out.items():
+            check = vec_add(check, sub.basis_rows[r], -c)
+        if check:
+            raise InternalError(f"degree-{i} vector lies outside the sub-cdga")
+        return out
+
+    top = a.top
+    diff = [
+        SparseMatrix.from_columns(
+            subs[i + 1].dim, [coords(i + 1, a.d_apply(i, row)) for row in subs[i].basis_rows]
+        )
+        for i in range(top)
+    ]
+    diff.append(SparseMatrix(0, subs[top].dim))
+    prod = {}
+    for i in range(1, top):
+        for j in range(1, top + 1 - i):
+            table = {}
+            for x, rx in enumerate(subs[i].basis_rows):
+                for y, ry in enumerate(subs[j].basis_rows):
+                    v = a.mul(i, rx, j, ry)
+                    if v:
+                        table[(x, y)] = coords(i + j, v)
+            if table:
+                prod[(i, j)] = table
+    sub = FiniteCdga(tuple(names), tuple(diff), prod)
+    mats = tuple(SparseMatrix.from_columns(a.dim(i), s.basis_rows) for i, s in enumerate(subs))
+    return sub, CdgaMorphism(sub, a, mats)
+
+
 def truncate(a: FiniteCdga, q: int):
     """The sub-cdga A[q] of the quotient A/(degrees > q+1), together with its
     inclusion: degrees <= q kept whole, degree q+1 cut down to
@@ -533,55 +575,20 @@ def truncate(a: FiniteCdga, q: int):
         raise CdgaError(f"truncation level must be >= 1, got {q}")
     quot = _degree_drop(a, q + 1)
     top_dim = quot.dim(q + 1)
-    span_vecs = []
-    for k in range(quot.dim(q)):
-        v = quot.d_apply(q, {k: ONE})
-        if v:
-            span_vecs.append(v)
+    span_vecs = [quot.d_apply(q, {k: ONE}) for k in range(quot.dim(q))]
     for i in range(1, q + 1):
-        j = q + 1 - i
-        if j < 1 or j > quot.top:
-            continue
         for x in range(quot.dim(i)):
-            for y in range(quot.dim(j)):
-                v = quot.mul(i, {x: ONE}, j, {y: ONE})
-                if v:
-                    span_vecs.append(v)
-    sub = Subspace.span(span_vecs, top_dim)
-    if sub.dim == top_dim:
+            for y in range(quot.dim(q + 1 - i)):
+                span_vecs.append(quot.mul(i, {x: ONE}, q + 1 - i, {y: ONE}))
+    cut = Subspace.span(span_vecs, top_dim)
+    if cut.dim == top_dim:
         return quot, identity_morphism(quot)
-    names = list(quot.names[: q + 1])
-    names.append(tuple(f"t{q + 1}_{r + 1}" for r in range(sub.dim)))
-
-    def coords(vec: dict) -> dict:
-        out = {r: vec.get(p, ZERO) for r, p in enumerate(sub.pivots)}
-        return _clean(out)
-
-    diff = list(quot.diff[:q])
-    diff.append(
-        SparseMatrix.from_columns(
-            sub.dim, [coords(quot.d_apply(q, {k: ONE})) for k in range(quot.dim(q))]
-        )
-    )
-    diff.append(SparseMatrix(0, sub.dim))
-    prod = {}
-    for i in range(1, q + 1):
-        for j in range(1, q + 2 - i):
-            table = {}
-            for x in range(quot.dim(i)):
-                for y in range(quot.dim(j)):
-                    v = quot.mul(i, {x: ONE}, j, {y: ONE})
-                    if i + j == q + 1:
-                        v = coords(v)
-                    if v:
-                        table[(x, y)] = v
-            if table:
-                prod[(i, j)] = table
-    out = FiniteCdga(tuple(names), tuple(diff), prod)
-    mats = [SparseMatrix.identity(quot.dim(i)) for i in range(q + 1)]
-    mats.append(SparseMatrix.from_columns(quot.dim(q + 1), sub.basis_rows))
-    incl = CdgaMorphism(out, quot, tuple(mats))
-    return out, incl
+    whole = [
+        Subspace(n, tuple({k: ONE} for k in range(n)), tuple(range(n)))
+        for n in map(quot.dim, range(q + 1))
+    ]
+    names = (*quot.names[: q + 1], tuple(f"t{q + 1}_{r + 1}" for r in range(cut.dim)))
+    return _subcdga(quot, whole + [cut], names)
 
 
 # ---------------------------------------------------------------------------
@@ -755,51 +762,14 @@ def fixed_subcdga(action: GroupAction):
         # the projector commutes with d because every group element does
         if a.diff[i].matmul(projectors[i]) != projectors[i + 1].matmul(a.diff[i]):
             raise InternalError("averaging projector does not commute with d")
-    subs = []
-    for i in range(a.top + 1):
-        vecs = [projectors[i].matvec({k: ONE}) for k in range(a.dim(i))]
-        subs.append(Subspace.span([v for v in vecs if v], a.dim(i)))
+    # the invariants are the column span of the projector
+    subs = [Subspace.span(p.columns.values(), p.rows) for p in projectors]
     if subs[0].dim != 1:
         raise InternalError("the unit must be invariant")
-
-    def coords(i, vec):
-        out = {r: vec.get(p, ZERO) for r, p in enumerate(subs[i].pivots)}
-        out = _clean(out)
-        check: dict = dict(vec)
-        for r, c in out.items():
-            check = vec_add(check, subs[i].basis_rows[r], -c)
-        if check:
-            raise InternalError("vector claimed invariant is not in the span")
-        return out
-
     names = [("1",)]
     for i in range(1, a.top + 1):
         names.append(tuple(f"inv{i}_{r + 1}" for r in range(subs[i].dim)))
-    diff = []
-    for i in range(a.top + 1):
-        rows = subs[i + 1].dim if i + 1 <= a.top else 0
-        columns = []
-        for row in subs[i].basis_rows:
-            dv = a.d_apply(i, dict(row))
-            columns.append(coords(i + 1, dv) if dv else {})
-        diff.append(SparseMatrix.from_columns(rows, columns))
-    prod = {}
-    for i in range(1, a.top):
-        for j in range(1, a.top + 1 - i):
-            table = {}
-            for x, rx in enumerate(subs[i].basis_rows):
-                for y, ry in enumerate(subs[j].basis_rows):
-                    v = a.mul(i, dict(rx), j, dict(ry))
-                    if v:
-                        table[(x, y)] = coords(i + j, v)
-            if table:
-                prod[(i, j)] = table
-    fixed = FiniteCdga(tuple(names), tuple(diff), prod)
-    mats = tuple(
-        SparseMatrix.from_columns(a.dim(i), subs[i].basis_rows) for i in range(a.top + 1)
-    )
-    incl = CdgaMorphism(fixed, a, mats)
-    return fixed, incl
+    return _subcdga(a, subs, names)
 
 
 # ---------------------------------------------------------------------------

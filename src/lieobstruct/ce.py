@@ -324,7 +324,6 @@ class HirschTower:
     the stage-to-stage inclusions; consecutive stages differ by a Hirsch
     extension in degree 1."""
 
-    presentation: object
     max_stage: int
     stages: dict
     inclusions: dict
@@ -372,7 +371,7 @@ def hirsch_tower(p, max_stage: int = 5) -> HirschTower:
                         f"stage {n + 1} is not a Hirsch extension of stage {n}"
                     )
         inclusions[n] = incl
-    return HirschTower(p, max_stage, stages, inclusions)
+    return HirschTower(max_stage, stages, inclusions)
 
 
 def tower_from_cdga(a: FiniteCdga, max_stage: int = 5) -> HirschTower:
@@ -401,10 +400,9 @@ def verify_one_equivalence(a: FiniteCdga, tower: HirschTower, n: int) -> dict:
     m_q = induced_cohomology_matrix(tower.inclusions[n], 2)
     ker_f = kernel(m_f)
     ker_q = kernel(m_q)
-    return {
-        "h1_iso": h1_iso,
-        "h2_kernel_inclusion": ker_q.contains_space(ker_f),
-    }
+    # ker f lies in ker q iff adding its rows leaves ker q's span unchanged
+    both = Subspace.span(ker_q.basis_rows + ker_f.basis_rows, ker_q.ambient)
+    return {"h1_iso": h1_iso, "h2_kernel_inclusion": both == ker_q}
 
 
 def _stage_map(tower: HirschTower, n: int, m: int, i: int) -> SparseMatrix:

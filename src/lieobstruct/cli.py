@@ -200,7 +200,6 @@ def cmd_classify(args, phases: _Phases) -> dict:
     # the one-equivalence check at the last stage reads stage + 1; every
     # other check and the stage dump see the tower cut at --stage
     tower = HirschTower(
-        full.presentation,
         args.stage,
         {n: c for n, c in full.stages.items() if n <= args.stage},
         {n: i for n, i in full.inclusions.items() if n < args.stage},

@@ -341,16 +341,35 @@ def _word_int(letters, n_gens):
     return k
 
 
+def _relabel(w: HallWord, letters) -> HallWord:
+    """w with each generator g renamed letters[g].  For increasing letters
+    the renaming preserves the order of words, so a basis word stays one."""
+    if w.level == 0:
+        return generator(letters[w.gen])
+    children = tuple(_relabel(c, letters) for c in w.children)
+    return HallWord(w.level, children=children, _validate=False)
+
+
 class _MultidegreeSolver:
     """Expresses tensor polynomials of one multidegree over the basis words.
 
+    The words are enumerated over the letters of the multidegree's support
+    alone and relabelled, so the cost follows the support, not the alphabet.
     Hall words are a Z-basis, so the tensor rows stay integral and the
     echelon never sees a Fraction until it reports the coefficients.
     """
 
     def __init__(self, n_gens, md):
         self.n_gens = n_gens
-        self.words = hall_words_of_degree(n_gens, sum(md)).get(md, ())
+        support = tuple(g for g, m in enumerate(md) if m)
+        words = hall_words_of_degree(len(support), sum(md)).get(
+            tuple(md[g] for g in support), ()
+        )
+        if support[-1] != len(support) - 1:
+            # skipped for the identity relabel, so the words stay the
+            # enumerated objects, which HallWord.__eq__ matches by identity
+            words = tuple(_relabel(w, support) for w in words)
+        self.words = words
         self.ech = EchelonForm(track=True)
         for w in self.words:
             row, _ = self.ech.insert(

@@ -442,7 +442,9 @@ class Subspace:
     """A subspace of Q^ambient, stored as RREF basis rows.
 
     basis_rows is a tuple of sparse vectors (dict col -> Fraction), in RREF
-    with strictly increasing pivot columns.
+    with strictly increasing pivot columns.  RREF rows are unique to the
+    span, so equality is equality of subspaces; containment is read as
+    span(S + T) == S, with EchelonForm doing the only reduction.
     """
 
     ambient: int
@@ -463,26 +465,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis_rows)
-
-    def reduce(self, vec: Mapping[int, Fraction]) -> dict:
-        """Residual of vec after reduction mod this subspace."""
-        res = dict(vec)
-        for p, row in zip(self.pivots, self.basis_rows):
-            c = res.get(p)
-            if c:
-                for k, x in row.items():
-                    y = res.get(k, ZERO) - c * x
-                    if y:
-                        res[k] = y
-                    else:
-                        res.pop(k, None)
-        return res
-
-    def contains(self, vec: Mapping[int, Fraction]) -> bool:
-        return not self.reduce(vec)
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis_rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

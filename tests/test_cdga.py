@@ -8,6 +8,7 @@ import pytest
 from lieobstruct import data_path
 from lieobstruct.cdga import (
     CdgaError,
+    _subcdga,
     action_from_dict,
     cdga_from_dict,
     cohomology,
@@ -22,7 +23,7 @@ from lieobstruct.cdga import (
 )
 from lieobstruct.fplie import lcs_graded_dims, lcs_quotient
 from lieobstruct.freelie import format_element
-from lieobstruct.ratlin import ONE, rank
+from lieobstruct.ratlin import ONE, InternalError, Subspace, rank
 
 
 HEIS = load_cdga(data_path("heis.json"))
@@ -183,6 +184,21 @@ def test_truncate_q_equivalence_on_bundled():
     for a in (HEIS, NONCARNOT, TORUS, WEDGE2):
         _, incl = truncate(a, 1)
         assert is_q_equivalence(incl, 1)
+
+
+def test_subcdga_checks_every_coordinate():
+    whole = [
+        Subspace.span([{k: ONE} for k in range(HEIS.dim(i))], HEIS.dim(i))
+        for i in range(4)
+    ]
+    sub, incl = _subcdga(HEIS, whole, HEIS.names)
+    assert [sub.dim(i) for i in range(4)] == [1, 3, 3, 1]
+    assert incl.maps == identity_morphism(HEIS).maps
+    # d(a3) = a12, but this degree-2 span holds only a13 and a23
+    cut = Subspace.span([{1: ONE}, {2: ONE}], 3)
+    names = HEIS.names[:2] + (("b13", "b23"),) + HEIS.names[3:]
+    with pytest.raises(InternalError, match="outside the sub-cdga"):
+        _subcdga(HEIS, [whole[0], whole[1], cut, whole[3]], names)
 
 
 # -- holonomy ---------------------------------------------------------------

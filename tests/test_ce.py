@@ -497,6 +497,13 @@ def test_one_equivalence_all_examples():
             assert out == {"h1_iso": True, "h2_kernel_inclusion": True}
 
 
+def test_one_equivalence_sees_a_surviving_kernel():
+    """wedge2 against the torus tower: H^1 still matches, but f kills the
+    class of u1^u2 in stage 2, which stage 3 of the abelian tower keeps."""
+    out = verify_one_equivalence(WEDGE2, tower_from_cdga(TORUS, 3), 2)
+    assert out == {"h1_iso": True, "h2_kernel_inclusion": False}
+
+
 def test_one_equivalence_needs_stage_two():
     with pytest.raises(CeError):
         verify_one_equivalence(HEIS, tower_from_cdga(HEIS, 3), 1)

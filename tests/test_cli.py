@@ -276,6 +276,8 @@ GOLDEN_REPORT_SHA256 = {
         "064f6780ac974c9d7b4ee77db8e92dce93b2afe319de26bcf46f4e4106e95c15",
     ("linearize", "pres_noncarnot.json"):
         "d43188494eb5f8e8e0472ddf91adc4a98fec758d278632c299e211a179b01ef5",
+    ("linearize", "pres_cubic.json", "--deg", "4", "--class", "4"):
+        "2e0c0be5d87a183f871b2b41836d8b7b32228997251274418609ab625da6c01d",
 }
 
 
@@ -286,9 +288,10 @@ def _case_id(case):
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=_case_id)
 def test_report_is_pinned(case, tmp_path, capsys):
     """Pins whole reports: h2scan (ideal_x2_dims included), holonomy
-    (relators included), fixed, resonance probe and point dims, linearize,
-    and classify reports whose towers reach stage 9 of a free Lie algebra
-    and stage 7 of noncarnot."""
+    (relators included), fixed, resonance probe and point dims, linearize
+    (pres_cubic also at degree and class 4, where the rewritten
+    presentation has 30 generators), and classify reports whose towers reach
+    stage 9 of a free Lie algebra and stage 7 of noncarnot."""
     out = tmp_path / "report.json"
     argv = [data_path(a) if a.endswith(".json") else a for a in case]
     assert main(argv + ["--out", str(out)]) == 0

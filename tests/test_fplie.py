@@ -11,9 +11,12 @@ through the Jacobi and filtration checks plus hand-computed small examples.
 import random
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from lieobstruct import data_path
+from lieobstruct.cdga import cdga_from_dict, holonomy, load_cdga
 from lieobstruct.freelie import (
     LieElement,
     bracket,
@@ -302,16 +305,47 @@ def test_elimination_with_higher_degree_occurrences():
     assert img[3] == Fraction(-1)
 
 
+def random_cdga_holonomy(seed, gens, classes):
+    """Holonomy of a seeded cdga with d = 0 and top degree 2, each product of
+    two degree-1 basis elements a random integer combination of the degree-2
+    basis (the recipe of random_cdga in test_ce.py)."""
+    rng = random.Random(seed)
+    mu = {}
+    for i, j in combinations(range(gens), 2):
+        coeffs = [rng.randint(-2, 2) for _ in range(classes)]
+        terms = "".join(f"{c:+d}*b{k + 1}" for k, c in enumerate(coeffs) if c)
+        if terms:
+            mu[f"a{i + 1}*a{j + 1}"] = terms
+    degrees = {"1": [f"a{i + 1}" for i in range(gens)], "2": [f"b{k + 1}" for k in range(classes)]}
+    return holonomy(cdga_from_dict({"degrees": degrees, "d": {}, "mu": mu}))
+
+
 def test_quotient_tower_compatibility():
-    for p in (HEIS, XXY, METAB):
-        q_small = lcs_quotient(p, 4)
-        q_big = lcs_quotient(p, 5)
-        k = q_small.dim
-        assert q_big.labels[:k] == q_small.labels
-        assert q_big.weights[:k] == q_small.weights
-        for (i, j), table in q_small.brackets.items():
-            big = q_big.brackets.get((i, j), {})
-            assert {m: c for m, c in big.items() if m < k} == table
+    """lcs_quotient(p, n) is lcs_quotient(p, 6) cut to weights < n: labels,
+    weights, generator images and brackets, with no bracket entry of the big
+    algebra among the small indices that the small one lacks.  pres_noncarnot
+    has linear parts, so its quotients are filtered, not graded."""
+    top = 6
+    inputs = [HEIS, XXY, METAB, load_presentation(data_path("pres_noncarnot.json"))]
+    for name in ("heis", "noncarnot", "torus", "wedge2"):
+        inputs.append(holonomy(load_cdga(data_path(name + ".json"))))
+    inputs += [random_cdga_holonomy(5, 3, 2), random_cdga_holonomy(6, 4, 4)]
+    for p in inputs:
+        big = lcs_quotient(p, top)
+        for n in range(2, top):
+            small = lcs_quotient(p, n)
+            k = small.dim
+
+            def cut(vec):
+                return {m: c for m, c in vec.items() if m < k}
+
+            assert all(w < n for w in big.weights[:k])
+            assert all(w >= n for w in big.weights[k:])
+            assert big.labels[:k] == small.labels
+            assert big.weights[:k] == small.weights
+            assert [cut(v) for v in big.gen_images] == list(small.gen_images)
+            for i, j in combinations(range(k), 2):
+                assert cut(big.brackets.get((i, j), {})) == small.brackets.get((i, j), {})
 
 
 def test_metabelian_quotient_dims():

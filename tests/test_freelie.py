@@ -6,6 +6,7 @@ exactly.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from lieobstruct.freelie import (
     LieElement,
     LieError,
+    _MultidegreeSolver,
     apply_morphism,
     bigraded_dims,
     bracket,
@@ -22,6 +24,7 @@ from lieobstruct.freelie import (
     generator,
     hall_basis_derived,
     hall_level,
+    hall_words_of_degree,
     lie_tensor,
     multidegree,
     parse_element,
@@ -142,6 +145,18 @@ def test_bracket_multidegrees_add():
     u = bracket(gen_elt(2, 0), bracket(gen_elt(2, 0), gen_elt(2, 1)))
     for w in u.terms:
         assert multidegree(w, 2) == (2, 1)
+
+
+def test_solver_words_are_the_multidegree_slice():
+    """The solver enumerates over its support letters only and relabels;
+    its words, in order, must be the full alphabet's words of that
+    multidegree, so pivots and coefficients cannot move."""
+    for n in range(1, 5):
+        for d in range(1, 7):
+            words = hall_words_of_degree(n, d)
+            for md in product(range(d + 1), repeat=n):
+                if sum(md) == d:
+                    assert _MultidegreeSolver(n, md).words == words.get(md, ())
 
 
 def tensor_commutator(a, b):
