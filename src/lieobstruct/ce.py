@@ -66,12 +66,11 @@ class CeError(ValueError):
 
 @dataclass(frozen=True)
 class CeComplex:
-    """Cochain cdga of a nilpotent Lie algebra through degree cap.  Its
+    """Cochain cdga of a nilpotent Lie algebra through degree 3.  Its
     WedgeProduct holds the exterior index tuples backing each named basis
     element."""
 
     algebra: NilpotentLieAlgebra
-    cap: int
     cdga: FiniteCdga
 
     @property
@@ -83,20 +82,16 @@ class CeComplex:
         return self.cdga.prod.positions
 
 
-def ce_cochain(g: NilpotentLieAlgebra, degree_cap: int = 3) -> CeComplex:
-    """The Chevalley-Eilenberg cochain cdga of g through degree_cap, as an
+def ce_cochain(g: NilpotentLieAlgebra) -> CeComplex:
+    """The Chevalley-Eilenberg cochain cdga of g through degree 3, as an
     exterior stage.  d on degree 2 is built from d on generators by the
     Leibniz rule, and d^2 = 0 on generators is checked: it is equivalent to
     the Jacobi identity for the structure constants."""
-    if degree_cap < 2:
-        raise CeError(f"cochain degree cap must be >= 2, got {degree_cap}")
-    if degree_cap > 3:
-        raise CeError("cochain degree cap above 3 is not supported")
     m = g.dim
     full = WedgeProduct(m, 3)
     tuples, positions = full.tuples, full.positions
     names = [("1",)]
-    for n in range(1, degree_cap + 1):
+    for n in range(1, 4):
         names.append(
             tuple("^".join(f"u{i + 1}" for i in t) for t in tuples[n])
         )
@@ -122,17 +117,17 @@ def ce_cochain(g: NilpotentLieAlgebra, degree_cap: int = 3) -> CeComplex:
                 acc[pos] = acc.get(pos, ZERO) + sgn * ws * c
         return {pos: c for pos, c in acc.items() if c}
 
-    # at cap 2, d on degree 2 is built for this d^2 = 0 check only
     d_pairs = [d_pair(i, j) for i, j in tuples[2]]
     d2 = SparseMatrix.from_columns(len(tuples[3]), d_pairs)
     if any(d2.matvec(v) for v in d_gen):
         raise CeError("structure constants fail the Jacobi identity")
-    diff = [SparseMatrix(m, 1), SparseMatrix.from_columns(len(tuples[2]), d_gen)]
-    if degree_cap == 3:
-        diff.append(d2)
-    diff.append(SparseMatrix(0, len(tuples[degree_cap])))
-    rule = full if degree_cap == 3 else WedgeProduct(m, degree_cap)
-    return CeComplex(g, degree_cap, FiniteCdga(tuple(names), tuple(diff), rule))
+    diff = (
+        SparseMatrix(m, 1),
+        SparseMatrix.from_columns(len(tuples[2]), d_gen),
+        d2,
+        SparseMatrix(0, len(tuples[3])),
+    )
+    return CeComplex(g, FiniteCdga(tuple(names), diff, full))
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +279,15 @@ def _morphism_from_connection(a, ce: CeComplex, omega: dict) -> CdgaMorphism:
             a.dim(2), [a.mul(1, image1(k), 1, image1(l)) for k, l in ce.tuples[2]]
         ),
     ]
-    if ce.cap >= 3:
-        maps.append(
-            SparseMatrix.from_columns(
-                a.dim(3),
-                [
-                    a.mul(1, image1(k), 2, maps[2].col(ce.positions[2][(l, r)]))
-                    for k, l, r in ce.tuples[3]
-                ],
-            )
+    maps.append(
+        SparseMatrix.from_columns(
+            a.dim(3),
+            [
+                a.mul(1, image1(k), 2, maps[2].col(ce.positions[2][(l, r)]))
+                for k, l, r in ce.tuples[3]
+            ],
         )
+    )
     return CdgaMorphism(ce.cdga, a, tuple(maps))
 
 
@@ -338,8 +332,6 @@ def _stage_inclusion(small: CeComplex, big: CeComplex) -> CdgaMorphism:
         SparseMatrix.from_columns(big.algebra.dim, [{k: ONE} for k in range(ds)]),
     ]
     for deg in (2, 3):
-        if deg > small.cap:
-            break
         maps.append(
             SparseMatrix.from_columns(
                 len(big.tuples[deg]),
@@ -356,7 +348,7 @@ def hirsch_tower(p, max_stage: int = 5) -> HirschTower:
         raise CeError(f"tower needs max stage >= 2, got {max_stage}")
     stages = {}
     for n in range(2, max_stage + 1):
-        stages[n] = ce_cochain(lcs_quotient(p, n), 3)
+        stages[n] = ce_cochain(lcs_quotient(p, n))
     inclusions = {}
     for n in range(2, max_stage):
         small, big = stages[n], stages[n + 1]
@@ -441,22 +433,7 @@ def canonical_filtration(tower: HirschTower) -> dict:
         rows = w.basis_rows
         for r in range(len(rows)):
             for s in range(r + 1, len(rows)):
-                vec = {}
-                for (i, ci) in rows[r].items():
-                    for (j, cj) in rows[s].items():
-                        if i == j:
-                            continue
-                        if i < j:
-                            key, val = (i, j), ci * cj
-                        else:
-                            key, val = (j, i), -ci * cj
-                        pos = top.positions[2][key]
-                        cur = vec.get(pos, ZERO) + val
-                        if cur:
-                            vec[pos] = cur
-                        else:
-                            del vec[pos]
-                ech.insert(vec)
+                ech.insert(top.cdga.mul(1, rows[r], 1, rows[s]))
         return ech
 
     w = Subspace.span([], mdim)

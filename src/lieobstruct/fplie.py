@@ -9,12 +9,14 @@ algebra of the matching class.
 Both the ideal span and the Hopf formula use the fact that for an ideal J
 generated by a set R, the subspace [L, J] equals [A, J] where A is the
 generator alphabet, so closing R under bracketing with generators alone
-already spans the ideal degreewise.  Ideal spans live in Hall (basis-word)
-coordinates.  The second homology of L = free/J is J/[L, J] (Hopf's
-formula), computed degree by degree for homogeneous relator schemes in
-tensor-algebra coordinates: it needs only ranks, which do not depend on the
-basis, and there the bracket with a generator g is g*t - t*g, with no
-rewriting into the basis.
+already spans the ideal degreewise.  That closure runs once, in
+tensor-algebra coordinates, where the bracket with a generator g is
+g*t - t*g and needs no rewriting into the basis; the free Lie algebra
+embeds there, so ranks and spans taken there are exact.  Ideal spans are
+then written back in Hall (basis-word) coordinates.  The second homology of
+L = free/J is J/[L, J] (Hopf's formula), computed degree by degree for
+homogeneous relator schemes from ranks alone, so it stays in tensor
+coordinates.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
@@ -29,13 +31,14 @@ chosen at different class bounds agree wherever both exist.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .freelie import (
     LieElement,
     LieError,
+    _solver,
     _word_int,
     apply_morphism,
     bracket,
@@ -144,50 +147,46 @@ def _coords(e: LieElement, max_degree: int) -> dict:
     return {idx[w]: c for w, c in e.terms.items()}
 
 
-def _relator_instances(p: LiePresentation, max_degree: int):
-    if isinstance(p.scheme, FiniteList):
-        out = []
-        for r in p.scheme.relators:
-            t = r.truncate(max_degree)
-            if not t.is_zero():
-                out.append(t)
-        return out
-    lvl = p.scheme.level
-    return [
-        LieElement(p.n_gens, {w: ONE})
-        for w in hall_basis_derived(p.n_gens, lvl, max_degree)
-    ]
-
-
 def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     """The degree <= cap part of the ideal generated by the relator scheme,
     as a subspace of the free Lie algebra in the basis-word coordinates.
 
-    Elements that reduce to zero against the running span are dropped without
-    queueing their generator brackets; linearity of ad makes that sound.
+    A derived ideal is spanned by its basis words already.  A finite relator
+    list is closed in tensor coordinates by _ideal_basis, and each basis
+    element is written back over the basis words.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
     n = p.n_gens
     if n == 0:
         return Subspace(0, (), ())
-    gens = [gen_elt(n, i) for i in range(n)]
-    ech = EchelonForm()
-    pool = deque(_relator_instances(p, degree_cap))
-    while pool:
-        e = pool.popleft()
-        if ech.insert(_coords(e, degree_cap))[0]:
-            for g in gens:
-                b = bracket(g, e).truncate(degree_cap)
-                if not b.is_zero():
-                    pool.append(b)
-    rows = ech.backsubstitute()
-    ambient = len(_word_index(n, degree_cap))
-    return Subspace(ambient, tuple(rows), tuple(ech.pivots))
+    idx = _word_index(n, degree_cap)
+    if isinstance(p.scheme, DerivedIdeal):
+        rows = [{idx[w]: ONE} for w in hall_basis_derived(n, p.scheme.level, degree_cap)]
+    else:
+        rows = [_hall_coords(e, n, idx) for e in _ideal_basis(p, degree_cap)]
+    return Subspace.span(rows, len(idx))
+
+
+def _hall_coords(e: dict, n: int, idx: dict) -> dict:
+    """A Lie polynomial {degree: vector over _word_int columns} over the
+    basis words that idx indexes, solved one multidegree at a time."""
+    parts = defaultdict(dict)
+    for d, v in e.items():
+        for k, c in v.items():
+            md = [0] * n
+            x = k
+            for _ in range(d):
+                x, g = divmod(x, n)
+                md[g] += 1
+            parts[tuple(md)][k] = c
+    return {
+        idx[w]: c for md, t in parts.items() for w, c in _solver(n, md).solve(t).items()
+    }
 
 
 # ---------------------------------------------------------------------------
-# Hopf-formula second homology, degree by degree, in tensor coordinates
+# the relator ideal and Hopf-formula second homology, in tensor coordinates
 
 def _require_homogeneous(p: LiePresentation):
     if isinstance(p.scheme, FiniteList):
@@ -199,10 +198,13 @@ def _require_homogeneous(p: LiePresentation):
                 )
 
 
-def _tensor_vec(t: dict, n_gens: int) -> dict:
-    """A tensor polynomial {letter tuple: coefficient} as an integer vector
-    over _word_int columns, denominators cleared."""
-    return _cleared({_word_int(u, n_gens): c for u, c in t.items()})[0]
+def _tensor_parts(t: dict, n_gens: int) -> dict:
+    """A tensor polynomial {letter tuple: coefficient} as {degree: integer
+    vector over _word_int columns}, denominators cleared jointly."""
+    parts: dict = {}
+    for u, c in _cleared(t)[0].items():
+        parts.setdefault(len(u), {})[_word_int(u, n_gens)] = c
+    return parts
 
 
 def _ad_gen(g: int, v: dict, degree: int, n_gens: int) -> dict:
@@ -219,58 +221,67 @@ def _ad_gen(g: int, v: dict, degree: int, n_gens: int) -> dict:
     return out
 
 
+def _ideal_basis(p: LiePresentation, cap: int) -> list:
+    """A basis of the degree <= cap part of the ideal J generated by a
+    finite relator list, in tensor coordinates: each element is {degree:
+    integer vector over _word_int columns}.
+
+    J is spanned by the relators closed under the generator brackets, which
+    here are g*t - t*g degree by degree, cut at the cap.  One echelon ranks
+    every degree, each at its own column offset, so an inhomogeneous
+    relator stays one vector.  Elements already in the span are not closed
+    further; linearity of ad makes that sound.
+    """
+    n = p.n_gens
+    offset = {1: 0}
+    for d in range(1, cap):
+        offset[d + 1] = offset[d] + n ** d
+    ech = EchelonForm()
+    basis = []
+    pool = deque(_tensor_parts(lie_tensor(r.truncate(cap)), n) for r in p.scheme.relators)
+    while pool:
+        e = pool.popleft()
+        if ech.insert({offset[d] + k: c for d, v in e.items() for k, c in v.items()})[0]:
+            basis.append(e)
+            for g in range(n):
+                b = {d + 1: _ad_gen(g, v, d, n) for d, v in e.items() if d < cap}
+                pool.append({d: v for d, v in b.items() if v})
+    return basis
+
+
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
     """dim (J/[L,J])_k for 1 <= k <= cap, via Hopf's formula.
 
     J and [L,J] = [A,J] are ranked in the tensor algebra, where the bracket
     with a generator g is g*t - t*g and needs no rewriting into the basis.
-    Columns are letter words, one echelon per total degree.  A derived
-    ideal's basis words of level >= k span J already; a finite relator list
-    is closed under the generator brackets, which the closure feeds to the
-    [L,J] echelon as it goes.
+    A derived ideal's basis words of level >= k span J already; a finite
+    relator list's J is the basis _ideal_basis closes.  The generator
+    brackets of a basis of J span [L,J], ranked in one echelon per total
+    degree over letter-word columns.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
     _require_homogeneous(p)
     n = p.n_gens
-    j_dims: dict = {}
-    ad_dims: dict = {}
-    ad_echelons = defaultdict(EchelonForm)
-
-    def ad_images(d: int, v: dict) -> list:
-        """Insert ad_g(v) for every generator g into the [L,J] echelon of
-        degree d + 1 and return the nonzero images."""
-        ech = ad_echelons[d + 1]
-        out = []
-        for g in range(n):
-            b = _ad_gen(g, v, d, n)
-            if b:
-                if ech.insert(b)[0]:
-                    ad_dims[d + 1] = ad_dims.get(d + 1, 0) + 1
-                out.append(b)
-        return out
-
     if isinstance(p.scheme, DerivedIdeal):
-        for w in hall_basis_derived(n, p.scheme.level, degree_cap):
-            d = w.degree
-            j_dims[d] = j_dims.get(d, 0) + 1
-            if d < degree_cap:
-                ad_images(d, _tensor_vec(tensor_expand(w), n))
-    else:
-        j_echelons = defaultdict(EchelonForm)
-        pool = deque(
-            (r.degrees()[0], _tensor_vec(lie_tensor(r), n))
-            for r in _relator_instances(p, degree_cap)
+        words = hall_basis_derived(n, p.scheme.level, degree_cap)
+        j_dims = Counter(w.degree for w in words)
+        basis = (
+            _tensor_parts(tensor_expand(w), n) for w in words if w.degree < degree_cap
         )
-        while pool:
-            d, v = pool.popleft()
-            if j_echelons[d].insert(v)[0]:
-                j_dims[d] = j_dims.get(d, 0) + 1
-                if d < degree_cap:
-                    pool.extend((d + 1, b) for b in ad_images(d, v))
-    return {
-        k: j_dims.get(k, 0) - ad_dims.get(k, 0) for k in range(1, degree_cap + 1)
-    }
+    else:
+        basis = _ideal_basis(p, degree_cap)
+        j_dims = Counter(d for e in basis for d in e)
+    ad_dims = Counter()
+    ad_echelons = defaultdict(EchelonForm)
+    for e in basis:
+        for d, v in e.items():
+            if d < degree_cap:
+                for g in range(n):
+                    b = _ad_gen(g, v, d, n)
+                    if b and ad_echelons[d + 1].insert(b)[0]:
+                        ad_dims[d + 1] += 1
+    return {k: j_dims[k] - ad_dims[k] for k in range(1, degree_cap + 1)}
 
 
 def finiteness_scan(p: LiePresentation, degree_cap: int) -> dict:
@@ -293,14 +304,10 @@ def finiteness_scan(p: LiePresentation, degree_cap: int) -> dict:
     if p.n_gens == 2:
         # bigraded dimensions of the relator ideal itself in the x-degree-2
         # slice, a small exactly-known table worth echoing alongside H2
-        if isinstance(p.scheme, DerivedIdeal):
-            piv_words = hall_basis_derived(2, p.scheme.level, degree_cap)
-        else:
-            words = hall_basis_derived(2, 0, degree_cap)
-            piv_words = [words[i] for i in ideal_span(p, degree_cap).pivots]
+        words = hall_basis_derived(2, 0, degree_cap)
         x2: dict = {}
-        for w in piv_words:
-            counts = w.gen_counts()
+        for i in ideal_span(p, degree_cap).pivots:
+            counts = words[i].gen_counts()
             if counts.get(0, 0) == 2:
                 i = counts.get(1, 0)
                 x2[i] = x2.get(i, 0) + 1

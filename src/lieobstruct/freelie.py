@@ -4,8 +4,8 @@ Basis words are iterated left-normed brackets [h1,...,hk], shorthand for
 [...[[h1,h2],h3],...,hk], where all hj come from the previous level and
 h1 < h2 >= h3 >= ... >= hk in a fixed total order.  Level 0 is the
 generators; the words of level >= l, taken together, give a basis of the
-l-th derived subalgebra, so enumerating by level answers derived-series
-questions by counting.
+l-th derived subalgebra, which is an ideal, so enumerating by level answers
+derived-series questions by counting.
 
 The fixed total order compares level first (a word of LOWER level is
 GREATER than any word of higher level), then total degree, then child
@@ -378,10 +378,10 @@ class _MultidegreeSolver:
             if not row:
                 raise InternalError("basis words must expand independently")
 
-    def solve(self, tensor_poly: dict) -> dict:
-        res, combo = self.ech.reduce(
-            {_word_int(u, self.n_gens): c for u, c in tensor_poly.items()}
-        )
+    def solve(self, vec: dict) -> dict:
+        """The basis-word combination of a Lie polynomial of this
+        multidegree, given as a vector over _word_int columns."""
+        res, combo = self.ech.reduce(vec)
         if res:
             raise InternalError("commutator expansion escaped the Lie span")
         return {self.words[i]: c for i, c in combo.items()}
@@ -422,7 +422,7 @@ def _normalize_pair(n_gens, a: HallWord, b: HallWord) -> dict:
             for x, y in zip(multidegree(a, n_gens), multidegree(b, n_gens))
         )
         t = _tensor_commutator(tensor_expand(a), tensor_expand(b))
-        out = _solver(n_gens, md).solve(t)
+        out = _solver(n_gens, md).solve({_word_int(u, n_gens): c for u, c in t.items()})
     _PAIR_NORM[key] = out
     return out
 

@@ -383,10 +383,6 @@ class EchelonForm:
             self.combos[lead] = (combo, d)
         return cur, lead
 
-    def contains(self, vec: Mapping[int, Fraction]) -> bool:
-        cur, _ = _cleared(vec)
-        return self._eliminate(cur, True, None)[1] is None
-
     def backsubstitute(self) -> list[dict]:
         """Return the fully reduced (RREF) rows, sorted by pivot column."""
         pivots = self.pivots

@@ -104,15 +104,16 @@ def classifying_map(a, n):
     connection."""
     g, omega = canonical_connection(a, n)
     assert is_flat(a, g, omega)
-    return _morphism_from_connection(a, ce_cochain(g, 3), omega)
+    return _morphism_from_connection(a, ce_cochain(g), omega)
 
 
 def wedge_table_reference(ce):
     """The exterior stage with its product stored as a full table, built the
     way ce_cochain used to build it; all four generic checks run on it."""
     prod = {}
-    for i in range(1, ce.cap):
-        for j in range(1, ce.cap + 1 - i):
+    top = ce.cdga.top
+    for i in range(1, top):
+        for j in range(1, top + 1 - i):
             table = {}
             for a, ta in enumerate(ce.tuples[i]):
                 for b, tb in enumerate(ce.tuples[j]):
@@ -140,7 +141,7 @@ def assert_same_products(a, b):
 
 
 def test_heisenberg_cochain_differential():
-    ce = ce_cochain(HEIS_ALG, 3)
+    ce = ce_cochain(HEIS_ALG)
     # d(u3) = -u1^u2, the other generators are closed
     assert ce.cdga.diff[1].columns == {2: {0: Fraction(-1)}}
     assert ce.cdga.names[1] == ("u1", "u2", "u3")
@@ -148,7 +149,7 @@ def test_heisenberg_cochain_differential():
 
 
 def test_heisenberg_cochain_betti():
-    ce = ce_cochain(HEIS_ALG, 3)
+    ce = ce_cochain(HEIS_ALG)
     assert [cohomology(ce.cdga, i)[0] for i in range(4)] == [1, 2, 2, 1]
 
 
@@ -158,21 +159,14 @@ def test_cochain_matches_presentation_quotient():
     g = lcs_quotient(load_presentation(data_path("pres_heis.json")), 3)
     assert g.dim == HEIS_ALG.dim
     assert g.brackets == HEIS_ALG.brackets
-    ce = ce_cochain(g, 3)
+    ce = ce_cochain(g)
     assert [cohomology(ce.cdga, i)[0] for i in range(4)] == [1, 2, 2, 1]
 
 
 def test_abelian_cochain_is_closed():
-    ce = ce_cochain(abelian(4), 3)
+    ce = ce_cochain(abelian(4))
     for n in range(1, 4):
         assert ce.cdga.diff[n].is_zero()
-
-
-def test_cochain_rejects_bad_caps():
-    with pytest.raises(CeError):
-        ce_cochain(HEIS_ALG, 1)
-    with pytest.raises(CeError):
-        ce_cochain(HEIS_ALG, 4)
 
 
 def jacobi_failure():
@@ -190,22 +184,11 @@ def test_cochain_rejects_jacobi_failure():
     bad = jacobi_failure()
     assert not bad.check_jacobi()
     with pytest.raises(CeError, match="Jacobi"):
-        ce_cochain(bad, 3)
-
-
-def test_cochain_cap_two_rejects_jacobi_failure():
-    with pytest.raises(CeError, match="Jacobi"):
-        ce_cochain(jacobi_failure(), 2)
-
-
-def test_cochain_cap_two_has_no_triple_degree():
-    ce = ce_cochain(HEIS_ALG, 2)
-    assert ce.cdga.top == 2
-    assert len(ce.tuples) == 3
+        ce_cochain(bad)
 
 
 def test_cochain_is_an_exterior_stage():
-    ce = ce_cochain(HEIS_ALG, 3)
+    ce = ce_cochain(HEIS_ALG)
     assert isinstance(ce.cdga.prod, WedgeProduct)
     # u1 * (u2^u3) is the top class, u2 * (u1^u3) its negative
     assert ce.cdga.mul(1, {0: ONE}, 2, {2: ONE}) == {0: ONE}
@@ -223,7 +206,7 @@ def test_exterior_products_match_table_reference():
 
 
 def test_exterior_stage_checks_dimensions():
-    ce = ce_cochain(HEIS_ALG, 3)
+    ce = ce_cochain(HEIS_ALG)
     with pytest.raises(CdgaError, match="exterior"):
         FiniteCdga(ce.cdga.names, ce.cdga.diff, WedgeProduct(4, 3))
     with pytest.raises(CdgaError, match="stops below"):
@@ -232,7 +215,7 @@ def test_exterior_stage_checks_dimensions():
 
 def test_exterior_stage_rejects_leibniz_sign_flip():
     """A sign flip in one d(u_i^u_j) column that d^2 = 0 cannot see."""
-    ce = ce_cochain(lcs_quotient(FREE2, 4), 3)
+    ce = ce_cochain(lcs_quotient(FREE2, 4))
     d1, d2 = ce.cdga.diff[1], ce.cdga.diff[2]
     hit = {p for k in range(d1.cols) for p in d1.col(k)}
     p = next(p for p in range(d2.cols) if d2.col(p) and p not in hit)
@@ -294,7 +277,7 @@ def test_cochain_is_transpose_of_boundary():
     """The degree-one cochain differential is the plain transpose of the
     second boundary map; both pin c_ij^k with the same sign."""
     for g in (HEIS_ALG, lcs_quotient(FREE2, 4), lcs_quotient(FREE2, 5)):
-        ce = ce_cochain(g, 3)
+        ce = ce_cochain(g)
         d2 = ce_chain_boundary(g, 2)
         d1 = ce.cdga.diff[1]
         assert (d1.rows, d1.cols) == (d2.cols, d2.rows)
@@ -385,7 +368,7 @@ def test_nonflat_connection_detected():
     assert not is_flat(TORUS, g, omega)
     # so the induced degreewise maps do not commute with d
     with pytest.raises(CdgaError, match="commute with d"):
-        _morphism_from_connection(TORUS, ce_cochain(g, 3), omega)
+        _morphism_from_connection(TORUS, ce_cochain(g), omega)
 
 
 def test_connection_entries_validated():
@@ -415,7 +398,7 @@ def test_abelian_target_makes_everything_flat(omega):
 
 def test_flat_morphism_recovers_connection():
     g, omega = canonical_connection(HEIS, 3)
-    f = _morphism_from_connection(HEIS, ce_cochain(g, 3), omega)
+    f = _morphism_from_connection(HEIS, ce_cochain(g), omega)
     assert {(i, k): c for k in range(g.dim) for i, c in f.maps[1].col(k).items()} == omega
     # u3 is sent to -a3
     assert f.apply(1, {2: ONE}) == {2: Fraction(-1)}
@@ -424,7 +407,7 @@ def test_flat_morphism_recovers_connection():
 
 
 def test_zero_connection_morphism_kills_positive_degrees():
-    f = _morphism_from_connection(HEIS, ce_cochain(HEIS_ALG, 3), {})
+    f = _morphism_from_connection(HEIS, ce_cochain(HEIS_ALG), {})
     for i in range(1, 4):
         assert f.maps[i].is_zero()
 

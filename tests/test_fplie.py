@@ -2,9 +2,9 @@
 
 The independent oracle for ideal_span is a brute-force closure that brackets
 with every basis word, not just generators; the two must agree degreewise.
-The Hall-coordinate Hopf H2 (closure, then generator brackets ranked in
-basis-word coordinates) is kept here as the reference for the
-tensor-coordinate h2_graded.  Quotient structure constants are validated
+The Hall-coordinate ideal closure (hall_ideal_span) is the whole-row
+reference for ideal_span, which closes in tensor coordinates, and the
+Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  Quotient structure constants are validated
 through the Jacobi and filtration checks plus hand-computed small examples.
 """
 
@@ -34,7 +34,7 @@ from lieobstruct.fplie import (
     LiePresentation,
     PresentationError,
     _coords,
-    _relator_instances,
+    _eliminate_linear,
     finiteness_scan,
     h2_graded,
     ideal_span,
@@ -45,7 +45,7 @@ from lieobstruct.fplie import (
     presentation_from_dict,
     presentation_to_dict,
 )
-from lieobstruct.ratlin import ONE, EchelonForm
+from lieobstruct.ratlin import ONE, EchelonForm, Subspace
 
 
 def pres(gens, relator_strings, scheme=None):
@@ -163,27 +163,59 @@ def test_h2_metabelian_small_degrees():
     assert dims[1] == dims[2] == dims[3] == dims[4] == 0
 
 
-def hall_h2_reference(p, cap):
-    """Hopf H2 in Hall coordinates: close the relators under generator
-    brackets, then rank the generator brackets of the closure's spanning
-    elements; pivot degrees give the dimensions."""
+def hall_ideal_span(p, cap):
+    """The ideal through degree cap, closed in Hall coordinates: the
+    relators, or a derived ideal's basis words, bracketed with generators by
+    freelie.bracket until the span stops growing."""
     n = p.n_gens
-    words = hall_basis_derived(n, 0, cap)
+    if isinstance(p.scheme, DerivedIdeal):
+        start = [LieElement(n, {w: ONE}) for w in hall_basis_derived(n, p.scheme.level, cap)]
+    else:
+        start = [r.truncate(cap) for r in p.scheme.relators]
     gens = [gen_elt(n, i) for i in range(n)]
     ech = EchelonForm()
-    spanning = []
-    pool = deque(_relator_instances(p, cap))
+    pool = deque(start)
     while pool:
         e = pool.popleft()
         if ech.insert(_coords(e, cap))[0]:
-            spanning.append(e)
             pool.extend(bracket(g, e).truncate(cap) for g in gens)
-    j_dims = Counter(words[piv].degree for piv in ech.pivots)
-    ech2 = EchelonForm()
+    ambient = len(hall_basis_derived(n, 0, cap))
+    return Subspace(ambient, tuple(ech.backsubstitute()), tuple(ech.pivots))
+
+
+def test_ideal_span_matches_hall_closure():
+    """Whole RREF rows, not just pivots, since lcs_quotient projects with
+    them: inhomogeneous random relators, pres_noncarnot with its linear
+    generators eliminated, the holonomy of the bundled and two seeded random
+    cdgas, and two derived ideals, which ideal_span reads off unclosed."""
+    rng = random.Random(20260818)
+    cases = [(random_presentation(rng, 2, 3), 7) for _ in range(7)]
+    cases += [(random_presentation(rng, 3, 2), 5) for _ in range(3)]
+    noncarnot = load_presentation(data_path("pres_noncarnot.json"))
+    cases.append((_eliminate_linear(noncarnot, 5)[0], 5))
+    holonomies = [holonomy(load_cdga(data_path(f"{name}.json")))
+                  for name in ("heis", "noncarnot", "torus", "wedge2")]
+    holonomies += [random_cdga_holonomy(5, 3, 2), random_cdga_holonomy(6, 4, 4)]
+    cases += [(h, {2: 9, 3: 6, 4: 4, 5: 3}[h.n_gens]) for h in holonomies]
+    cases += [(METAB, 8), (pres(("x", "y", "z"), (), scheme=DerivedIdeal(1)), 4)]
+    for p, cap in cases:
+        assert ideal_span(p, cap) == hall_ideal_span(p, cap), presentation_to_dict(p)
+
+
+def hall_h2_reference(p, cap):
+    """Hopf H2 in Hall coordinates: rank the generator brackets of the RREF
+    rows of hall_ideal_span, which are homogeneous for a graded ideal; pivot
+    degrees give the dimensions."""
+    n = p.n_gens
+    words = hall_basis_derived(n, 0, cap)
+    span = hall_ideal_span(p, cap)
+    j_dims = Counter(words[piv].degree for piv in span.pivots)
+    ech = EchelonForm()
     ad_dims = Counter()
-    for e in spanning:
-        for g in gens:
-            piv = ech2.insert(_coords(bracket(g, e).truncate(cap), cap))[1]
+    for row in span.basis_rows:
+        e = LieElement(n, {words[i]: c for i, c in row.items()})
+        for g in range(n):
+            piv = ech.insert(_coords(bracket(gen_elt(n, g), e).truncate(cap), cap))[1]
             if piv is not None:
                 ad_dims[words[piv].degree] += 1
     return {k: j_dims[k] - ad_dims[k] for k in range(1, cap + 1)}
