@@ -14,10 +14,9 @@ from lieobstruct.cdga import holonomy, load_cdga, resonance_trivial_probe
 from lieobstruct.ce import (
     canonical_filtration,
     check_stability,
-    tower_from_cdga,
+    hirsch_tower,
     verify_one_equivalence,
 )
-from lieobstruct.fplie import lcs_quotient
 from lieobstruct.freelie import format_element
 
 MODELS = ("heis", "noncarnot", "torus", "wedge2")
@@ -35,10 +34,9 @@ def main():
         print(f"== {name} ==")
         rels = [format_element(r, p.generators) for r in p.scheme.relators]
         print(f"holonomy on {len(p.generators)} generators, relators: {rels}")
-        g = lcs_quotient(p, top)
+        tower = hirsch_tower(p, top)
+        g = tower.stages[top].algebra
         print(f"quotient dims by weight: {g.dims_by_weight()}")
-
-        tower = tower_from_cdga(a, top)
         voe = {n: verify_one_equivalence(a, tower, n) for n in range(2, top)}
         print(
             "one-equivalence (h1 iso, h2 kernel):",

@@ -859,6 +859,9 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
     if any(k < 1 for k in keys):
         raise CdgaError("degrees start at 1; the unit is implicit")
     top = max(keys)
+    if top > 3:
+        # before any per-degree row is built: a huge key would cost its size
+        raise CdgaError(f"top degree {top} unsupported, need <= 3")
     names = [("1",)]
     for i in range(1, top + 1):
         row = degrees.get(str(i), [])

@@ -402,6 +402,35 @@ class NilpotentLieAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
+    def truncate(self, class_bound: int) -> "NilpotentLieAlgebra":
+        """The quotient by the weights >= class_bound, for a class_bound no
+        larger than this one's.  Weights never decrease along the basis, so
+        the kept basis is a prefix; a bracket entry is kept when both its
+        indices are and its cut table is nonzero."""
+        if not 1 <= class_bound <= self.class_bound:
+            raise PresentationError(
+                f"need 1 <= class bound <= {self.class_bound}, got {class_bound}"
+            )
+        k = sum(1 for w in self.weights if w < class_bound)
+
+        def cut(vec):
+            return {m: c for m, c in vec.items() if m < k}
+
+        brackets = {}
+        for (i, j), table in self.brackets.items():
+            if j < k:
+                small = cut(table)
+                if small:
+                    brackets[(i, j)] = small
+        return NilpotentLieAlgebra(
+            class_bound=class_bound,
+            gen_names=self.gen_names,
+            labels=self.labels[:k],
+            weights=self.weights[:k],
+            brackets=brackets,
+            gen_images=tuple(cut(v) for v in self.gen_images),
+        )
+
     def dims_by_weight(self) -> dict:
         out = {k: 0 for k in range(1, max(self.class_bound, 1))}
         for w in self.weights:
@@ -481,8 +510,10 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
 
     The basis is the set of non-pivot basis words of the ambient free
     nilpotent algebra after quotienting by the truncated relator ideal;
-    weights are word degrees.  Bases at different class bounds agree on
-    shared weights.
+    weights are word degrees, non-decreasing along the basis.  Quotients at
+    different class bounds agree across classes: lcs_quotient(p, n) equals
+    lcs_quotient(p, N).truncate(n) for n <= N, and ce.hirsch_tower builds
+    every lower stage that way from one quotient.
     """
     if class_bound < 1:
         raise PresentationError(f"class bound must be >= 1, got {class_bound}")

@@ -525,6 +525,23 @@ def test_tower_inclusions_are_hirsch_extensions():
                     assert i < ds and j < ds
 
 
+def test_tower_stages_match_per_stage_quotients():
+    """Each stage of a tower, cut from its top quotient, is the stage built
+    from its own quotient: lcs_quotient(p, n) and its cochain cdga.
+    pres_noncarnot is filtered, not graded."""
+    inputs = [holonomy(a) for a in ALL_CDGAS + RANDOM_CDGAS]
+    inputs += [
+        load_presentation(data_path(name))
+        for name in ("free_metabelian.json", "pres_noncarnot.json")
+    ]
+    for p in inputs:
+        t = hirsch_tower(p, 5)
+        for n in range(2, 6):
+            own = lcs_quotient(p, n)
+            assert t.stages[n].algebra == own
+            assert t.stages[n].cdga == ce_cochain(own).cdga
+
+
 def test_tower_h1_is_stable():
     t = tower_from_cdga(NONCARNOT, 5)
     for n in range(2, 6):

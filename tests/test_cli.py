@@ -139,6 +139,17 @@ def test_holonomy_noncanonical_degree_key_is_domain_error(degrees, tmp_path, cap
     assert "'01'" in err["message"]
 
 
+def test_holonomy_huge_degree_key_is_rejected_before_any_work(tmp_path, capsys):
+    """A degree key far above 3 fails at once with the top-degree error; no
+    per-degree row is built up to it first."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degrees": {"1": ["a"], "1000000000": []}}))
+    code, err = run_error(capsys, "holonomy", str(bad))
+    assert code == 1
+    assert err["type"] == "CdgaError"
+    assert "need <= 3" in err["message"]
+
+
 def test_resonance_zero_denominator_point_is_domain_error(capsys):
     code, err = run_error(
         capsys, "resonance", data_path("wedge2.json"), "--point", "1/0*a1"
@@ -272,6 +283,8 @@ GOLDEN_REPORT_SHA256 = {
         "646967edf2e393a21a9fea768dddb17005988cb5bf3304309e5482b454ff949b",
     ("classify", "noncarnot.json", "--stage", "6"):
         "5ddb78a40386dc16960710b3833d1c92b228c22ed625926bacd5ebb2cc43de72",
+    ("classify", "heis.json", "--stage", "7"):
+        "789d133f2aaf0dbda85ca8f4814f3ef0db9c324f6ffa5155a5b4ef61ba1a7f91",
     ("linearize", "pres_cubic.json"):
         "064f6780ac974c9d7b4ee77db8e92dce93b2afe319de26bcf46f4e4106e95c15",
     ("linearize", "pres_noncarnot.json"):
@@ -291,7 +304,8 @@ def test_report_is_pinned(case, tmp_path, capsys):
     (relators included), fixed, resonance probe and point dims, linearize
     (pres_cubic also at degree and class 4, where the rewritten
     presentation has 30 generators), and classify reports whose towers reach
-    stage 9 of a free Lie algebra and stage 7 of noncarnot."""
+    stage 9 of a free Lie algebra, stage 7 of noncarnot and stage 8 of heis,
+    a graded tower that is not free."""
     out = tmp_path / "report.json"
     argv = [data_path(a) if a.endswith(".json") else a for a in case]
     assert main(argv + ["--out", str(out)]) == 0

@@ -353,10 +353,11 @@ def random_cdga_holonomy(seed, gens, classes):
 
 
 def test_quotient_tower_compatibility():
-    """lcs_quotient(p, n) is lcs_quotient(p, 6) cut to weights < n: labels,
-    weights, generator images and brackets, with no bracket entry of the big
-    algebra among the small indices that the small one lacks.  pres_noncarnot
-    has linear parts, so its quotients are filtered, not graded."""
+    """lcs_quotient(p, n) is lcs_quotient(p, 6) cut to weights < n, as a
+    whole: class bound, generator names, labels, weights, generator images
+    and brackets.  The weights < n come first in the big basis, so the cut
+    keeps a prefix.  pres_noncarnot has linear parts, so its quotients are
+    filtered, not graded."""
     top = 6
     inputs = [HEIS, XXY, METAB, load_presentation(data_path("pres_noncarnot.json"))]
     for name in ("heis", "noncarnot", "torus", "wedge2"):
@@ -367,17 +368,9 @@ def test_quotient_tower_compatibility():
         for n in range(2, top):
             small = lcs_quotient(p, n)
             k = small.dim
-
-            def cut(vec):
-                return {m: c for m, c in vec.items() if m < k}
-
             assert all(w < n for w in big.weights[:k])
             assert all(w >= n for w in big.weights[k:])
-            assert big.labels[:k] == small.labels
-            assert big.weights[:k] == small.weights
-            assert [cut(v) for v in big.gen_images] == list(small.gen_images)
-            for i, j in combinations(range(k), 2):
-                assert cut(big.brackets.get((i, j), {})) == small.brackets.get((i, j), {})
+            assert big.truncate(n) == small
 
 
 def test_metabelian_quotient_dims():
@@ -406,6 +399,12 @@ def test_trivial_class_bounds():
     assert q2.dims_by_weight() == {1: 2}
     with pytest.raises(PresentationError):
         lcs_quotient(HEIS, 0)
+    top = lcs_quotient(HEIS, 4)
+    assert top.truncate(1) == q
+    assert top.truncate(4) == top
+    for bad in (0, 5):
+        with pytest.raises(PresentationError):
+            top.truncate(bad)
 
 
 def test_linearize_heisenberg():
