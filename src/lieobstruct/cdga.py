@@ -842,9 +842,16 @@ class _ExprParser:
         return deg, vec
 
 
+def _reject_unknown_keys(data: dict, known, what: str):
+    for key in data:
+        if key not in known:
+            raise CdgaError(f"unknown key {key!r}; {what} has {', '.join(known)}")
+
+
 def cdga_from_dict(data: dict) -> FiniteCdga:
     if not isinstance(data, dict):
         raise CdgaError("cdga file must hold a JSON object")
+    _reject_unknown_keys(data, ("degrees", "d", "mu"), "a cdga")
     degrees = data.get("degrees")
     if not isinstance(degrees, dict) or not degrees:
         raise CdgaError('"degrees" must map degree strings to name lists')
@@ -975,6 +982,7 @@ def load_cdga(path) -> FiniteCdga:
 def action_from_dict(a: FiniteCdga, data: dict) -> GroupAction:
     if not isinstance(data, dict):
         raise CdgaError("action file must hold a JSON object")
+    _reject_unknown_keys(data, ("elements", "table", "maps"), "an action")
     elements = data.get("elements")
     if not isinstance(elements, list) or not elements:
         raise CdgaError('"elements" must be a nonempty list')

@@ -671,6 +671,11 @@ def linearize_presentation(p: LiePresentation, max_relator_degree: int) -> LiePr
 def presentation_from_dict(data: dict) -> LiePresentation:
     if not isinstance(data, dict):
         raise PresentationError("presentation file must hold a JSON object")
+    for key in data:
+        if key not in ("generators", "relators", "scheme"):
+            raise PresentationError(
+                f"unknown key {key!r}; a presentation has generators, relators, scheme"
+            )
     gens = data.get("generators")
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise PresentationError('"generators" must be a list of names')

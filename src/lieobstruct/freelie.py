@@ -13,6 +13,10 @@ sequences lexicographically.  Only same-level comparisons matter for the
 chain condition above; the cross-level rule fixes one global order so that
 listings and pivot choices are reproducible.
 
+The basis is built degree by degree, once per alphabet and level in a
+process: each layer of one level and one degree is made from lower layers,
+and a degree cap reads a prefix of the layers already built.
+
 Arbitrary brackets are rewritten into the basis by expanding both sides in
 the tensor algebra (the free Lie algebra sits inside it, multidegree by
 multidegree) and solving the resulting exact linear system over the basis
@@ -181,63 +185,72 @@ def _check_enum_args(n_gens, level, max_degree):
         raise LieError(f"degree cap must be >= 0, got {max_degree}")
 
 
-@lru_cache(maxsize=None)
+# (n_gens, level) -> [words of degree 0, of degree 1, ...], grown on demand
+_LAYERS: dict = {}
+
+
+def _layer(n_gens: int, level: int, d: int):
+    """The basis words of exactly this level and degree, in the fixed order.
+
+    A level-l word has degree >= 2**l, which d.bit_length() decides without
+    forming the power, and one letter has no word above level 0.  Each
+    layer is built once, from lower layers: the pairs h1 < h2 one level
+    down, and a shorter word of this level with one more child h <= its
+    last child.
+    """
+    if level == 0:
+        return tuple(generator(g) for g in range(n_gens)) if d == 1 else ()
+    if n_gens == 1 or d.bit_length() <= level:
+        return ()
+    layers = _LAYERS.setdefault((n_gens, level), [])
+    while len(layers) <= d:
+        m = len(layers)
+        out = []
+        for e in range(1, m // 2 + 1):
+            low, high = _layer(n_gens, level - 1, e), _layer(n_gens, level - 1, m - e)
+            for i, h1 in enumerate(low):
+                for h2 in high[i + 1:] if 2 * e == m else high:
+                    out.append(HallWord(level, children=(h1, h2), _validate=False))
+            for w in layers[m - e]:
+                for h in low:
+                    if w.children[-1].key < h.key:
+                        break
+                    out.append(HallWord(level, children=w.children + (h,), _validate=False))
+        out.sort(key=lambda w: w.key)
+        layers.append(tuple(out))
+    return layers[d]
+
+
 def hall_level(n_gens: int, level: int, max_degree: int):
     """All basis words of exactly this level with total degree <= max_degree,
-    in the fixed total order."""
+    in the fixed total order: the layers of degrees 1..max_degree."""
     _check_enum_args(n_gens, level, max_degree)
-    if level == 0:
-        if max_degree < 1:
-            return ()
-        return tuple(generator(g) for g in range(n_gens))
-    if 2 ** level > max_degree:
-        return ()
-    prev = hall_level(n_gens, level - 1, max_degree - 2 ** (level - 1))
-    out = []
-
-    def extend(indices, total):
-        if len(indices) >= 2:
-            out.append(bracket_word(tuple(prev[i] for i in indices)))
-        last = indices[-1]
-        for nxt in range(last + 1):
-            d = total + prev[nxt].degree
-            if d <= max_degree:
-                extend(indices + (nxt,), d)
-
-    for i in range(len(prev)):
-        for j in range(i + 1, len(prev)):
-            d = prev[i].degree + prev[j].degree
-            if d <= max_degree:
-                extend((i, j), d)
-    out.sort(key=lambda w: w.key)
-    return tuple(out)
+    return tuple(w for d in range(1, max_degree + 1) for w in _layer(n_gens, level, d))
 
 
-@lru_cache(maxsize=None)
 def hall_basis_derived(n_gens: int, derived_level: int, max_degree: int):
     """Union of hall_level over levels >= derived_level, degree <= cap.
 
-    Sorted degree-major, then by the fixed total order within a degree; this
-    is also the pivot column order used everywhere downstream.
+    Sorted degree-major, then by the fixed total order within a degree
+    (higher level first); this is also the pivot column order used
+    everywhere downstream.
     """
     _check_enum_args(n_gens, derived_level, max_degree)
+    top = max_degree if n_gens > 1 else min(max_degree, 1)  # one letter: x alone
     words = []
-    level = derived_level
-    while level == 0 or 2 ** level <= max_degree:
-        words.extend(hall_level(n_gens, level, max_degree))
-        level += 1
-        if level > 0 and 2 ** level > max_degree:
-            break
-    words.sort(key=lambda w: (w.degree, w.key))
+    for d in range(1, top + 1):
+        for level in range(d.bit_length() - 1, derived_level - 1, -1):
+            words.extend(_layer(n_gens, level, d))
     return tuple(words)
 
 
 @lru_cache(maxsize=None)
 def hall_words_of_degree(n_gens: int, degree: int):
     """Basis words of exact total degree, grouped by multidegree."""
+    _check_enum_args(n_gens, 0, degree)
     grouped: dict = {}
-    for w in hall_basis_derived(n_gens, 0, degree):
-        if w.degree == degree:
+    for level in range(degree.bit_length() - 1, -1, -1):
+        for w in _layer(n_gens, level, degree):
             grouped.setdefault(multidegree(w, n_gens), []).append(w)
     return {md: tuple(ws) for md, ws in grouped.items()}
 

@@ -106,6 +106,23 @@ def test_loader_errors():
         cdga_from_dict({"degrees": {}})
 
 
+def test_cdga_rejects_unknown_keys():
+    with pytest.raises(CdgaError, match="'dd'"):
+        cdga_from_dict({"degrees": {"1": ["a"], "2": ["b"]}, "dd": {"b": "a"}})
+
+
+def test_action_rejects_unknown_keys():
+    with pytest.raises(CdgaError, match="'map'"):
+        action_from_dict(
+            TORUS,
+            {
+                "elements": ["e", "s"],
+                "table": {"e,e": "e", "e,s": "s", "s,e": "s", "s,s": "e"},
+                "map": {"s": {"a1": "a2", "a2": "a1", "b": "-b"}},
+            },
+        )
+
+
 # -- cohomology -------------------------------------------------------------
 
 def test_betti_numbers():

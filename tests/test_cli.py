@@ -139,6 +139,26 @@ def test_holonomy_noncanonical_degree_key_is_domain_error(degrees, tmp_path, cap
     assert "'01'" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, bad, kind",
+    [
+        (["h2scan", "BAD", "--deg", "3"],
+         {"generators": ["x", "y"], "relator": ["[x,y]"]}, "PresentationError"),
+        (["holonomy", "BAD"], {"degrees": {"1": ["a"]}, "comment": "x"}, "CdgaError"),
+        (["fixed", data_path("torus.json"), "BAD"],
+         {"elements": ["e"], "table": {"e,e": "e"}, "maps": {}, "note": ""}, "CdgaError"),
+    ],
+    ids=["presentation", "cdga", "action"],
+)
+def test_unknown_top_level_key_is_domain_error(argv, bad, kind, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, err = run_error(capsys, *[str(path) if a == "BAD" else a for a in argv])
+    assert code == 1
+    assert err["type"] == kind
+    assert "unknown key" in err["message"]
+
+
 def test_holonomy_huge_degree_key_is_rejected_before_any_work(tmp_path, capsys):
     """A degree key far above 3 fails at once with the top-degree error; no
     per-degree row is built up to it first."""
@@ -263,6 +283,14 @@ def test_classify_stage5_report_is_pinned(model, tmp_path, capsys):
 
 
 GOLDEN_REPORT_SHA256 = {
+    ("hall", "--gens", "2", "--level", "2", "--deg", "14"):
+        "75d0f36571436861c8abd1c7312612d9565f7d4a54f5a1e54189d38ab083727c",
+    ("hall", "--gens", "3", "--deg", "9"):
+        "3041414a7df0cb088cef68679b5b5c5f83f22426ed75f51f6f2d2f487dc02d34",
+    ("hall", "--gens", "1", "--deg", "4"):
+        "7aa6d4d5232a8d1688ddeb03255690feb93c5d36bfef2b0a0f189211ab9e6350",
+    ("hall", "--gens", "2", "--level", "4", "--deg", "10"):
+        "df1be73b2a0c29b90ba3f0b6613c35ef8f0159704ead05d95384710e5404efde",
     ("h2scan", "pres_cubic.json", "--deg", "10"):
         "ea72e638a88743dd1f0431b16288a83f0dcd21c9d19296b6b89bc19b3ee57a09",
     ("h2scan", "free_metabelian.json", "--deg", "12"):
@@ -305,7 +333,8 @@ def test_report_is_pinned(case, tmp_path, capsys):
     (pres_cubic also at degree and class 4, where the rewritten
     presentation has 30 generators), and classify reports whose towers reach
     stage 9 of a free Lie algebra, stage 7 of noncarnot and stage 8 of heis,
-    a graded tower that is not free."""
+    a graded tower that is not free, and hall reports (the second derived
+    level to degree 14, three letters, one letter, and an empty level)."""
     out = tmp_path / "report.json"
     argv = [data_path(a) if a.endswith(".json") else a for a in case]
     assert main(argv + ["--out", str(out)]) == 0

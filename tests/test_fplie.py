@@ -259,6 +259,14 @@ def test_h2_matches_hall_coordinate_reference():
         assert h2_graded(p, cap) == hall_h2_reference(p, cap), presentation_to_dict(p)
 
 
+def test_presentation_rejects_unknown_keys():
+    """A misspelt key must not load as the free Lie algebra."""
+    with pytest.raises(PresentationError, match="'relator'"):
+        presentation_from_dict({"generators": ["x", "y"], "relator": ["[x,y]"]})
+    with pytest.raises(PresentationError, match="'name'"):
+        presentation_from_dict({"generators": ["x"], "scheme": "finite", "name": "p"})
+
+
 def test_h2_rejects_inhomogeneous():
     with pytest.raises(PresentationError):
         h2_graded(HEIS, 4)

@@ -5,12 +5,15 @@ oracles here; enumeration counts and normalized brackets must reproduce them
 exactly.
 """
 
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieobstruct import freelie
 from lieobstruct.freelie import (
     LieElement,
     LieError,
@@ -117,6 +120,60 @@ def test_basis_order_is_degree_major():
         if a.degree == b.degree:
             assert a.key < b.key
     assert len(set(keys)) == len(keys)
+
+
+def hall_level_reference(n_gens, level, max_degree):
+    """The recursive enumerator the degree layers replaced: every chain
+    h1 < h2 >= ... >= hk over the previous level within the cap, sorted."""
+    if level == 0:
+        return tuple(generator(g) for g in range(n_gens)) if max_degree >= 1 else ()
+    if 2 ** level > max_degree:
+        return ()
+    prev = hall_level_reference(n_gens, level - 1, max_degree - 2 ** (level - 1))
+    out = []
+
+    def extend(indices, total):
+        if len(indices) >= 2:
+            out.append(bracket_word(tuple(prev[i] for i in indices)))
+        for nxt in range(indices[-1] + 1):
+            d = total + prev[nxt].degree
+            if d <= max_degree:
+                extend(indices + (nxt,), d)
+
+    for i in range(len(prev)):
+        for j in range(i + 1, len(prev)):
+            d = prev[i].degree + prev[j].degree
+            if d <= max_degree:
+                extend((i, j), d)
+    out.sort(key=lambda w: w.key)
+    return tuple(out)
+
+
+def test_layers_match_the_recursive_reference(monkeypatch):
+    """Caps requested in shuffled order on an empty layer cache, so both
+    prefix reads of built layers and growth to new degrees are checked."""
+    monkeypatch.setattr(freelie, "_LAYERS", {})
+    top = {1: 12, 2: 12, 3: 8, 4: 6}
+    cases = [(n, lv, c) for n in top for lv in range(4) for c in range(top[n] + 1)]
+    random.Random(11).shuffle(cases)
+    for n, level, cap in cases:
+        want = hall_level_reference(n, level, cap)
+        assert hall_level(n, level, cap) == want
+        union = [w for lv in range(level, 4) for w in hall_level_reference(n, lv, cap)]
+        union.sort(key=lambda w: (w.degree, w.key))
+        assert hall_basis_derived(n, level, cap) == tuple(union)
+
+
+def test_hall_counts_match_witt_through_degree_14():
+    words = hall_basis_derived(2, 0, 14)
+    assert counts_by_degree(words, 14) == [witt_dim(2, d) for d in range(1, 15)]
+
+
+def test_huge_level_is_empty_without_work():
+    t0 = time.perf_counter()
+    assert hall_level(2, 10**8, 20) == ()
+    assert hall_basis_derived(3, 10**8, 1000) == ()
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_enumeration_argument_errors():
