@@ -47,7 +47,7 @@ from .fplie import (
     load_presentation,
     presentation_to_dict,
 )
-from .freelie import LieError, hall_basis_derived, multidegree
+from .freelie import LieError, hall_basis_derived
 from .ratlin import InternalError, LinAlgError, scalar_to_json
 
 __all__ = ["main"]
@@ -119,15 +119,17 @@ def cmd_hall(args, phases: _Phases) -> dict:
         "degree_counts": counts,
     }
     if args.gens == 2:
-        # slice of basis words using the first generator exactly twice,
-        # indexed by the multiplicity of the second; enumeration runs two
-        # degrees past the cap so every index up to --deg is covered
-        x2 = {i: 0 for i in range(1, args.deg + 1)}
-        for w in hall_basis_derived(2, args.level, args.deg + 2):
-            a, b = multidegree(w, 2)
-            if a == 2 and b <= args.deg:
-                x2[b] += 1
-        results["x2_slice"] = x2
+        # basis words of multidegree (2, b), counted in closed form.  Level
+        # <= 1 holds every word of the multidegree, and the Witt count
+        # (1/(b+2)) sum over d | gcd(2, b) of mu(d) binom((b+2)/d, 2/d) is
+        # (b+1)/2 for odd b and b/2 for even b.  A level-2 word of x-degree
+        # 2 has two level-1 children of x-degree 1, [x,y^k] < [x,y^l] with
+        # k != l and k + l = b: (b-1)//2 pairs.  A level-3 word has at least
+        # two level-2 children, so its x-degree is at least 4.
+        shift = {0: 1, 1: 1, 2: -1}.get(args.level)
+        results["x2_slice"] = {
+            b: (b + shift) // 2 if shift else 0 for b in range(1, args.deg + 1)
+        }
         phases.mark("x2_slice")
     return results
 

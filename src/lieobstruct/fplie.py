@@ -6,17 +6,18 @@ here is degree-truncated: ideal spans live inside the free Lie algebra in
 degrees <= D, lower-central-series quotients live in the free nilpotent
 algebra of the matching class.
 
-Both the ideal span and the Hopf formula use the fact that for an ideal J
-generated by a set R, the subspace [L, J] equals [A, J] where A is the
-generator alphabet, so closing R under bracketing with generators alone
-already spans the ideal degreewise.  That closure runs once, in
+The ideal span, the Hopf formula and the quotients use the fact that for
+an ideal J generated by a set R, the subspace [L, J] equals [A, J] where A
+is the generator alphabet, so closing R under bracketing with generators
+alone already spans the ideal degreewise.  That closure runs once, in
 tensor-algebra coordinates, where the bracket with a generator g is
-g*t - t*g and needs no rewriting into the basis; the free Lie algebra
-embeds there, so ranks and spans taken there are exact.  Ideal spans are
-then written back in Hall (basis-word) coordinates.  The second homology of
+g*t - t*g and needs no rewriting into the basis.  A Lie polynomial is
+determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
+Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
+Lie elements is taken on those columns alone.  Only ideal_span writes its
+basis back in Hall (basis-word) coordinates.  The second homology of
 L = free/J is J/[L, J] (Hopf's formula), computed degree by degree for
-homogeneous relator schemes from ranks alone, so it stays in tensor
-coordinates.
+homogeneous relator schemes from ranks alone.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
@@ -39,6 +40,7 @@ from .freelie import (
     LieElement,
     LieError,
     _solver,
+    _tensor_commutator,
     _word_int,
     apply_morphism,
     bracket,
@@ -48,6 +50,7 @@ from .freelie import (
     parse_element,
     format_element,
     tensor_expand,
+    witt_dim,
     word_str,
     zero,
 )
@@ -58,7 +61,6 @@ from .ratlin import (
     InternalError,
     Subspace,
     _cleared,
-    quotient_basis,
 )
 
 __all__ = [
@@ -142,11 +144,6 @@ def _word_index(n_gens: int, max_degree: int):
     return {w: i for i, w in enumerate(words)}
 
 
-def _coords(e: LieElement, max_degree: int) -> dict:
-    idx = _word_index(e.n_gens, max_degree)
-    return {idx[w]: c for w, c in e.terms.items()}
-
-
 def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     """The degree <= cap part of the ideal generated by the relator scheme,
     as a subspace of the free Lie algebra in the basis-word coordinates.
@@ -199,12 +196,46 @@ def _require_homogeneous(p: LiePresentation):
 
 
 def _tensor_parts(t: dict, n_gens: int) -> dict:
-    """A tensor polynomial {letter tuple: coefficient} as {degree: integer
-    vector over _word_int columns}, denominators cleared jointly."""
+    """A tensor polynomial {letter tuple: coefficient} as {degree: vector
+    over _word_int columns}."""
     parts: dict = {}
-    for u, c in _cleared(t)[0].items():
+    for u, c in t.items():
         parts.setdefault(len(u), {})[_word_int(u, n_gens)] = c
     return parts
+
+
+@lru_cache(maxsize=None)
+def _lyndon_columns(n_gens: int, d: int) -> dict:
+    """{_word_int key: column} for the Lyndon words of length d, listed by
+    Duval's algorithm in lexicographic order and numbered after the
+    witt_dim columns of every lower degree."""
+    cols: dict = {}
+    base = sum(witt_dim(n_gens, e) for e in range(1, d))
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == d:
+            cols[_word_int(w, n_gens)] = base + len(cols)
+        m = len(w)
+        while len(w) < d:
+            w.append(w[-m])
+        while w and w[-1] == n_gens - 1:
+            w.pop()
+    return cols
+
+
+def _lyndon(e: dict, n_gens: int) -> dict:
+    """{degree: vector over _word_int columns} on the Lyndon-word columns
+    of each degree.  This does not commute with ad, so every bracket is
+    formed on full tensors first."""
+    out = {}
+    for d, v in e.items():
+        cols = _lyndon_columns(n_gens, d)
+        for k, c in v.items():
+            j = cols.get(k)
+            if j is not None:
+                out[j] = c
+    return out
 
 
 def _ad_gen(g: int, v: dict, degree: int, n_gens: int) -> dict:
@@ -228,20 +259,19 @@ def _ideal_basis(p: LiePresentation, cap: int) -> list:
 
     J is spanned by the relators closed under the generator brackets, which
     here are g*t - t*g degree by degree, cut at the cap.  One echelon ranks
-    every degree, each at its own column offset, so an inhomogeneous
+    every degree on its own Lyndon-word columns, so an inhomogeneous
     relator stays one vector.  Elements already in the span are not closed
     further; linearity of ad makes that sound.
     """
     n = p.n_gens
-    offset = {1: 0}
-    for d in range(1, cap):
-        offset[d + 1] = offset[d] + n ** d
     ech = EchelonForm()
     basis = []
-    pool = deque(_tensor_parts(lie_tensor(r.truncate(cap)), n) for r in p.scheme.relators)
+    pool = deque(
+        _tensor_parts(_cleared(lie_tensor(r.truncate(cap)))[0], n) for r in p.scheme.relators
+    )
     while pool:
         e = pool.popleft()
-        if ech.insert({offset[d] + k: c for d, v in e.items() for k, c in v.items()})[0]:
+        if ech.insert(_lyndon(e, n))[0]:
             basis.append(e)
             for g in range(n):
                 b = {d + 1: _ad_gen(g, v, d, n) for d, v in e.items() if d < cap}
@@ -256,8 +286,8 @@ def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
     with a generator g is g*t - t*g and needs no rewriting into the basis.
     A derived ideal's basis words of level >= k span J already; a finite
     relator list's J is the basis _ideal_basis closes.  The generator
-    brackets of a basis of J span [L,J], ranked in one echelon per total
-    degree over letter-word columns.
+    brackets of a basis of J span [L,J], ranked in one echelon over the
+    Lyndon-word columns of every degree.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
@@ -273,13 +303,12 @@ def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
         basis = _ideal_basis(p, degree_cap)
         j_dims = Counter(d for e in basis for d in e)
     ad_dims = Counter()
-    ad_echelons = defaultdict(EchelonForm)
+    ech = EchelonForm()
     for e in basis:
         for d, v in e.items():
             if d < degree_cap:
                 for g in range(n):
-                    b = _ad_gen(g, v, d, n)
-                    if b and ad_echelons[d + 1].insert(b)[0]:
+                    if ech.insert(_lyndon({d + 1: _ad_gen(g, v, d, n)}, n))[0]:
                         ad_dims[d + 1] += 1
     return {k: j_dims[k] - ad_dims[k] for k in range(1, degree_cap + 1)}
 
@@ -494,26 +523,19 @@ class NilpotentLieAlgebra:
         return True
 
 
-def _empty_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
-    return NilpotentLieAlgebra(
-        class_bound=class_bound,
-        gen_names=p.generators,
-        labels=(),
-        weights=(),
-        brackets={},
-        gen_images=tuple({} for _ in p.generators),
-    )
-
-
 def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     """Structure constants of L/Gamma_n for n = class_bound.
 
     The basis is the set of non-pivot basis words of the ambient free
-    nilpotent algebra after quotienting by the truncated relator ideal;
-    weights are word degrees, non-decreasing along the basis.  Quotients at
-    different class bounds agree across classes: lcs_quotient(p, n) equals
-    lcs_quotient(p, N).truncate(n) for n <= N, and ce.hirsch_tower builds
-    every lower stage that way from one quotient.
+    nilpotent algebra after quotienting by the truncated relator ideal J:
+    word w_j is one iff it is not in J + span(w_(j+1), ...), so one tracked
+    echelon over Lyndon-word columns takes J, then the words from last to
+    first, and the words that raise its rank are the representatives.  A
+    bracket or generator image is read off the representatives' part of its
+    combination.  Weights are word degrees, non-decreasing along the basis.
+    Quotients at different class bounds agree across classes:
+    lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
+    and ce.hirsch_tower builds every lower stage that way from one quotient.
     """
     if class_bound < 1:
         raise PresentationError(f"class bound must be >= 1, got {class_bound}")
@@ -524,46 +546,52 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
                 "derived-ideal quotients of level >= 2 are limited to two "
                 "generators and class bound <= 8"
             )
-        reduced = p
-        kept = p.generators
-        m = p.n_gens
-        imgs = [gen_elt(m, i) for i in range(m)]
+        reduced, kept = p, p.generators
+        imgs = [gen_elt(p.n_gens, i) for i in range(p.n_gens)]
     else:
         reduced, imgs, kept = _eliminate_linear(p, cap)
-        m = len(kept)
+    m = len(kept)
     if cap == 0 or m == 0:
-        return _empty_quotient(p, class_bound)
-    words = hall_basis_derived(m, 0, cap)
-    sub = ideal_span(reduced, cap)
-    qb = quotient_basis(sub)
-    reps = qb.reps
-    labels = tuple(word_str(words[r], kept) for r in reps)
-    weights = tuple(words[r].degree for r in reps)
+        return NilpotentLieAlgebra(
+            class_bound, p.generators, (), (), {}, tuple({} for _ in p.generators)
+        )
+    if isinstance(p.scheme, DerivedIdeal):
+        words = hall_basis_derived(m, p.scheme.level, cap)
+        ideal = [_tensor_parts(tensor_expand(w), m) for w in words]
+    else:
+        ideal = _ideal_basis(reduced, cap)
+    ech = EchelonForm(track=True)
+    for e in ideal:
+        ech.insert(_lyndon(e, m))
+    found = []
+    for w in reversed(hall_basis_derived(m, 0, cap)):
+        if ech.insert(_lyndon(_tensor_parts(tensor_expand(w), m), m))[0]:
+            found.append((ech.n_inserted - 1, w))
+    reps = [w for _, w in reversed(found)]
+    slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
+
+    def coset(t):
+        # the representatives' part of t's combination modulo J
+        res, combo = ech.reduce(_lyndon(_tensor_parts(t, m), m))
+        if res:
+            raise InternalError("representatives and J fail to span the quotient")
+        return {slot[i]: c for i, c in combo.items() if i in slot}
+
     brackets: dict = {}
-    for a in range(len(reps)):
-        wa = words[reps[a]]
+    for a, wa in enumerate(reps):
         for b in range(a + 1, len(reps)):
-            wb = words[reps[b]]
-            if wa.degree + wb.degree > cap:
-                continue
-            z = bracket(
-                LieElement(m, {wa: ONE}), LieElement(m, {wb: ONE})
-            ).truncate(cap)
-            if z.is_zero():
-                continue
-            table = qb.proj.matvec(_coords(z, cap))
-            if table:
-                brackets[(a, b)] = table
-    gen_images = tuple(
-        qb.proj.matvec(_coords(img.truncate(cap), cap)) for img in imgs
-    )
+            wb = reps[b]
+            if wa.degree + wb.degree <= cap:
+                table = coset(_tensor_commutator(tensor_expand(wa), tensor_expand(wb)))
+                if table:
+                    brackets[(a, b)] = table
     alg = NilpotentLieAlgebra(
         class_bound=class_bound,
         gen_names=p.generators,
-        labels=labels,
-        weights=weights,
+        labels=tuple(word_str(w, kept) for w in reps),
+        weights=tuple(w.degree for w in reps),
         brackets=brackets,
-        gen_images=gen_images,
+        gen_images=tuple(coset(lie_tensor(img.truncate(cap))) for img in imgs),
     )
     if not alg.check_filtration():
         raise InternalError("quotient brackets break the weight filtration")

@@ -66,7 +66,9 @@ class LieError(ValueError):
 class HallWord:
     """One basis word: a generator, or a left-normed bracket of words one
     level down.  Immutable; order is the fixed total order of the module
-    docstring, exposed through the precomputed sort key."""
+    docstring, exposed through the precomputed sort key, which also
+    determines the word and gives its hash.  Letter counts are tallied on
+    first use."""
 
     __slots__ = ("level", "gen", "children", "degree", "key", "_hash", "_counts")
 
@@ -79,7 +81,6 @@ class HallWord:
                 raise LieError("level-0 word must be a bare generator index")
             self.degree = 1
             self.key = (0, 1, gen)
-            counts = {gen: 1}
         else:
             if _validate:
                 if not children or len(children) < 2:
@@ -93,12 +94,8 @@ class HallWord:
                         raise LieError("children after the second must be weakly decreasing")
             self.degree = sum(c.degree for c in children)
             self.key = (-level, self.degree, tuple(c.key for c in children))
-            counts: dict = {}
-            for c in children:
-                for g, m in c._counts.items():
-                    counts[g] = counts.get(g, 0) + m
-        self._counts = counts
-        self._hash = hash((level, gen, children))
+        self._counts = None
+        self._hash = hash(self.key)
 
     def __hash__(self):
         return self._hash
@@ -123,11 +120,20 @@ class HallWord:
     def __repr__(self):
         return f"HallWord({word_str(self, None)})"
 
+    def _tally(self) -> dict:
+        if self._counts is None:
+            counts = {self.gen: 1} if self.level == 0 else {}
+            for c in self.children or ():
+                for g, m in c._tally().items():
+                    counts[g] = counts.get(g, 0) + m
+            self._counts = counts
+        return self._counts
+
     def gen_counts(self) -> dict:
-        return dict(self._counts)
+        return dict(self._tally())
 
     def max_gen(self) -> int:
-        return max(self._counts)
+        return max(self._tally())
 
 
 _GENERATORS: dict[int, HallWord] = {}
@@ -150,7 +156,7 @@ def bracket_word(children) -> HallWord:
 
 def multidegree(w: HallWord, n_gens: int):
     md = [0] * n_gens
-    for g, m in w._counts.items():
+    for g, m in w._tally().items():
         if g >= n_gens:
             raise LieError(f"word uses generator {g} outside alphabet of size {n_gens}")
         md[g] = m

@@ -33,7 +33,6 @@ from lieobstruct.cli import main
 from lieobstruct.fplie import (
     FiniteList,
     LiePresentation,
-    _coords,
     finiteness_scan,
     h2_graded,
     ideal_span,
@@ -221,6 +220,7 @@ def test_criterion_11_ideal_span_oracle():
     def brute_pivots(p, cap):
         n = p.n_gens
         words = hall_basis_derived(n, 0, cap)
+        idx = {w: i for i, w in enumerate(words)}
         elts = [LieElement(n, {w: ONE}) for w in words]
         ech = EchelonForm()
         pool = deque(
@@ -228,7 +228,7 @@ def test_criterion_11_ideal_span_oracle():
         )
         while pool:
             e = pool.popleft()
-            res, _ = ech.insert(_coords(e, cap))
+            res, _ = ech.insert({idx[w]: c for w, c in e.terms.items()})
             if res:
                 lo = min(e.degrees())
                 for w, b in zip(words, elts):

@@ -37,6 +37,21 @@ def test_hall_parity_slice(capsys):
     assert slice2["1"] == 0 and slice2["2"] == 0
 
 
+def test_hall_x2_slice_formula_matches_enumeration(capsys):
+    """The closed-form x2_slice equals a count of the enumerated words of
+    multidegree (2, b), b <= 14, at levels 0 through 4."""
+    from lieobstruct.freelie import hall_basis_derived, multidegree
+
+    for level in range(5):
+        counts = {b: 0 for b in range(1, 15)}
+        for w in hall_basis_derived(2, level, 16):
+            a, b = multidegree(w, 2)
+            if a == 2 and b <= 14:
+                counts[b] += 1
+        report = run_report(capsys, "hall", "--gens", "2", "--level", str(level), "--deg", "14")
+        assert report["results"]["x2_slice"] == {str(b): c for b, c in counts.items()}
+
+
 def test_hall_witt_counts(capsys):
     report = run_report(capsys, "hall", "--gens", "2", "--deg", "5")
     assert report["results"]["degree_counts"] == {
@@ -299,6 +314,8 @@ GOLDEN_REPORT_SHA256 = {
         "8c1e0d66eca03410493316a364b77ca722b3c909bd6efb2658cd6ec5d8b00db9",
     ("holonomy", "noncarnot.json", "--lcs", "7"):
         "2d5cbeed3d55633666a414eda8acd1454b1586f5cd3b33be1375ca76cb8b1d27",
+    ("holonomy", "noncarnot.json", "--lcs", "9"):
+        "a7da78c8361ebbe7e8bdd4befe5dddf0029e3083e9a41cceb0e21984c2bd95c1",
     ("fixed", "torus.json", "swap_torus.json"):
         "a3e7d7dfcf8b9828cf62db8aa517a163c973e8fd27ebf6db48f19afd21bb9af6",
     ("resonance", "wedge2.json"):
@@ -311,6 +328,8 @@ GOLDEN_REPORT_SHA256 = {
         "646967edf2e393a21a9fea768dddb17005988cb5bf3304309e5482b454ff949b",
     ("classify", "noncarnot.json", "--stage", "6"):
         "5ddb78a40386dc16960710b3833d1c92b228c22ed625926bacd5ebb2cc43de72",
+    ("classify", "noncarnot.json", "--stage", "8"):
+        "b30e222563071951871f90ce3e47158e5386f5c0c5f488775b67bc678426dab3",
     ("classify", "heis.json", "--stage", "7"):
         "789d133f2aaf0dbda85ca8f4814f3ef0db9c324f6ffa5155a5b4ef61ba1a7f91",
     ("linearize", "pres_cubic.json"):
@@ -329,10 +348,12 @@ def _case_id(case):
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=_case_id)
 def test_report_is_pinned(case, tmp_path, capsys):
     """Pins whole reports: h2scan (ideal_x2_dims included), holonomy
-    (relators included), fixed, resonance probe and point dims, linearize
-    (pres_cubic also at degree and class 4, where the rewritten
-    presentation has 30 generators), and classify reports whose towers reach
-    stage 9 of a free Lie algebra, stage 7 of noncarnot and stage 8 of heis,
+    (relators included; noncarnot also at class 9, where the relator ideal
+    through degree 8 has 1313 basis elements and the quotient 5), fixed,
+    resonance probe and point dims, linearize (pres_cubic also at degree and
+    class 4, where the rewritten presentation has 30 generators), and
+    classify reports whose towers reach stage 9 of a free Lie algebra,
+    stage 7 and stage 9 of noncarnot and stage 8 of heis,
     a graded tower that is not free, and hall reports (the second derived
     level to degree 14, three letters, one letter, and an empty level)."""
     out = tmp_path / "report.json"

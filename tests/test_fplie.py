@@ -5,7 +5,9 @@ with every basis word, not just generators; the two must agree degreewise.
 The Hall-coordinate ideal closure (hall_ideal_span) is the whole-row
 reference for ideal_span, which closes in tensor coordinates, and the
 Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  Quotient structure constants are validated
-through the Jacobi and filtration checks plus hand-computed small examples.
+through the Jacobi and filtration checks plus hand-computed small examples,
+and whole quotients against hall_lcs_quotient, which projects onto the
+non-pivot words of ideal_span in Hall coordinates.
 """
 
 import random
@@ -27,14 +29,16 @@ from lieobstruct.freelie import (
     hall_words_of_degree,
     parse_element,
     witt_dim,
+    word_str,
 )
 from lieobstruct.fplie import (
     DerivedIdeal,
     FiniteList,
     LiePresentation,
+    NilpotentLieAlgebra,
     PresentationError,
-    _coords,
     _eliminate_linear,
+    _lyndon_columns,
     finiteness_scan,
     h2_graded,
     ideal_span,
@@ -45,7 +49,13 @@ from lieobstruct.fplie import (
     presentation_from_dict,
     presentation_to_dict,
 )
-from lieobstruct.ratlin import ONE, EchelonForm, Subspace
+from lieobstruct.ratlin import ONE, EchelonForm, Subspace, quotient_basis
+
+
+def _coords(e, max_degree):
+    """e over the basis words of degree <= max_degree, by index."""
+    idx = {w: i for i, w in enumerate(hall_basis_derived(e.n_gens, 0, max_degree))}
+    return {idx[w]: c for w, c in e.terms.items()}
 
 
 def pres(gens, relator_strings, scheme=None):
@@ -379,6 +389,89 @@ def test_quotient_tower_compatibility():
             assert all(w < n for w in big.weights[:k])
             assert all(w >= n for w in big.weights[k:])
             assert big.truncate(n) == small
+
+
+def hall_lcs_quotient(p, class_bound):
+    """lcs_quotient in Hall coordinates: the representatives are the
+    non-pivot words of ideal_span's RREF rows, and quotient_basis projects
+    onto them the generator images and the brackets that freelie.bracket
+    normalises."""
+    cap = class_bound - 1
+    if isinstance(p.scheme, DerivedIdeal):
+        reduced, kept = p, p.generators
+        imgs = [gen_elt(p.n_gens, i) for i in range(p.n_gens)]
+    else:
+        reduced, imgs, kept = _eliminate_linear(p, cap)
+    m = len(kept)
+    if cap == 0 or m == 0:
+        return NilpotentLieAlgebra(
+            class_bound, p.generators, (), (), {}, tuple({} for _ in p.generators)
+        )
+    words = hall_basis_derived(m, 0, cap)
+    qb = quotient_basis(ideal_span(reduced, cap))
+    reps = [words[r] for r in qb.reps]
+    brackets = {}
+    for a, wa in enumerate(reps):
+        for b in range(a + 1, len(reps)):
+            wb = reps[b]
+            if wa.degree + wb.degree <= cap:
+                z = bracket(LieElement(m, {wa: ONE}), LieElement(m, {wb: ONE}))
+                table = qb.proj.matvec(_coords(z.truncate(cap), cap))
+                if table:
+                    brackets[(a, b)] = table
+    return NilpotentLieAlgebra(
+        class_bound=class_bound,
+        gen_names=p.generators,
+        labels=tuple(word_str(w, kept) for w in reps),
+        weights=tuple(w.degree for w in reps),
+        brackets=brackets,
+        gen_images=tuple(qb.proj.matvec(_coords(img.truncate(cap), cap)) for img in imgs),
+    )
+
+
+def test_quotient_matches_hall_coordinate_reference():
+    """lcs_quotient, read in tensor coordinates on Lyndon-word columns,
+    equals the Hall-coordinate quotient as a whole at classes 1-6: the
+    bundled presentations, the holonomy of the bundled and two seeded random
+    cdgas, 32 seeded inhomogeneous presentations, two whose eliminated
+    generator has coefficient 2, so its image has halves (x3 = [x1,x2]/2),
+    and derived ideals of levels 1 and 2."""
+    rng = random.Random(20261019)
+    inputs = [load_presentation(data_path(f"{name}.json")) for name in (
+        "free_metabelian", "pres_cubic", "pres_heis", "pres_noncarnot", "pres_torus")]
+    inputs += [holonomy(load_cdga(data_path(f"{name}.json")))
+               for name in ("heis", "noncarnot", "torus", "wedge2")]
+    inputs += [random_cdga_holonomy(5, 3, 2), random_cdga_holonomy(6, 4, 4)]
+    inputs += [random_presentation(rng, 2, 3) for _ in range(22)]
+    inputs += [random_presentation(rng, 3, 2) for _ in range(10)]
+    inputs += [pres(("x1", "x2", "x3"), ("2*x3 - [x1,x2]", "[x1,[x1,x2]]")),
+               pres(("x", "y"), ("x + 2*y + [x,[x,y]]",))]
+    inputs += [pres(("x", "y", "z"), (), scheme=DerivedIdeal(1)), METAB,
+               pres(("x", "y"), (), scheme=DerivedIdeal(1))]
+    for p in inputs:
+        for n in range(1, 7):
+            assert lcs_quotient(p, n) == hall_lcs_quotient(p, n), (presentation_to_dict(p), n)
+
+
+def test_lyndon_columns_are_the_lyndon_words():
+    """The columns of degree d are the Lyndon words of length d, the words
+    strictly smaller than each of their proper rotations, witt_dim of them,
+    numbered in lexicographic order after the columns of every lower
+    degree."""
+    from itertools import product
+
+    for n, top in ((2, 9), (3, 6), (4, 4)):
+        base = 0
+        for d in range(1, top + 1):
+            lyndon = {
+                sum(g * n ** (d - 1 - i) for i, g in enumerate(u))
+                for u in product(range(n), repeat=d)
+                if all(u < u[r:] + u[:r] for r in range(1, d))
+            }
+            cols = _lyndon_columns(n, d)
+            assert set(cols) == lyndon and len(lyndon) == witt_dim(n, d)
+            assert [cols[k] for k in sorted(cols)] == list(range(base, base + len(lyndon)))
+            base += len(lyndon)
 
 
 def test_metabelian_quotient_dims():
