@@ -32,7 +32,6 @@ from .cdga import (
 )
 from .ce import (
     CeError,
-    HirschTower,
     canonical_filtration,
     check_stability,
     tower_from_cdga,
@@ -198,14 +197,7 @@ def cmd_resonance(args, phases: _Phases) -> dict:
 def cmd_classify(args, phases: _Phases) -> dict:
     _require(args.stage >= 2, "--stage must be >= 2 (stages start at 2)")
     a = load_cdga(args.path)
-    full = tower_from_cdga(a, args.stage + 1)
-    # the one-equivalence check at the last stage reads stage + 1; every
-    # other check and the stage dump see the tower cut at --stage
-    tower = HirschTower(
-        args.stage,
-        {n: c for n, c in full.stages.items() if n <= args.stage},
-        {n: i for n, i in full.inclusions.items() if n < args.stage},
-    )
+    tower = tower_from_cdga(a, args.stage)
     phases.mark("tower")
     stages = {}
     for n, ce in sorted(tower.stages.items()):
@@ -218,7 +210,7 @@ def cmd_classify(args, phases: _Phases) -> dict:
         }
     one_equiv = {}
     for n in range(2, args.stage + 1):
-        one_equiv[n] = verify_one_equivalence(a, full, n)
+        one_equiv[n] = verify_one_equivalence(a, tower, n)
     phases.mark("one_equivalence")
     stability = {}
     for n in range(2, args.stage):

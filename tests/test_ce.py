@@ -29,9 +29,9 @@ from lieobstruct.cdga import (
 )
 from lieobstruct.ce import (
     CeError,
+    HirschTower,
+    _h2_kernel,
     _morphism_from_connection,
-    _stage_inclusion,
-    _stage_map,
     canonical_connection,
     canonical_filtration,
     ce_chain_boundary,
@@ -433,7 +433,7 @@ def test_classifying_stages_are_tower_compatible():
     tower = tower_from_cdga(HEIS, 3)
     f2 = classifying_map(HEIS, 2)
     f3 = classifying_map(HEIS, 3)
-    composed = f3.compose(tower.inclusions[2])
+    composed = f3.compose(_stage_inclusion(tower.stages[2], tower.stages[3]))
     assert composed.maps == f2.maps
 
 
@@ -493,14 +493,73 @@ def test_one_equivalence_needs_stage_two():
 
 
 def test_one_equivalence_needs_the_next_stage():
+    """The top stage is checked against the tower's top quotient, one class
+    above it; nothing above that is known to the tower."""
     tower = tower_from_cdga(HEIS, 3)
-    assert verify_one_equivalence(HEIS, tower, 2)["h1_iso"]
+    assert verify_one_equivalence(HEIS, tower, tower.max_stage) == {
+        "h1_iso": True,
+        "h2_kernel_inclusion": True,
+    }
     with pytest.raises(CeError):
-        verify_one_equivalence(HEIS, tower, tower.max_stage)
+        verify_one_equivalence(HEIS, tower, tower.max_stage + 1)
 
 
 # ---------------------------------------------------------------------------
 # towers
+
+
+def _stage_inclusion(small, big):
+    """The inclusion of a tower stage into a later one: each exterior index
+    tuple goes to the same tuple, and CdgaMorphism runs the full morphism
+    checks on it."""
+    ds = small.algebra.dim
+    maps = [
+        SparseMatrix.identity(1),
+        SparseMatrix.from_columns(big.algebra.dim, [{k: ONE} for k in range(ds)]),
+    ]
+    for deg in (2, 3):
+        maps.append(
+            SparseMatrix.from_columns(
+                len(big.tuples[deg]),
+                [{big.positions[deg][t]: ONE} for t in small.tuples[deg]],
+            )
+        )
+    return CdgaMorphism(small.cdga, big.cdga, tuple(maps))
+
+
+def reference_inclusions(t):
+    """The adjacent stage inclusions n -> n + 1 of a tower, through stage
+    max_stage + 1, the cochain cdga of its top quotient."""
+    stages = {**t.stages, t.max_stage + 1: ce_cochain(t.top)}
+    return {
+        n: _stage_inclusion(stages[n], stages[n + 1]) for n in range(2, t.max_stage + 1)
+    }
+
+
+def _stage_map(inclusions, n, m, i):
+    """H^i of the inclusion of stage n into stage m > n.  Cohomology is a
+    functor and that inclusion is the composite of the adjacent ones, so its
+    matrix is the product of theirs."""
+    mat = induced_cohomology_matrix(inclusions[n], i)
+    for k in range(n + 1, m):
+        mat = induced_cohomology_matrix(inclusions[k], i).matmul(mat)
+    return mat
+
+
+def hand_tower(weights, brackets, max_stage):
+    """The tower of a nilpotent Lie algebra given by its weights and bracket
+    table, with stage n the cochain cdga of its cut to weights < n."""
+    labels = tuple(f"e{k + 1}" for k in range(len(weights)))
+    g = NilpotentLieAlgebra(
+        class_bound=max_stage + 1,
+        gen_names=labels[:2],
+        labels=labels,
+        weights=tuple(weights),
+        brackets=brackets,
+        gen_images=({0: ONE}, {1: ONE}),
+    )
+    stages = {n: ce_cochain(g.truncate(n)) for n in range(2, max_stage + 1)}
+    return HirschTower(max_stage, stages, g)
 
 
 def test_tower_stage_dims():
@@ -536,10 +595,37 @@ def test_tower_stages_match_per_stage_quotients():
     ]
     for p in inputs:
         t = hirsch_tower(p, 5)
+        assert t.top == lcs_quotient(p, 6)
         for n in range(2, 6):
             own = lcs_quotient(p, n)
             assert t.stages[n].algebra == own
             assert t.stages[n].cdga == ce_cochain(own).cdga
+
+
+def test_h2_kernels_match_the_inclusion_reference():
+    """_h2_kernel, read off the top quotient's bracket table, equals the
+    kernel of H^2 of the composed stage inclusions, which pass the full
+    morphism checks, for every 2 <= n < m <= max_stage + 1."""
+    inputs = [holonomy(a) for a in ALL_CDGAS + RANDOM_CDGAS]
+    inputs += [
+        holonomy(random_cdga(*args))
+        for args in ((7, 3, 2), (8, 3, 1), (9, 4, 4), (10, 4, 5))
+    ]
+    inputs += [
+        load_presentation(data_path(name))
+        for name in ("free_metabelian.json", "pres_noncarnot.json")
+    ]
+    towers = [hirsch_tower(p, 5) for p in inputs] + [tower_from_cdga(WEDGE2, 6)]
+    towers += [
+        hand_tower((1, 1, 3), {(0, 1): {2: ONE}}, 4),
+        hand_tower((1, 1, 2), {}, 3),
+    ]
+    for t in towers:
+        inclusions = reference_inclusions(t)
+        for n in range(2, t.max_stage + 1):
+            for m in range(n + 1, t.max_stage + 2):
+                expected = kernel(_stage_map(inclusions, n, m, 2))
+                assert _h2_kernel(t, n, m) == expected, (t.top.labels, n, m)
 
 
 def test_tower_h1_is_stable():
@@ -579,16 +665,34 @@ def test_stability_validates_stage_order():
 
 
 def test_stage_maps_compose_to_the_direct_inclusion():
-    """H^1 and H^2 of stage n -> m, read as the product of the adjacent
-    inclusions' matrices, equal those of the inclusion built directly, which
-    passes the full morphism checks."""
+    """The reference: H^1 and H^2 of stage n -> m, read as the product of the
+    adjacent inclusions' matrices, equal those of the inclusion built
+    directly."""
     for a in ALL_CDGAS + RANDOM_CDGAS:
         t = tower_from_cdga(a, 5)
+        inclusions = reference_inclusions(t)
         for n in range(2, 5):
             for m in range(n + 1, 6):
                 direct = _stage_inclusion(t.stages[n], t.stages[m])
                 for i in (1, 2):
-                    assert _stage_map(t, n, m, i) == induced_cohomology_matrix(direct, i)
+                    assert _stage_map(inclusions, n, m, i) == induced_cohomology_matrix(direct, i)
+
+
+def test_stability_fails_on_a_gap_in_the_weights():
+    """Weights (1, 1, 3) with [x, y] = z: stage 3 adds nothing to stage 2, so
+    the class of x^y survives into stage 3 and dies in stage 4."""
+    t = hand_tower((1, 1, 3), {(0, 1): {2: ONE}}, 4)
+    assert check_stability(t, 4, 2) == {"prop_i": True, "prop_ii": False}
+    assert check_stability(t, 3, 2) == {"prop_i": True, "prop_ii": True}
+    assert check_stability(t, 4, 3) == {"prop_i": True, "prop_ii": True}
+    assert not canonical_filtration(t)["all_equal"]
+
+
+def test_stability_fails_on_a_closed_new_generator():
+    """Weights (1, 1, 2) with no brackets: stage 3 adds a closed generator,
+    so H^1 grows from stage 2 to stage 3."""
+    t = hand_tower((1, 1, 2), {}, 3)
+    assert not check_stability(t, 3, 2)["prop_i"]
 
 
 def test_memoised_cohomology_matches_a_fresh_build():

@@ -352,9 +352,10 @@ def test_report_is_pinned(case, tmp_path, capsys):
     through degree 8 has 1313 basis elements and the quotient 5), fixed,
     resonance probe and point dims, linearize (pres_cubic also at degree and
     class 4, where the rewritten presentation has 30 generators), and
-    classify reports whose towers reach stage 9 of a free Lie algebra,
-    stage 7 and stage 9 of noncarnot and stage 8 of heis,
-    a graded tower that is not free, and hall reports (the second derived
+    classify reports whose towers reach stage 8 of a free Lie algebra,
+    stage 6 and stage 8 of noncarnot and stage 7 of heis, each read
+    against its quotient one class higher, a graded tower that is not
+    free, and hall reports (the second derived
     level to degree 14, three letters, one letter, and an empty level)."""
     out = tmp_path / "report.json"
     argv = [data_path(a) if a.endswith(".json") else a for a in case]
