@@ -24,7 +24,6 @@ and fixed sub-cdgas are both read off per-degree spans by one builder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -34,8 +33,10 @@ from .ratlin import (
     ZERO,
     EchelonForm,
     InternalError,
+    LieobstructError,
     SparseMatrix,
     Subspace,
+    _Frozen,
     kernel,
     rank,
     scal,
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 
-class CdgaError(ValueError):
+class CdgaError(LieobstructError, ValueError):
     pass
 
 
@@ -92,27 +93,20 @@ def _merge_wedge(t1: tuple, t2: tuple):
     return sign, tuple(merged)
 
 
-@dataclass(frozen=True)
-class WedgeProduct:
+class WedgeProduct(_Frozen):
     """The product of the exterior algebra on gens degree-1 generators,
     through degree top, computed by rule instead of stored.  The degree-n
     basis is the strictly increasing index n-tuples in combinations order:
     basis element k of degree n is tuples[n][k], and positions[n] inverts
     tuples[n]."""
 
-    gens: int
-    top: int
-    tuples: tuple = field(init=False, repr=False, compare=False)
-    positions: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("gens", "top")
+    __slots__ = _fields + ("tuples", "positions")
 
-    def __post_init__(self):
-        tuples = tuple(
-            tuple(combinations(range(self.gens), n)) for n in range(self.top + 1)
-        )
-        object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(
-            self, "positions", tuple({t: k for k, t in enumerate(row)} for row in tuples)
-        )
+    def __init__(self, gens: int, top: int):
+        tuples = tuple(tuple(combinations(range(gens), n)) for n in range(top + 1))
+        positions = tuple({t: k for k, t in enumerate(row)} for row in tuples)
+        self._fill(gens, top, tuples, positions)
 
     def mul(self, i: int, u: dict, j: int, v: dict) -> dict:
         """Product of a degree-i and a degree-j element, 1 <= i, j and
@@ -161,8 +155,7 @@ def _graded_mul(prod, top: int, i: int, u: dict, j: int, v: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class FiniteCdga:
+class FiniteCdga(_Frozen):
     """names[i] is the basis of degree i (degree 0 is the unit alone);
     diff[i] is the matrix of d from degree i to i+1; prod is the product.
 
@@ -188,12 +181,11 @@ class FiniteCdga:
     first use, and kept in a private memo that equality and repr ignore.
     """
 
-    names: tuple
-    diff: tuple
-    prod: object
-    _cohomology: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("names", "diff", "prod")
+    __slots__ = _fields + ("_cohomology",)
 
-    def __post_init__(self):
+    def __init__(self, names: tuple, diff: tuple, prod):
+        self._fill(names, diff, prod, {})
         if not self.names or len(self.names[0]) != 1:
             raise CdgaError("degree 0 must be the one-dimensional span of the unit")
         if self.top > 3:
@@ -343,8 +335,7 @@ def format_cdga_element(a: FiniteCdga, i: int, vec: dict) -> str:
 # ---------------------------------------------------------------------------
 # morphisms
 
-@dataclass(frozen=True)
-class CdgaMorphism:
+class CdgaMorphism(_Frozen):
     """Degreewise linear maps commuting with d and multiplicative on basis
     products.  maps[i] sends degree-i source coordinates to target ones;
     degrees above the source top are zero.  The top source degree is exempt
@@ -362,11 +353,10 @@ class CdgaMorphism:
     in the source (a cdga map out of a free graded-commutative algebra is
     fixed by its degree-1 part, Felix-Halperin-Thomas GTM 205, section 12)."""
 
-    source: FiniteCdga
-    target: FiniteCdga
-    maps: tuple
+    __slots__ = _fields = ("source", "target", "maps")
 
-    def __post_init__(self):
+    def __init__(self, source: FiniteCdga, target: FiniteCdga, maps: tuple):
+        self._fill(source, target, maps)
         if len(self.maps) != self.source.top + 1:
             raise CdgaError("need one matrix per source degree")
         for i, m in enumerate(self.maps):
@@ -702,16 +692,14 @@ def resonance_trivial_probe(a: FiniteCdga, trials: int = 20, seed: int = 0) -> d
 # ---------------------------------------------------------------------------
 # group actions and fixed sub-cdgas
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(_Frozen):
     """A finite group acting by cdga automorphisms: element names, the
     composition table (g, h) -> gh, and one morphism per element."""
 
-    elements: tuple
-    table: dict
-    morphisms: dict
+    __slots__ = _fields = ("elements", "table", "morphisms")
 
-    def __post_init__(self):
+    def __init__(self, elements: tuple, table: dict, morphisms: dict):
+        self._fill(elements, table, morphisms)
         elts = self.elements
         if not elts:
             raise CdgaError("action needs at least the identity element")

@@ -21,7 +21,6 @@ comes from counting transpositions, so results are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cdga import (
@@ -39,8 +38,10 @@ from .ratlin import (
     ONE,
     ZERO,
     EchelonForm,
+    LieobstructError,
     SparseMatrix,
     Subspace,
+    _Frozen,
     kernel,
     rank,
     scal,
@@ -64,18 +65,19 @@ __all__ = [
 ]
 
 
-class CeError(ValueError):
+class CeError(LieobstructError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CeComplex:
+class CeComplex(_Frozen):
     """Cochain cdga of a nilpotent Lie algebra through degree 3.  Its
     WedgeProduct holds the exterior index tuples backing each named basis
     element."""
 
-    algebra: NilpotentLieAlgebra
-    cdga: FiniteCdga
+    __slots__ = _fields = ("algebra", "cdga")
+
+    def __init__(self, algebra: NilpotentLieAlgebra, cdga: FiniteCdga):
+        self._fill(algebra, cdga)
 
     @property
     def tuples(self) -> tuple:
@@ -321,8 +323,7 @@ def _canonical_omega(g: NilpotentLieAlgebra) -> dict:
 # ---------------------------------------------------------------------------
 # towers
 
-@dataclass(frozen=True)
-class HirschTower:
+class HirschTower(_Frozen):
     """Chevalley-Eilenberg stages C(h/Gamma_n) for 2 <= n <= max_stage, cut
     from top = h/Gamma_(max_stage + 1).
 
@@ -333,9 +334,10 @@ class HirschTower:
     the H^2 kernels into it read top's brackets alone (_h2_kernel).
     """
 
-    max_stage: int
-    stages: dict
-    top: NilpotentLieAlgebra
+    __slots__ = _fields = ("max_stage", "stages", "top")
+
+    def __init__(self, max_stage: int, stages: dict, top: NilpotentLieAlgebra):
+        self._fill(max_stage, stages, top)
 
 
 def hirsch_tower(p, max_stage: int = 5) -> HirschTower:

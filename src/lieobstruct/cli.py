@@ -7,6 +7,9 @@ and wall-clock timings appear only when --timings is passed.  Exit codes:
 0 success, 1 domain error or failed internal invariant (InternalError), 2
 usage error.  Errors are printed to stderr as a JSON object
 {"error": {"type": ..., "message": ...}}.
+
+A subcommand imports the cdga and ce modules only when it runs them; with
+--timings that import is the phase "import".
 """
 
 from __future__ import annotations
@@ -18,27 +21,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import __version__
-from .cdga import (
-    CdgaError,
-    cohomology,
-    fixed_subcdga,
-    format_cdga_element,
-    holonomy,
-    load_action,
-    load_cdga,
-    parse_cdga_element,
-    resonance_dim,
-    resonance_trivial_probe,
-)
-from .ce import (
-    CeError,
-    canonical_filtration,
-    check_stability,
-    tower_from_cdga,
-    verify_one_equivalence,
-)
 from .fplie import (
-    PresentationError,
     finiteness_scan,
     lcs_graded_dims,
     lcs_quotient,
@@ -46,8 +29,8 @@ from .fplie import (
     load_presentation,
     presentation_to_dict,
 )
-from .freelie import LieError, hall_basis_derived
-from .ratlin import InternalError, LinAlgError, scalar_to_json
+from .freelie import hall_basis_derived
+from .ratlin import LieobstructError, scalar_to_json
 
 __all__ = ["main"]
 
@@ -152,6 +135,9 @@ def cmd_h2scan(args, phases: _Phases) -> dict:
 
 
 def cmd_holonomy(args, phases: _Phases) -> dict:
+    from .cdga import holonomy, load_cdga
+
+    phases.mark("import")
     a = load_cdga(args.path)
     p = holonomy(a)
     phases.mark("holonomy")
@@ -175,6 +161,16 @@ def cmd_holonomy(args, phases: _Phases) -> dict:
 
 
 def cmd_resonance(args, phases: _Phases) -> dict:
+    from .cdga import (
+        CdgaError,
+        format_cdga_element,
+        load_cdga,
+        parse_cdga_element,
+        resonance_dim,
+        resonance_trivial_probe,
+    )
+
+    phases.mark("import")
     a = load_cdga(args.path)
     if args.point is not None:
         deg, vec = parse_cdga_element(a, args.point)
@@ -196,6 +192,15 @@ def cmd_resonance(args, phases: _Phases) -> dict:
 
 def cmd_classify(args, phases: _Phases) -> dict:
     _require(args.stage >= 2, "--stage must be >= 2 (stages start at 2)")
+    from .cdga import load_cdga
+    from .ce import (
+        canonical_filtration,
+        check_stability,
+        tower_from_cdga,
+        verify_one_equivalence,
+    )
+
+    phases.mark("import")
     a = load_cdga(args.path)
     tower = tower_from_cdga(a, args.stage)
     phases.mark("tower")
@@ -258,6 +263,9 @@ def cmd_linearize(args, phases: _Phases) -> dict:
 
 
 def cmd_fixed(args, phases: _Phases) -> dict:
+    from .cdga import cohomology, fixed_subcdga, load_action, load_cdga
+
+    phases.mark("import")
     a = load_cdga(args.path)
     action = load_action(a, args.action)
     phases.mark("load")
@@ -344,9 +352,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _print_error("usage", str(exc))
         return 2
-    except (
-        LieError, PresentationError, CdgaError, CeError, LinAlgError, InternalError
-    ) as exc:
+    except LieobstructError as exc:
         _print_error(type(exc).__name__, str(exc))
         return 1
     except OSError as exc:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .freelie import (
@@ -59,8 +58,10 @@ from .ratlin import (
     ZERO,
     EchelonForm,
     InternalError,
+    LieobstructError,
     Subspace,
     _cleared,
+    _Frozen,
 )
 
 __all__ = [
@@ -81,41 +82,37 @@ __all__ = [
 ]
 
 
-class PresentationError(ValueError):
+class PresentationError(LieobstructError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteList:
-    relators: tuple
+class FiniteList(_Frozen):
+    __slots__ = _fields = ("relators",)
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __init__(self, relators: tuple):
+        self._fill(relators)
+        for r in relators:
             if not isinstance(r, LieElement):
                 raise PresentationError("relators must be Lie elements")
             if r.is_zero():
                 raise PresentationError("zero relator not allowed")
 
 
-@dataclass(frozen=True)
-class DerivedIdeal:
-    level: int
+class DerivedIdeal(_Frozen):
+    __slots__ = _fields = ("level",)
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise PresentationError(
-                f"derived ideal level must be >= 1, got {self.level}"
-            )
+    def __init__(self, level: int):
+        self._fill(level)
+        if level < 1:
+            raise PresentationError(f"derived ideal level must be >= 1, got {level}")
 
 
-@dataclass(frozen=True)
-class LiePresentation:
-    generators: tuple
-    scheme: object
+class LiePresentation(_Frozen):
+    __slots__ = _fields = ("generators", "scheme")
 
-    def __post_init__(self):
-        names = tuple(self.generators)
-        object.__setattr__(self, "generators", names)
+    def __init__(self, generators, scheme):
+        names = tuple(generators)
+        self._fill(names, scheme)
         if len(set(names)) != len(names):
             raise PresentationError("generator names must be distinct")
         for nm in names:
@@ -410,8 +407,7 @@ def _eliminate_linear(p: LiePresentation, cap: int):
     return reduced, imgs, tuple(names)
 
 
-@dataclass(frozen=True)
-class NilpotentLieAlgebra:
+class NilpotentLieAlgebra(_Frozen):
     """L modulo the class_bound-th lower central series term, on a weighted
     basis with exact structure constants.
 
@@ -420,12 +416,12 @@ class NilpotentLieAlgebra:
     gen_images[g] gives the class of the g-th presentation generator.
     """
 
-    class_bound: int
-    gen_names: tuple
-    labels: tuple
-    weights: tuple
-    brackets: dict
-    gen_images: tuple
+    __slots__ = _fields = (
+        "class_bound", "gen_names", "labels", "weights", "brackets", "gen_images"
+    )
+
+    def __init__(self, class_bound, gen_names, labels, weights, brackets, gen_images):
+        self._fill(class_bound, gen_names, labels, weights, brackets, gen_images)
 
     @property
     def dim(self) -> int:

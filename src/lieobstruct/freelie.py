@@ -32,7 +32,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratlin import ONE, ZERO, EchelonForm, InternalError, scan_rational
+from .ratlin import (
+    ONE,
+    ZERO,
+    EchelonForm,
+    InternalError,
+    LieobstructError,
+    scan_rational,
+)
 
 __all__ = [
     "HallWord",
@@ -59,7 +66,7 @@ __all__ = [
 ]
 
 
-class LieError(ValueError):
+class LieError(LieobstructError, ValueError):
     pass
 
 

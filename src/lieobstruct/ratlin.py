@@ -24,11 +24,9 @@ the test suite, not here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
@@ -36,12 +34,57 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class LinAlgError(ValueError):
+class LieobstructError(Exception):
+    """Base of every error the library raises on purpose: bad input, an
+    unsupported case, or a failed invariant.  The CLI reports each as exit 1
+    under its own type name."""
+
+
+class LinAlgError(LieobstructError, ValueError):
     """Raised on shape mismatches and malformed inputs."""
 
 
-class InternalError(RuntimeError):
+class InternalError(LieobstructError, RuntimeError):
     """A runtime invariant of the library failed: a bug, not bad input."""
+
+
+class _Frozen:
+    """Base of the library's immutable value classes.
+
+    A subclass names its fields in __slots__ and sets them once, in its
+    __init__, through _fill, which takes the values in __slots__ order;
+    assigning an attribute afterwards raises AttributeError.  ==, hash and
+    repr read the fields listed in _fields, and == holds only between
+    instances of one class.  A field left out of _fields (a memo, or data
+    derived from the others) is ignored by all three.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
 def scal(x) -> Fraction:
@@ -101,8 +144,7 @@ def vec_add(u: dict, v: dict, c: Fraction = ONE) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(_Frozen):
     """Immutable sparse matrix with Fraction entries, stored by columns.
 
     columns maps col -> {row: nonzero Fraction}; a column with no nonzero
@@ -111,11 +153,10 @@ class SparseMatrix:
     vectors, so column storage makes both a lookup per basis vector.
     """
 
-    rows: int
-    cols: int
-    columns: dict = field(default_factory=dict)
+    __slots__ = _fields = ("rows", "cols", "columns")
 
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, columns: dict | None = None):
+        self._fill(rows, cols, {} if columns is None else columns)
         for j, col in self.columns.items():
             if not 0 <= j < self.cols:
                 raise LinAlgError(f"column {j} outside {self.rows}x{self.cols}")
@@ -130,7 +171,7 @@ class SparseMatrix:
                     raise LinAlgError(f"explicit zero stored at ({i},{j})")
 
     @classmethod
-    def from_columns(cls, rows: int, vectors: Sequence[Mapping[int, Fraction]]) -> "SparseMatrix":
+    def from_columns(cls, rows: int, vectors: list) -> "SparseMatrix":
         """The rows x len(vectors) matrix whose j-th column is vectors[j]."""
         return cls(rows, len(vectors), {j: dict(v) for j, v in enumerate(vectors) if v})
 
@@ -141,7 +182,7 @@ class SparseMatrix:
     def col(self, j: int) -> dict:
         return dict(self.columns.get(j, ()))
 
-    def matvec(self, v: Mapping[int, Fraction]) -> dict:
+    def matvec(self, v: dict) -> dict:
         """Apply to a sparse column vector keyed by column index."""
         out: dict = {}
         columns = self.columns
@@ -193,7 +234,7 @@ class SparseMatrix:
         return not self.columns
 
 
-def _cleared(vec: Mapping) -> tuple[dict, int]:
+def _cleared(vec: dict) -> tuple[dict, int]:
     """vec times the lcm of its denominators, as an integer dict, and the lcm."""
     den = 1
     for x in vec.values():
@@ -327,7 +368,7 @@ class EchelonForm:
             mult *= p
         return num, den
 
-    def reduce(self, vec: Mapping[int, Fraction]):
+    def reduce(self, vec: dict):
         """Reduce vec against the stored rows.
 
         Returns (residual, combo), both with Fraction values.  The residual
@@ -347,7 +388,7 @@ class EchelonForm:
         combo = {j: Fraction(x, den) for j, x in num.items()}
         return res, combo
 
-    def insert(self, vec: Mapping[int, Fraction]):
+    def insert(self, vec: dict):
         """Store vec, reduced up to its first column without a pivot row,
         unless it lies in the span already.
 
@@ -433,8 +474,7 @@ def rank(m: SparseMatrix) -> int:
     return _row_echelon(m).rank
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Frozen):
     """A subspace of Q^ambient, stored as RREF basis rows.
 
     basis_rows is a tuple of sparse vectors (dict col -> Fraction), in RREF
@@ -443,12 +483,13 @@ class Subspace:
     span(S + T) == S, with EchelonForm doing the only reduction.
     """
 
-    ambient: int
-    basis_rows: tuple
-    pivots: tuple
+    __slots__ = _fields = ("ambient", "basis_rows", "pivots")
+
+    def __init__(self, ambient: int, basis_rows: tuple, pivots: tuple):
+        self._fill(ambient, basis_rows, pivots)
 
     @classmethod
-    def span(cls, vectors: Iterable[Mapping[int, Fraction]], ambient: int) -> "Subspace":
+    def span(cls, vectors, ambient: int) -> "Subspace":
         ech = EchelonForm()
         for v in vectors:
             for j in v:
@@ -461,11 +502,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis_rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis_rows == other.basis_rows
 
 
 def kernel(m: SparseMatrix) -> Subspace:
@@ -487,8 +523,7 @@ def kernel(m: SparseMatrix) -> Subspace:
     return Subspace.span(vecs, m.cols)
 
 
-@dataclass(frozen=True)
-class QuotientBasis:
+class QuotientBasis(_Frozen):
     """Coset representatives for Q^ambient / S and the projection onto them.
 
     reps are the non-pivot coordinate indices of S, in increasing order.
@@ -496,8 +531,10 @@ class QuotientBasis:
     of its coset over the representatives.
     """
 
-    reps: tuple
-    proj: SparseMatrix
+    __slots__ = _fields = ("reps", "proj")
+
+    def __init__(self, reps: tuple, proj: SparseMatrix):
+        self._fill(reps, proj)
 
 
 def quotient_basis(s: Subspace) -> QuotientBasis:
@@ -515,7 +552,7 @@ def quotient_basis(s: Subspace) -> QuotientBasis:
     return QuotientBasis(reps, SparseMatrix.from_columns(len(reps), columns))
 
 
-def express_in_columns(m: SparseMatrix, target: Mapping[int, Fraction]) -> dict | None:
+def express_in_columns(m: SparseMatrix, target: dict) -> dict | None:
     """Solve m x = target exactly.
 
     Returns x as a sparse vector keyed by column index, or None if target is

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lieobstruct
 from lieobstruct import data_path
 from lieobstruct.cli import main
 
@@ -429,10 +434,61 @@ def test_reports_deterministic(tmp_path, capsys):
 
 
 def test_timings_only_on_request(capsys):
-    plain = run_report(capsys, "hall", "--gens", "2", "--deg", "4")
-    timed = run_report(capsys, "hall", "--gens", "2", "--deg", "4", "--timings")
-    assert "timings" not in plain
-    assert [name for name, _ in timed["timings"]] == ["enumerate", "x2_slice"]
+    cases = [
+        (["hall", "--gens", "2", "--deg", "4"], ["enumerate", "x2_slice"]),
+        (["h2scan", "pres_torus.json", "--deg", "4"], ["load", "scan"]),
+        (["classify", "heis.json", "--stage", "3"],
+         ["import", "tower", "one_equivalence", "stability", "filtration"]),
+    ]
+    for argv, phases in cases:
+        argv = [data_path(a) if a.endswith(".json") else a for a in argv]
+        plain = run(capsys, *argv)[1]
+        timed = json.loads(run(capsys, *argv, "--timings")[1])
+        assert "timings" not in json.loads(plain)
+        assert [name for name, _ in timed.pop("timings")] == phases
+        # the report is otherwise the plain one, byte for byte
+        assert json.dumps(timed, indent=2, sort_keys=True) + "\n" == plain
+
+
+CLOSURE_PROBE = """
+import json, os, sys
+before = set(sys.modules)
+import lieobstruct.cli
+imported = sorted(set(sys.modules) - before)
+code = lieobstruct.cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({"code": code, "imported": imported, "loaded": sorted(sys.modules)}))
+"""
+
+
+def _closure(argv):
+    """The modules that importing the CLI loads, and every module loaded
+    once main(argv) has returned, in a fresh interpreter."""
+    src = str(Path(lieobstruct.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = [data_path(a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOSURE_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    return set(out["imported"]), set(out["loaded"])
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    (["h2scan", "pres_torus.json", "--deg", "4"], {"cdga", "ce"}, set()),
+    (["hall", "--gens", "2", "--deg", "6"], {"cdga", "ce"}, set()),
+    (["holonomy", "heis.json", "--lcs", "3"], {"ce"}, {"cdga"}),
+    (["classify", "heis.json", "--stage", "3"], set(), {"cdga", "ce"}),
+], ids=["h2scan", "hall", "holonomy", "classify"])
+def test_subcommands_import_only_what_they_run(argv, absent, present):
+    imported, loaded = _closure(argv)
+    assert not imported & {"dataclasses", "inspect"}
+    assert not imported & {"lieobstruct.cdga", "lieobstruct.ce"}
+    assert not loaded & {f"lieobstruct.{m}" for m in absent}
+    assert {f"lieobstruct.{m}" for m in present} <= loaded
 
 
 def test_out_writes_file_and_silences_stdout(tmp_path, capsys):

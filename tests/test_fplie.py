@@ -482,12 +482,17 @@ def test_metabelian_quotient_dims():
 
 
 def test_derived_quotient_guard():
-    with pytest.raises(PresentationError):
+    """Derived schemes of level >= 2 stop at two generators and class 8:
+    pinned on both sides until the guard gives way to an ambient budget."""
+    limited = "limited to two generators and class bound <= 8"
+    with pytest.raises(PresentationError, match=limited):
         lcs_quotient(
             LiePresentation(("a", "b", "c"), DerivedIdeal(2)), 4
         )
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=limited):
         lcs_quotient(METAB, 9)
+    q = lcs_quotient(METAB, 8)
+    assert q.dims_by_weight() == {1: 2, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6}
     # level 1 has no such restriction
     q = lcs_quotient(LiePresentation(("a", "b", "c"), DerivedIdeal(1)), 4)
     assert q.dims_by_weight() == {1: 3, 2: 0, 3: 0}
