@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict, deque
 from functools import lru_cache
+from math import lcm
 
 from .freelie import (
     LieElement,
@@ -60,7 +61,6 @@ from .ratlin import (
     InternalError,
     LieobstructError,
     Subspace,
-    _cleared,
     _Frozen,
 )
 
@@ -192,13 +192,14 @@ def _require_homogeneous(p: LiePresentation):
                 )
 
 
-def _tensor_parts(t: dict, n_gens: int) -> dict:
-    """A tensor polynomial {letter tuple: coefficient} as {degree: vector
-    over _word_int columns}."""
-    parts: dict = {}
-    for u, c in t.items():
-        parts.setdefault(len(u), {})[_word_int(u, n_gens)] = c
-    return parts
+def _integral(e: dict) -> dict:
+    """A tensor polynomial {degree: vector} times the lcm of all its
+    denominators, one factor for every degree, with int entries."""
+    den = lcm(*(x.denominator for v in e.values() for x in v.values()))
+    return {
+        d: {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+        for d, v in e.items()
+    }
 
 
 @lru_cache(maxsize=None)
@@ -222,9 +223,10 @@ def _lyndon_columns(n_gens: int, d: int) -> dict:
 
 
 def _lyndon(e: dict, n_gens: int) -> dict:
-    """{degree: vector over _word_int columns} on the Lyndon-word columns
-    of each degree.  This does not commute with ad, so every bracket is
-    formed on full tensors first."""
+    """A tensor polynomial {degree: vector over _word_int keys}, as from
+    lie_tensor or tensor_expand, cut to the Lyndon-word columns of each
+    degree and numbered into one vector.  This does not commute with ad,
+    so every bracket is formed on full tensors first."""
     out = {}
     for d, v in e.items():
         cols = _lyndon_columns(n_gens, d)
@@ -252,20 +254,20 @@ def _ad_gen(g: int, v: dict, degree: int, n_gens: int) -> dict:
 def _ideal_basis(p: LiePresentation, cap: int) -> list:
     """A basis of the degree <= cap part of the ideal J generated by a
     finite relator list, in tensor coordinates: each element is {degree:
-    integer vector over _word_int columns}.
+    integer vector over _word_int keys}.
 
     J is spanned by the relators closed under the generator brackets, which
-    here are g*t - t*g degree by degree, cut at the cap.  One echelon ranks
-    every degree on its own Lyndon-word columns, so an inhomogeneous
-    relator stays one vector.  Elements already in the span are not closed
-    further; linearity of ad makes that sound.
+    here are g*t - t*g degree by degree, cut at the cap.  Each relator
+    enters as its lie_tensor image, scaled by one integer for all its
+    degrees.  One echelon ranks every degree on its own Lyndon-word
+    columns, so an inhomogeneous relator stays one vector.  Elements
+    already in the span are not closed further; linearity of ad makes that
+    sound.
     """
     n = p.n_gens
     ech = EchelonForm()
     basis = []
-    pool = deque(
-        _tensor_parts(_cleared(lie_tensor(r.truncate(cap)))[0], n) for r in p.scheme.relators
-    )
+    pool = deque(_integral(lie_tensor(r.truncate(cap))) for r in p.scheme.relators)
     while pool:
         e = pool.popleft()
         if ech.insert(_lyndon(e, n))[0]:
@@ -293,9 +295,7 @@ def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
     if isinstance(p.scheme, DerivedIdeal):
         words = hall_basis_derived(n, p.scheme.level, degree_cap)
         j_dims = Counter(w.degree for w in words)
-        basis = (
-            _tensor_parts(tensor_expand(w), n) for w in words if w.degree < degree_cap
-        )
+        basis = ({w.degree: tensor_expand(w, n)} for w in words if w.degree < degree_cap)
     else:
         basis = _ideal_basis(p, degree_cap)
         j_dims = Counter(d for e in basis for d in e)
@@ -553,7 +553,7 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         )
     if isinstance(p.scheme, DerivedIdeal):
         words = hall_basis_derived(m, p.scheme.level, cap)
-        ideal = [_tensor_parts(tensor_expand(w), m) for w in words]
+        ideal = [{w.degree: tensor_expand(w, m)} for w in words]
     else:
         ideal = _ideal_basis(reduced, cap)
     ech = EchelonForm(track=True)
@@ -561,14 +561,14 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         ech.insert(_lyndon(e, m))
     found = []
     for w in reversed(hall_basis_derived(m, 0, cap)):
-        if ech.insert(_lyndon(_tensor_parts(tensor_expand(w), m), m))[0]:
+        if ech.insert(_lyndon({w.degree: tensor_expand(w, m)}, m))[0]:
             found.append((ech.n_inserted - 1, w))
     reps = [w for _, w in reversed(found)]
     slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
 
     def coset(t):
         # the representatives' part of t's combination modulo J
-        res, combo = ech.reduce(_lyndon(_tensor_parts(t, m), m))
+        res, combo = ech.reduce(_lyndon(t, m))
         if res:
             raise InternalError("representatives and J fail to span the quotient")
         return {slot[i]: c for i, c in combo.items() if i in slot}
@@ -578,7 +578,10 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         for b in range(a + 1, len(reps)):
             wb = reps[b]
             if wa.degree + wb.degree <= cap:
-                table = coset(_tensor_commutator(tensor_expand(wa), tensor_expand(wb)))
+                t = _tensor_commutator(
+                    tensor_expand(wa, m), tensor_expand(wb, m), m ** wa.degree, m ** wb.degree
+                )
+                table = coset({wa.degree + wb.degree: t})
                 if table:
                     brackets[(a, b)] = table
     alg = NilpotentLieAlgebra(
@@ -614,7 +617,7 @@ class _AdBasis:
     def __init__(self, n_gens, degree):
         from itertools import product
 
-        self.n_gens = n_gens
+        self.degree = degree
         self.ech = EchelonForm(track=True)
         # combo indices count every insert attempt, so keep them all
         self.attempts = list(product(range(n_gens), repeat=degree))
@@ -625,8 +628,8 @@ class _AdBasis:
             self.ech.insert(vec)
 
     def express(self, e: LieElement) -> dict:
-        vec = {_word_int(u, self.n_gens): c for u, c in lie_tensor(e).items()}
-        res, combo = self.ech.reduce(vec)
+        """A nonzero element of this degree over the ad monomials."""
+        res, combo = self.ech.reduce(lie_tensor(e)[self.degree])
         if res:
             raise InternalError("ad monomials failed to span a graded piece")
         return {self.attempts[i]: c for i, c in (combo or {}).items()}

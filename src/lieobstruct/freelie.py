@@ -15,22 +15,29 @@ listings and pivot choices are reproducible.
 
 The basis is built degree by degree, once per alphabet and level in a
 process: each layer of one level and one degree is made from lower layers,
-and a degree cap reads a prefix of the layers already built.
+and a degree cap reads a prefix of the layers already built.  A word made
+there takes its degree and child keys from the words it extends, unchecked;
+the public constructor validates first and then fills in the same way.
 
 Arbitrary brackets are rewritten into the basis by expanding both sides in
 the tensor algebra (the free Lie algebra sits inside it, multidegree by
 multidegree) and solving the resulting exact linear system over the basis
-words of the same multidegree.  Two shortcut cases avoid the solve: a
-bracket of two distinct same-level words is itself a basis word, and
-appending a small enough previous-level word to a left-normed bracket just
-extends it.  The solve is fraction-free inside the echelon and only its
-reported coefficients are Fractions; no floats.
+words of the same multidegree.  A tensor is a dict from integer word keys
+to coefficients: a word of d letters over n is the base-n number of its
+letters (_word_int), and every tensor here is homogeneous, so the product
+uv has the key u * n**d(v) + v and a commutator needs no letter tuples.
+Two shortcut cases avoid the solve: a bracket of two distinct same-level
+words is itself a basis word, and appending a small enough previous-level
+word to a left-normed bracket just extends it.  The solve is fraction-free
+inside the echelon and only its reported coefficients are Fractions; no
+floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .ratlin import (
     ONE,
@@ -74,35 +81,53 @@ class HallWord:
     """One basis word: a generator, or a left-normed bracket of words one
     level down.  Immutable; order is the fixed total order of the module
     docstring, exposed through the precomputed sort key, which also
-    determines the word and gives its hash.  Letter counts are tallied on
-    first use."""
+    determines the word.  The hash is computed once, from the degree and
+    the children's hashes.  Letter counts are tallied on first use."""
 
     __slots__ = ("level", "gen", "children", "degree", "key", "_hash", "_counts")
 
-    def __init__(self, level, gen=None, children=None, _validate=True):
-        self.level = level
-        self.gen = gen
-        self.children = children
+    def __init__(self, level, gen=None, children=None):
         if level == 0:
-            if _validate and (children is not None or gen is None or gen < 0):
+            if children is not None or gen is None or gen < 0:
                 raise LieError("level-0 word must be a bare generator index")
+            self.level = 0
+            self.gen = gen
+            self.children = None
             self.degree = 1
             self.key = (0, 1, gen)
-        else:
-            if _validate:
-                if not children or len(children) < 2:
-                    raise LieError("bracket word needs at least two children")
-                if any(c.level != level - 1 for c in children):
-                    raise LieError("children must all sit one level down")
-                if not children[0].key < children[1].key:
-                    raise LieError("first child must be smaller than second")
-                for a, b in zip(children[1:], children[2:]):
-                    if a.key < b.key:
-                        raise LieError("children after the second must be weakly decreasing")
-            self.degree = sum(c.degree for c in children)
-            self.key = (-level, self.degree, tuple(c.key for c in children))
+            self._counts = None
+            self._hash = hash(self.key)
+            return
+        if not children or len(children) < 2:
+            raise LieError("bracket word needs at least two children")
+        if any(c.level != level - 1 for c in children):
+            raise LieError("children must all sit one level down")
+        if not children[0].key < children[1].key:
+            raise LieError("first child must be smaller than second")
+        for a, b in zip(children[1:], children[2:]):
+            if a.key < b.key:
+                raise LieError("children after the second must be weakly decreasing")
+        self._build(
+            level,
+            children,
+            sum(c.degree for c in children),
+            tuple(c.key for c in children),
+            _head_hash(children),
+        )
+
+    def _build(self, level, children, degree, child_keys, head_hash):
+        """Fill in a bracket word, unchecked.  The callers know its degree,
+        the tuple of its children's keys, and head_hash: the hash of the
+        word with the last child dropped, which for a pair is the first
+        child.  So the hash folds the children's hashes in order."""
+        self.level = level
+        self.gen = None
+        self.children = children
+        self.degree = degree
+        self.key = (-level, degree, child_keys)
         self._counts = None
-        self._hash = hash(self.key)
+        self._hash = hash((degree, head_hash, children[-1]._hash))
+        return self
 
     def __hash__(self):
         return self._hash
@@ -119,9 +144,13 @@ class HallWord:
         )
 
     def __lt__(self, other):
+        if not isinstance(other, HallWord):
+            return NotImplemented
         return self.key < other.key
 
     def __le__(self, other):
+        if not isinstance(other, HallWord):
+            return NotImplemented
         return self.key <= other.key
 
     def __repr__(self):
@@ -141,6 +170,15 @@ class HallWord:
 
     def max_gen(self) -> int:
         return max(self._tally())
+
+
+def _head_hash(children) -> int:
+    """The hash of the left-normed bracket of all children but the last."""
+    h, d = children[0]._hash, children[0].degree
+    for c in children[1:-1]:
+        d += c.degree
+        h = hash((d, h, c._hash))
+    return h
 
 
 _GENERATORS: dict[int, HallWord] = {}
@@ -200,6 +238,7 @@ def _check_enum_args(n_gens, level, max_degree):
 
 # (n_gens, level) -> [words of degree 0, of degree 1, ...], grown on demand
 _LAYERS: dict = {}
+_KEY = attrgetter("key")
 
 
 def _layer(n_gens: int, level: int, d: int):
@@ -216,20 +255,27 @@ def _layer(n_gens: int, level: int, d: int):
     if n_gens == 1 or d.bit_length() <= level:
         return ()
     layers = _LAYERS.setdefault((n_gens, level), [])
+    new = HallWord.__new__
     while len(layers) <= d:
         m = len(layers)
         out = []
         for e in range(1, m // 2 + 1):
             low, high = _layer(n_gens, level - 1, e), _layer(n_gens, level - 1, m - e)
             for i, h1 in enumerate(low):
+                k1 = h1.key
                 for h2 in high[i + 1:] if 2 * e == m else high:
-                    out.append(HallWord(level, children=(h1, h2), _validate=False))
+                    out.append(new(HallWord)._build(level, (h1, h2), m, (k1, h2.key), h1._hash))
             for w in layers[m - e]:
+                children, keys = w.children, w.key[2]
                 for h in low:
-                    if w.children[-1].key < h.key:
+                    if keys[-1] < h.key:
                         break
-                    out.append(HallWord(level, children=w.children + (h,), _validate=False))
-        out.sort(key=lambda w: w.key)
+                    out.append(
+                        new(HallWord)._build(
+                            level, children + (h,), m, keys + (h.key,), w._hash
+                        )
+                    )
+        out.sort(key=_KEY)
         layers.append(tuple(out))
     return layers[d]
 
@@ -318,30 +364,43 @@ def bigraded_dims(derived_level: int, max_degree: int) -> dict:
 # ---------------------------------------------------------------------------
 # tensor expansion and bracket normalization
 
-_EXPAND: dict[HallWord, dict] = {}
+# (word, n_gens) -> tensor_expand image, shared by every caller in a process
+_EXPAND: dict = {}
 
 
-def tensor_expand(w: HallWord) -> dict:
-    """Image of a basis word in the tensor algebra: {letter tuple: int}."""
-    t = _EXPAND.get(w)
+def tensor_expand(w: HallWord, n_gens: int) -> dict:
+    """Image of a basis word in the tensor algebra on n_gens letters, as
+    {_word_int key: int}; every key has w.degree letters."""
+    key = (w, n_gens)
+    t = _EXPAND.get(key)
     if t is not None:
         return t
     if w.level == 0:
-        t = {(w.gen,): 1}
+        if w.gen >= n_gens:
+            raise LieError(f"word uses generator {w.gen} outside alphabet of size {n_gens}")
+        t = {w.gen: 1}
     else:
-        t = tensor_expand(w.children[0])
+        head = w.children[0]
+        t = tensor_expand(head, n_gens)
+        shift = n_gens ** head.degree
         for c in w.children[1:]:
-            t = _tensor_commutator(t, tensor_expand(c))
-    _EXPAND[w] = t
+            s = n_gens ** c.degree
+            t = _tensor_commutator(t, tensor_expand(c, n_gens), shift, s)
+            shift *= s
+    _EXPAND[key] = t
     return t
 
 
-def _tensor_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for u, x in a.items():
-        for v, y in b.items():
-            k = u + v
-            z = out.get(k, 0) + x * y
+def _tensor_commutator(a: dict, b: dict, shift_a: int, shift_b: int) -> dict:
+    """ab - ba for homogeneous a, b over _word_int keys, where shift_a and
+    shift_b are n_gens to the power of their degrees: the word uv has the
+    key u * n_gens**len(v) + v, and distinct pairs give distinct keys."""
+    out = {u * shift_b + v: x * y for u, x in a.items() for v, y in b.items()}
+    for v, y in b.items():
+        v *= shift_a
+        for u, x in a.items():
+            k = v + u
+            z = out.get(k, 0) - x * y
             if z:
                 out[k] = z
             else:
@@ -349,18 +408,9 @@ def _tensor_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _tensor_commutator(a: dict, b: dict) -> dict:
-    out = _tensor_mul(a, b)
-    for u, x in _tensor_mul(b, a).items():
-        z = out.get(u, 0) - x
-        if z:
-            out[u] = z
-        else:
-            del out[u]
-    return out
-
-
 def _word_int(letters, n_gens):
+    """The key of a word: its letters as base-n_gens digits, first letter
+    most significant, so keys of one length order like the words."""
     k = 0
     for g in letters:
         k = k * n_gens + g
@@ -372,8 +422,10 @@ def _relabel(w: HallWord, letters) -> HallWord:
     the renaming preserves the order of words, so a basis word stays one."""
     if w.level == 0:
         return generator(letters[w.gen])
-    children = tuple(_relabel(c, letters) for c in w.children)
-    return HallWord(w.level, children=children, _validate=False)
+    children = tuple([_relabel(c, letters) for c in w.children])
+    return HallWord.__new__(HallWord)._build(
+        w.level, children, w.degree, tuple([c.key for c in children]), _head_hash(children)
+    )
 
 
 class _MultidegreeSolver:
@@ -381,12 +433,13 @@ class _MultidegreeSolver:
 
     The words are enumerated over the letters of the multidegree's support
     alone and relabelled, so the cost follows the support, not the alphabet.
-    Hall words are a Z-basis, so the tensor rows stay integral and the
-    echelon never sees a Fraction until it reports the coefficients.
+    Their rows are their tensor_expand images over the full alphabet of
+    n_gens letters, the keys solve() is given.  Hall words are a Z-basis,
+    so the rows stay integral and the echelon never sees a Fraction until
+    it reports the coefficients.
     """
 
     def __init__(self, n_gens, md):
-        self.n_gens = n_gens
         support = tuple(g for g, m in enumerate(md) if m)
         words = hall_words_of_degree(len(support), sum(md)).get(
             tuple(md[g] for g in support), ()
@@ -398,15 +451,13 @@ class _MultidegreeSolver:
         self.words = words
         self.ech = EchelonForm(track=True)
         for w in self.words:
-            row, _ = self.ech.insert(
-                {_word_int(u, n_gens): c for u, c in tensor_expand(w).items()}
-            )
+            row, _ = self.ech.insert(tensor_expand(w, n_gens))
             if not row:
                 raise InternalError("basis words must expand independently")
 
     def solve(self, vec: dict) -> dict:
         """The basis-word combination of a Lie polynomial of this
-        multidegree, given as a vector over _word_int columns."""
+        multidegree, given as a vector over _word_int keys."""
         res, combo = self.ech.reduce(vec)
         if res:
             raise InternalError("commutator expansion escaped the Lie span")
@@ -447,8 +498,13 @@ def _normalize_pair(n_gens, a: HallWord, b: HallWord) -> dict:
             x + y
             for x, y in zip(multidegree(a, n_gens), multidegree(b, n_gens))
         )
-        t = _tensor_commutator(tensor_expand(a), tensor_expand(b))
-        out = _solver(n_gens, md).solve({_word_int(u, n_gens): c for u, c in t.items()})
+        t = _tensor_commutator(
+            tensor_expand(a, n_gens),
+            tensor_expand(b, n_gens),
+            n_gens ** a.degree,
+            n_gens ** b.degree,
+        )
+        out = _solver(n_gens, md).solve(t)
     _PAIR_NORM[key] = out
     return out
 
@@ -560,15 +616,17 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
 
 
 def lie_tensor(e: LieElement) -> dict:
-    """Image of an element in the tensor algebra: {letter tuple: Fraction}."""
+    """Image of an element in the tensor algebra, one vector per degree:
+    {degree: {_word_int key: Fraction}}, with no empty vector."""
     out: dict = {}
     for w, c in e.terms.items():
-        for u, x in tensor_expand(w).items():
-            y = out.get(u, ZERO) + c * x
+        vec = out.setdefault(w.degree, {})
+        for u, x in tensor_expand(w, e.n_gens).items():
+            y = vec.get(u, ZERO) + c * x
             if y:
-                out[u] = y
+                vec[u] = y
             else:
-                del out[u]
+                del vec[u]
     return out
 
 

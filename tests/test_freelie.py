@@ -18,6 +18,7 @@ from lieobstruct.freelie import (
     LieElement,
     LieError,
     _MultidegreeSolver,
+    _word_int,
     apply_morphism,
     bigraded_dims,
     bracket,
@@ -225,6 +226,22 @@ def tensor_commutator(a, b):
     return {k: v for k, v in out.items() if v}
 
 
+def letter_expand(w):
+    """The tensor image of a basis word over letter tuples, {tuple: int},
+    by plain concatenation commutators."""
+    if w.level == 0:
+        return {(w.gen,): 1}
+    t = letter_expand(w.children[0])
+    for c in w.children[1:]:
+        t = tensor_commutator(t, letter_expand(c))
+    return t
+
+
+def encode(t, n_gens):
+    """A letter-tuple tensor on the integer word keys of the library."""
+    return {_word_int(u, n_gens): c for u, c in t.items()}
+
+
 def test_normalization_against_tensor_oracle():
     """Every normalized pair bracket must re-expand to the plain commutator."""
     for n in (2, 3):
@@ -236,10 +253,91 @@ def test_normalization_against_tensor_oracle():
                 got = bracket(
                     LieElement(n, {a: Fraction(1)}), LieElement(n, {b: Fraction(1)})
                 )
-                want = tensor_commutator(tensor_expand(a), tensor_expand(b))
-                assert lie_tensor(got) == {
-                    u: Fraction(c) for u, c in want.items()
-                }
+                want = tensor_commutator(letter_expand(a), letter_expand(b))
+                assert lie_tensor(got) == (
+                    {a.degree + b.degree: {k: Fraction(c) for k, c in encode(want, n).items()}}
+                    if want else {}
+                )
+
+
+def test_tensor_expand_against_letter_oracle():
+    """Integer-keyed expansion equals the letter-tuple expansion, encoded:
+    every word over 2 letters through degree 9 and over 3 through degree
+    6, and the relabelled words of the multidegree solvers."""
+    cases = [(n, w) for n, top in ((2, 9), (3, 6)) for w in hall_basis_derived(n, 0, top)]
+    for n in (3, 4):
+        for d in range(2, 6):
+            for md in product(range(d + 1), repeat=n):
+                if sum(md) == d:
+                    cases.extend((n, w) for w in _MultidegreeSolver(n, md).words)
+    for n, w in cases:
+        want = letter_expand(w)
+        assert {len(u) for u in want} == {w.degree}
+        assert tensor_expand(w, n) == encode(want, n)
+
+
+def test_tensor_expand_rejects_letters_outside_the_alphabet():
+    with pytest.raises(LieError):
+        tensor_expand(XY, 1)
+
+
+def test_lie_tensor_splits_degrees():
+    x, y = gen_elt(2, 0), gen_elt(2, 1)
+    e = Fraction(1, 2) * x + bracket(x, y) - bracket(x, bracket(x, y))
+    assert lie_tensor(e) == {
+        1: {0: Fraction(1, 2)},
+        2: {0b01: 1, 0b10: -1},
+        # -(xxy - 2xyx + yxx)
+        3: {0b001: -1, 0b010: 2, 0b100: -1},
+    }
+    assert lie_tensor(zero(2)) == {}
+
+
+def rebuilt(w):
+    """w built again through the validating constructor, from fresh children."""
+    if w.level == 0:
+        return generator(w.gen)
+    return bracket_word([rebuilt(c) for c in w.children])
+
+
+def nested_key(w):
+    if w.level == 0:
+        return (0, 1, w.gen)
+    return (-w.level, w.degree, tuple(nested_key(c) for c in w.children))
+
+
+def test_enumerated_words_match_validated_rebuilds():
+    """The unchecked construction of the enumeration gives the same words,
+    hashes and order as the validated one, and distinct words hash apart."""
+    for n, top in ((2, 10), (3, 7)):
+        words = hall_basis_derived(n, 0, top)
+        for w in words:
+            r = rebuilt(w)
+            assert r is not w or w.level == 0
+            assert r == w and hash(r) == hash(w)
+            assert r.key == w.key == nested_key(w)
+            assert r <= w and w <= r and not r < w and not w < r
+        assert len({hash(w) for w in words}) == len(words)
+
+
+def test_enumeration_order_is_the_nested_key_order():
+    for n, top in ((2, 11), (3, 7)):
+        words = hall_basis_derived(n, 0, top)
+        assert list(words) == sorted(words, key=lambda w: (w.degree, nested_key(w)))
+        for level in range(4):
+            got = hall_level(n, level, top)
+            assert list(got) == sorted(got, key=nested_key)
+
+
+def test_word_order_rejects_non_words():
+    assert X.__lt__(1) is NotImplemented and X.__le__("x") is NotImplemented
+    for bad in (1, "x", None, (0, 1, 0)):
+        with pytest.raises(TypeError):
+            X < bad
+        with pytest.raises(TypeError):
+            X <= bad
+        with pytest.raises(TypeError):
+            bad > X
 
 
 def small_elements(n_gens, max_degree=3):
