@@ -3,14 +3,18 @@
 A FiniteCdga is given by a named basis in each degree, a differential, and a
 product.  The product is either a table, as loaded from JSON, or a
 WedgeProduct: the exterior algebra on the degree-1 basis, computed by rule on
-sorted index tuples, as in every Chevalley-Eilenberg stage.  The constructor
-checks connectedness and d^2 = 0 in both cases, so anything that loads is
-actually a cdga.  A table is also checked for graded commutativity, the
-Leibniz rule and associativity, exhaustively on the finite bases.  A
-WedgeProduct is associative and graded commutative by construction, and
-satisfies the Leibniz rule iff d on degree 2 is the derivation extension of d
-on degree 1, which is one check per basis pair.  Degrees above the top are
-treated as zero (the quotient truncation), which keeps every rule consistent.
+sorted index tuples, as in every Chevalley-Eilenberg stage.  Degrees above
+the top are treated as zero (the quotient truncation), which keeps every
+rule consistent.
+
+Constructors check shapes; loaders check axioms.  The FiniteCdga and
+CdgaMorphism constructors check names, matrix shapes, the unit and the
+exterior dimensions, nothing that costs more.  check_cdga (d^2 = 0, graded
+commutativity, the Leibniz rule, associativity) and check_morphism
+(commuting with d, multiplicativity) run exhaustively on the finite bases,
+and the loaders run them once on each cdga and each action map read from
+JSON.  Everything the library derives from checked input is a cdga or a
+cdga map by the rule that builds it, and is not checked again.
 
 On top of that sit the operations this toolkit needs: the sub-cdga A[q]
 generated in degrees <= q (same cohomology through q, monomorphism in q+1),
@@ -53,6 +57,8 @@ __all__ = [
     "WedgeProduct",
     "action_from_dict",
     "cdga_from_dict",
+    "check_cdga",
+    "check_morphism",
     "cohomology",
     "fixed_subcdga",
     "format_cdga_element",
@@ -161,21 +167,17 @@ class FiniteCdga(_Frozen):
 
     A table prod has prod[(i, j)][(a, b)] the product of the a-th degree-i
     and b-th degree-j basis elements, stored complete for all ordered pairs
-    of positive degrees with i + j <= top; absent entries are zero.  The
-    constructor checks d^2 = 0, graded commutativity, the Leibniz rule and
-    associativity exhaustively on it.
+    of positive degrees with i + j <= top; absent entries are zero.  An
+    exterior stage has a WedgeProduct prod, whose degree-n basis is the
+    n-tuples of the degree-1 basis.
 
-    An exterior stage has a WedgeProduct prod, whose degree-n basis is the
-    n-tuples of the degree-1 basis u_1..u_m.  Its constructor checks that the
-    bases have the exterior dimensions and that d^2 = 0; the rest follows:
-    - associativity and graded commutativity hold by construction, because
-      the product is a rule on sorted tuples and never user data;
-    - the Leibniz rule holds iff d on degree 2 is the derivation extension of
-      d on degree 1, d(u_i^u_j) = d(u_i)^u_j - u_i^d(u_j), checked through
-      mul once per pair i < j.  A derivation of a free graded-commutative
-      algebra is fixed by its values on generators, so the rule then holds on
-      every product of two degree-1 elements; on a product of degree 3 both
-      sides lie in degree 4, which is zero.
+    The constructor checks shapes only: nonempty distinct names, top <= 3,
+    one differential of the right shape per degree, a closed unit, and for
+    a WedgeProduct the exterior dimensions.  The cdga axioms are check_cdga's,
+    which cdga_from_dict runs on every loaded table.  An exterior stage
+    satisfies them by construction: its product is a rule on sorted tuples,
+    and ce_cochain builds d on degree 2 as the Leibniz extension of d on
+    generators and checks d^2 = 0 there (the Jacobi identity).
 
     A cdga is immutable, so its cohomology data is built once per degree, on
     first use, and kept in a private memo that equality and repr ignore.
@@ -205,14 +207,8 @@ class FiniteCdga(_Frozen):
                 raise CdgaError(f"differential in degree {i} has the wrong shape")
         if not self.diff[0].is_zero():
             raise CdgaError("the unit must be closed")
-        self._check_d_squared()
         if isinstance(self.prod, WedgeProduct):
             self._check_wedge_dims()
-            self._check_derivation()
-        else:
-            self._check_commutativity()
-            self._check_leibniz()
-            self._check_associativity()
 
     # -- shape helpers ----------------------------------------------------
 
@@ -234,8 +230,6 @@ class FiniteCdga(_Frozen):
         """Product of a degree-i and a degree-j element."""
         return _graded_mul(self.prod, self.top, i, u, j, v)
 
-    # -- load-time validation ---------------------------------------------
-
     def _check_wedge_dims(self):
         if self.prod.top < self.top:
             raise CdgaError("exterior product stops below the top degree")
@@ -243,78 +237,57 @@ class FiniteCdga(_Frozen):
             if self.dim(i) != len(self.prod.tuples[i]):
                 raise CdgaError(f"degree {i} is not the exterior power of degree 1")
 
-    def _check_derivation(self):
-        if self.top < 3:
-            return  # d of a degree-2 product lands in degree 3, which is zero
-        d1 = [self.diff[1].col(k) for k in range(self.dim(1))]
-        for p, (i, j) in enumerate(self.prod.tuples[2]):
-            ui, uj = {i: ONE}, {j: ONE}
-            rhs = vec_add(self.mul(2, d1[i], 1, uj), self.mul(1, ui, 2, d1[j]), -ONE)
-            if self.diff[2].col(p) != rhs:
-                raise CdgaError(
-                    "Leibniz rule fails on "
-                    f"{self.names[1][i]!r} * {self.names[1][j]!r}"
-                )
 
-    def _check_d_squared(self):
-        for i in range(self.top):
-            for k in range(self.dim(i)):
-                if self.d_apply(i + 1, self.d_apply(i, {k: ONE})):
-                    raise CdgaError(
-                        f"d^2 != 0 on {self.names[i][k]!r}"
-                    )
-
-    def _check_commutativity(self):
-        for i in range(1, self.top):
-            for j in range(i, self.top + 1 - i):
-                sign = ONE if (i * j) % 2 == 0 else -ONE
-                for a in range(self.dim(i)):
-                    for b in range(self.dim(j)):
-                        lhs = self.mul(i, {a: ONE}, j, {b: ONE})
-                        rhs = self.mul(j, {b: ONE}, i, {a: ONE})
-                        if lhs != {k: sign * c for k, c in rhs.items()}:
-                            raise CdgaError(
-                                "graded commutativity fails on "
-                                f"{self.names[i][a]!r} * {self.names[j][b]!r}"
-                            )
-
-    def _check_leibniz(self):
-        for i in range(1, self.top):
-            for j in range(1, self.top + 1 - i):
-                sign = ONE if i % 2 == 0 else -ONE
-                for a in range(self.dim(i)):
-                    da = self.d_apply(i, {a: ONE})
-                    for b in range(self.dim(j)):
-                        db = self.d_apply(j, {b: ONE})
-                        lhs = self.d_apply(i + j, self.mul(i, {a: ONE}, j, {b: ONE}))
-                        rhs = vec_add(
-                            self.mul(i + 1, da, j, {b: ONE}),
-                            self.mul(i, {a: ONE}, j + 1, db),
-                            sign,
+def check_cdga(a: FiniteCdga):
+    """Check d^2 = 0, graded commutativity, the Leibniz rule and
+    associativity, in that order, on every tuple of basis elements; raise
+    CdgaError naming the first failure."""
+    top, dim, d, mul, names = a.top, a.dim, a.d_apply, a.mul, a.names
+    for i in range(top):
+        for k in range(dim(i)):
+            if d(i + 1, d(i, {k: ONE})):
+                raise CdgaError(f"d^2 != 0 on {names[i][k]!r}")
+    for i in range(1, top):
+        for j in range(i, top + 1 - i):
+            sign = ONE if (i * j) % 2 == 0 else -ONE
+            for x in range(dim(i)):
+                for y in range(dim(j)):
+                    lhs = mul(i, {x: ONE}, j, {y: ONE})
+                    rhs = mul(j, {y: ONE}, i, {x: ONE})
+                    if lhs != {k: sign * c for k, c in rhs.items()}:
+                        raise CdgaError(
+                            "graded commutativity fails on "
+                            f"{names[i][x]!r} * {names[j][y]!r}"
                         )
-                        if lhs != rhs:
-                            raise CdgaError(
-                                "Leibniz rule fails on "
-                                f"{self.names[i][a]!r} * {self.names[j][b]!r}"
-                            )
-
-    def _check_associativity(self):
-        for i in range(1, self.top):
-            for j in range(1, self.top + 1 - i):
-                for k in range(1, self.top + 1 - i - j):
-                    for a in range(self.dim(i)):
-                        for b in range(self.dim(j)):
-                            ab = self.mul(i, {a: ONE}, j, {b: ONE})
-                            for c in range(self.dim(k)):
-                                bc = self.mul(j, {b: ONE}, k, {c: ONE})
-                                lhs = self.mul(i + j, ab, k, {c: ONE})
-                                rhs = self.mul(i, {a: ONE}, j + k, bc)
-                                if lhs != rhs:
-                                    raise CdgaError(
-                                        "associativity fails on "
-                                        f"{self.names[i][a]!r}, {self.names[j][b]!r}, "
-                                        f"{self.names[k][c]!r}"
-                                    )
+    for i in range(1, top):
+        for j in range(1, top + 1 - i):
+            sign = ONE if i % 2 == 0 else -ONE
+            for x in range(dim(i)):
+                dx = d(i, {x: ONE})
+                for y in range(dim(j)):
+                    lhs = d(i + j, mul(i, {x: ONE}, j, {y: ONE}))
+                    rhs = vec_add(
+                        mul(i + 1, dx, j, {y: ONE}),
+                        mul(i, {x: ONE}, j + 1, d(j, {y: ONE})),
+                        sign,
+                    )
+                    if lhs != rhs:
+                        raise CdgaError(
+                            f"Leibniz rule fails on {names[i][x]!r} * {names[j][y]!r}"
+                        )
+    for i in range(1, top):
+        for j in range(1, top + 1 - i):
+            for k in range(1, top + 1 - i - j):
+                for x in range(dim(i)):
+                    for y in range(dim(j)):
+                        xy = mul(i, {x: ONE}, j, {y: ONE})
+                        for z in range(dim(k)):
+                            yz = mul(j, {y: ONE}, k, {z: ONE})
+                            if mul(i + j, xy, k, {z: ONE}) != mul(i, {x: ONE}, j + k, yz):
+                                raise CdgaError(
+                                    "associativity fails on "
+                                    f"{names[i][x]!r}, {names[j][y]!r}, {names[k][z]!r}"
+                                )
 
 
 def format_cdga_element(a: FiniteCdga, i: int, vec: dict) -> str:
@@ -336,22 +309,18 @@ def format_cdga_element(a: FiniteCdga, i: int, vec: dict) -> str:
 # morphisms
 
 class CdgaMorphism(_Frozen):
-    """Degreewise linear maps commuting with d and multiplicative on basis
-    products.  maps[i] sends degree-i source coordinates to target ones;
-    degrees above the source top are zero.  The top source degree is exempt
-    from the d-compatibility check because the source differential there is
-    zero by truncation.
+    """Degreewise linear maps: maps[i] sends degree-i source coordinates to
+    target ones; degrees above the source top are zero.
 
-    Multiplicativity is checked on every ordered pair of basis elements when
-    the source has a product table.  When the source is an exterior stage it
-    is checked once per sorted basis tuple: f(u_i^u_j) = f(u_i).f(u_j) for
-    i < j and f(u_i^u_j^u_k) = f(u_i).f(u_j^u_k) for i < j < k.  That
-    suffices because the target passed its own associativity and graded
-    commutativity checks: over Q the square of an odd-degree element is zero,
-    so any product of degree-1 images is the sign of the sorting permutation
-    times the product in sorted order, or zero when an index repeats, just as
-    in the source (a cdga map out of a free graded-commutative algebra is
-    fixed by its degree-1 part, Felix-Halperin-Thomas GTM 205, section 12)."""
+    The constructor checks shapes and that the unit goes to the unit.  That
+    the maps commute with d and are multiplicative is check_morphism's,
+    which action_from_dict runs on every loaded map.  The maps the library
+    builds are cdga maps by construction: identities, inclusions of
+    sub-cdgas, composites, and classifying maps, whose higher columns are
+    products of their degree-1 images (a cdga map out of a free
+    graded-commutative algebra is fixed by its degree-1 part,
+    Felix-Halperin-Thomas GTM 205, section 12; ce.verify_one_equivalence
+    checks the Maurer-Cartan equation, which is commuting with d there)."""
 
     __slots__ = _fields = ("source", "target", "maps")
 
@@ -364,43 +333,6 @@ class CdgaMorphism(_Frozen):
                 raise CdgaError(f"morphism matrix in degree {i} has the wrong shape")
         if self.apply(0, {0: ONE}) != {0: ONE}:
             raise CdgaError("morphism must send the unit to the unit")
-        for i in range(self.source.top):
-            for k in range(self.source.dim(i)):
-                lhs = self.apply(i + 1, self.source.d_apply(i, {k: ONE}))
-                rhs = self.target.d_apply(i, self.apply(i, {k: ONE}))
-                if lhs != rhs:
-                    raise CdgaError(
-                        f"morphism does not commute with d on {self.source.names[i][k]!r}"
-                    )
-        if isinstance(self.source.prod, WedgeProduct):
-            self._check_wedge_multiplicative()
-            return
-        for i in range(1, self.source.top):
-            for j in range(i, self.source.top + 1 - i):
-                for a in range(self.source.dim(i)):
-                    fa = self.apply(i, {a: ONE})
-                    for b in range(self.source.dim(j)):
-                        fb = self.apply(j, {b: ONE})
-                        lhs = self.apply(
-                            i + j, self.source.mul(i, {a: ONE}, j, {b: ONE})
-                        )
-                        if lhs != self.target.mul(i, fa, j, fb):
-                            raise CdgaError(
-                                "morphism is not multiplicative on "
-                                f"{self.source.names[i][a]!r} * {self.source.names[j][b]!r}"
-                            )
-
-    def _check_wedge_multiplicative(self):
-        src = self.source
-        positions = src.prod.positions
-        for n in range(2, src.top + 1):
-            for p, t in enumerate(src.prod.tuples[n]):
-                head = self.maps[1].col(t[0])
-                rest = self.maps[n - 1].col(positions[n - 1][t[1:]])
-                if self.maps[n].col(p) != self.target.mul(1, head, n - 1, rest):
-                    raise CdgaError(
-                        f"morphism is not multiplicative on {src.names[n][p]!r}"
-                    )
 
     def apply(self, i: int, vec: dict) -> dict:
         if 0 <= i <= self.source.top:
@@ -418,6 +350,30 @@ class CdgaMorphism(_Frozen):
             else:
                 mats.append(SparseMatrix(self.target.dim(i), inner.source.dim(i), {}))
         return CdgaMorphism(inner.source, self.target, tuple(mats))
+
+
+def check_morphism(f: CdgaMorphism):
+    """Check that f commutes with d and is multiplicative on every pair of
+    basis elements, in that order; raise CdgaError naming the first failure.
+    The top source degree is exempt from commuting with d: the source
+    differential there is zero by truncation."""
+    src, tgt = f.source, f.target
+    for i in range(src.top):
+        for k in range(src.dim(i)):
+            fk = f.apply(i, {k: ONE})
+            if f.apply(i + 1, src.d_apply(i, {k: ONE})) != tgt.d_apply(i, fk):
+                raise CdgaError(f"morphism does not commute with d on {src.names[i][k]!r}")
+    for i in range(1, src.top):
+        for j in range(i, src.top + 1 - i):
+            for a in range(src.dim(i)):
+                fa = f.apply(i, {a: ONE})
+                for b in range(src.dim(j)):
+                    lhs = f.apply(i + j, src.mul(i, {a: ONE}, j, {b: ONE}))
+                    if lhs != tgt.mul(i, fa, j, f.apply(j, {b: ONE})):
+                        raise CdgaError(
+                            "morphism is not multiplicative on "
+                            f"{src.names[i][a]!r} * {src.names[j][b]!r}"
+                        )
 
 
 def identity_morphism(a: FiniteCdga) -> CdgaMorphism:
@@ -916,8 +872,8 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
             sign = ONE if (i * j) % 2 == 0 else -ONE
             if (j, bj) != (i, ai):
                 put(j, bj, i, ai, {k: sign * c for k, c in vec.items()})
-    # odd-degree squares are zero by omission; nonzero ones would fail the
-    # graded-commutativity check in the constructor
+    # odd-degree squares are zero by omission; nonzero ones fail the
+    # graded-commutativity check in check_cdga
 
     d_raw = data.get("d", {})
     if not isinstance(d_raw, dict):
@@ -939,7 +895,9 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
     for i in range(top + 1):
         rows = len(names[i + 1]) if i + 1 <= top else 0
         diff.append(SparseMatrix.from_columns(rows, images[i]))
-    return FiniteCdga(tuple(names), tuple(diff), prod)
+    a = FiniteCdga(tuple(names), tuple(diff), prod)
+    check_cdga(a)
+    return a
 
 
 def parse_cdga_element(a: FiniteCdga, text: str):
@@ -1013,6 +971,7 @@ def action_from_dict(a: FiniteCdga, data: dict) -> GroupAction:
                 columns.append(vec)
             mats.append(SparseMatrix.from_columns(a.dim(i), columns))
         morphisms[g] = CdgaMorphism(a, a, tuple(mats))
+        check_morphism(morphisms[g])
     return GroupAction(tuple(elements), table, morphisms)
 
 

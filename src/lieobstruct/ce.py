@@ -6,11 +6,14 @@ a finite cdga on the exterior algebra of the dual space, with d = -beta* on
 generators extended by the graded Leibniz rule.  It is an exterior stage: its
 product is computed by rule (cdga.WedgeProduct) and never stored.  The Jacobi
 identity is checked as d^2 = 0 on generators, to which it is equivalent
-(Chevalley-Eilenberg 1948).  The chain complex carries the
-boundary del_n(x_1 ^ ... ^ x_n) = sum over i < j of (-1)^(i+j)
-[x_i, x_j] ^ (the rest).  On top of those sit Maurer-Cartan connections
-(d omega + 1/2 [omega, omega] = 0), the cdga morphisms C(g) -> A they induce,
-the canonical connections of the holonomy tower, and the finite-stage
+(Chevalley-Eilenberg 1948).  That is the one axiom check a stage gets: the
+others hold by construction, and cdga's constructors check shapes only.  The
+chain complex carries the boundary del_n(x_1 ^ ... ^ x_n) = sum over i < j
+of (-1)^(i+j) [x_i, x_j] ^ (the rest).  On top of those sit Maurer-Cartan
+connections (d omega + 1/2 [omega, omega] = 0), the cdga morphisms C(g) -> A
+they induce (extended multiplicatively from degree 1, so they commute with d
+iff the connection is flat, which verify_one_equivalence checks), the
+canonical connections of the holonomy tower, and the finite-stage
 1-equivalence, stability, and canonical-filtration checks.  A later tower
 stage is a Hirsch extension of an earlier one, so the H^2 kernels those
 checks compare are read off the new generators' d, with no stage map built.
@@ -277,6 +280,9 @@ def is_flat(a: FiniteCdga, g: NilpotentLieAlgebra, omega: dict) -> bool:
 
 
 def _morphism_from_connection(a, ce: CeComplex, omega: dict) -> CdgaMorphism:
+    """The map C(g) -> a sending generator k to its omega column, extended
+    multiplicatively.  It is multiplicative by construction and commutes
+    with d iff omega is flat; neither is checked here."""
     g = ce.algebra
     cols = _connection_columns(a, g, omega)
 

@@ -483,16 +483,6 @@ class NilpotentLieAlgebra(_Frozen):
                         del out[k]
         return out
 
-    def check_antisymmetry(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                lhs = self.bracket_vec({i: ONE}, {j: ONE})
-                rhs = self.bracket_vec({j: ONE}, {i: ONE})
-                if lhs != {k: -c for k, c in rhs.items()}:
-                    return False
-        return True
-
     def check_jacobi(self) -> bool:
         n = self.dim
         for i in range(n):

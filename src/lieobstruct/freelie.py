@@ -682,12 +682,7 @@ def format_element(e: LieElement, names=None) -> str:
     parts = []
     for w, c in e.sorted_terms():
         ws = word_str(w, names)
-        if c == 1:
-            body = ws
-        elif c == -1:
-            body = ws
-        else:
-            body = f"{abs(c)}*{ws}"
+        body = ws if abs(c) == 1 else f"{abs(c)}*{ws}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

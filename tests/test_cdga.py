@@ -11,11 +11,14 @@ from lieobstruct.cdga import (
     _subcdga,
     action_from_dict,
     cdga_from_dict,
+    check_cdga,
+    check_morphism,
     cohomology,
     fixed_subcdga,
     holonomy,
     identity_morphism,
     induced_cohomology_matrix,
+    load_action,
     load_cdga,
     resonance_dim,
     resonance_trivial_probe,
@@ -405,3 +408,43 @@ def test_swap_must_flip_the_top_class():
                 "maps": {"e": {}, "s": {"a1": "a2", "a2": "a1"}},
             },
         )
+
+
+# -- where the axioms are checked -------------------------------------------
+
+def test_sub_cdgas_pass_the_axiom_checks():
+    """A[2] and fixed sub-cdgas are built without re-checking the axioms;
+    they and their inclusions pass check_cdga and check_morphism."""
+    built = [fixed_subcdga(load_action(TORUS, data_path("swap_torus.json")))]
+    built += [truncate(a, 2) for a in (HEIS, NONCARNOT, TORUS, WEDGE2)]
+    for sub, incl in built:
+        check_cdga(sub)
+        check_morphism(incl)
+
+
+def test_loaders_check_each_input_once(monkeypatch):
+    """Loading checks the cdga once and each action map once; nothing built
+    from them afterwards, tower stages and classifying maps included, is
+    checked again."""
+    from lieobstruct import cdga
+    from lieobstruct.ce import tower_from_cdga, verify_one_equivalence
+
+    calls = []
+    for name in ("check_cdga", "check_morphism"):
+        real = getattr(cdga, name)
+
+        def counted(x, name=name, real=real):
+            calls.append(name)
+            real(x)
+
+        monkeypatch.setattr(cdga, name, counted)
+    a = load_cdga(data_path("torus.json"))
+    action = load_action(a, data_path("swap_torus.json"))
+    assert calls == ["check_cdga", "check_morphism", "check_morphism"]
+    fixed_subcdga(action)
+    truncate(a, 1)
+    identity_morphism(a).compose(identity_morphism(a))
+    tower = tower_from_cdga(a, 3)
+    for n in (2, 3):
+        verify_one_equivalence(a, tower, n)
+    assert len(calls) == 3

@@ -20,6 +20,8 @@ from lieobstruct.cdga import (
     _cohomology_data,
     _merge_wedge,
     cdga_from_dict,
+    check_cdga,
+    check_morphism,
     cohomology,
     holonomy,
     identity_morphism,
@@ -109,7 +111,7 @@ def classifying_map(a, n):
 
 def wedge_table_reference(ce):
     """The exterior stage with its product stored as a full table, built the
-    way ce_cochain used to build it; all four generic checks run on it."""
+    way ce_cochain used to build it; check_cdga runs on it."""
     prod = {}
     top = ce.cdga.top
     for i in range(1, top):
@@ -124,7 +126,9 @@ def wedge_table_reference(ce):
                     table[(a, b)] = {ce.positions[i + j][wt]: Fraction(sgn)}
             if table:
                 prod[(i, j)] = table
-    return FiniteCdga(ce.cdga.names, ce.cdga.diff, prod)
+    ref = FiniteCdga(ce.cdga.names, ce.cdga.diff, prod)
+    check_cdga(ref)
+    return ref
 
 
 def assert_same_products(a, b):
@@ -198,11 +202,25 @@ def test_cochain_is_an_exterior_stage():
 
 def test_exterior_products_match_table_reference():
     """The product by rule equals the old stored table on every basis pair,
-    and the table-backed reference passes all four generic checks, for
-    stages 2-5 of every bundled model and two seeded random cdgas."""
+    and the table-backed reference passes check_cdga, for stages 2-5 of
+    every bundled model and two seeded random cdgas."""
     for a in ALL_CDGAS + RANDOM_CDGAS:
         for ce in tower_from_cdga(a, 5).stages.values():
             assert_same_products(ce.cdga, wedge_table_reference(ce))
+
+
+def test_derived_objects_pass_the_axiom_checks():
+    """The oracle for the checks no constructor runs: every tower stage
+    passes check_cdga as built, the classifying maps at stages 2-5 pass
+    check_morphism, and so do A[1] and its inclusion."""
+    for a in ALL_CDGAS + RANDOM_CDGAS:
+        for ce in tower_from_cdga(a, 5).stages.values():
+            check_cdga(ce.cdga)
+        for n in range(2, 6):
+            check_morphism(classifying_map(a, n))
+        a1, incl = truncate(a, 1)
+        check_cdga(a1)
+        check_morphism(incl)
 
 
 def test_exterior_stage_checks_dimensions():
@@ -224,10 +242,10 @@ def test_exterior_stage_rejects_leibniz_sign_flip():
     diff = list(ce.cdga.diff)
     diff[2] = SparseMatrix.from_columns(d2.rows, cols)
     with pytest.raises(CdgaError, match="Leibniz"):
-        FiniteCdga(ce.cdga.names, tuple(diff), ce.cdga.prod)
+        check_cdga(FiniteCdga(ce.cdga.names, tuple(diff), ce.cdga.prod))
     ref = wedge_table_reference(ce)
     with pytest.raises(CdgaError, match="Leibniz"):
-        FiniteCdga(ref.names, tuple(diff), ref.prod)
+        check_cdga(FiniteCdga(ref.names, tuple(diff), ref.prod))
 
 
 def test_truncate_and_holonomy_match_table_reference():
@@ -367,8 +385,9 @@ def test_nonflat_connection_detected():
     # the Maurer-Cartan equation cannot cancel
     assert not is_flat(TORUS, g, omega)
     # so the induced degreewise maps do not commute with d
+    f = _morphism_from_connection(TORUS, ce_cochain(g), omega)
     with pytest.raises(CdgaError, match="commute with d"):
-        _morphism_from_connection(TORUS, ce_cochain(g), omega)
+        check_morphism(f)
 
 
 def test_connection_entries_validated():
@@ -453,7 +472,7 @@ def test_classifying_map_wrong_degree_two_column_rejected():
     assert col
     maps = with_column(f, 2, 0, {r: 2 * c for r, c in col.items()})
     with pytest.raises(CdgaError, match="not multiplicative"):
-        CdgaMorphism(f.source, f.target, maps)
+        check_morphism(CdgaMorphism(f.source, f.target, maps))
 
 
 def test_classifying_map_wrong_degree_three_column_rejected():
@@ -465,7 +484,7 @@ def test_classifying_map_wrong_degree_three_column_rejected():
     assert col
     maps = with_column(f, 3, 0, {r: 2 * c for r, c in col.items()})
     with pytest.raises(CdgaError, match="not multiplicative"):
-        CdgaMorphism(f.source, f.target, maps)
+        check_morphism(CdgaMorphism(f.source, f.target, maps))
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +529,7 @@ def test_one_equivalence_needs_the_next_stage():
 
 def _stage_inclusion(small, big):
     """The inclusion of a tower stage into a later one: each exterior index
-    tuple goes to the same tuple, and CdgaMorphism runs the full morphism
-    checks on it."""
+    tuple goes to the same tuple, and check_morphism runs on it."""
     ds = small.algebra.dim
     maps = [
         SparseMatrix.identity(1),
@@ -524,7 +542,9 @@ def _stage_inclusion(small, big):
                 [{big.positions[deg][t]: ONE} for t in small.tuples[deg]],
             )
         )
-    return CdgaMorphism(small.cdga, big.cdga, tuple(maps))
+    incl = CdgaMorphism(small.cdga, big.cdga, tuple(maps))
+    check_morphism(incl)
+    return incl
 
 
 def reference_inclusions(t):
@@ -604,8 +624,8 @@ def test_tower_stages_match_per_stage_quotients():
 
 def test_h2_kernels_match_the_inclusion_reference():
     """_h2_kernel, read off the top quotient's bracket table, equals the
-    kernel of H^2 of the composed stage inclusions, which pass the full
-    morphism checks, for every 2 <= n < m <= max_stage + 1."""
+    kernel of H^2 of the composed stage inclusions, which pass
+    check_morphism, for every 2 <= n < m <= max_stage + 1."""
     inputs = [holonomy(a) for a in ALL_CDGAS + RANDOM_CDGAS]
     inputs += [
         holonomy(random_cdga(*args))

@@ -190,6 +190,35 @@ def test_holonomy_huge_degree_key_is_rejected_before_any_work(tmp_path, capsys):
     assert "need <= 3" in err["message"]
 
 
+SWAP = {"e,e": "e", "e,s": "s", "s,e": "s", "s,s": "e"}
+
+
+@pytest.mark.parametrize(
+    "argv, bad, message",
+    [
+        (["holonomy", "BAD"],
+         {"degrees": {"1": ["a"], "2": ["b"]}, "mu": {"a*a": "b"}},
+         "graded commutativity fails on 'a' * 'a'"),
+        (["holonomy", "BAD"],
+         {"degrees": {"1": ["a", "b", "c"], "2": ["p", "q"], "3": ["t"]},
+          "mu": {"a*b": "p", "b*c": "q", "c*p": "t"}},
+         "associativity fails on 'a', 'b', 'c'"),
+        (["fixed", data_path("heis.json"), "BAD"],
+         {"elements": ["e", "s"], "table": SWAP, "maps": {"s": {"a3": "-a3"}}},
+         "morphism does not commute with d on 'a3'"),
+    ],
+    ids=["commutativity", "associativity", "action-d"],
+)
+def test_loader_axiom_error_is_one_json_line(argv, bad, message, tmp_path, capsys):
+    """The loaders' axiom checks report the first failure as one JSON line."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, *[str(path) if a == "BAD" else a for a in argv])
+    assert (code, out) == (1, "")
+    expected = {"error": {"message": f"{path}: {message}", "type": "CdgaError"}}
+    assert err == json.dumps(expected, sort_keys=True) + "\n"
+
+
 def test_resonance_zero_denominator_point_is_domain_error(capsys):
     code, err = run_error(
         capsys, "resonance", data_path("wedge2.json"), "--point", "1/0*a1"
