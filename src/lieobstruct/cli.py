@@ -28,6 +28,7 @@ from .fplie import (
     linearize_presentation,
     load_presentation,
     presentation_to_dict,
+    x2_slice,
 )
 from .freelie import hall_basis_derived
 from .ratlin import LieobstructError, scalar_to_json
@@ -101,17 +102,8 @@ def cmd_hall(args, phases: _Phases) -> dict:
         "degree_counts": counts,
     }
     if args.gens == 2:
-        # basis words of multidegree (2, b), counted in closed form.  Level
-        # <= 1 holds every word of the multidegree, and the Witt count
-        # (1/(b+2)) sum over d | gcd(2, b) of mu(d) binom((b+2)/d, 2/d) is
-        # (b+1)/2 for odd b and b/2 for even b.  A level-2 word of x-degree
-        # 2 has two level-1 children of x-degree 1, [x,y^k] < [x,y^l] with
-        # k != l and k + l = b: (b-1)//2 pairs.  A level-3 word has at least
-        # two level-2 children, so its x-degree is at least 4.
-        shift = {0: 1, 1: 1, 2: -1}.get(args.level)
-        results["x2_slice"] = {
-            b: (b + shift) // 2 if shift else 0 for b in range(1, args.deg + 1)
-        }
+        # basis words of multidegree (2, b), counted in closed form
+        results["x2_slice"] = x2_slice(args.level, args.deg)
         phases.mark("x2_slice")
     return results
 

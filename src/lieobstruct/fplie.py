@@ -17,7 +17,8 @@ Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
 Lie elements is taken on those columns alone.  Only ideal_span writes its
 basis back in Hall (basis-word) coordinates.  The second homology of
 L = free/J is J/[L, J] (Hopf's formula), computed degree by degree for
-homogeneous relator schemes from ranks alone.
+homogeneous relator schemes from ranks alone; for the second derived ideal
+it is read in the Chen module L'/L'' instead of the free Lie algebra.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
@@ -34,11 +35,13 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict, deque
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import lcm
 
 from .freelie import (
     LieElement,
     LieError,
+    _check_enum_args,
     _solver,
     _tensor_commutator,
     _word_int,
@@ -79,6 +82,7 @@ __all__ = [
     "load_presentation",
     "presentation_from_dict",
     "presentation_to_dict",
+    "x2_slice",
 ]
 
 
@@ -281,16 +285,25 @@ def _ideal_basis(p: LiePresentation, cap: int) -> list:
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
     """dim (J/[L,J])_k for 1 <= k <= cap, via Hopf's formula.
 
-    J and [L,J] = [A,J] are ranked in the tensor algebra, where the bracket
-    with a generator g is g*t - t*g and needs no rewriting into the basis.
-    A derived ideal's basis words of level >= k span J already; a finite
-    relator list's J is the basis _ideal_basis closes.  The generator
-    brackets of a basis of J span [L,J], ranked in one echelon over the
-    Lyndon-word columns of every degree.
+    The second derived ideal is read in the Chen module (_h2_chen); every
+    other scheme is ranked in the free Lie algebra (_h2_free_lie).
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
     _require_homogeneous(p)
+    if isinstance(p.scheme, DerivedIdeal) and p.scheme.level == 2:
+        return _h2_chen(p.n_gens, degree_cap)
+    return _h2_free_lie(p, degree_cap)
+
+
+def _h2_free_lie(p: LiePresentation, degree_cap: int) -> dict:
+    """Hopf H2 with J and [L,J] = [A,J] ranked in the tensor algebra, where
+    the bracket with a generator g is g*t - t*g and needs no rewriting into
+    the basis.  A derived ideal's basis words of level >= k span J already;
+    a finite relator list's J is the basis _ideal_basis closes.  The
+    generator brackets of a basis of J span [L,J], ranked in one echelon
+    over the Lyndon-word columns of every degree.
+    """
     n = p.n_gens
     if isinstance(p.scheme, DerivedIdeal):
         words = hall_basis_derived(n, p.scheme.level, degree_cap)
@@ -308,6 +321,69 @@ def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
                     if ech.insert(_lyndon({d + 1: _ad_gen(g, v, d, n)}, n))[0]:
                         ad_dims[d + 1] += 1
     return {k: j_dims[k] - ad_dims[k] for k in range(1, degree_cap + 1)}
+
+
+def _h2_chen(n: int, cap: int) -> dict:
+    """Hopf H2 of the free metabelian algebra L/L'' on n letters, in degrees
+    1 <= k <= cap, read in its Chen module W = L'/L''.
+
+    L' is free on W (Shirshov-Witt), so L''/[L',L''] is the exterior square
+    of W, and H2 = L''/[L,L''] is its quotient by the images of V acting as
+    a derivation.  W is the image of the Koszul map x_i^x_j (x) f ->
+    x_i (x) x_j f - x_j (x) x_i f into V (x) S(V), on which x_g multiplies
+    f.  Its basis is the images e(i, j, m) of x_i^x_j times a monomial m in
+    x_j, ..., x_n, i > j (the left-normed words [x_i, x_j, m...]).  For
+    g < j, x_g*e(i, j, m) = e(i, g, x_j m) - e(j, g, x_i m) by the Koszul
+    relation.  The images are integer vectors over pairs of basis
+    elements, ranked one multidegree at a time.
+    """
+    _check_enum_args(n, 2, cap)  # hall_basis_derived's check: no letters is a LieError
+    base = cap + 1  # a multidegree is the sum of base**g over its letters
+    index, elts, mdeg, layers = {}, [], [], []
+    for k in range(2, cap - 1):
+        start = len(elts)
+        for j in range(n):
+            for m in combinations_with_replacement(range(j, n), k - 2):
+                for i in range(j + 1, n):
+                    index[i, j, m] = len(elts)
+                    elts.append((i, j, m))
+                    mdeg.append(base ** i + base ** j + sum(base ** g for g in m))
+        layers.append(range(start, len(elts)))
+
+    def times(g, e):
+        i, j, m = elts[e]
+        if g >= j:
+            return ((index[i, j, tuple(sorted(m + (g,)))], 1),)
+        return ((index[i, g, tuple(sorted(m + (j,)))], 1),
+                (index[j, g, tuple(sorted(m + (i,)))], -1))
+
+    # the top layer is never acted on: its pairs lie in degrees >= cap
+    acted = layers[-1].start if layers else 0
+    act = [[times(g, e) for e in range(acted)] for g in range(n)]
+    size = len(elts)
+    w = [0, 0] + [len(r) for r in layers]
+    dims = {}
+    for d in range(1, cap + 1):
+        half = 0 if d % 2 else w[d // 2]
+        ext = half * (half - 1) // 2 + sum(w[a] * w[d - a] for a in range(2, (d + 1) // 2))
+        echs = defaultdict(EchelonForm)
+        for a in range(2, (d + 1) // 2):
+            r = layers[d - 3 - a]
+            for p in layers[a - 2]:
+                for q in range(max(p + 1, r.start), r.stop):
+                    # x_g (p^q) = (x_g p)^q + p^(x_g q), with s^t for s < t
+                    # in column t*size + s, which fills in less than
+                    # s*size + t; p precedes every term of x_g q
+                    for g in range(n):
+                        v = {u * size + p: c for u, c in act[g][q]}
+                        for u, c in act[g][p]:
+                            if u < q:
+                                v[q * size + u] = c
+                            elif u > q:
+                                v[u * size + q] = -c
+                        echs[mdeg[p] + mdeg[q] + base ** g].insert(v)
+        dims[d] = ext - sum(e.rank for e in echs.values())
+    return dims
 
 
 def finiteness_scan(p: LiePresentation, degree_cap: int) -> dict:
@@ -329,16 +405,36 @@ def finiteness_scan(p: LiePresentation, degree_cap: int) -> dict:
     }
     if p.n_gens == 2:
         # bigraded dimensions of the relator ideal itself in the x-degree-2
-        # slice, a small exactly-known table worth echoing alongside H2
-        words = hall_basis_derived(2, 0, degree_cap)
-        x2: dict = {}
-        for i in ideal_span(p, degree_cap).pivots:
-            counts = words[i].gen_counts()
-            if counts.get(0, 0) == 2:
-                i = counts.get(1, 0)
-                x2[i] = x2.get(i, 0) + 1
+        # slice, a small exactly-known table worth echoing alongside H2; a
+        # derived ideal is spanned by its basis words, counted in closed form
+        if isinstance(p.scheme, DerivedIdeal):
+            x2 = x2_slice(p.scheme.level, degree_cap - 2)
+            x2 = {b: c for b, c in x2.items() if c}
+        else:
+            words = hall_basis_derived(2, 0, degree_cap)
+            x2 = {}
+            for i in ideal_span(p, degree_cap).pivots:
+                counts = words[i].gen_counts()
+                if counts.get(0, 0) == 2:
+                    i = counts.get(1, 0)
+                    x2[i] = x2.get(i, 0) + 1
         report["ideal_x2_dims"] = x2
     return report
+
+
+def x2_slice(level: int, max_b: int) -> dict:
+    """{b: count} of the two-letter basis words of derived level >= level
+    and multidegree (2, b), 1 <= b <= max_b, in closed form.
+
+    Level <= 1 holds every word of the multidegree, and the Witt count
+    (1/(b+2)) sum over d | gcd(2, b) of mu(d) binom((b+2)/d, 2/d) is
+    (b+1)/2 for odd b and b/2 for even b.  A level-2 word of x-degree 2 has
+    two level-1 children of x-degree 1, [x,y^k] < [x,y^l] with k != l and
+    k + l = b: (b-1)//2 pairs.  A level-3 word has at least two level-2
+    children, so its x-degree is at least 4.
+    """
+    shift = {0: 1, 1: 1, 2: -1}.get(level)
+    return {b: (b + shift) // 2 if shift else 0 for b in range(1, max_b + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,31 @@ def test_h2scan_free_metabelian(capsys):
     assert {k: v for k, v in dims.items() if v} == {5: 2, 7: 4, 9: 6, 11: 8}
 
 
+def test_h2scan_free_metabelian_degree_40(capsys):
+    """On two letters the Chen module is free of rank one on [x,y], and H2
+    of the free metabelian algebra is k - 3 in odd degrees k >= 5, 0
+    elsewhere; its ideal's x-degree-2 slice counts the level-2 words
+    [[x,y^k],[x,y^l]], k < l, k + l = i."""
+    report = run_report(
+        capsys, "h2scan", data_path("free_metabelian.json"), "--deg", "40"
+    )
+    res = report["results"]
+    assert res["verdict"] == "growing"
+    assert res["h2_dims"] == {
+        str(k): k - 3 if k % 2 and k >= 5 else 0 for k in range(1, 41)
+    }
+    assert res["ideal_x2_dims"] == {str(i): (i - 1) // 2 for i in range(3, 39)}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_h2scan_derived_without_generators_is_domain_error(level, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"generators": [], "scheme": {"derived": level}}))
+    code, err = run_error(capsys, "h2scan", str(empty), "--deg", "5")
+    assert code == 1
+    assert err == {"type": "LieError", "message": "alphabet size must be >= 1, got 0"}
+
+
 def test_h2scan_quadratic_relator_bounded(capsys):
     report = run_report(capsys, "h2scan", data_path("pres_torus.json"), "--deg", "6")
     assert report["results"]["verdict"] == "bounded-so-far"

@@ -4,7 +4,10 @@ The independent oracle for ideal_span is a brute-force closure that brackets
 with every basis word, not just generators; the two must agree degreewise.
 The Hall-coordinate ideal closure (hall_ideal_span) is the whole-row
 reference for ideal_span, which closes in tensor coordinates, and the
-Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  Quotient structure constants are validated
+Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  The
+free-Lie Hopf H2 (_h2_free_lie) is the reference for the Chen-module path
+that h2_graded takes on the second derived ideal, and ideal_span's pivots
+for the closed-form x2 slice.  Quotient structure constants are validated
 through the Jacobi and filtration checks plus hand-computed small examples,
 and whole quotients against hall_lcs_quotient, which projects onto the
 non-pivot words of ideal_span in Hall coordinates.
@@ -38,6 +41,7 @@ from lieobstruct.fplie import (
     NilpotentLieAlgebra,
     PresentationError,
     _eliminate_linear,
+    _h2_free_lie,
     _lyndon_columns,
     finiteness_scan,
     h2_graded,
@@ -48,6 +52,7 @@ from lieobstruct.fplie import (
     load_presentation,
     presentation_from_dict,
     presentation_to_dict,
+    x2_slice,
 )
 from lieobstruct.ratlin import ONE, EchelonForm, Subspace, quotient_basis
 
@@ -258,6 +263,31 @@ def test_h2_metabelian_fast_path_against_hall_coordinates():
     for n, level, cap in ((2, 2, 8), (2, 1, 7), (2, 3, 10), (3, 1, 5), (3, 2, 6)):
         p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
         assert h2_graded(p, cap) == hall_h2_reference(p, cap)
+
+
+@pytest.mark.parametrize("n, cap", [(1, 8), (2, 12), (3, 9), (4, 8)])
+def test_h2_chen_module_matches_free_lie_path(n, cap):
+    """The second derived ideal's H2, read in the Chen module, equals the
+    free-Lie ranks of its basis words' generator brackets."""
+    p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(2))
+    dims = h2_graded(p, cap)
+    assert dims == _h2_free_lie(p, cap)
+    if n == 1:
+        assert not any(dims.values())
+
+
+def test_x2_slice_matches_ideal_span_pivots():
+    """The closed-form count of a derived ideal's basis words of multidegree
+    (2, b) equals ideal_span's pivot count there, on two letters through
+    degree 12."""
+    words = hall_basis_derived(2, 0, 12)
+    for level in (1, 2, 3):
+        counts = {b: 0 for b in range(1, 11)}
+        for i in ideal_span(pres(("x", "y"), (), scheme=DerivedIdeal(level)), 12).pivots:
+            md = words[i].gen_counts()
+            if md.get(0, 0) == 2:
+                counts[md.get(1, 0)] += 1
+        assert x2_slice(level, 10) == counts, level
 
 
 def test_h2_matches_hall_coordinate_reference():
