@@ -18,6 +18,12 @@ process: each layer of one level and one degree is made from lower layers,
 and a degree cap reads a prefix of the layers already built.  A word made
 there takes its degree and child keys from the words it extends, unchecked;
 the public constructor validates first and then fills in the same way.
+The words form a DAG, every child built before its parent, so none can be
+cyclic garbage, yet each new word is a container the cyclic collector
+would walk again and again.  A layer build therefore pauses the collector
+and restores the caller's setting, and an exit hook empties the layer
+cache, so refcounting frees the words before the interpreter's closing
+collections would walk them.
 
 Arbitrary brackets are rewritten into the basis by expanding both sides in
 the tensor algebra (the free Lie algebra sits inside it, multidegree by
@@ -35,6 +41,8 @@ floats.
 
 from __future__ import annotations
 
+import atexit
+import gc
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -81,8 +89,12 @@ class HallWord:
     """One basis word: a generator, or a left-normed bracket of words one
     level down.  Immutable; order is the fixed total order of the module
     docstring, exposed through the precomputed sort key, which also
-    determines the word.  The hash is computed once, from the degree and
-    the children's hashes.  Letter counts are tallied on first use."""
+    determines the word: (0, 1, gen) for a generator, and the flat tuple
+    (-level, degree, *child_keys) for a bracket, which compares like the
+    nested (-level, degree, child_keys) since level and degree decide
+    between words of different level or degree.  The hash is computed
+    once, from the degree and the children's hashes.  Letter counts are
+    tallied on first use."""
 
     __slots__ = ("level", "gen", "children", "degree", "key", "_hash", "_counts")
 
@@ -110,21 +122,21 @@ class HallWord:
         self._build(
             level,
             children,
-            sum(c.degree for c in children),
-            tuple(c.key for c in children),
+            (-level, sum(c.degree for c in children), *[c.key for c in children]),
             _head_hash(children),
         )
 
-    def _build(self, level, children, degree, child_keys, head_hash):
-        """Fill in a bracket word, unchecked.  The callers know its degree,
-        the tuple of its children's keys, and head_hash: the hash of the
-        word with the last child dropped, which for a pair is the first
-        child.  So the hash folds the children's hashes in order."""
+    def _build(self, level, children, key, head_hash):
+        """Fill in a bracket word, unchecked.  The callers know its key,
+        which holds its degree, and head_hash: the hash of the word with
+        the last child dropped, which for a pair is the first child.  So
+        the hash folds the children's hashes in order."""
+        degree = key[1]
         self.level = level
         self.gen = None
         self.children = children
         self.degree = degree
-        self.key = (-level, degree, child_keys)
+        self.key = key
         self._counts = None
         self._hash = hash((degree, head_hash, children[-1]._hash))
         return self
@@ -239,6 +251,7 @@ def _check_enum_args(n_gens, level, max_degree):
 # (n_gens, level) -> [words of degree 0, of degree 1, ...], grown on demand
 _LAYERS: dict = {}
 _KEY = attrgetter("key")
+atexit.register(_LAYERS.clear)
 
 
 def _layer(n_gens: int, level: int, d: int):
@@ -248,35 +261,46 @@ def _layer(n_gens: int, level: int, d: int):
     forming the power, and one letter has no word above level 0.  Each
     layer is built once, from lower layers: the pairs h1 < h2 one level
     down, and a shorter word of this level with one more child h <= its
-    last child.
+    last child.  The cyclic collector is paused while layers grow; a
+    recursive call finds it paused and leaves it so.
     """
     if level == 0:
         return tuple(generator(g) for g in range(n_gens)) if d == 1 else ()
     if n_gens == 1 or d.bit_length() <= level:
         return ()
     layers = _LAYERS.setdefault((n_gens, level), [])
+    if len(layers) > d:
+        return layers[d]
     new = HallWord.__new__
-    while len(layers) <= d:
-        m = len(layers)
-        out = []
-        for e in range(1, m // 2 + 1):
-            low, high = _layer(n_gens, level - 1, e), _layer(n_gens, level - 1, m - e)
-            for i, h1 in enumerate(low):
-                k1 = h1.key
-                for h2 in high[i + 1:] if 2 * e == m else high:
-                    out.append(new(HallWord)._build(level, (h1, h2), m, (k1, h2.key), h1._hash))
-            for w in layers[m - e]:
-                children, keys = w.children, w.key[2]
-                for h in low:
-                    if keys[-1] < h.key:
-                        break
-                    out.append(
-                        new(HallWord)._build(
-                            level, children + (h,), m, keys + (h.key,), w._hash
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while len(layers) <= d:
+            m = len(layers)
+            out = []
+            for e in range(1, m // 2 + 1):
+                low, high = _layer(n_gens, level - 1, e), _layer(n_gens, level - 1, m - e)
+                for i, h1 in enumerate(low):
+                    k1 = h1.key
+                    for h2 in high[i + 1:] if 2 * e == m else high:
+                        out.append(
+                            new(HallWord)._build(level, (h1, h2), (-level, m, k1, h2.key), h1._hash)
                         )
-                    )
-        out.sort(key=_KEY)
-        layers.append(tuple(out))
+                for w in layers[m - e]:
+                    children, keys = w.children, w.key[2:]
+                    for h in low:
+                        if keys[-1] < h.key:
+                            break
+                        out.append(
+                            new(HallWord)._build(
+                                level, children + (h,), (-level, m, *keys, h.key), w._hash
+                            )
+                        )
+            out.sort(key=_KEY)
+            layers.append(tuple(out))
+    finally:
+        if enabled:
+            gc.enable()
     return layers[d]
 
 
@@ -424,7 +448,7 @@ def _relabel(w: HallWord, letters) -> HallWord:
         return generator(letters[w.gen])
     children = tuple([_relabel(c, letters) for c in w.children])
     return HallWord.__new__(HallWord)._build(
-        w.level, children, w.degree, tuple([c.key for c in children]), _head_hash(children)
+        w.level, children, (-w.level, w.degree, *[c.key for c in children]), _head_hash(children)
     )
 
 

@@ -361,6 +361,10 @@ GOLDEN_REPORT_SHA256 = {
         "75d0f36571436861c8abd1c7312612d9565f7d4a54f5a1e54189d38ab083727c",
     ("hall", "--gens", "3", "--deg", "9"):
         "3041414a7df0cb088cef68679b5b5c5f83f22426ed75f51f6f2d2f487dc02d34",
+    ("hall", "--gens", "2", "--level", "2", "--deg", "18"):
+        "785cb1e2fff914c5372e28385cf9763cdcbfa7128a424f7e71905b077265a49c",
+    ("hall", "--gens", "3", "--deg", "11"):
+        "da41307f8938af0cb558b84d5b74d2f501ca2b5d4e2d03974316a6ee668dbe96",
     ("hall", "--gens", "1", "--deg", "4"):
         "7aa6d4d5232a8d1688ddeb03255690feb93c5d36bfef2b0a0f189211ab9e6350",
     ("hall", "--gens", "2", "--level", "4", "--deg", "10"):
@@ -415,7 +419,8 @@ def test_report_is_pinned(case, tmp_path, capsys):
     stage 6 and stage 8 of noncarnot and stage 7 of heis, each read
     against its quotient one class higher, a graded tower that is not
     free, and hall reports (the second derived
-    level to degree 14, three letters, one letter, and an empty level)."""
+    level to degrees 14 and 18, three letters to degrees 9 and 11, one
+    letter, and an empty level)."""
     out = tmp_path / "report.json"
     argv = [data_path(a) if a.endswith(".json") else a for a in case]
     assert main(argv + ["--out", str(out)]) == 0

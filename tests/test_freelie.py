@@ -5,7 +5,11 @@ oracles here; enumeration counts and normalized brackets must reproduce them
 exactly.
 """
 
+import gc
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -306,6 +310,13 @@ def nested_key(w):
     return (-w.level, w.degree, tuple(nested_key(c) for c in w.children))
 
 
+def flat_key(w):
+    """The documented key: one flat tuple over the children's keys."""
+    if w.level == 0:
+        return (0, 1, w.gen)
+    return (-w.level, w.degree, *(flat_key(c) for c in w.children))
+
+
 def test_enumerated_words_match_validated_rebuilds():
     """The unchecked construction of the enumeration gives the same words,
     hashes and order as the validated one, and distinct words hash apart."""
@@ -315,13 +326,24 @@ def test_enumerated_words_match_validated_rebuilds():
             r = rebuilt(w)
             assert r is not w or w.level == 0
             assert r == w and hash(r) == hash(w)
-            assert r.key == w.key == nested_key(w)
+            assert r.key == w.key == flat_key(w)
             assert r <= w and w <= r and not r < w and not w < r
         assert len({hash(w) for w in words}) == len(words)
 
 
+def test_flat_keys_of_relabelled_words():
+    for md in ((0, 2, 1), (3, 0, 2), (0, 0, 4, 2), (2, 0, 1, 2)):
+        words = _MultidegreeSolver(len(md), md).words
+        assert words and any(w.max_gen() == len(md) - 1 for w in words)
+        for w in words:
+            assert w.key == flat_key(w) == rebuilt(w).key
+        assert list(words) == sorted(words, key=nested_key)
+
+
 def test_enumeration_order_is_the_nested_key_order():
-    for n, top in ((2, 11), (3, 7)):
+    """Level and degree lead the flat key, so it orders words like the
+    nested key that wraps the child keys in one more tuple."""
+    for n, top in ((2, 14), (3, 8), (4, 6)):
         words = hall_basis_derived(n, 0, top)
         assert list(words) == sorted(words, key=lambda w: (w.degree, nested_key(w)))
         for level in range(4):
@@ -428,3 +450,67 @@ def test_element_validation():
         gen_elt(2, 5)
     u = LieElement(2, {XY: Fraction(0)})
     assert u.is_zero()
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_layer_build_restores_the_callers_gc_setting(monkeypatch, enabled):
+    monkeypatch.setattr(freelie, "_LAYERS", {})
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        words = hall_basis_derived(3, 0, 7)
+        assert gc.isenabled() is enabled
+        assert hall_basis_derived(3, 0, 7) == words
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_failed_layer_build_caches_nothing_and_retries_whole(monkeypatch):
+    monkeypatch.setattr(freelie, "_LAYERS", {})
+    build = freelie.HallWord._build
+
+    def failing(self, level, children, key, head_hash):
+        if key[1] == 6:
+            raise RuntimeError("build interrupted in degree 6")
+        return build(self, level, children, key, head_hash)
+
+    monkeypatch.setattr(freelie.HallWord, "_build", failing)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        hall_level(3, 1, 8)
+    assert gc.isenabled()
+    assert len(freelie._LAYERS[(3, 1)]) == 6  # degrees 0 to 5, whole
+    assert hall_level(3, 1, 5) == hall_level_reference(3, 1, 5)
+    monkeypatch.setattr(freelie.HallWord, "_build", build)
+    assert hall_level(3, 1, 8) == hall_level_reference(3, 1, 8)
+
+
+@pytest.mark.parametrize("n, level, top", ((4, 0, 8), (3, 2, 10)))
+def test_paused_build_strands_no_cyclic_garbage(monkeypatch, n, level, top):
+    monkeypatch.setattr(freelie, "_LAYERS", {})
+    gc.collect()
+    assert hall_basis_derived(n, level, top)
+    assert gc.collect() == 0
+
+
+def test_exit_hook_empties_the_layer_cache():
+    """A handler registered before freelie is imported runs after its hook."""
+    code = (
+        "import atexit\n"
+        "def check():\n"
+        "    from lieobstruct import freelie\n"
+        "    print(len(freelie._LAYERS))\n"
+        "    assert not freelie._LAYERS\n"
+        "atexit.register(check)\n"
+        "from lieobstruct import freelie\n"
+        "assert freelie.hall_basis_derived(3, 0, 6) and freelie._LAYERS\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "0\n"
