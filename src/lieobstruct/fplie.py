@@ -11,7 +11,9 @@ an ideal J generated by a set R, the subspace [L, J] equals [A, J] where A
 is the generator alphabet, so closing R under bracketing with generators
 alone already spans the ideal degreewise.  That closure runs once, in
 tensor-algebra coordinates, where the bracket with a generator g is
-g*t - t*g and needs no rewriting into the basis.  A Lie polynomial is
+g*t - t*g and needs no rewriting into the basis.  It stops at the first
+degree the ideal fills: L is generated in degree 1, so an ideal holding
+all of L_d holds every higher degree too.  A Lie polynomial is
 determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
 Lie elements is taken on those columns alone.  Only ideal_span writes its
@@ -33,9 +35,10 @@ chosen at different class bounds agree wherever both exist.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import lcm
 
 from .freelie import (
@@ -151,7 +154,8 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
 
     A derived ideal is spanned by its basis words already.  A finite relator
     list is closed in tensor coordinates by _ideal_basis, and each basis
-    element is written back over the basis words.
+    element is written back over the basis words; the words of degree at
+    or above its fill degree are in J, each a unit row.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
@@ -162,7 +166,9 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     if isinstance(p.scheme, DerivedIdeal):
         rows = [{idx[w]: ONE} for w in hall_basis_derived(n, p.scheme.level, degree_cap)]
     else:
-        rows = [_hall_coords(e, n, idx) for e in _ideal_basis(p, degree_cap)]
+        basis, fill = _ideal_basis(p, degree_cap)
+        rows = [_hall_coords(e, n, idx) for e in basis]
+        rows += [{i: ONE} for w, i in idx.items() if w.degree >= fill]
     return Subspace.span(rows, len(idx))
 
 
@@ -255,10 +261,10 @@ def _ad_gen(g: int, v: dict, degree: int, n_gens: int) -> dict:
     return out
 
 
-def _ideal_basis(p: LiePresentation, cap: int) -> list:
-    """A basis of the degree <= cap part of the ideal J generated by a
-    finite relator list, in tensor coordinates: each element is {degree:
-    integer vector over _word_int keys}.
+def _ideal_basis(p: LiePresentation, cap: int) -> tuple:
+    """(basis, fill) for the degree <= cap part of the ideal J generated by
+    a finite relator list, in tensor coordinates: each basis element is
+    {degree: integer vector over _word_int keys}.
 
     J is spanned by the relators closed under the generator brackets, which
     here are g*t - t*g degree by degree, cut at the cap.  Each relator
@@ -267,19 +273,42 @@ def _ideal_basis(p: LiePresentation, cap: int) -> list:
     columns, so an inhomogeneous relator stays one vector.  Elements
     already in the span are not closed further; linearity of ad makes that
     sound.
+
+    fill is the first degree d whose Lyndon columns all hold pivots, so
+    that J contains L_d modulo higher degrees, or cap + 1 if none does.
+    Then J contains every degree from d on, since L is generated in degree
+    1: L_(k+1) = [L_1, L_k].  So the closure works modulo degrees >= fill,
+    and basis is a basis of J cut below fill; for homogeneous relators,
+    J_k = L_k for k >= fill.
     """
     n = p.n_gens
+    tops = list(accumulate(witt_dim(n, d) for d in range(1, cap + 1)))
+    fill = cap + 1
+    pivots = Counter()
     ech = EchelonForm()
     basis = []
     pool = deque(_integral(lie_tensor(r.truncate(cap))) for r in p.scheme.relators)
     while pool:
-        e = pool.popleft()
-        if ech.insert(_lyndon(e, n))[0]:
-            basis.append(e)
-            for g in range(n):
-                b = {d + 1: _ad_gen(g, v, d, n) for d, v in e.items() if d < cap}
-                pool.append({d: v for d, v in b.items() if v})
-    return basis
+        e = {d: v for d, v in pool.popleft().items() if d < fill}
+        lead = ech.insert(_lyndon(e, n))[1]
+        if lead is None:
+            continue
+        # the pivot is the lowest column left, so its degree is the lowest
+        # degree of J's new part; at or above fill it adds nothing mod J
+        k = bisect_right(tops, lead) + 1
+        if k >= fill:
+            continue
+        pivots[k] += 1
+        if pivots[k] == witt_dim(n, k):
+            fill = k  # e itself lies in degrees >= k
+            continue
+        basis.append((k, e))
+        for g in range(n):
+            b = {d + 1: _ad_gen(g, v, d, n) for d, v in e.items() if d + 1 < fill}
+            pool.append({d: v for d, v in b.items() if v})
+    # an element whose pivot lies at or above the final fill is a combination
+    # of earlier ones modulo those degrees
+    return [{d: v for d, v in e.items() if d < fill} for k, e in basis if k < fill], fill
 
 
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
@@ -300,19 +329,23 @@ def _h2_free_lie(p: LiePresentation, degree_cap: int) -> dict:
     """Hopf H2 with J and [L,J] = [A,J] ranked in the tensor algebra, where
     the bracket with a generator g is g*t - t*g and needs no rewriting into
     the basis.  A derived ideal's basis words of level >= k span J already;
-    a finite relator list's J is the basis _ideal_basis closes.  The
-    generator brackets of a basis of J span [L,J], ranked in one echelon
-    over the Lyndon-word columns of every degree.
+    a finite relator list's J is the basis _ideal_basis closes, below its
+    fill degree.  The generator brackets of a basis of J span [L,J], ranked
+    in one echelon over the Lyndon-word columns of every degree.  From the
+    fill degree on J_k = L_k, so [L,J]_k = [L_1, L_(k-1)] = L_k above it;
+    the fill degree itself is ranked from the degree below.
     """
     n = p.n_gens
     if isinstance(p.scheme, DerivedIdeal):
         words = hall_basis_derived(n, p.scheme.level, degree_cap)
         j_dims = Counter(w.degree for w in words)
         basis = ({w.degree: tensor_expand(w, n)} for w in words if w.degree < degree_cap)
+        fill = degree_cap + 1
     else:
-        basis = _ideal_basis(p, degree_cap)
+        basis, fill = _ideal_basis(p, degree_cap)
         j_dims = Counter(d for e in basis for d in e)
-    ad_dims = Counter()
+        j_dims.update({k: witt_dim(n, k) for k in range(fill, degree_cap + 1)})
+    ad_dims = Counter({k: witt_dim(n, k) for k in range(fill + 1, degree_cap + 1)})
     ech = EchelonForm()
     for e in basis:
         for d, v in e.items():
@@ -615,6 +648,10 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     first, and the words that raise its rank are the representatives.  A
     bracket or generator image is read off the representatives' part of its
     combination.  Weights are word degrees, non-decreasing along the basis.
+    A finite relator list's J holds every degree from its fill degree on
+    (_ideal_basis), since L_(k+1) = [L_1, L_k]; so the words, brackets and
+    images are cut below it, where no representative lies.  The cost then
+    follows the quotient, not the free Lie algebra.
     Quotients at different class bounds agree across classes:
     lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
     and ce.hirsch_tower builds every lower stage that way from one quotient.
@@ -641,7 +678,8 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         words = hall_basis_derived(m, p.scheme.level, cap)
         ideal = [{w.degree: tensor_expand(w, m)} for w in words]
     else:
-        ideal = _ideal_basis(reduced, cap)
+        ideal, fill = _ideal_basis(reduced, cap)
+        cap = min(cap, fill - 1)
     ech = EchelonForm(track=True)
     for e in ideal:
         ech.insert(_lyndon(e, m))

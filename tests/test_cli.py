@@ -379,6 +379,8 @@ GOLDEN_REPORT_SHA256 = {
         "2d5cbeed3d55633666a414eda8acd1454b1586f5cd3b33be1375ca76cb8b1d27",
     ("holonomy", "noncarnot.json", "--lcs", "9"):
         "a7da78c8361ebbe7e8bdd4befe5dddf0029e3083e9a41cceb0e21984c2bd95c1",
+    ("holonomy", "noncarnot.json", "--lcs", "12"):
+        "a6ba4f76672b3309886a8300e08e7b184997f01b472485767fd586a4d090769e",
     ("fixed", "torus.json", "swap_torus.json"):
         "a3e7d7dfcf8b9828cf62db8aa517a163c973e8fd27ebf6db48f19afd21bb9af6",
     ("resonance", "wedge2.json"):
@@ -393,6 +395,8 @@ GOLDEN_REPORT_SHA256 = {
         "5ddb78a40386dc16960710b3833d1c92b228c22ed625926bacd5ebb2cc43de72",
     ("classify", "noncarnot.json", "--stage", "8"):
         "b30e222563071951871f90ce3e47158e5386f5c0c5f488775b67bc678426dab3",
+    ("classify", "noncarnot.json", "--stage", "10"):
+        "d0af21c6cd18e4d9f0fd3b9e9f2fd2d1e867ceb2f37bdcbcb75a4803d73650be",
     ("classify", "heis.json", "--stage", "7"):
         "789d133f2aaf0dbda85ca8f4814f3ef0db9c324f6ffa5155a5b4ef61ba1a7f91",
     ("linearize", "pres_cubic.json"):
@@ -411,12 +415,12 @@ def _case_id(case):
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=_case_id)
 def test_report_is_pinned(case, tmp_path, capsys):
     """Pins whole reports: h2scan (ideal_x2_dims included), holonomy
-    (relators included; noncarnot also at class 9, where the relator ideal
-    through degree 8 has 1313 basis elements and the quotient 5), fixed,
+    (relators included; noncarnot also at classes 9 and 12, past the degree
+    its relator ideal fills, where the quotient stays 5-dimensional), fixed,
     resonance probe and point dims, linearize (pres_cubic also at degree and
     class 4, where the rewritten presentation has 30 generators), and
     classify reports whose towers reach stage 8 of a free Lie algebra,
-    stage 6 and stage 8 of noncarnot and stage 7 of heis, each read
+    stages 6, 8 and 10 of noncarnot and stage 7 of heis, each read
     against its quotient one class higher, a graded tower that is not
     free, and hall reports (the second derived
     level to degrees 14 and 18, three letters to degrees 9 and 11, one
@@ -426,6 +430,19 @@ def test_report_is_pinned(case, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[case]
+
+
+def test_h2scan_commutator_relator_degree_13_is_pinned(tmp_path, capsys):
+    """[x,y] fills its ideal in degree 2, so the whole report through degree
+    13 reads the closure of one relator and the Hall words above it."""
+    src = tmp_path / "xy.json"
+    src.write_text(json.dumps({"generators": ["x", "y"], "relators": ["[x,y]"]}))
+    out = tmp_path / "report.json"
+    assert main(["h2scan", str(src), "--deg", "13", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3ba2884ea037dfe1f419a784b55a125aebfcf7cdf3ce77f38b18a15434c1c105"
+    )
 
 
 def test_internal_error_is_reported_as_json(monkeypatch, capsys):

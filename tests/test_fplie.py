@@ -10,7 +10,8 @@ that h2_graded takes on the second derived ideal, and ideal_span's pivots
 for the closed-form x2 slice.  Quotient structure constants are validated
 through the Jacobi and filtration checks plus hand-computed small examples,
 and whole quotients against hall_lcs_quotient, which projects onto the
-non-pivot words of ideal_span in Hall coordinates.
+non-pivot words of hall_ideal_span.  Neither Hall-coordinate oracle uses
+the fill degree at which _ideal_basis stops its closure.
 """
 
 import random
@@ -42,6 +43,7 @@ from lieobstruct.fplie import (
     PresentationError,
     _eliminate_linear,
     _h2_free_lie,
+    _ideal_basis,
     _lyndon_columns,
     finiteness_scan,
     h2_graded,
@@ -422,9 +424,9 @@ def test_quotient_tower_compatibility():
 
 def hall_lcs_quotient(p, class_bound):
     """lcs_quotient in Hall coordinates: the representatives are the
-    non-pivot words of ideal_span's RREF rows, and quotient_basis projects
-    onto them the generator images and the brackets that freelie.bracket
-    normalises."""
+    non-pivot words of hall_ideal_span's RREF rows, and quotient_basis
+    projects onto them the generator images and the brackets that
+    freelie.bracket normalises."""
     cap = class_bound - 1
     if isinstance(p.scheme, DerivedIdeal):
         reduced, kept = p, p.generators
@@ -437,7 +439,7 @@ def hall_lcs_quotient(p, class_bound):
             class_bound, p.generators, (), (), {}, tuple({} for _ in p.generators)
         )
     words = hall_basis_derived(m, 0, cap)
-    qb = quotient_basis(ideal_span(reduced, cap))
+    qb = quotient_basis(hall_ideal_span(reduced, cap))
     reps = [words[r] for r in qb.reps]
     brackets = {}
     for a, wa in enumerate(reps):
@@ -480,6 +482,112 @@ def test_quotient_matches_hall_coordinate_reference():
     for p in inputs:
         for n in range(1, 7):
             assert lcs_quotient(p, n) == hall_lcs_quotient(p, n), (presentation_to_dict(p), n)
+
+
+def random_filling_presentation(rng, n_gens, fill, homogeneous, late):
+    """Relators whose parts of degree fill span all of L_fill, through a
+    random integer matrix of full rank; when not homogeneous, each carries
+    random terms of the two degrees above.  With late, a random relator one
+    degree above the fill comes first, so the closure stores it, and closes
+    it, before the fill degree is found."""
+    words = {d: [w for w in hall_basis_derived(n_gens, 0, d) if w.degree == d]
+             for d in (fill, fill + 1, fill + 2)}
+    k = len(words[fill])
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        ech = EchelonForm()
+        for row in rows:
+            ech.insert({j: c for j, c in enumerate(row) if c})
+        if ech.rank == k:
+            break
+
+    def junk(d, count):
+        return {w: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                for w in rng.sample(words[d], min(count, len(words[d])))}
+
+    relators = []
+    if late:
+        relators.append(LieElement(n_gens, junk(fill + 1, 3)))
+    for row in rows:
+        terms = {w: Fraction(c) for w, c in zip(words[fill], row) if c}
+        if not homogeneous:
+            terms.update(junk(fill + 1, 2))
+            terms.update(junk(fill + 2, 1))
+        relators.append(LieElement(n_gens, terms))
+    return LiePresentation(tuple(f"x{i + 1}" for i in range(n_gens)), FiniteList(tuple(relators)))
+
+
+def filling_cases():
+    """(presentation, fill degree): the holonomy of heis, noncarnot and
+    torus; pres_heis and pres_noncarnot, whose linear parts put the filling
+    pivots above the lowest degree of their relators; a homogeneous ideal
+    filled only by its closure (x1 central, x2 and x3 spanning a Heisenberg
+    algebra); and seeded relators filling degree 2 on two and three letters
+    and degree 3 on two, homogeneous or not, with or without a relator of
+    the degree above listed first."""
+    rng = random.Random(20261020)
+    cases = [(holonomy(load_cdga(data_path(f"{name}.json"))), fill)
+             for name, fill in (("heis", 3), ("noncarnot", 4), ("torus", 2))]
+    cases += [(load_presentation(data_path(f"{name}.json")), fill)
+              for name, fill in (("pres_heis", 3), ("pres_noncarnot", 4))]
+    cases.append((pres(("x1", "x2", "x3"),
+                       ("[x1,x2]", "[x1,x3]", "[x2,[x2,x3]]", "[x3,[x2,x3]]")), 3))
+    for n, fill in ((2, 2), (2, 3), (3, 2)):
+        for homogeneous in (True, False):
+            for late in (False, True):
+                p = random_filling_presentation(rng, n, fill, homogeneous, late)
+                cases.append((p, fill))
+    return cases
+
+
+FILLING = filling_cases()
+
+
+def test_ideal_basis_fill_degree():
+    """_ideal_basis reports the first degree whose Lyndon columns fill, or
+    cap + 1 when none does below the cap, also for ideals that never fill;
+    its basis lies below the fill degree and is independent there."""
+    for p, fill in FILLING:
+        for cap in range(1, fill + 3):
+            basis, got = _ideal_basis(p, cap)
+            assert got == min(fill, cap + 1), (presentation_to_dict(p), cap)
+            ech = EchelonForm()
+            for e in basis:
+                assert e and max(e) < got
+                ech.insert({(d, k): c for d, v in e.items() for k, c in v.items()})
+            assert ech.rank == len(basis), (presentation_to_dict(p), cap)
+    never = [load_presentation(data_path("pres_cubic.json")),
+             holonomy(load_cdga(data_path("wedge2.json"))), XXY]
+    for p in never:
+        assert _ideal_basis(p, 7)[1] == 8
+
+
+def test_quotients_past_the_fill_degree():
+    """Past the fill degree, lcs_quotient equals the Hall-coordinate
+    quotient, whose closure runs through the whole cap, and a quotient at a
+    class well beyond the fill truncates to each smaller one."""
+    for p, fill in FILLING:
+        top = {2: 8, 3: 6}.get(p.n_gens, 5)
+        for n in range(fill, top + 1):
+            assert lcs_quotient(p, n) == hall_lcs_quotient(p, n), (presentation_to_dict(p), n)
+        big = lcs_quotient(p, fill + 8)
+        for n in range(1, fill + 8):
+            assert big.truncate(n) == lcs_quotient(p, n), (presentation_to_dict(p), n)
+
+
+def test_ideal_span_and_h2_past_the_fill_degree():
+    """Past the fill degree, ideal_span equals the Hall-coordinate closure
+    as a subspace and the brute-force closure in its pivots, and on
+    homogeneous relators h2_graded equals the Hall-coordinate Hopf count."""
+    for p, fill in FILLING:
+        cap = {2: 7, 3: 5}.get(p.n_gens, 4)
+        span = ideal_span(p, cap)
+        assert span == hall_ideal_span(p, cap), presentation_to_dict(p)
+        if p.n_gens <= 3:
+            small = cap - 2 if p.n_gens == 2 else cap - 1
+            assert ideal_span(p, small).pivots == brute_ideal_pivots(p, small)
+        if all(r.is_homogeneous() for r in p.scheme.relators):
+            assert h2_graded(p, cap + 1) == hall_h2_reference(p, cap + 1), presentation_to_dict(p)
 
 
 def test_lyndon_columns_are_the_lyndon_words():
