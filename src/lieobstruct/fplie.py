@@ -18,7 +18,8 @@ determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
 Lie elements is taken on those columns alone.  Only ideal_span writes its
 basis back in Hall (basis-word) coordinates.  The second homology of
-L = free/J is J/[L, J] (Hopf's formula), computed degree by degree for
+L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree 1,
+J_k/[L, J]_k above for a graded J, computed degree by degree for
 homogeneous relator schemes from ranks alone; for the second derived ideal
 it is read in the Chen module L'/L'' instead of the free Lie algebra.
 
@@ -27,9 +28,11 @@ x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
 some relator are eliminated by substitution before any quotient is formed;
 this keeps the ambient free nilpotent algebra as small as the presentation
 really is, which is what makes the rewritten presentations produced by
-linearize_presentation tractable.  Coset representatives are the non-pivot
-basis words under the degree-major echelon pivot rule, so representatives
-chosen at different class bounds agree wherever both exist.
+linearize_presentation tractable.  It maps the relators' tensor images
+by the algebra map sending each letter to its image.  Coset
+representatives are the non-pivot basis words under the degree-major
+echelon pivot rule, so representatives chosen at different class bounds
+agree wherever both exist.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ from .freelie import (
     LieElement,
     LieError,
     _check_enum_args,
+    _lyndon,
+    _nonzero,
     _solver,
+    _substitution,
     _tensor_commutator,
-    _word_int,
-    apply_morphism,
     bracket,
     gen_elt,
     hall_basis_derived,
@@ -166,7 +170,7 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     if isinstance(p.scheme, DerivedIdeal):
         rows = [{idx[w]: ONE} for w in hall_basis_derived(n, p.scheme.level, degree_cap)]
     else:
-        basis, fill = _ideal_basis(p, degree_cap)
+        basis, fill = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
         rows = [_hall_coords(e, n, idx) for e in basis]
         rows += [{i: ONE} for w, i in idx.items() if w.degree >= fill]
     return Subspace.span(rows, len(idx))
@@ -212,63 +216,20 @@ def _integral(e: dict) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def _lyndon_columns(n_gens: int, d: int) -> dict:
-    """{_word_int key: column} for the Lyndon words of length d, listed by
-    Duval's algorithm in lexicographic order and numbered after the
-    witt_dim columns of every lower degree."""
-    cols: dict = {}
-    base = sum(witt_dim(n_gens, e) for e in range(1, d))
-    w = [-1]
-    while w:
-        w[-1] += 1
-        if len(w) == d:
-            cols[_word_int(w, n_gens)] = base + len(cols)
-        m = len(w)
-        while len(w) < d:
-            w.append(w[-m])
-        while w and w[-1] == n_gens - 1:
-            w.pop()
-    return cols
+def _relator_tensors(p: LiePresentation, cap: int) -> list:
+    """The relators' lie_tensor images cut above the cap, those left nonzero."""
+    cut = ({d: v for d, v in lie_tensor(r).items() if d <= cap} for r in p.scheme.relators)
+    return [t for t in cut if t]
 
 
-def _lyndon(e: dict, n_gens: int) -> dict:
-    """A tensor polynomial {degree: vector over _word_int keys}, as from
-    lie_tensor or tensor_expand, cut to the Lyndon-word columns of each
-    degree and numbered into one vector.  This does not commute with ad,
-    so every bracket is formed on full tensors first."""
-    out = {}
-    for d, v in e.items():
-        cols = _lyndon_columns(n_gens, d)
-        for k, c in v.items():
-            j = cols.get(k)
-            if j is not None:
-                out[j] = c
-    return out
-
-
-def _ad_gen(g: int, v: dict, degree: int, n_gens: int) -> dict:
-    """g*v - v*g for a vector v of the given degree over _word_int columns."""
-    shift = g * n_gens ** degree
-    out = {k + shift: c for k, c in v.items()}
-    for k, c in v.items():
-        key = k * n_gens + g
-        x = out.get(key, 0) - c
-        if x:
-            out[key] = x
-        else:
-            del out[key]
-    return out
-
-
-def _ideal_basis(p: LiePresentation, cap: int) -> tuple:
+def _ideal_basis(relators, n: int, cap: int) -> tuple:
     """(basis, fill) for the degree <= cap part of the ideal J generated by
-    a finite relator list, in tensor coordinates: each basis element is
-    {degree: integer vector over _word_int keys}.
+    relators, tensor polynomials on n letters cut above the cap: each basis
+    element is {degree: integer vector over _word_int keys}.
 
     J is spanned by the relators closed under the generator brackets, which
-    here are g*t - t*g degree by degree, cut at the cap.  Each relator
-    enters as its lie_tensor image, scaled by one integer for all its
+    here are g*t - t*g degree by degree, cut at the cap; one that vanishes
+    is not queued.  Each relator is scaled by one integer for all its
     degrees.  One echelon ranks every degree on its own Lyndon-word
     columns, so an inhomogeneous relator stays one vector.  Elements
     already in the span are not closed further; linearity of ad makes that
@@ -281,16 +242,16 @@ def _ideal_basis(p: LiePresentation, cap: int) -> tuple:
     and basis is a basis of J cut below fill; for homogeneous relators,
     J_k = L_k for k >= fill.
     """
-    n = p.n_gens
     tops = list(accumulate(witt_dim(n, d) for d in range(1, cap + 1)))
     fill = cap + 1
     pivots = Counter()
     ech = EchelonForm()
     basis = []
-    pool = deque(_integral(lie_tensor(r.truncate(cap))) for r in p.scheme.relators)
+    pool = deque(_integral(r) for r in relators)
     while pool:
         e = {d: v for d, v in pool.popleft().items() if d < fill}
-        lead = ech.insert(_lyndon(e, n))[1]
+        # e is empty when queued before fill came down to its degrees
+        lead = ech.insert(_lyndon(e, n))[1] if e else None
         if lead is None:
             continue
         # the pivot is the lowest column left, so its degree is the lowest
@@ -304,15 +265,17 @@ def _ideal_basis(p: LiePresentation, cap: int) -> tuple:
             continue
         basis.append((k, e))
         for g in range(n):
-            b = {d + 1: _ad_gen(g, v, d, n) for d, v in e.items() if d + 1 < fill}
-            pool.append({d: v for d, v in b.items() if v})
+            b = _nonzero({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)
+                          for d, v in e.items() if d + 1 < fill})
+            if b:
+                pool.append(b)
     # an element whose pivot lies at or above the final fill is a combination
     # of earlier ones modulo those degrees
     return [{d: v for d, v in e.items() if d < fill} for k, e in basis if k < fill], fill
 
 
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
-    """dim (J/[L,J])_k for 1 <= k <= cap, via Hopf's formula.
+    """dim H2_k for 1 <= k <= cap via Hopf's formula: 0 for k = 1, dim (J/[L,J])_k above.
 
     The second derived ideal is read in the Chen module (_h2_chen); every
     other scheme is ranked in the free Lie algebra (_h2_free_lie).
@@ -342,7 +305,7 @@ def _h2_free_lie(p: LiePresentation, degree_cap: int) -> dict:
         basis = ({w.degree: tensor_expand(w, n)} for w in words if w.degree < degree_cap)
         fill = degree_cap + 1
     else:
-        basis, fill = _ideal_basis(p, degree_cap)
+        basis, fill = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
         j_dims = Counter(d for e in basis for d in e)
         j_dims.update({k: witt_dim(n, k) for k in range(fill, degree_cap + 1)})
     ad_dims = Counter({k: witt_dim(n, k) for k in range(fill + 1, degree_cap + 1)})
@@ -351,9 +314,10 @@ def _h2_free_lie(p: LiePresentation, degree_cap: int) -> dict:
         for d, v in e.items():
             if d < degree_cap:
                 for g in range(n):
-                    if ech.insert(_lyndon({d + 1: _ad_gen(g, v, d, n)}, n))[0]:
+                    if ech.insert(_lyndon({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)}, n))[0]:
                         ad_dims[d + 1] += 1
-    return {k: j_dims[k] - ad_dims[k] for k in range(1, degree_cap + 1)}
+    # Hopf: H2 = (J meet [F,F])/[F,J], and [F,F] starts in degree 2
+    return {k: j_dims[k] - ad_dims[k] if k > 1 else 0 for k in range(1, degree_cap + 1)}
 
 
 def _h2_chen(n: int, cap: int) -> dict:
@@ -473,67 +437,44 @@ def x2_slice(level: int, max_b: int) -> dict:
 # ---------------------------------------------------------------------------
 # generator elimination and nilpotent quotients
 
-def _linear_support(e: LieElement):
-    return {w.gen: c for w, c in e.terms.items() if w.degree == 1}
-
-
 def _eliminate_linear(p: LiePresentation, cap: int):
-    """Substitute away every generator that occurs linearly in a relator.
-
-    Returns (reduced presentation, images, kept names) where images[g] is the
-    element of the reduced algebra the original generator g maps to, truncated
-    above the cap.  Degree-1 data drives every choice, so the kept set and the
-    substitution order do not depend on the cap.
-    """
+    """Substitute away every generator that occurs linearly in a relator,
+    on the _relator_tensors images.  Returns (relators, images, kept names):
+    the nonzero reduced relators and the image of each original generator,
+    tensor polynomials on the kept generators cut above the cap.  Degree-1
+    data drives every choice, so the kept set and the substitution order do
+    not depend on the cap."""
     cap = max(cap, 1)
     names = list(p.generators)
-    rel = [r.truncate(cap) for r in p.scheme.relators]
-    rel = [r for r in rel if not r.is_zero()]
+    rel = _relator_tensors(p, cap)
     m = len(names)
-    imgs = [gen_elt(m, i) for i in range(m)]
-    while True:
-        pick = None
-        for ridx, r in enumerate(rel):
-            lin = _linear_support(r)
-            if lin:
-                z = max(lin)
-                pick = (ridx, z, lin[z])
-                break
-        if pick is None:
-            break
-        ridx, z, c = pick
-        m = len(names)
-        r = rel[ridx]
-        expr = (-1 / c) * (r - c * gen_elt(m, z))
+    imgs = [{1: {g: ONE}} for g in range(m)]
+    while (ridx := next((i for i, r in enumerate(rel) if 1 in r), None)) is not None:
+        r = rel.pop(ridx)
+        z = max(r[1])
+        c = r[1][z]
+        # z = expr modulo r
+        expr = _nonzero({d: {k: -x / c for k, x in v.items() if d > 1 or k != z}
+                         for d, v in r.items()})
         # expr may mention z inside brackets; substituting it into itself
-        # raises the total degree of every z-term, so this terminates
-        for _ in range(cap + 1):
-            if all(w.gen_counts().get(z, 0) == 0 for w in expr.terms):
+        # raises the total degree of every z-term, so this terminates, at
+        # the first expr that is its own image: the first without z
+        for _ in range(cap + 2):
+            subs = [expr if j == z else {1: {j: ONE}} for j in range(m)]
+            expr, last = _substitution(subs, m, cap)(expr), expr
+            if expr == last:
                 break
-            subs = [expr if j == z else gen_elt(m, j) for j in range(m)]
-            expr = apply_morphism(expr, subs, m, max_degree=cap)
         else:
             raise InternalError("generator elimination did not converge")
-        mm = m - 1
-        reindexed = [
-            zero(mm) if j == z else gen_elt(mm, j if j < z else j - 1)
-            for j in range(m)
-        ]
-        expr2 = apply_morphism(expr, reindexed, mm, max_degree=cap)
-        full = [
-            expr2 if j == z else gen_elt(mm, j if j < z else j - 1)
-            for j in range(m)
-        ]
-        rel = [
-            apply_morphism(rr, full, mm, max_degree=cap)
-            for k, rr in enumerate(rel)
-            if k != ridx
-        ]
-        rel = [rr for rr in rel if not rr.is_zero()]
-        imgs = [apply_morphism(e, full, mm, max_degree=cap) for e in imgs]
+        # the other letters shift down past z, which expr no longer uses
+        full = [{} if j == z else {1: {j - (j > z): ONE}} for j in range(m)]
+        full[z] = _substitution(full, m - 1, cap)(expr)
+        push = _substitution(full, m - 1, cap)
+        rel = [t for t in map(push, rel) if t]
+        imgs = [push(e) for e in imgs]
         del names[z]
-    reduced = LiePresentation(tuple(names), FiniteList(tuple(rel)))
-    return reduced, imgs, tuple(names)
+        m -= 1
+    return rel, imgs, tuple(names)
 
 
 class NilpotentLieAlgebra(_Frozen):
@@ -665,10 +606,10 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
                 "derived-ideal quotients of level >= 2 are limited to two "
                 "generators and class bound <= 8"
             )
-        reduced, kept = p, p.generators
-        imgs = [gen_elt(p.n_gens, i) for i in range(p.n_gens)]
+        kept = p.generators
+        imgs = [{1: {g: ONE}} for g in range(p.n_gens)]
     else:
-        reduced, imgs, kept = _eliminate_linear(p, cap)
+        relators, imgs, kept = _eliminate_linear(p, cap)
     m = len(kept)
     if cap == 0 or m == 0:
         return NilpotentLieAlgebra(
@@ -678,7 +619,7 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         words = hall_basis_derived(m, p.scheme.level, cap)
         ideal = [{w.degree: tensor_expand(w, m)} for w in words]
     else:
-        ideal, fill = _ideal_basis(reduced, cap)
+        ideal, fill = _ideal_basis(relators, m, cap)
         cap = min(cap, fill - 1)
     ech = EchelonForm(track=True)
     for e in ideal:
@@ -714,7 +655,7 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         labels=tuple(word_str(w, kept) for w in reps),
         weights=tuple(w.degree for w in reps),
         brackets=brackets,
-        gen_images=tuple(coset(lie_tensor(img.truncate(cap))) for img in imgs),
+        gen_images=tuple(coset({d: v for d, v in img.items() if d <= cap}) for img in imgs),
     )
     if not alg.check_filtration():
         raise InternalError("quotient brackets break the weight filtration")
@@ -748,7 +689,7 @@ class _AdBasis:
         for J in self.attempts:
             vec = {J[-1]: 1}
             for d, i in enumerate(reversed(J[:-1]), 1):
-                vec = _ad_gen(i, vec, d, n_gens)
+                vec = _tensor_commutator({i: 1}, vec, n_gens, n_gens ** d)
             self.ech.insert(vec)
 
     def express(self, e: LieElement) -> dict:

@@ -28,15 +28,17 @@ collections would walk them.
 Arbitrary brackets are rewritten into the basis by expanding both sides in
 the tensor algebra (the free Lie algebra sits inside it, multidegree by
 multidegree) and solving the resulting exact linear system over the basis
-words of the same multidegree.  A tensor is a dict from integer word keys
-to coefficients: a word of d letters over n is the base-n number of its
-letters (_word_int), and every tensor here is homogeneous, so the product
+words of the same multidegree, on Lyndon-word columns (_lyndon numbers
+them for whole degrees).  A tensor is a dict from integer word keys to
+coefficients: a word of d letters over n is the base-n number of its
+letters (_word_int), and each vector here holds one degree, so the product
 uv has the key u * n**d(v) + v and a commutator needs no letter tuples.
 Two shortcut cases avoid the solve: a bracket of two distinct same-level
 words is itself a basis word, and appending a small enough previous-level
 word to a left-normed bracket just extends it.  The solve is fraction-free
 inside the echelon and only its reported coefficients are Fractions; no
-floats.
+floats.  A substitution of generators is the algebra map on tensor
+polynomials sending each letter to its image (_substitution).
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "HallWord",
     "LieElement",
     "LieError",
-    "apply_morphism",
     "bigraded_dims",
     "bracket",
     "bracket_word",
@@ -441,6 +442,48 @@ def _word_int(letters, n_gens):
     return k
 
 
+@lru_cache(maxsize=None)
+def _lyndon_columns(n_gens: int, d: int) -> dict:
+    """{_word_int key: column} for the Lyndon words of length d, listed by
+    Duval's algorithm in lexicographic order and numbered after the
+    witt_dim columns of every lower degree."""
+    cols: dict = {}
+    base = sum(witt_dim(n_gens, e) for e in range(1, d))
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == d:
+            cols[_word_int(w, n_gens)] = base + len(cols)
+        m = len(w)
+        while len(w) < d:
+            w.append(w[-m])
+        while w and w[-1] == n_gens - 1:
+            w.pop()
+    return cols
+
+
+def _lyndon(e: dict, n_gens: int) -> dict:
+    """A tensor polynomial {degree: vector over _word_int keys}, as from
+    lie_tensor or tensor_expand, cut to the Lyndon-word columns of each
+    degree and numbered into one vector.  This does not commute with ad,
+    so every bracket is formed on full tensors first."""
+    out = {}
+    for d, v in e.items():
+        cols = _lyndon_columns(n_gens, d)
+        for k, c in v.items():
+            j = cols.get(k)
+            if j is not None:
+                out[j] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _is_lyndon(k: int, d: int, n_gens: int) -> bool:
+    """Whether the word of d letters keyed k is a Lyndon word: smaller than
+    each proper rotation (k mod n**e) * n**(d-e) + k // n**e, 0 < e < d."""
+    return all(k < k % n_gens ** e * n_gens ** (d - e) + k // n_gens ** e for e in range(1, d))
+
+
 def _relabel(w: HallWord, letters) -> HallWord:
     """w with each generator g renamed letters[g].  For increasing letters
     the renaming preserves the order of words, so a basis word stays one."""
@@ -453,14 +496,15 @@ def _relabel(w: HallWord, letters) -> HallWord:
 
 
 class _MultidegreeSolver:
-    """Expresses tensor polynomials of one multidegree over the basis words.
+    """Expresses Lie polynomials of one multidegree over the basis words.
 
     The words are enumerated over the letters of the multidegree's support
     alone and relabelled, so the cost follows the support, not the alphabet.
     Their rows are their tensor_expand images over the full alphabet of
-    n_gens letters, the keys solve() is given.  Hall words are a Z-basis,
-    so the rows stay integral and the echelon never sees a Fraction until
-    it reports the coefficients.
+    n_gens letters, the keys solve() is given, cut to the Lyndon words (a
+    square system), tested key by key rather than listed for the alphabet.
+    Hall words are a Z-basis, so the rows stay integral and the echelon
+    never sees a Fraction until it reports the coefficients.
     """
 
     def __init__(self, n_gens, md):
@@ -473,18 +517,24 @@ class _MultidegreeSolver:
             # enumerated objects, which HallWord.__eq__ matches by identity
             words = tuple(_relabel(w, support) for w in words)
         self.words = words
+        self.n_gens, self.degree = n_gens, sum(md)
         self.ech = EchelonForm(track=True)
         for w in self.words:
-            row, _ = self.ech.insert(tensor_expand(w, n_gens))
+            row, _ = self.ech.insert(self._lyndon_part(tensor_expand(w, n_gens)))
             if not row:
                 raise InternalError("basis words must expand independently")
 
+    def _lyndon_part(self, vec: dict) -> dict:
+        return {k: c for k, c in vec.items() if _is_lyndon(k, self.degree, self.n_gens)}
+
     def solve(self, vec: dict) -> dict:
         """The basis-word combination of a Lie polynomial of this
-        multidegree, given as a vector over _word_int keys."""
-        res, combo = self.ech.reduce(vec)
+        multidegree, given as a vector over _word_int keys.  A Lyndon word
+        of another multidegree leaves a residual; a vector that is not a
+        Lie polynomial goes unnoticed."""
+        res, combo = self.ech.reduce(self._lyndon_part(vec))
         if res:
-            raise InternalError("commutator expansion escaped the Lie span")
+            raise InternalError("vector leaves the solver's multidegree")
         return {self.words[i]: c for i, c in combo.items()}
 
 
@@ -639,54 +689,62 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
     return LieElement(n, acc)
 
 
+def _nonzero(t: dict) -> dict:
+    """A tensor polynomial without its zero entries and empty vectors."""
+    t = {d: {k: x for k, x in v.items() if x} for d, v in t.items()}
+    return {d: v for d, v in t.items() if v}
+
+
+def _add_product(out: dict, a: dict, b: dict, n_gens: int, cap: int) -> dict:
+    """Add ab cut above degree cap into out, for tensor polynomials on
+    n_gens letters, leaving zeros; a scalar c is {0: {0: c}}.  Returns out."""
+    for da, va in a.items():
+        for db, vb in b.items():
+            if da + db <= cap:
+                acc, shift = out.setdefault(da + db, {}), n_gens ** db
+                for u, x in va.items():
+                    for v, y in vb.items():
+                        acc[u * shift + v] = acc.get(u * shift + v, 0) + x * y
+    return out
+
+
 def lie_tensor(e: LieElement) -> dict:
     """Image of an element in the tensor algebra, one vector per degree:
     {degree: {_word_int key: Fraction}}, with no empty vector."""
     out: dict = {}
     for w, c in e.terms.items():
-        vec = out.setdefault(w.degree, {})
-        for u, x in tensor_expand(w, e.n_gens).items():
-            y = vec.get(u, ZERO) + c * x
-            if y:
-                vec[u] = y
-            else:
-                del vec[u]
-    return out
+        _add_product(out, {0: {0: c}}, {w.degree: tensor_expand(w, e.n_gens)}, e.n_gens, w.degree)
+    return _nonzero(out)
 
 
-def apply_morphism(e: LieElement, images, n_out: int, max_degree=None) -> LieElement:
-    """Push an element through the morphism sending generator g to images[g].
-
-    images is a sequence of LieElements on the target alphabet.  With
-    max_degree set, intermediate and final results are truncated above that
-    total degree, which is the right notion for working modulo a lower
-    central series term.
-    """
-    if len(images) != e.n_gens:
-        raise LieError(f"need {e.n_gens} generator images, got {len(images)}")
+def _substitution(images, n_out: int, cap: int):
+    """The algebra map from tensor polynomials over len(images) letters to
+    those over n_out sending letter g to images[g], which lies in degrees
+    1 to cap, cut above the cap; on Lie polynomials, the Lie morphism with
+    those generator images.  A word's image, its prefix's times its last
+    letter's, is memoised."""
+    n_in = len(images)
     memo: dict = {}
 
-    def push(w: HallWord) -> LieElement:
-        got = memo.get(w)
-        if got is not None:
-            return got
-        if w.level == 0:
-            out = images[w.gen]
-        else:
-            out = push(w.children[0])
-            for c in w.children[1:]:
-                out = bracket(out, push(c))
-                if max_degree is not None:
-                    out = out.truncate(max_degree)
-        memo[w] = out
-        return out
+    def word(d, k):
+        if d == 1:
+            return images[k]
+        if (d, k) not in memo:
+            head, g = divmod(k, n_in)
+            memo[d, k] = _nonzero(_add_product({}, word(d - 1, head), images[g], n_out, cap))
+        return memo[d, k]
 
-    acc = zero(n_out)
-    for w, c in e.terms.items():
-        acc = acc + c * push(w)
-    if max_degree is not None:
-        acc = acc.truncate(max_degree)
-    return acc
+    def push(t: dict) -> dict:
+        out: dict = {}
+        for d, v in t.items():
+            for k, c in v.items():
+                for e, w in word(d, k).items():
+                    acc = out.setdefault(e, {})
+                    for u, x in w.items():
+                        acc[u] = acc.get(u, 0) + c * x
+        return _nonzero(out)
+
+    return push
 
 
 # ---------------------------------------------------------------------------

@@ -459,13 +459,13 @@ class EchelonForm:
 
 
 def _row_echelon(m: SparseMatrix) -> EchelonForm:
-    """EchelonForm of the rows of m, transposed out of its columns once."""
+    """EchelonForm of the nonzero rows of m, transposed out of its columns."""
     rows = [{} for _ in range(m.rows)]
     for j, col in m.columns.items():
         for i, x in col.items():
             rows[i][j] = x
     ech = EchelonForm()
-    for row in rows:
+    for row in filter(None, rows):
         ech.insert(row)
     return ech
 

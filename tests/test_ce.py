@@ -47,6 +47,7 @@ from lieobstruct.ce import (
 )
 from lieobstruct.fplie import (
     NilpotentLieAlgebra,
+    finiteness_scan,
     h2_graded,
     lcs_quotient,
     load_presentation,
@@ -341,6 +342,31 @@ def test_graded_h2_matches_hopf_formula():
         for k in range(2, 7):
             g = lcs_quotient(p, k + 1)
             assert lie_homology_by_weight(g, 2).get(k, 0) == fp.get(k, 0)
+
+
+def test_hopf_h2_with_degree_one_relators():
+    """On homogeneous presentations with a degree-1 relator, h2_graded equals
+    the weight-k part of H2 of the class-(k+1) quotient in every degree k,
+    degree 1 included: there [L,L] is zero, so a relator like x in
+    <x, y | x> kills a generator and is no second-homology class."""
+    cases = [
+        (["x", "y"], ["x"]),
+        (["x", "y"], ["2*x - y"]),
+        (["x", "y", "z"], ["x - 2*y", "[x,z]"]),
+        (["x", "y", "z"], ["z", "[x,[x,y]]"]),
+        (["x", "y", "z"], ["x + y + z", "[y,z]", "[x,[x,y]]"]),
+        (["x", "y", "z", "w"], ["w - z", "[x,y] + [z,w]"]),
+    ]
+    for gens, relators in cases:
+        p = presentation_from_dict({"generators": gens, "relators": relators})
+        fp = h2_graded(p, 5)
+        assert fp[1] == 0
+        for k in range(1, 6):
+            g = lcs_quotient(p, k + 1)
+            assert lie_homology_by_weight(g, 2).get(k, 0) == fp[k], (relators, k)
+    p = presentation_from_dict({"generators": ["x", "y"], "relators": ["x"]})
+    assert h2_graded(p, 1) == {1: 0}
+    assert finiteness_scan(p, 1)["verdict"] == "bounded-so-far"
 
 
 def test_truncation_h2_dimension_formula():

@@ -9,9 +9,11 @@ free-Lie Hopf H2 (_h2_free_lie) is the reference for the Chen-module path
 that h2_graded takes on the second derived ideal, and ideal_span's pivots
 for the closed-form x2 slice.  Quotient structure constants are validated
 through the Jacobi and filtration checks plus hand-computed small examples,
-and whole quotients against hall_lcs_quotient, which projects onto the
-non-pivot words of hall_ideal_span.  Neither Hall-coordinate oracle uses
-the fill degree at which _ideal_basis stops its closure.
+and whole quotients against hall_lcs_quotient, which eliminates linear
+generators in Hall coordinates (hall_eliminate_linear, the oracle for the
+tensor substitution of _eliminate_linear) and projects onto the non-pivot
+words of hall_ideal_span.  Neither Hall-coordinate oracle uses the fill
+degree at which _ideal_basis stops its closure.
 """
 
 import random
@@ -25,15 +27,20 @@ from lieobstruct import data_path
 from lieobstruct.cdga import cdga_from_dict, holonomy, load_cdga
 from lieobstruct.freelie import (
     LieElement,
+    _is_lyndon,
+    _lyndon_columns,
+    _substitution,
     bracket,
     bracket_word,
     gen_elt,
     generator,
     hall_basis_derived,
     hall_words_of_degree,
+    lie_tensor,
     parse_element,
     witt_dim,
     word_str,
+    zero,
 )
 from lieobstruct.fplie import (
     DerivedIdeal,
@@ -44,7 +51,7 @@ from lieobstruct.fplie import (
     _eliminate_linear,
     _h2_free_lie,
     _ideal_basis,
-    _lyndon_columns,
+    _relator_tensors,
     finiteness_scan,
     h2_graded,
     ideal_span,
@@ -209,7 +216,7 @@ def test_ideal_span_matches_hall_closure():
     cases = [(random_presentation(rng, 2, 3), 7) for _ in range(7)]
     cases += [(random_presentation(rng, 3, 2), 5) for _ in range(3)]
     noncarnot = load_presentation(data_path("pres_noncarnot.json"))
-    cases.append((_eliminate_linear(noncarnot, 5)[0], 5))
+    cases.append((hall_eliminate_linear(noncarnot, 5)[0], 5))
     holonomies = [holonomy(load_cdga(data_path(f"{name}.json")))
                   for name in ("heis", "noncarnot", "torus", "wedge2")]
     holonomies += [random_cdga_holonomy(5, 3, 2), random_cdga_holonomy(6, 4, 4)]
@@ -220,13 +227,14 @@ def test_ideal_span_matches_hall_closure():
 
 
 def hall_h2_reference(p, cap):
-    """Hopf H2 in Hall coordinates: rank the generator brackets of the RREF
-    rows of hall_ideal_span, which are homogeneous for a graded ideal; pivot
-    degrees give the dimensions."""
+    """Hopf H2 in Hall coordinates, (J meet [L,L])/[L,J]: rank the generator
+    brackets of the RREF rows of hall_ideal_span, which are homogeneous for
+    a graded ideal; pivot degrees give the dimensions.  [L,L] starts in
+    degree 2, so J's degree-1 pivots do not count."""
     n = p.n_gens
     words = hall_basis_derived(n, 0, cap)
     span = hall_ideal_span(p, cap)
-    j_dims = Counter(words[piv].degree for piv in span.pivots)
+    j_dims = Counter(words[piv].degree for piv in span.pivots if words[piv].degree > 1)
     ech = EchelonForm()
     ad_dims = Counter()
     for row in span.basis_rows:
@@ -422,8 +430,69 @@ def test_quotient_tower_compatibility():
             assert big.truncate(n) == small
 
 
+def hall_morphism(e, images, n_out, max_degree):
+    """Push e through the Lie morphism sending generator g to images[g], a
+    LieElement on n_out letters, bracket by bracket with freelie.bracket,
+    truncating every intermediate result above max_degree."""
+    memo = {}
+
+    def push(w):
+        if w not in memo:
+            if w.level == 0:
+                memo[w] = images[w.gen]
+            else:
+                out = push(w.children[0])
+                for c in w.children[1:]:
+                    out = bracket(out, push(c)).truncate(max_degree)
+                memo[w] = out
+        return memo[w]
+
+    acc = zero(n_out)
+    for w, c in e.terms.items():
+        acc = acc + c * push(w)
+    return acc.truncate(max_degree)
+
+
+def hall_eliminate_linear(p, cap):
+    """_eliminate_linear in Hall coordinates: (reduced presentation, generator
+    images, kept names), every substitution made by hall_morphism."""
+    cap = max(cap, 1)
+    names = list(p.generators)
+    rel = [r.truncate(cap) for r in p.scheme.relators]
+    rel = [r for r in rel if not r.is_zero()]
+    m = len(names)
+    imgs = [gen_elt(m, i) for i in range(m)]
+    while True:
+        pick = next(((i, r) for i, r in enumerate(rel)
+                     if any(w.degree == 1 for w in r.terms)), None)
+        if pick is None:
+            break
+        ridx, r = pick
+        lin = {w.gen: c for w, c in r.terms.items() if w.degree == 1}
+        z = max(lin)
+        c = lin[z]
+        expr = (-1 / c) * (r - c * gen_elt(m, z))
+        for _ in range(cap + 1):
+            if all(w.gen_counts().get(z, 0) == 0 for w in expr.terms):
+                break
+            subs = [expr if j == z else gen_elt(m, j) for j in range(m)]
+            expr = hall_morphism(expr, subs, m, cap)
+        else:
+            raise AssertionError("generator elimination did not converge")
+        mm = m - 1
+        shifted = [zero(mm) if j == z else gen_elt(mm, j - (j > z)) for j in range(m)]
+        shifted[z] = hall_morphism(expr, shifted, mm, cap)
+        rel = [hall_morphism(rr, shifted, mm, cap) for k, rr in enumerate(rel) if k != ridx]
+        rel = [rr for rr in rel if not rr.is_zero()]
+        imgs = [hall_morphism(e, shifted, mm, cap) for e in imgs]
+        del names[z]
+        m = mm
+    return LiePresentation(tuple(names), FiniteList(tuple(rel))), imgs, tuple(names)
+
+
 def hall_lcs_quotient(p, class_bound):
-    """lcs_quotient in Hall coordinates: the representatives are the
+    """lcs_quotient in Hall coordinates: generators that occur linearly are
+    eliminated by hall_eliminate_linear, the representatives are the
     non-pivot words of hall_ideal_span's RREF rows, and quotient_basis
     projects onto them the generator images and the brackets that
     freelie.bracket normalises."""
@@ -432,7 +501,7 @@ def hall_lcs_quotient(p, class_bound):
         reduced, kept = p, p.generators
         imgs = [gen_elt(p.n_gens, i) for i in range(p.n_gens)]
     else:
-        reduced, imgs, kept = _eliminate_linear(p, cap)
+        reduced, imgs, kept = hall_eliminate_linear(p, cap)
     m = len(kept)
     if cap == 0 or m == 0:
         return NilpotentLieAlgebra(
@@ -458,6 +527,62 @@ def hall_lcs_quotient(p, class_bound):
         brackets=brackets,
         gen_images=tuple(qb.proj.matvec(_coords(img.truncate(cap), cap)) for img in imgs),
     )
+
+
+def random_element(rng, n_gens, max_degree):
+    """A seeded inhomogeneous rational combination of basis words."""
+    pool = hall_basis_derived(n_gens, 0, max_degree)
+    return LieElement(n_gens, {rng.choice(pool): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                               for _ in range(rng.randint(1, 4))})
+
+
+def test_substitution_commutes_with_lie_tensor():
+    """freelie._substitution on tensor images equals the tensor image of the
+    Hall-coordinate morphism, for seeded inhomogeneous elements and
+    generator images on 1-3 letters, at caps 1-6."""
+    rng = random.Random(20261021)
+    for _ in range(60):
+        n, n_out = rng.randint(1, 3), rng.randint(1, 3)
+        cap = rng.randint(1, 6 if max(n, n_out) < 3 else 4)
+        e = random_element(rng, n, cap)
+        images = [random_element(rng, n_out, cap) for _ in range(n)]
+        want = lie_tensor(hall_morphism(e, images, n_out, cap))
+        push = _substitution([lie_tensor(x) for x in images], n_out, cap)
+        assert push({d: v for d, v in lie_tensor(e).items() if d <= cap}) == want
+
+
+def linear_presentation(rng, n_gens, max_degree):
+    """random_presentation with a random linear combination of generators
+    added to each relator, so that elimination has work to do."""
+    p = random_presentation(rng, n_gens, max_degree)
+    relators = []
+    for r in p.scheme.relators:
+        lin = {generator(g): Fraction(rng.choice((-2, -1, 1, 2, 3)))
+               for g in rng.sample(range(n_gens), rng.randint(1, n_gens))}
+        s = r + LieElement(n_gens, lin)
+        relators.append(s if not s.is_zero() else r)
+    return LiePresentation(p.generators, FiniteList(tuple(relators)))
+
+
+def test_tensor_elimination_matches_hall_oracle():
+    """_eliminate_linear's tensor relators, images and kept names are the
+    tensor images of hall_eliminate_linear's, at caps 1-6: the bundled
+    presentations with linear parts, chained and self-referencing
+    eliminations, and seeded relators with linear terms on 2-4 letters."""
+    rng = random.Random(20261022)
+    inputs = [load_presentation(data_path(f"{name}.json")) for name in (
+        "pres_heis", "pres_noncarnot", "pres_cubic")]
+    inputs += [pres(("x", "y", "z", "w"), ("w - [x,z]", "z - [x,y]")),
+               pres(("x", "y", "z"), ("z - [x,y] - [x,z]",)),
+               pres(("x", "y"), ("x + 2*y + [x,[x,y]]",)),
+               pres(("x", "y"), ("x", "y"))]
+    inputs += [linear_presentation(rng, n, 3 if n < 4 else 2) for n in (2, 3, 4) for _ in range(8)]
+    for p in inputs:
+        for cap in range(1, 7 if p.n_gens < 4 else 5):
+            reduced, imgs, kept = hall_eliminate_linear(p, cap)
+            got = _eliminate_linear(p, cap)
+            want = [lie_tensor(r) for r in reduced.scheme.relators], [lie_tensor(e) for e in imgs]
+            assert got == (*want, kept), (presentation_to_dict(p), cap)
 
 
 def test_quotient_matches_hall_coordinate_reference():
@@ -549,7 +674,7 @@ def test_ideal_basis_fill_degree():
     its basis lies below the fill degree and is independent there."""
     for p, fill in FILLING:
         for cap in range(1, fill + 3):
-            basis, got = _ideal_basis(p, cap)
+            basis, got = _ideal_basis(_relator_tensors(p, cap), p.n_gens, cap)
             assert got == min(fill, cap + 1), (presentation_to_dict(p), cap)
             ech = EchelonForm()
             for e in basis:
@@ -559,7 +684,24 @@ def test_ideal_basis_fill_degree():
     never = [load_presentation(data_path("pres_cubic.json")),
              holonomy(load_cdga(data_path("wedge2.json"))), XXY]
     for p in never:
-        assert _ideal_basis(p, 7)[1] == 8
+        assert _ideal_basis(_relator_tensors(p, 7), p.n_gens, 7)[1] == 8
+
+
+def test_ideal_basis_inserts_no_empty_vector(monkeypatch):
+    """A generator bracket that vanishes below the fill is not queued, and
+    an element emptied by a later fill is not inserted: the closure's
+    echelon sees only nonzero vectors, on ideals that fill and ideals that
+    never do."""
+    cases = FILLING + [(load_presentation(data_path("pres_cubic.json")), None),
+                       (random_cdga_holonomy(5, 3, 2), None)]
+    inserted = []
+    insert = EchelonForm.insert
+    monkeypatch.setattr(EchelonForm, "insert",
+                        lambda self, v: inserted.append(v) or insert(self, v))
+    for p, _ in cases:
+        for cap in range(1, 7):
+            _ideal_basis(_relator_tensors(p, cap), p.n_gens, cap)
+    assert len(inserted) > 100 and all(inserted)
 
 
 def test_quotients_past_the_fill_degree():
@@ -594,7 +736,7 @@ def test_lyndon_columns_are_the_lyndon_words():
     """The columns of degree d are the Lyndon words of length d, the words
     strictly smaller than each of their proper rotations, witt_dim of them,
     numbered in lexicographic order after the columns of every lower
-    degree."""
+    degree; _is_lyndon, the solver's key test, picks the same words."""
     from itertools import product
 
     for n, top in ((2, 9), (3, 6), (4, 4)):
@@ -607,6 +749,7 @@ def test_lyndon_columns_are_the_lyndon_words():
             }
             cols = _lyndon_columns(n, d)
             assert set(cols) == lyndon and len(lyndon) == witt_dim(n, d)
+            assert {k for k in range(n ** d) if _is_lyndon(k, d, n)} == lyndon
             assert [cols[k] for k in sorted(cols)] == list(range(base, base + len(lyndon)))
             base += len(lyndon)
 

@@ -1,5 +1,6 @@
 """ratlin against a dense Gaussian elimination oracle, plus algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from lieobstruct.ratlin import (
     LinAlgError,
     SparseMatrix,
     Subspace,
+    _row_echelon,
     express_in_columns,
     kernel,
     quotient_basis,
@@ -144,6 +146,22 @@ def test_kernel_vectors_annihilate(rows):
     for v in ker.basis_rows:
         assert m.matvec(v) == {}
     assert ker == Subspace.span(dense_kernel(rows), m.cols)
+
+
+def test_rank_and_kernel_with_many_empty_rows():
+    """Seeded matrices whose rows are mostly zero, as d on degree 2 of a
+    cochain algebra is: rank and kernel match the dense oracle, and the
+    echelon inserts only the nonzero rows."""
+    rng = random.Random(20261023)
+    for _ in range(40):
+        nr, nc = rng.randint(20, 60), rng.randint(1, 7)
+        rows = [[0] * nc for _ in range(nr)]
+        for i in rng.sample(range(nr), rng.randint(0, 5)):
+            rows[i] = [rng.randint(-3, 3) for _ in range(nc)]
+        m = matrix(rows)
+        assert rank(m) == len(dense_rref(rows)[1])
+        assert kernel(m) == Subspace.span(dense_kernel(rows), nc)
+        assert _row_echelon(m).n_inserted == sum(1 for row in rows if any(row))
 
 
 def test_scal_rejects_floats():
