@@ -543,28 +543,25 @@ def truncate(a: FiniteCdga, q: int):
 def holonomy(a: FiniteCdga):
     """The Lie presentation dual to (d, product) on A[1]: one generator per
     degree-1 basis element, one relator per degree-2 basis element of A[1],
-    each relator the sum of the dual of d and the dual of the product."""
+    each relator the sum of the dual of d and the dual of the product.
+    Each d(a_i), product a_i*a_j and nonzero product's bracket is formed once."""
     from .fplie import FiniteList, LiePresentation
     from .freelie import LieElement, bracket, gen_elt
 
     a1, _ = truncate(a, 1)
     g = a1.dim(1)
     gens = tuple(f"x{i + 1}" for i in range(g))
-    relators = []
-    for k in range(a1.dim(2)):
-        rel = LieElement(g, {})
-        for i in range(g):
-            c = a1.d_apply(1, {i: ONE}).get(k, ZERO)
-            if c:
-                rel = rel + c * gen_elt(g, i)
-        for i in range(g):
-            for j in range(i + 1, g):
-                c = a1.mul(1, {i: ONE}, 1, {j: ONE}).get(k, ZERO)
-                if c:
-                    rel = rel + c * bracket(gen_elt(g, i), gen_elt(g, j))
-        if not rel.is_zero():
-            relators.append(rel)
-    return LiePresentation(gens, FiniteList(tuple(relators)))
+    terms = [{} for _ in range(a1.dim(2))]
+    parts = [(gen_elt(g, i), a1.d_apply(1, {i: ONE})) for i in range(g)]
+    for i, j in combinations(range(g), 2):
+        prod = a1.mul(1, {i: ONE}, 1, {j: ONE})
+        if prod:
+            parts.append((bracket(gen_elt(g, i), gen_elt(g, j)), prod))
+    # no word occurs twice in a relator: [x_i, x_j] is one basis word
+    for e, coeffs in parts:
+        for k, c in coeffs.items():
+            terms[k].update((w, c * x) for w, x in e.terms.items())
+    return LiePresentation(gens, FiniteList(tuple(LieElement(g, t) for t in terms if t)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ alone already spans the ideal degreewise.  That closure runs once, in
 tensor-algebra coordinates, where the bracket with a generator g is
 g*t - t*g and needs no rewriting into the basis.  It stops at the first
 degree the ideal fills: L is generated in degree 1, so an ideal holding
-all of L_d holds every higher degree too.  A Lie polynomial is
-determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
+all of L_d holds every higher degree too; a bracket is formed only when
+taken, lowest degree first, cut at the fill known then.  A Lie polynomial
+is determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
-Lie elements is taken on those columns alone.  Only ideal_span writes its
-basis back in Hall (basis-word) coordinates.  The second homology of
+Lie elements is taken on those columns alone; the quotient's bracket
+table reads them off one split of each Lyndon word.  Only ideal_span
+writes its basis back in Hall (basis-word) coordinates.  H2 of
 L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree 1,
 J_k/[L, J]_k above for a graded J, computed degree by degree for
 homogeneous relator schemes from ranks alone; for the second derived ideal
@@ -29,7 +31,8 @@ some relator are eliminated by substitution before any quotient is formed;
 this keeps the ambient free nilpotent algebra as small as the presentation
 really is, which is what makes the rewritten presentations produced by
 linearize_presentation tractable.  It maps the relators' tensor images
-by the algebra map sending each letter to its image.  Coset
+by the algebra map sending each letter to its image, only those that hold
+the letter, and renumbers the kept letters once at the end.  Coset
 representatives are the non-pivot basis words under the degree-major
 echelon pivot rule, so representatives chosen at different class bounds
 agree wherever both exist.
@@ -39,9 +42,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, combinations_with_replacement, count
 from math import lcm
 
 from .freelie import (
@@ -49,6 +53,7 @@ from .freelie import (
     LieError,
     _check_enum_args,
     _lyndon,
+    _lyndon_columns,
     _nonzero,
     _solver,
     _substitution,
@@ -193,6 +198,34 @@ def _hall_coords(e: dict, n: int, idx: dict) -> dict:
     }
 
 
+def _digits(k: int, d: int, n: int):
+    """The letters of the word of d letters keyed k, last letter first."""
+    for _ in range(d):
+        k, g = divmod(k, n)
+        yield g
+
+
+@lru_cache(maxsize=None)
+def _lyndon_groups(n: int, d: int) -> dict:
+    """{sorted letters: [(key, column), ...]} of the Lyndon columns of length d."""
+    groups = defaultdict(list)
+    for k, col in _lyndon_columns(n, d).items():
+        groups[tuple(sorted(_digits(k, d, n)))].append((k, col))
+    return dict(groups)
+
+
+def _lyndon_bracket(ta: dict, tb: dict, da: int, db: int, letters: tuple, n: int) -> dict:
+    """[A, B] = AB - BA on the Lyndon columns, for homogeneous tensors A, B of
+    degrees da, db with these letters between them, splitting each Lyndon
+    word u once: A(u[:da]) B(u[da:]) - B(u[:db]) A(u[db:])."""
+    sa, sb, vec = n ** da, n ** db, {}
+    for k, col in _lyndon_groups(n, da + db).get(tuple(sorted(letters)), ()):
+        x = ta.get(k // sb, 0) * tb.get(k % sb, 0) - tb.get(k // sa, 0) * ta.get(k % sa, 0)
+        if x:
+            vec[col] = x
+    return vec
+
+
 # ---------------------------------------------------------------------------
 # the relator ideal and Hopf-formula second homology, in tensor coordinates
 
@@ -228,12 +261,14 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     element is {degree: integer vector over _word_int keys}.
 
     J is spanned by the relators closed under the generator brackets, which
-    here are g*t - t*g degree by degree, cut at the cap; one that vanishes
-    is not queued.  Each relator is scaled by one integer for all its
-    degrees.  One echelon ranks every degree on its own Lyndon-word
-    columns, so an inhomogeneous relator stays one vector.  Elements
-    already in the span are not closed further; linearity of ad makes that
-    sound.
+    here are g*t - t*g degree by degree.  A bracket is queued as a pending
+    (g, element) pair and formed when taken, lowest degree first, cut at
+    the fill degree of that moment; one that vanishes is not inserted.
+    Each relator is scaled by one integer for all its degrees.  One echelon
+    ranks every degree on its own Lyndon-word columns, so an inhomogeneous
+    relator stays one vector.  Elements already in the span are not closed
+    further; linearity of ad makes that sound.  J below the fill and the
+    fill degree do not depend on the order of the pool; the basis does.
 
     fill is the first degree d whose Lyndon columns all hold pivots, so
     that J contains L_d modulo higher degrees, or cap + 1 if none does.
@@ -247,10 +282,18 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     pivots = Counter()
     ech = EchelonForm()
     basis = []
-    pool = deque(_integral(r) for r in relators)
+    # (lowest degree, queueing number, generator or None, element)
+    queued = count()
+    pool = [(min(r), next(queued), None, _integral(r)) for r in relators]
+    heapify(pool)
     while pool:
-        e = {d: v for d, v in pool.popleft().items() if d < fill}
-        # e is empty when queued before fill came down to its degrees
+        _, _, g, e = heappop(pool)
+        if g is None:
+            e = {d: v for d, v in e.items() if d < fill}
+        else:
+            e = _nonzero({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)
+                          for d, v in e.items() if d + 1 < fill})
+        # e is empty when fill came down to its degrees after it was queued
         lead = ech.insert(_lyndon(e, n))[1] if e else None
         if lead is None:
             continue
@@ -264,11 +307,9 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
             fill = k  # e itself lies in degrees >= k
             continue
         basis.append((k, e))
-        for g in range(n):
-            b = _nonzero({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)
-                          for d, v in e.items() if d + 1 < fill})
-            if b:
-                pool.append(b)
+        if min(e) + 1 < fill:
+            for g in range(n):
+                heappush(pool, (min(e) + 1, next(queued), g, e))
     # an element whose pivot lies at or above the final fill is a combination
     # of earlier ones modulo those degrees
     return [{d: v for d, v in e.items() if d < fill} for k, e in basis if k < fill], fill
@@ -443,14 +484,17 @@ def _eliminate_linear(p: LiePresentation, cap: int):
     the nonzero reduced relators and the image of each original generator,
     tensor polynomials on the kept generators cut above the cap.  Degree-1
     data drives every choice, so the kept set and the substitution order do
-    not depend on the cap."""
+    not depend on the cap.  Letters keep their numbers until the last step,
+    so a step rewrites only what may hold its letter (each item carries a
+    superset of its letters), and the kept ones are renumbered once."""
     cap = max(cap, 1)
-    names = list(p.generators)
-    rel = _relator_tensors(p, cap)
-    m = len(names)
-    imgs = [{1: {g: ONE}} for g in range(m)]
-    while (ridx := next((i for i, r in enumerate(rel) if 1 in r), None)) is not None:
-        r = rel.pop(ridx)
+    n = p.n_gens
+    rel = [(t, {g for d, v in t.items() for k in v for g in _digits(k, d, n)})
+           for t in _relator_tensors(p, cap)]
+    imgs = [({1: {g: ONE}}, {g}) for g in range(n)]
+    kept = list(range(n))
+    while (ridx := next((i for i, (r, _) in enumerate(rel) if 1 in r), None)) is not None:
+        r, used = rel.pop(ridx)
         z = max(r[1])
         c = r[1][z]
         # z = expr modulo r
@@ -460,21 +504,26 @@ def _eliminate_linear(p: LiePresentation, cap: int):
         # raises the total degree of every z-term, so this terminates, at
         # the first expr that is its own image: the first without z
         for _ in range(cap + 2):
-            subs = [expr if j == z else {1: {j: ONE}} for j in range(m)]
-            expr, last = _substitution(subs, m, cap)(expr), expr
+            push = _substitution([expr if j == z else {1: {j: ONE}} for j in range(n)], n, cap)
+            expr, last = push(expr), expr
             if expr == last:
                 break
         else:
             raise InternalError("generator elimination did not converge")
-        # the other letters shift down past z, which expr no longer uses
-        full = [{} if j == z else {1: {j - (j > z): ONE}} for j in range(m)]
-        full[z] = _substitution(full, m - 1, cap)(expr)
-        push = _substitution(full, m - 1, cap)
-        rel = [t for t in map(push, rel) if t]
-        imgs = [push(e) for e in imgs]
-        del names[z]
-        m -= 1
-    return rel, imgs, tuple(names)
+        # push sends z to expr, within r's letters; no step seeks a gone one
+        rel = [(push(t), u | used) if z in u else (t, u) for t, u in rel]
+        imgs = [(push(t), u | used) if z in u else (t, u) for t, u in imgs]
+        kept.remove(z)
+    rel, imgs = [t for t, _ in rel if t], [t for t, _ in imgs]
+    if len(kept) < n:
+        pos, m = {g: i for i, g in enumerate(kept)}, len(kept)
+
+        def renumber(t):  # each word re-keyed by its digits, no arithmetic
+            return {d: {sum(pos[g] * m ** i for i, g in enumerate(_digits(k, d, n))): c
+                        for k, c in v.items()} for d, v in t.items()}
+
+        rel, imgs = list(map(renumber, rel)), list(map(renumber, imgs))
+    return rel, imgs, tuple(p.generators[g] for g in kept)
 
 
 class NilpotentLieAlgebra(_Frozen):
@@ -553,24 +602,6 @@ class NilpotentLieAlgebra(_Frozen):
                         del out[k]
         return out
 
-    def check_jacobi(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    ei, ej, ek = {i: ONE}, {j: ONE}, {k: ONE}
-                    total: dict = {}
-                    for a, b, c in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-                        for t, v in self.bracket_vec(a, self.bracket_vec(b, c)).items():
-                            y = total.get(t, ZERO) + v
-                            if y:
-                                total[t] = y
-                            else:
-                                del total[t]
-                    if total:
-                        return False
-        return True
-
     def check_filtration(self) -> bool:
         for (i, j), table in self.brackets.items():
             for k, c in table.items():
@@ -631,31 +662,32 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     reps = [w for _, w in reversed(found)]
     slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
 
-    def coset(t):
-        # the representatives' part of t's combination modulo J
-        res, combo = ech.reduce(_lyndon(t, m))
+    def coset(vec):
+        # the representatives' part of the combination of a Lyndon-column
+        # vector modulo J
+        res, combo = ech.reduce(vec)
         if res:
             raise InternalError("representatives and J fail to span the quotient")
         return {slot[i]: c for i, c in combo.items() if i in slot}
 
+    weights = [w.degree for w in reps]
+    tens = [tensor_expand(w, m) for w in reps]
+    letters = [tuple(_digits(next(iter(t)), d, m)) for t, d in zip(tens, weights)]
     brackets: dict = {}
-    for a, wa in enumerate(reps):
-        for b in range(a + 1, len(reps)):
-            wb = reps[b]
-            if wa.degree + wb.degree <= cap:
-                t = _tensor_commutator(
-                    tensor_expand(wa, m), tensor_expand(wb, m), m ** wa.degree, m ** wb.degree
-                )
-                table = coset({wa.degree + wb.degree: t})
-                if table:
-                    brackets[(a, b)] = table
+    for a, da in enumerate(weights):
+        for b in range(a + 1, bisect_right(weights, cap - da)):
+            table = coset(_lyndon_bracket(tens[a], tens[b], da, weights[b],
+                                          letters[a] + letters[b], m))
+            if table:
+                brackets[(a, b)] = table
     alg = NilpotentLieAlgebra(
         class_bound=class_bound,
         gen_names=p.generators,
         labels=tuple(word_str(w, kept) for w in reps),
-        weights=tuple(w.degree for w in reps),
+        weights=tuple(weights),
         brackets=brackets,
-        gen_images=tuple(coset({d: v for d, v in img.items() if d <= cap}) for img in imgs),
+        gen_images=tuple(coset(_lyndon({d: v for d, v in img.items() if d <= cap}, m))
+                         for img in imgs),
     )
     if not alg.check_filtration():
         raise InternalError("quotient brackets break the weight filtration")

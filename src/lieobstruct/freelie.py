@@ -466,7 +466,8 @@ def _lyndon(e: dict, n_gens: int) -> dict:
     """A tensor polynomial {degree: vector over _word_int keys}, as from
     lie_tensor or tensor_expand, cut to the Lyndon-word columns of each
     degree and numbered into one vector.  This does not commute with ad,
-    so every bracket is formed on full tensors first."""
+    so a bracket is formed on full tensors first; only lcs_quotient's table
+    reads a commutator's Lyndon coefficients off one split of each word."""
     out = {}
     for d, v in e.items():
         cols = _lyndon_columns(n_gens, d)

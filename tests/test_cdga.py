@@ -1,7 +1,9 @@
 """Tests for finite cdgas: loading, truncation, cohomology, holonomy,
 resonance, and fixed subalgebras of group actions."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,8 +26,8 @@ from lieobstruct.cdga import (
     resonance_trivial_probe,
     truncate,
 )
-from lieobstruct.fplie import lcs_graded_dims, lcs_quotient
-from lieobstruct.freelie import format_element
+from lieobstruct.fplie import FiniteList, LiePresentation, lcs_graded_dims, lcs_quotient
+from lieobstruct.freelie import LieElement, bracket, format_element, gen_elt
 from lieobstruct.ratlin import ONE, InternalError, Subspace, rank
 
 
@@ -277,6 +279,62 @@ def test_holonomy_quadratic_span_matches_product_rank():
     )
     p = holonomy(full)
     assert relator_strings(p) == ["[x1,x2]", "[x1,x3]", "[x2,x3]"]
+
+
+def per_relator_holonomy(a):
+    """holonomy as first built: each relator summed one LieElement at a
+    time, with every d(a_i), product a_i*a_j and bracket [x_i, x_j] formed
+    again for each degree-2 basis element."""
+    a1, _ = truncate(a, 1)
+    g = a1.dim(1)
+    relators = []
+    for k in range(a1.dim(2)):
+        rel = LieElement(g, {})
+        for i in range(g):
+            c = a1.d_apply(1, {i: ONE}).get(k, 0)
+            if c:
+                rel = rel + c * gen_elt(g, i)
+        for i, j in combinations(range(g), 2):
+            c = a1.mul(1, {i: ONE}, 1, {j: ONE}).get(k, 0)
+            if c:
+                rel = rel + c * bracket(gen_elt(g, i), gen_elt(g, j))
+        if not rel.is_zero():
+            relators.append(rel)
+    return LiePresentation(tuple(f"x{i + 1}" for i in range(g)), FiniteList(tuple(relators)))
+
+
+def random_top2_cdga(rng, gens, classes, with_d):
+    """A seeded cdga in degrees <= 2: random rational products a_i*a_j and,
+    with with_d, a random d on some degree-1 elements.  With nothing in
+    degree 3, d^2 = 0 and the Leibniz rule hold for any d."""
+
+    def combo():
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(classes)]
+        return "".join(f"{'-' if c < 0 else '+'}{abs(c)}*b{k + 1}"
+                       for k, c in enumerate(coeffs) if c) or None
+
+    mu = {f"a{i + 1}*a{j + 1}": combo() for i, j in combinations(range(gens), 2)}
+    d = {f"a{i + 1}": combo() for i in range(gens) if with_d and rng.random() < 0.5}
+    mu, d = ({k: v for k, v in m.items() if v} for m in (mu, d))
+    degrees = {"1": [f"a{i + 1}" for i in range(gens)], "2": [f"b{k + 1}" for k in range(classes)]}
+    return cdga_from_dict({"degrees": degrees, "d": d, "mu": mu})
+
+
+def test_holonomy_matches_per_relator_reference():
+    """The relators, computed from each d(a_i) and product once, equal the
+    per-relator construction, term order included, on the bundled cdgas and
+    on seeded cdgas with d = 0 and with d != 0."""
+    rng = random.Random(20261026)
+    cdgas = [HEIS, NONCARNOT, TORUS, WEDGE2]
+    cdgas += [random_top2_cdga(rng, rng.randint(2, 6), rng.randint(1, 8), with_d)
+              for with_d in (False, True) for _ in range(15)]
+    assert all(a.diff[1].is_zero() for a in cdgas[4:19])
+    assert sum(not a.diff[1].is_zero() for a in cdgas[19:]) >= 10
+    for a in cdgas:
+        got, want = holonomy(a), per_relator_holonomy(a)
+        assert got == want
+        assert [list(r.terms) for r in got.scheme.relators] == [
+            list(r.terms) for r in want.scheme.relators]
 
 
 # -- resonance --------------------------------------------------------------
