@@ -18,8 +18,9 @@ taken, lowest degree first, cut at the fill known then.  A Lie polynomial
 is determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
 Lie elements is taken on those columns alone; the quotient's bracket
-table reads them off one split of each Lyndon word.  Only ideal_span
-writes its basis back in Hall (basis-word) coordinates.  H2 of
+table reads them off one split of each Lyndon word.  One scan, from the
+last basis word to the first, picks the quotient's representatives, and
+ideal_span reads J's rows in basis-word coordinates off it.  H2 of
 L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree 1,
 J_k/[L, J]_k above for a graded J, computed degree by degree for
 homogeneous relator schemes from ranks alone; for the second derived ideal
@@ -55,7 +56,6 @@ from .freelie import (
     _lyndon,
     _lyndon_columns,
     _nonzero,
-    _solver,
     _substitution,
     _tensor_commutator,
     bracket,
@@ -151,51 +151,72 @@ class LiePresentation(_Frozen):
 # ---------------------------------------------------------------------------
 # coordinates in the degree-truncated free Lie algebra
 
-@lru_cache(maxsize=None)
-def _word_index(n_gens: int, max_degree: int):
-    words = hall_basis_derived(n_gens, 0, max_degree)
-    return {w: i for i, w in enumerate(words)}
-
-
 def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     """The degree <= cap part of the ideal generated by the relator scheme,
     as a subspace of the free Lie algebra in the basis-word coordinates.
 
-    A derived ideal is spanned by its basis words already.  A finite relator
-    list is closed in tensor coordinates by _ideal_basis, and each basis
-    element is written back over the basis words; the words of degree at
-    or above its fill degree are in J, each a unit row.
+    A derived ideal is spanned by its basis words already, each a unit row.
+    A finite relator list is closed in tensor coordinates by _ideal_basis;
+    below its fill degree the pivots are the words _quotient_scan does not
+    keep, each row the word minus its coset over the kept ones, which is
+    already the RREF row.  The words at or above the fill degree are in J,
+    each a unit row.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
     n = p.n_gens
     if n == 0:
         return Subspace(0, (), ())
-    idx = _word_index(n, degree_cap)
+    words = hall_basis_derived(n, 0, degree_cap)
     if isinstance(p.scheme, DerivedIdeal):
-        rows = [{idx[w]: ONE} for w in hall_basis_derived(n, p.scheme.level, degree_cap)]
-    else:
-        basis, fill = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
-        rows = [_hall_coords(e, n, idx) for e in basis]
-        rows += [{i: ONE} for w, i in idx.items() if w.degree >= fill]
-    return Subspace.span(rows, len(idx))
+        pivots = [i for i, w in enumerate(words) if w.level >= p.scheme.level]
+        return Subspace(len(words), tuple({i: ONE} for i in pivots), tuple(pivots))
+    basis, fill = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
+    low = sum(witt_dim(n, d) for d in range(1, fill))
+    reps, coset = _quotient_scan(basis, n, words[:low])
+    kept = set(reps)
+    pivots, rows = [], []
+    for i, w in enumerate(words):
+        if i not in kept:
+            row = {i: ONE}
+            if i < low:
+                vec = _lyndon({w.degree: tensor_expand(w, n)}, n)
+                row.update((reps[a], -c) for a, c in coset(vec).items())
+            pivots.append(i)
+            rows.append(row)
+    return Subspace(len(words), tuple(rows), tuple(pivots))
 
 
-def _hall_coords(e: dict, n: int, idx: dict) -> dict:
-    """A Lie polynomial {degree: vector over _word_int columns} over the
-    basis words that idx indexes, solved one multidegree at a time."""
-    parts = defaultdict(dict)
-    for d, v in e.items():
-        for k, c in v.items():
-            md = [0] * n
-            x = k
-            for _ in range(d):
-                x, g = divmod(x, n)
-                md[g] += 1
-            parts[tuple(md)][k] = c
-    return {
-        idx[w]: c for md, t in parts.items() for w, c in _solver(n, md).solve(t).items()
-    }
+def _quotient_scan(ideal, m: int, words) -> tuple:
+    """(reps, coset) for the words, a prefix of hall_basis_derived's basis
+    on m letters, modulo the span J of ideal, tensor polynomials on m
+    letters; J holds every basis word past the prefix.
+
+    Word w_j is kept iff it is not in J + span(w_(j+1), ...): one tracked
+    echelon over Lyndon-word columns takes J, then the words from last to
+    first, and keeps those that raise its rank.  reps lists their indices,
+    increasing: the non-pivot columns of J's RREF in basis-word
+    coordinates.  coset(vec) reads a Lyndon-column vector modulo J as
+    {position in reps: coefficient}; a word not kept meets only later
+    representatives.
+    """
+    ech = EchelonForm(track=True)
+    for e in ideal:
+        ech.insert(_lyndon(e, m))
+    found = []
+    for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
+        if ech.insert(_lyndon({w.degree: tensor_expand(w, m)}, m))[0]:
+            found.append((ech.n_inserted - 1, j))
+    reps = [j for _, j in reversed(found)]
+    slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
+
+    def coset(vec):
+        res, combo = ech.reduce(vec)
+        if res:
+            raise InternalError("representatives and J fail to span the quotient")
+        return {slot[i]: c for i, c in combo.items() if i in slot}
+
+    return reps, coset
 
 
 def _digits(k: int, d: int, n: int):
@@ -614,12 +635,10 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     """Structure constants of L/Gamma_n for n = class_bound.
 
     The basis is the set of non-pivot basis words of the ambient free
-    nilpotent algebra after quotienting by the truncated relator ideal J:
-    word w_j is one iff it is not in J + span(w_(j+1), ...), so one tracked
-    echelon over Lyndon-word columns takes J, then the words from last to
-    first, and the words that raise its rank are the representatives.  A
-    bracket or generator image is read off the representatives' part of its
-    combination.  Weights are word degrees, non-decreasing along the basis.
+    nilpotent algebra after quotienting by the truncated relator ideal J,
+    the representatives of _quotient_scan, which ideal_span reads too.  A
+    bracket or generator image is read off its coset.  Weights are word
+    degrees, non-decreasing along the basis.
     A finite relator list's J holds every degree from its fill degree on
     (_ideal_basis), since L_(k+1) = [L_1, L_k]; so the words, brackets and
     images are cut below it, where no representative lies.  The cost then
@@ -647,29 +666,14 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
             class_bound, p.generators, (), (), {}, tuple({} for _ in p.generators)
         )
     if isinstance(p.scheme, DerivedIdeal):
-        words = hall_basis_derived(m, p.scheme.level, cap)
-        ideal = [{w.degree: tensor_expand(w, m)} for w in words]
+        ideal = [{w.degree: tensor_expand(w, m)}
+                 for w in hall_basis_derived(m, p.scheme.level, cap)]
     else:
         ideal, fill = _ideal_basis(relators, m, cap)
         cap = min(cap, fill - 1)
-    ech = EchelonForm(track=True)
-    for e in ideal:
-        ech.insert(_lyndon(e, m))
-    found = []
-    for w in reversed(hall_basis_derived(m, 0, cap)):
-        if ech.insert(_lyndon({w.degree: tensor_expand(w, m)}, m))[0]:
-            found.append((ech.n_inserted - 1, w))
-    reps = [w for _, w in reversed(found)]
-    slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
-
-    def coset(vec):
-        # the representatives' part of the combination of a Lyndon-column
-        # vector modulo J
-        res, combo = ech.reduce(vec)
-        if res:
-            raise InternalError("representatives and J fail to span the quotient")
-        return {slot[i]: c for i, c in combo.items() if i in slot}
-
+    words = hall_basis_derived(m, 0, cap)
+    reps, coset = _quotient_scan(ideal, m, words)
+    reps = [words[j] for j in reps]
     weights = [w.degree for w in reps]
     tens = [tensor_expand(w, m) for w in reps]
     letters = [tuple(_digits(next(iter(t)), d, m)) for t, d in zip(tens, weights)]

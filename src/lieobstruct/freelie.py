@@ -551,37 +551,27 @@ def _solver(n_gens, md) -> _MultidegreeSolver:
     return s
 
 
-_PAIR_NORM: dict = {}
-
-
 def _normalize_pair(n_gens, a: HallWord, b: HallWord) -> dict:
     """[a, b] as a combination of basis words, for basis words a, b."""
     if a is b or a == b:
         return {}
     if b.key < a.key:
         return {w: -c for w, c in _normalize_pair(n_gens, b, a).items()}
-    key = (n_gens, a, b)
-    out = _PAIR_NORM.get(key)
-    if out is not None:
-        return out
     if a.level == b.level:
-        out = {bracket_word((a, b)): ONE}
-    elif b.level == a.level - 1 and b.key <= a.children[-1].key:
-        out = {bracket_word(a.children + (b,)): ONE}
-    else:
-        md = tuple(
-            x + y
-            for x, y in zip(multidegree(a, n_gens), multidegree(b, n_gens))
-        )
-        t = _tensor_commutator(
-            tensor_expand(a, n_gens),
-            tensor_expand(b, n_gens),
-            n_gens ** a.degree,
-            n_gens ** b.degree,
-        )
-        out = _solver(n_gens, md).solve(t)
-    _PAIR_NORM[key] = out
-    return out
+        return {bracket_word((a, b)): ONE}
+    if b.level == a.level - 1 and b.key <= a.children[-1].key:
+        return {bracket_word(a.children + (b,)): ONE}
+    md = tuple(
+        x + y
+        for x, y in zip(multidegree(a, n_gens), multidegree(b, n_gens))
+    )
+    t = _tensor_commutator(
+        tensor_expand(a, n_gens),
+        tensor_expand(b, n_gens),
+        n_gens ** a.degree,
+        n_gens ** b.degree,
+    )
+    return _solver(n_gens, md).solve(t)
 
 
 class LieElement:

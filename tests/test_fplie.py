@@ -16,7 +16,9 @@ words of hall_ideal_span.  Neither Hall-coordinate oracle uses the fill
 degree at which _ideal_basis stops its closure.  The first tensor forms of
 two quotient stages are kept as oracles too: renumbering_eliminate_linear
 for _eliminate_linear and fifo_ideal_basis for the lazy closure, and the
-full tensor commutator checks the split-read _lyndon_bracket.  check_jacobi
+full tensor commutator checks the split-read _lyndon_bracket.  The solver
+write-back of the closure (writeback_ideal_span) checks the ideal_span
+rows read off the quotient scan.  check_jacobi
 is the Jacobi identity on every triple of a quotient's basis vectors.
 """
 
@@ -36,6 +38,7 @@ from lieobstruct.freelie import (
     _lyndon,
     _lyndon_columns,
     _nonzero,
+    _solver,
     _substitution,
     _tensor_commutator,
     bracket,
@@ -58,6 +61,7 @@ from lieobstruct.fplie import (
     LiePresentation,
     NilpotentLieAlgebra,
     PresentationError,
+    _digits,
     _eliminate_linear,
     _h2_free_lie,
     _ideal_basis,
@@ -887,6 +891,86 @@ def test_ideal_span_and_h2_past_the_fill_degree():
             assert ideal_span(p, small).pivots == brute_ideal_pivots(p, small)
         if all(r.is_homogeneous() for r in p.scheme.relators):
             assert h2_graded(p, cap + 1) == hall_h2_reference(p, cap + 1), presentation_to_dict(p)
+
+
+def writeback_ideal_span(p, cap):
+    """ideal_span as it was before it read the quotient scan: the tensor
+    closure's basis written back over the basis words one multidegree at a
+    time by _MultidegreeSolver.solve, the words at or above the fill degree
+    added as unit rows, and the whole reduced by Subspace.span."""
+    n = p.n_gens
+    idx = {w: i for i, w in enumerate(hall_basis_derived(n, 0, cap))}
+    basis, fill = _ideal_basis(_relator_tensors(p, cap), n, cap)
+    rows = []
+    for e in basis:
+        parts = {}
+        for d, v in e.items():
+            for k, c in v.items():
+                counts = Counter(_digits(k, d, n))
+                parts.setdefault(tuple(counts[g] for g in range(n)), {})[k] = c
+        rows.append({idx[w]: c for md, t in parts.items()
+                     for w, c in _solver(n, md).solve(t).items()})
+    rows += [{i: ONE} for w, i in idx.items() if w.degree >= fill]
+    return Subspace.span(rows, len(idx))
+
+
+def random_graded_presentation(rng, n_gens, low, homogeneous):
+    """One or two relators, each an integer combination of basis words of
+    degree low, or when not homogeneous of degrees low and low + 1."""
+    degrees = (low,) if homogeneous else (low, low + 1)
+    pool = [w for w in hall_basis_derived(n_gens, 0, max(degrees)) if w.degree in degrees]
+    relators, count = [], rng.randint(1, 2)
+    while len(relators) < count:
+        e = LieElement(n_gens, {w: Fraction(rng.choice((-2, -1, 1, 3)))
+                                for w in rng.sample(pool, min(len(pool), rng.randint(1, 3)))})
+        if e.is_homogeneous() == homogeneous:
+            relators.append(e)
+    return LiePresentation(tuple(f"x{i + 1}" for i in range(n_gens)), FiniteList(tuple(relators)))
+
+
+def test_ideal_span_matches_writeback():
+    """ideal_span, whose rows are read off the quotient scan's cosets,
+    equals the solver write-back of the closure as a subspace, and its rows
+    are canonical already (Subspace.span leaves them as they are): seeded
+    homogeneous and inhomogeneous presentations on two letters at caps 9-11
+    and on three at cap 6, the holonomies of the bundled cdgas, and FILLING
+    past the fill degree."""
+    rng = random.Random(20261026)
+    cases = []
+    for n, caps, low in ((2, (9, 10, 11), 3), (3, (6,), 2)):
+        for homogeneous in (True, False, True, False):
+            p = random_graded_presentation(rng, n, low, homogeneous)
+            cases += [(p, cap) for cap in caps]
+    cases += [(holonomy(load_cdga(data_path(f"{name}.json"))), cap)
+              for name, cap in (("heis", 5), ("noncarnot", 6), ("torus", 4), ("wedge2", 9))]
+    cases += [(p, {2: 7, 3: 5}.get(p.n_gens, 4)) for p, _ in FILLING]
+    for p, cap in cases:
+        s = ideal_span(p, cap)
+        assert s == writeback_ideal_span(p, cap), (presentation_to_dict(p), cap)
+        assert Subspace.span(s.basis_rows, s.ambient) == s, (presentation_to_dict(p), cap)
+
+
+def test_ideal_span_non_pivots_are_the_quotient_representatives():
+    """Without linear generators, the words that are not pivots of
+    ideal_span(p, c) are the representatives of lcs_quotient(p, c + 1), in
+    order: pres_cubic, the FILLING cases with no linear part, past their
+    fill degree,
+    the holonomies of the bundled cdgas, seeded homogeneous presentations
+    and derived ideals, at several caps."""
+    rng = random.Random(20261027)
+    inputs = [load_presentation(data_path("pres_cubic.json")), XXY, FREE2, METAB,
+              pres(("x", "y", "z"), (), scheme=DerivedIdeal(1))]
+    inputs += [p for p, _ in FILLING if all(min(lie_tensor(r)) > 1 for r in p.scheme.relators)]
+    inputs += [holonomy(load_cdga(data_path(f"{name}.json")))
+               for name in ("heis", "noncarnot", "torus", "wedge2")]
+    inputs += [random_homogeneous_presentation(rng, n, 4) for n in (2, 3) for _ in range(4)]
+    for p in inputs:
+        for cap in range(1, {2: 8, 3: 6}.get(p.n_gens, 4)):
+            words = hall_basis_derived(p.n_gens, 0, cap)
+            pivots = set(ideal_span(p, cap).pivots)
+            labels = tuple(word_str(w, p.generators)
+                           for i, w in enumerate(words) if i not in pivots)
+            assert labels == lcs_quotient(p, cap + 1).labels, (presentation_to_dict(p), cap)
 
 
 def test_lyndon_columns_are_the_lyndon_words():
