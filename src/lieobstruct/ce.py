@@ -296,15 +296,19 @@ def _morphism_from_connection(a, ce: CeComplex, omega: dict) -> CdgaMorphism:
             a.dim(2), [a.mul(1, image1(k), 1, image1(l)) for k, l in ce.tuples[2]]
         ),
     ]
-    maps.append(
-        SparseMatrix.from_columns(
-            a.dim(3),
-            [
-                a.mul(1, image1(k), 2, maps[2].col(ce.positions[2][(l, r)]))
-                for k, l, r in ce.tuples[3]
-            ],
+    if a.dim(3) == 0:
+        # nothing in degree 3 to land in, so no product is formed
+        maps.append(SparseMatrix(0, len(ce.tuples[3])))
+    else:
+        maps.append(
+            SparseMatrix.from_columns(
+                a.dim(3),
+                [
+                    a.mul(1, image1(k), 2, maps[2].col(ce.positions[2][(l, r)]))
+                    for k, l, r in ce.tuples[3]
+                ],
+            )
         )
-    )
     return CdgaMorphism(ce.cdga, a, tuple(maps))
 
 

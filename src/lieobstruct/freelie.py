@@ -11,13 +11,16 @@ The fixed total order compares level first (a word of LOWER level is
 GREATER than any word of higher level), then total degree, then child
 sequences lexicographically.  Only same-level comparisons matter for the
 chain condition above; the cross-level rule fixes one global order so that
-listings and pivot choices are reproducible.
+listings and pivot choices are reproducible.  A word is a tuple that is
+its own key in this order, (-level, degree, *children), or (0, 1, gen)
+for a generator, so comparing, hashing and testing words for equality
+are tuple operations.
 
 The basis is built degree by degree, once per alphabet and level in a
 process: each layer of one level and one degree is made from lower layers,
 and a degree cap reads a prefix of the layers already built.  A word made
-there takes its degree and child keys from the words it extends, unchecked;
-the public constructor validates first and then fills in the same way.
+there is one tuple over the words it extends, unchecked; the public
+constructor validates first and then builds the same tuple.
 The words form a DAG, every child built before its parent, so none can be
 cyclic garbage, yet each new word is a container the cyclic collector
 would walk again and again.  A layer build therefore pauses the collector
@@ -45,9 +48,9 @@ from __future__ import annotations
 
 import atexit
 import gc
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 
 from .ratlin import (
     ONE,
@@ -86,112 +89,67 @@ class LieError(LieobstructError, ValueError):
     pass
 
 
-class HallWord:
+class HallWord(tuple):
     """One basis word: a generator, or a left-normed bracket of words one
-    level down.  Immutable; order is the fixed total order of the module
-    docstring, exposed through the precomputed sort key, which also
-    determines the word: (0, 1, gen) for a generator, and the flat tuple
-    (-level, degree, *child_keys) for a bracket, which compares like the
-    nested (-level, degree, child_keys) since level and degree decide
-    between words of different level or degree.  The hash is computed
-    once, from the degree and the children's hashes.  Letter counts are
-    tallied on first use."""
+    level down.  The word is its own sort key, a tuple: (0, 1, gen) for a
+    generator and (-level, degree, *children) for a bracket.  Tuple order
+    is the fixed total order of the module docstring: it compares like the
+    nested (-level, degree, children), since level and degree decide
+    between words of different level or degree, and two distinct words of
+    one level and degree never have one child sequence a prefix of the
+    other.  Order, equality and hash are the tuple's, structural and in C,
+    so a word also compares with plain tuples as its flat key would."""
 
-    __slots__ = ("level", "gen", "children", "degree", "key", "_hash", "_counts")
+    __slots__ = ()
 
-    def __init__(self, level, gen=None, children=None):
+    def __new__(cls, level, gen=None, children=None):
         if level == 0:
             if children is not None or gen is None or gen < 0:
                 raise LieError("level-0 word must be a bare generator index")
-            self.level = 0
-            self.gen = gen
-            self.children = None
-            self.degree = 1
-            self.key = (0, 1, gen)
-            self._counts = None
-            self._hash = hash(self.key)
-            return
+            return tuple.__new__(cls, (0, 1, gen))
         if not children or len(children) < 2:
             raise LieError("bracket word needs at least two children")
         if any(c.level != level - 1 for c in children):
             raise LieError("children must all sit one level down")
-        if not children[0].key < children[1].key:
+        if not children[0] < children[1]:
             raise LieError("first child must be smaller than second")
         for a, b in zip(children[1:], children[2:]):
-            if a.key < b.key:
+            if a < b:
                 raise LieError("children after the second must be weakly decreasing")
-        self._build(
-            level,
-            children,
-            (-level, sum(c.degree for c in children), *[c.key for c in children]),
-            _head_hash(children),
-        )
+        return tuple.__new__(cls, (-level, sum(c[1] for c in children), *children))
 
-    def _build(self, level, children, key, head_hash):
-        """Fill in a bracket word, unchecked.  The callers know its key,
-        which holds its degree, and head_hash: the hash of the word with
-        the last child dropped, which for a pair is the first child.  So
-        the hash folds the children's hashes in order."""
-        degree = key[1]
-        self.level = level
-        self.gen = None
-        self.children = children
-        self.degree = degree
-        self.key = key
-        self._counts = None
-        self._hash = hash((degree, head_hash, children[-1]._hash))
-        return self
+    # item 1, read by a C-level getter: enumeration callers read it per word
+    degree = namedtuple("_Head", ("top", "degree")).degree
+    level = property(lambda w: -w[0])
+    gen = property(lambda w: None if w[0] else w[2])
+    children = property(lambda w: w[2:] if w[0] else None)
+    key = property(lambda w: w)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, HallWord):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.gen == other.gen
-            and self.children == other.children
-        )
-
-    def __lt__(self, other):
-        if not isinstance(other, HallWord):
-            return NotImplemented
-        return self.key < other.key
-
-    def __le__(self, other):
-        if not isinstance(other, HallWord):
-            return NotImplemented
-        return self.key <= other.key
+    def __reduce__(self):
+        # rebuilt from its items unchecked, as the enumeration builds it
+        return tuple.__new__, (HallWord, tuple(self))
 
     def __repr__(self):
         return f"HallWord({word_str(self, None)})"
 
-    def _tally(self) -> dict:
-        if self._counts is None:
-            counts = {self.gen: 1} if self.level == 0 else {}
-            for c in self.children or ():
-                for g, m in c._tally().items():
-                    counts[g] = counts.get(g, 0) + m
-            self._counts = counts
-        return self._counts
-
     def gen_counts(self) -> dict:
-        return dict(self._tally())
+        return _tally(self)
 
     def max_gen(self) -> int:
-        return max(self._tally())
+        return max(_tally(self))
 
 
-def _head_hash(children) -> int:
-    """The hash of the left-normed bracket of all children but the last."""
-    h, d = children[0]._hash, children[0].degree
-    for c in children[1:-1]:
-        d += c.degree
-        h = hash((d, h, c._hash))
-    return h
+def _tally(w: HallWord) -> dict:
+    """{generator: occurrences} over the letters of w."""
+    counts: dict = {}
+    stack = [w]
+    while stack:
+        w = stack.pop()
+        if w[0]:
+            stack += w[2:]
+        else:
+            counts[w[2]] = counts.get(w[2], 0) + 1
+    return counts
 
 
 _GENERATORS: dict[int, HallWord] = {}
@@ -214,7 +172,7 @@ def bracket_word(children) -> HallWord:
 
 def multidegree(w: HallWord, n_gens: int):
     md = [0] * n_gens
-    for g, m in w._tally().items():
+    for g, m in _tally(w).items():
         if g >= n_gens:
             raise LieError(f"word uses generator {g} outside alphabet of size {n_gens}")
         md[g] = m
@@ -224,15 +182,10 @@ def multidegree(w: HallWord, n_gens: int):
 def word_str(w: HallWord, names) -> str:
     """Render as nested binary brackets, e.g. [[x,y],y]."""
 
-    def name(g):
-        if names is None:
-            return f"x{g + 1}"
-        return names[g]
-
-    if w.level == 0:
-        return name(w.gen)
-    acc = word_str(w.children[0], names)
-    for c in w.children[1:]:
+    if not w[0]:
+        return f"x{w[2] + 1}" if names is None else names[w[2]]
+    acc = word_str(w[2], names)
+    for c in w[3:]:
         acc = f"[{acc},{word_str(c, names)}]"
     return acc
 
@@ -251,7 +204,6 @@ def _check_enum_args(n_gens, level, max_degree):
 
 # (n_gens, level) -> [words of degree 0, of degree 1, ...], grown on demand
 _LAYERS: dict = {}
-_KEY = attrgetter("key")
 atexit.register(_LAYERS.clear)
 
 
@@ -272,7 +224,7 @@ def _layer(n_gens: int, level: int, d: int):
     layers = _LAYERS.setdefault((n_gens, level), [])
     if len(layers) > d:
         return layers[d]
-    new = HallWord.__new__
+    new, top = tuple.__new__, -level
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -282,22 +234,15 @@ def _layer(n_gens: int, level: int, d: int):
             for e in range(1, m // 2 + 1):
                 low, high = _layer(n_gens, level - 1, e), _layer(n_gens, level - 1, m - e)
                 for i, h1 in enumerate(low):
-                    k1 = h1.key
                     for h2 in high[i + 1:] if 2 * e == m else high:
-                        out.append(
-                            new(HallWord)._build(level, (h1, h2), (-level, m, k1, h2.key), h1._hash)
-                        )
+                        out.append(new(HallWord, (top, m, h1, h2)))
                 for w in layers[m - e]:
-                    children, keys = w.children, w.key[2:]
+                    head, last = (top, m, *w[2:]), w[-1]
                     for h in low:
-                        if keys[-1] < h.key:
+                        if last < h:
                             break
-                        out.append(
-                            new(HallWord)._build(
-                                level, children + (h,), (-level, m, *keys, h.key), w._hash
-                            )
-                        )
-            out.sort(key=_KEY)
+                        out.append(new(HallWord, head + (h,)))
+            out.sort()
             layers.append(tuple(out))
     finally:
         if enabled:
@@ -400,16 +345,16 @@ def tensor_expand(w: HallWord, n_gens: int) -> dict:
     t = _EXPAND.get(key)
     if t is not None:
         return t
-    if w.level == 0:
-        if w.gen >= n_gens:
-            raise LieError(f"word uses generator {w.gen} outside alphabet of size {n_gens}")
-        t = {w.gen: 1}
+    if not w[0]:
+        if w[2] >= n_gens:
+            raise LieError(f"word uses generator {w[2]} outside alphabet of size {n_gens}")
+        t = {w[2]: 1}
     else:
-        head = w.children[0]
+        head = w[2]
         t = tensor_expand(head, n_gens)
-        shift = n_gens ** head.degree
-        for c in w.children[1:]:
-            s = n_gens ** c.degree
+        shift = n_gens ** head[1]
+        for c in w[3:]:
+            s = n_gens ** c[1]
             t = _tensor_commutator(t, tensor_expand(c, n_gens), shift, s)
             shift *= s
     _EXPAND[key] = t
@@ -488,12 +433,9 @@ def _is_lyndon(k: int, d: int, n_gens: int) -> bool:
 def _relabel(w: HallWord, letters) -> HallWord:
     """w with each generator g renamed letters[g].  For increasing letters
     the renaming preserves the order of words, so a basis word stays one."""
-    if w.level == 0:
-        return generator(letters[w.gen])
-    children = tuple([_relabel(c, letters) for c in w.children])
-    return HallWord.__new__(HallWord)._build(
-        w.level, children, (-w.level, w.degree, *[c.key for c in children]), _head_hash(children)
-    )
+    if not w[0]:
+        return generator(letters[w[2]])
+    return tuple.__new__(HallWord, (w[0], w[1], *[_relabel(c, letters) for c in w[2:]]))
 
 
 class _MultidegreeSolver:
@@ -515,7 +457,7 @@ class _MultidegreeSolver:
         )
         if support[-1] != len(support) - 1:
             # skipped for the identity relabel, so the words stay the
-            # enumerated objects, which HallWord.__eq__ matches by identity
+            # enumerated objects, which dict lookups match by identity first
             words = tuple(_relabel(w, support) for w in words)
         self.words = words
         self.n_gens, self.degree = n_gens, sum(md)
@@ -555,12 +497,12 @@ def _normalize_pair(n_gens, a: HallWord, b: HallWord) -> dict:
     """[a, b] as a combination of basis words, for basis words a, b."""
     if a is b or a == b:
         return {}
-    if b.key < a.key:
+    if b < a:
         return {w: -c for w, c in _normalize_pair(n_gens, b, a).items()}
-    if a.level == b.level:
-        return {bracket_word((a, b)): ONE}
-    if b.level == a.level - 1 and b.key <= a.children[-1].key:
-        return {bracket_word(a.children + (b,)): ONE}
+    if a[0] == b[0]:
+        return {tuple.__new__(HallWord, (a[0] - 1, a[1] + b[1], a, b)): ONE}
+    if b[0] == a[0] + 1 and b <= a[-1]:
+        return {tuple.__new__(HallWord, (a[0], a[1] + b[1], *a[2:], b)): ONE}
     md = tuple(
         x + y
         for x, y in zip(multidegree(a, n_gens), multidegree(b, n_gens))
@@ -568,8 +510,8 @@ def _normalize_pair(n_gens, a: HallWord, b: HallWord) -> dict:
     t = _tensor_commutator(
         tensor_expand(a, n_gens),
         tensor_expand(b, n_gens),
-        n_gens ** a.degree,
-        n_gens ** b.degree,
+        n_gens ** a[1],
+        n_gens ** b[1],
     )
     return _solver(n_gens, md).solve(t)
 
@@ -650,7 +592,7 @@ class LieElement:
         )
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: (wc[0].degree, wc[0].key))
+        return sorted(self.terms.items(), key=lambda wc: (wc[0].degree, wc[0]))
 
 
 def zero(n_gens: int) -> LieElement:

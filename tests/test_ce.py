@@ -458,6 +458,28 @@ def test_zero_connection_morphism_kills_positive_degrees():
         assert f.maps[i].is_zero()
 
 
+def test_degree3_shortcut_matches_the_product_loop():
+    """A target with nothing in degree 3 gets the zero degree-3 map the
+    product loop over exterior triples would build."""
+    triples = 0
+    for a in (WEDGE2, TORUS):
+        assert a.dim(3) == 0
+        for n in range(3, 7):
+            g, omega = canonical_connection(a, n)
+            ce = ce_cochain(g)
+            f = _morphism_from_connection(a, ce, omega)
+            loop = SparseMatrix.from_columns(
+                a.dim(3),
+                [
+                    a.mul(1, f.maps[1].col(k), 2, f.maps[2].col(ce.positions[2][(l, r)]))
+                    for k, l, r in ce.tuples[3]
+                ],
+            )
+            assert f.maps[3] == loop
+            triples += len(ce.tuples[3])
+    assert triples
+
+
 # ---------------------------------------------------------------------------
 # classifying maps
 

@@ -7,10 +7,12 @@ exactly.
 
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from lieobstruct import freelie
 from lieobstruct.freelie import (
+    HallWord,
     LieElement,
     LieError,
     _MultidegreeSolver,
@@ -352,9 +355,45 @@ def test_enumeration_order_is_the_nested_key_order():
             assert list(got) == sorted(got, key=nested_key)
 
 
+def test_words_are_their_own_keys():
+    """Sorting words plainly, by the flat key and by the nested key agree;
+    words hash, and distinct words hash apart."""
+    for n, top in ((2, 12), (3, 8), (4, 6)):
+        words = list(hall_basis_derived(n, 0, top))
+        random.Random(n).shuffle(words)
+        assert sorted(words) == sorted(words, key=flat_key) == sorted(words, key=nested_key)
+        assert len({hash(w) for w in words}) == len(words)
+        assert all(w.key is w for w in words)
+        w = min(words)  # a bracket of the top level
+        u = pickle.loads(pickle.dumps(w))
+        assert u == w and type(u) is type(u[2]) is HallWord
+
+
+def test_word_footprint(monkeypatch):
+    """A word is one tuple with no instance dict: a whole basis through
+    degree 16, layers and all, costs at most 150 bytes a word."""
+    monkeypatch.setattr(freelie, "_LAYERS", {})
+    assert HallWord.__slots__ == ()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        words = hall_basis_derived(2, 0, 16)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert used <= 150 * len(words), used / len(words)
+    assert not any(hasattr(w, "__dict__") for w in words)
+
+
 def test_word_order_rejects_non_words():
+    """A word compares with a plain tuple as its flat key does, and with
+    nothing else."""
+    for w in hall_basis_derived(3, 0, 4):
+        for k in ((0, 1, 0), (0, 1, 2), (-1, 3), (-1, 3, (0, 1, 0)), flat_key(w)):
+            assert (w < k) == (flat_key(w) < k) and (w == k) == (flat_key(w) == k)
+            assert (k <= w) == (k <= flat_key(w))
     assert X.__lt__(1) is NotImplemented and X.__le__("x") is NotImplemented
-    for bad in (1, "x", None, (0, 1, 0)):
+    for bad in (1, "x", None):
         with pytest.raises(TypeError):
             X < bad
         with pytest.raises(TypeError):
@@ -525,24 +564,31 @@ def test_layer_build_restores_the_callers_gc_setting(monkeypatch, enabled):
         gc.enable() if was else gc.disable()
 
 
+class Unorderable:
+    def __eq__(self, other):
+        raise RuntimeError("build interrupted in degree 6")
+
+    __lt__ = __eq__
+    __hash__ = object.__hash__
+
+
 def test_failed_layer_build_caches_nothing_and_retries_whole(monkeypatch):
+    """With level 1 built, its degree-4 layer on three letters is first
+    used by the level-2 degree-6 build, whose sort then compares the
+    poisoned entry."""
     monkeypatch.setattr(freelie, "_LAYERS", {})
-    build = freelie.HallWord._build
-
-    def failing(self, level, children, key, head_hash):
-        if key[1] == 6:
-            raise RuntimeError("build interrupted in degree 6")
-        return build(self, level, children, key, head_hash)
-
-    monkeypatch.setattr(freelie.HallWord, "_build", failing)
+    lower = freelie._LAYERS.setdefault((3, 1), [])
+    hall_level(3, 1, 7)
+    whole = lower[4]
+    lower[4] = whole + (Unorderable(),)
     assert gc.isenabled()
-    with pytest.raises(RuntimeError):
-        hall_level(3, 1, 8)
+    with pytest.raises(RuntimeError, match="degree 6"):
+        hall_level(3, 2, 8)
     assert gc.isenabled()
-    assert len(freelie._LAYERS[(3, 1)]) == 6  # degrees 0 to 5, whole
-    assert hall_level(3, 1, 5) == hall_level_reference(3, 1, 5)
-    monkeypatch.setattr(freelie.HallWord, "_build", build)
-    assert hall_level(3, 1, 8) == hall_level_reference(3, 1, 8)
+    assert len(freelie._LAYERS[(3, 2)]) == 6  # degrees 0 to 5, whole
+    assert hall_level(3, 2, 5) == hall_level_reference(3, 2, 5)
+    lower[4] = whole
+    assert hall_level(3, 2, 8) == hall_level_reference(3, 2, 8)
 
 
 @pytest.mark.parametrize("n, level, top", ((4, 0, 8), (3, 2, 10)))
