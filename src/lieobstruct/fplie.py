@@ -22,9 +22,10 @@ table reads them off one split of each Lyndon word.  One scan, from the
 last basis word to the first, picks the quotient's representatives, and
 ideal_span reads J's rows in basis-word coordinates off it.  H2 of
 L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree 1,
-J_k/[L, J]_k above for a graded J, computed degree by degree for
-homogeneous relator schemes from ranks alone; for the second derived ideal
-it is read in the Chen module L'/L'' instead of the free Lie algebra.
+J_k/[A, J_(k-1)]_k above for a graded J.  For homogeneous relators the
+closure counts it, as the degree-k relators that still raise its rank after
+that degree's brackets; a derived ideal ranks its words' brackets, and the
+second derived ideal is read in the Chen module L'/L'' instead.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
@@ -171,7 +172,7 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     if isinstance(p.scheme, DerivedIdeal):
         pivots = [i for i, w in enumerate(words) if w.level >= p.scheme.level]
         return Subspace(len(words), tuple({i: ONE} for i in pivots), tuple(pivots))
-    basis, fill = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
+    basis, fill, _ = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
     low = sum(witt_dim(n, d) for d in range(1, fill))
     reps, coset = _quotient_scan(basis, n, words[:low])
     kept = set(reps)
@@ -277,19 +278,20 @@ def _relator_tensors(p: LiePresentation, cap: int) -> list:
 
 
 def _ideal_basis(relators, n: int, cap: int) -> tuple:
-    """(basis, fill) for the degree <= cap part of the ideal J generated by
-    relators, tensor polynomials on n letters cut above the cap: each basis
-    element is {degree: integer vector over _word_int keys}.
+    """(basis, fill, new) for the degree <= cap part of the ideal J generated
+    by relators, tensor polynomials on n letters cut above the cap: each
+    basis element is {degree: integer vector over _word_int keys}.
 
     J is spanned by the relators closed under the generator brackets, which
     here are g*t - t*g degree by degree.  A bracket is queued as a pending
-    (g, element) pair and formed when taken, lowest degree first, cut at
-    the fill degree of that moment; one that vanishes is not inserted.
-    Each relator is scaled by one integer for all its degrees.  One echelon
-    ranks every degree on its own Lyndon-word columns, so an inhomogeneous
-    relator stays one vector.  Elements already in the span are not closed
-    further; linearity of ad makes that sound.  J below the fill and the
-    fill degree do not depend on the order of the pool; the basis does.
+    (g, element) pair and formed when taken, lowest degree first and, within
+    a degree, before every relator, cut at the fill degree of that moment;
+    one that vanishes is not inserted.  Each relator is scaled by one
+    integer for all its degrees.  One echelon ranks every degree on its own
+    Lyndon-word columns, so an inhomogeneous relator stays one vector.
+    Elements already in the span are not closed further; linearity of ad
+    makes that sound.  J below the fill and the fill degree do not depend
+    on the order of the pool; the basis does.
 
     fill is the first degree d whose Lyndon columns all hold pivots, so
     that J contains L_d modulo higher degrees, or cap + 1 if none does.
@@ -297,18 +299,22 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     1: L_(k+1) = [L_1, L_k].  So the closure works modulo degrees >= fill,
     and basis is a basis of J cut below fill; for homogeneous relators,
     J_k = L_k for k >= fill.
+
+    new[k] counts the relators that raised the rank with a pivot in degree
+    k.  Each degree's brackets go in before its relators, so for homogeneous
+    relators new[k] = dim J_k - dim [A, J_(k-1)]_k, 0 above fill.
     """
     tops = list(accumulate(witt_dim(n, d) for d in range(1, cap + 1)))
     fill = cap + 1
-    pivots = Counter()
+    pivots, new = Counter(), Counter()
     ech = EchelonForm()
     basis = []
-    # (lowest degree, queueing number, generator or None, element)
+    # (lowest degree, is a relator, queueing number, generator or None, element)
     queued = count()
-    pool = [(min(r), next(queued), None, _integral(r)) for r in relators]
+    pool = [(min(r), True, next(queued), None, _integral(r)) for r in relators]
     heapify(pool)
     while pool:
-        _, _, g, e = heappop(pool)
+        _, _, _, g, e = heappop(pool)
         if g is None:
             e = {d: v for d, v in e.items() if d < fill}
         else:
@@ -324,23 +330,25 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
         if k >= fill:
             continue
         pivots[k] += 1
+        if g is None:
+            new[k] += 1
         if pivots[k] == witt_dim(n, k):
             fill = k  # e itself lies in degrees >= k
             continue
         basis.append((k, e))
         if min(e) + 1 < fill:
             for g in range(n):
-                heappush(pool, (min(e) + 1, next(queued), g, e))
+                heappush(pool, (min(e) + 1, False, next(queued), g, e))
     # an element whose pivot lies at or above the final fill is a combination
     # of earlier ones modulo those degrees
-    return [{d: v for d, v in e.items() if d < fill} for k, e in basis if k < fill], fill
+    return [{d: v for d, v in e.items() if d < fill} for k, e in basis if k < fill], fill, new
 
 
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
     """dim H2_k for 1 <= k <= cap via Hopf's formula: 0 for k = 1, dim (J/[L,J])_k above.
 
-    The second derived ideal is read in the Chen module (_h2_chen); every
-    other scheme is ranked in the free Lie algebra (_h2_free_lie).
+    The second derived ideal is read in the Chen module (_h2_chen); any other
+    scheme in the free Lie algebra, a relator list by its closure (_h2_free_lie).
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
@@ -351,35 +359,26 @@ def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
 
 
 def _h2_free_lie(p: LiePresentation, degree_cap: int) -> dict:
-    """Hopf H2 with J and [L,J] = [A,J] ranked in the tensor algebra, where
-    the bracket with a generator g is g*t - t*g and needs no rewriting into
-    the basis.  A derived ideal's basis words of level >= k span J already;
-    a finite relator list's J is the basis _ideal_basis closes, below its
-    fill degree.  The generator brackets of a basis of J span [L,J], ranked
-    in one echelon over the Lyndon-word columns of every degree.  From the
-    fill degree on J_k = L_k, so [L,J]_k = [L_1, L_(k-1)] = L_k above it;
-    the fill degree itself is ranked from the degree below.
+    """Hopf H2 in the tensor algebra, where the bracket with a generator g
+    is g*t - t*g.  A finite relator list's H2_k is the count _ideal_basis
+    keeps of its degree-k relators that raise J's rank past [A, J_(k-1)].
+    A derived ideal's basis words of level >= k span J, and their generator
+    brackets span [L,J] = [A,J], ranked in one echelon over the Lyndon-word
+    columns of every degree.
     """
     n = p.n_gens
-    if isinstance(p.scheme, DerivedIdeal):
-        words = hall_basis_derived(n, p.scheme.level, degree_cap)
-        j_dims = Counter(w.degree for w in words)
-        basis = ({w.degree: tensor_expand(w, n)} for w in words if w.degree < degree_cap)
-        fill = degree_cap + 1
+    if isinstance(p.scheme, FiniteList):
+        dims = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)[2]
     else:
-        basis, fill = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
-        j_dims = Counter(d for e in basis for d in e)
-        j_dims.update({k: witt_dim(n, k) for k in range(fill, degree_cap + 1)})
-    ad_dims = Counter({k: witt_dim(n, k) for k in range(fill + 1, degree_cap + 1)})
-    ech = EchelonForm()
-    for e in basis:
-        for d, v in e.items():
-            if d < degree_cap:
-                for g in range(n):
-                    if ech.insert(_lyndon({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)}, n))[0]:
-                        ad_dims[d + 1] += 1
+        words = hall_basis_derived(n, p.scheme.level, degree_cap)
+        dims = Counter(w.degree for w in words)
+        ech = EchelonForm()
+        for d, t in ((w.degree, tensor_expand(w, n)) for w in words if w.degree < degree_cap):
+            for g in range(n):
+                if ech.insert(_lyndon({d + 1: _tensor_commutator({g: 1}, t, n, n ** d)}, n))[0]:
+                    dims[d + 1] -= 1
     # Hopf: H2 = (J meet [F,F])/[F,J], and [F,F] starts in degree 2
-    return {k: j_dims[k] - ad_dims[k] if k > 1 else 0 for k in range(1, degree_cap + 1)}
+    return {k: dims[k] if k > 1 else 0 for k in range(1, degree_cap + 1)}
 
 
 def _h2_chen(n: int, cap: int) -> dict:
@@ -669,7 +668,7 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         ideal = [{w.degree: tensor_expand(w, m)}
                  for w in hall_basis_derived(m, p.scheme.level, cap)]
     else:
-        ideal, fill = _ideal_basis(relators, m, cap)
+        ideal, fill, _ = _ideal_basis(relators, m, cap)
         cap = min(cap, fill - 1)
     words = hall_basis_derived(m, 0, cap)
     reps, coset = _quotient_scan(ideal, m, words)

@@ -109,10 +109,13 @@ def test_h2scan_free_metabelian_degree_40(capsys):
     assert res["ideal_x2_dims"] == {str(i): (i - 1) // 2 for i in range(3, 39)}
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, pytest.param(None, id="relators")])
 def test_h2scan_derived_without_generators_is_domain_error(level, tmp_path, capsys):
+    """No letters is a LieError for a derived ideal and, raised inside the
+    relator ideal's closure, for an empty relator list too."""
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"generators": [], "scheme": {"derived": level}}))
+    scheme = {"scheme": {"derived": level}} if level else {"relators": []}
+    empty.write_text(json.dumps({"generators": [], **scheme}))
     code, err = run_error(capsys, "h2scan", str(empty), "--deg", "5")
     assert code == 1
     assert err == {"type": "LieError", "message": "alphabet size must be >= 1, got 0"}
@@ -442,6 +445,23 @@ def test_h2scan_commutator_relator_degree_13_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3ba2884ea037dfe1f419a784b55a125aebfcf7cdf3ce77f38b18a15434c1c105"
+    )
+
+
+def test_h2scan_relator_consequence_and_duplicate_are_pinned(tmp_path, capsys):
+    """H2 counts a relator only when it raises the ideal past the generator
+    brackets of its degree: [y,[x,[x,y]]] is such a bracket of [x,[x,y]],
+    and 2*[x,[x,y]] a multiple of it, so each degree of 3 and 4 keeps one."""
+    src = tmp_path / "xyz.json"
+    src.write_text(json.dumps({"generators": ["x", "y", "z"], "relators": [
+        "[x,[x,y]]", "[y,[x,[x,y]]]", "2*[x,[x,y]]", "[[x,z],[y,z]] + [z,[z,[x,y]]]"]}))
+    out = tmp_path / "report.json"
+    assert main(["h2scan", str(src), "--deg", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    dims = json.loads(out.read_text())["results"]["h2_dims"]
+    assert dims == {str(k): int(k in (3, 4)) for k in range(1, 9)}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0fc7ac296c254c63d855f05ed8b2f9a8a81670b8f537a5bac29189972c0c81c9"
     )
 
 

@@ -4,7 +4,10 @@ The independent oracle for ideal_span is a brute-force closure that brackets
 with every basis word, not just generators; the two must agree degreewise.
 The Hall-coordinate ideal closure (hall_ideal_span) is the whole-row
 reference for ideal_span, which closes in tensor coordinates, and the
-Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  The
+Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  So is
+the two-echelon count (two_echelon_h2), which ranks [L, J] in a second
+echelon over the eager closure's basis, for the relators h2_graded counts
+inside the closure, at every cap and with the relator list permuted.  The
 free-Lie Hopf H2 (_h2_free_lie) is the reference for the Chen-module path
 that h2_graded takes on the second derived ideal, and ideal_span's pivots
 for the closed-form x2 slice.  Quotient structure constants are validated
@@ -755,7 +758,7 @@ def test_ideal_basis_fill_degree():
     its basis lies below the fill degree and is independent there."""
     for p, fill in FILLING:
         for cap in range(1, fill + 3):
-            basis, got = _ideal_basis(_relator_tensors(p, cap), p.n_gens, cap)
+            basis, got, _ = _ideal_basis(_relator_tensors(p, cap), p.n_gens, cap)
             assert got == min(fill, cap + 1), (presentation_to_dict(p), cap)
             ech = EchelonForm()
             for e in basis:
@@ -841,10 +844,96 @@ def test_lazy_closure_matches_fifo_closure():
             n = len(kept)
             if n == 0:
                 continue
-            got, fill = _ideal_basis(relators, n, cap)
+            got, fill, _ = _ideal_basis(relators, n, cap)
             want, want_fill = fifo_ideal_basis(relators, n, cap)
             assert fill == want_fill, (presentation_to_dict(p), cap)
             assert span(got, n) == span(want, n), (presentation_to_dict(p), cap)
+
+
+def two_echelon_h2(p, cap):
+    """h2_graded on a relator list as it was before the closure counted
+    relators: J from the eager closure (fifo_ideal_basis) and [L, J] =
+    [A, J] ranked in a second echelon over the generator brackets of J's
+    basis; from the fill degree on J_k = L_k, and [L, J]_k = L_k above it."""
+    n = p.n_gens
+    basis, fill = fifo_ideal_basis(_relator_tensors(p, cap), n, cap)
+    j_dims = Counter(d for e in basis for d in e)
+    j_dims.update({k: witt_dim(n, k) for k in range(fill, cap + 1)})
+    ad_dims = Counter({k: witt_dim(n, k) for k in range(fill + 1, cap + 1)})
+    ech = EchelonForm()
+    for e in basis:
+        for d, v in e.items():
+            if d < cap:
+                for g in range(n):
+                    if ech.insert(_lyndon({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)}, n))[0]:
+                        ad_dims[d + 1] += 1
+    return {k: j_dims[k] - ad_dims[k] if k > 1 else 0 for k in range(1, cap + 1)}
+
+
+def random_relator_list(rng, n_gens, top, low, duplicate, consequence):
+    """One to three homogeneous relators of degrees low to top + 1, each one
+    to three basis words with Fraction coefficients, so some lie above the
+    caps below top + 1; with duplicate, a scalar multiple of one of them
+    follows, and with consequence, a generator bracket of one."""
+    words = {d: [w for w in hall_basis_derived(n_gens, 0, d) if w.degree == d]
+             for d in range(low, top + 2)}
+    words = {d: ws for d, ws in words.items() if ws}
+    relators = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice(sorted(words))
+        relators.append(LieElement(n_gens, {
+            w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for w in rng.sample(words[d], min(len(words[d]), rng.randint(1, 3)))}))
+    if duplicate:
+        relators.append(Fraction(rng.choice((-2, 3)), rng.randint(1, 2)) * rng.choice(relators))
+    if consequence:
+        r = bracket(gen_elt(n_gens, rng.randrange(n_gens)), rng.choice(relators))
+        if not r.is_zero():
+            relators.append(Fraction(rng.randint(1, 3), 2) * r)
+    rng.shuffle(relators)
+    return LiePresentation(tuple(f"x{i + 1}" for i in range(n_gens)), FiniteList(tuple(relators)))
+
+
+def test_h2_matches_two_echelon_count():
+    """h2_graded, which counts the relators that raise the closure's rank
+    past their degree's generator brackets, equals the two-echelon count
+    at every cap from 1 to each case's top, and does not change when the
+    relator list is permuted: seeded relator lists on 1-4 letters, with
+    and without degree-1 relators, scalar duplicates and generator-bracket
+    consequences, and the homogeneous FILLING cases past their fill degree."""
+    rng = random.Random(20261101)
+    cases = []
+    for n, top, count in ((1, 4, 3), (2, 8, 6), (3, 6, 5), (4, 4, 3)):
+        for low in range(1, min(n, 2) + 1):
+            for duplicate in (False, True):
+                for consequence in (False, True):
+                    cases += [(random_relator_list(rng, n, top, low, duplicate, consequence), top)
+                              for _ in range(count)]
+    cases += [(p, fill + 3) for p, fill in FILLING
+              if all(r.is_homogeneous() for r in p.scheme.relators)]
+    for p, top in cases:
+        relators = list(p.scheme.relators)
+        rng.shuffle(relators)
+        shuffled = LiePresentation(p.generators, FiniteList(tuple(relators)))
+        for cap in range(1, top + 1):
+            want = two_echelon_h2(p, cap)
+            assert h2_graded(p, cap) == want, (presentation_to_dict(p), cap)
+            assert h2_graded(shuffled, cap) == want, (presentation_to_dict(shuffled), cap)
+
+
+def test_h2_of_a_relator_list_builds_one_echelon(monkeypatch):
+    """h2_graded on a relator list runs one elimination, the closure's: the
+    relators it counts are H2, so no second echelon ranks [L, J]."""
+    built = []
+    init = EchelonForm.__init__
+    monkeypatch.setattr(EchelonForm, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    cases = [(load_presentation(data_path("pres_cubic.json")), 12), (XXY, 9),
+             (pres(("x", "y"), ("[x,y]",)), 6), (FREE2, 5)]
+    for p, cap in cases:
+        built.clear()
+        h2_graded(p, cap)
+        assert len(built) == 1, presentation_to_dict(p)
 
 
 def test_lyndon_bracket_matches_full_commutator():
@@ -900,7 +989,7 @@ def writeback_ideal_span(p, cap):
     added as unit rows, and the whole reduced by Subspace.span."""
     n = p.n_gens
     idx = {w: i for i, w in enumerate(hall_basis_derived(n, 0, cap))}
-    basis, fill = _ideal_basis(_relator_tensors(p, cap), n, cap)
+    basis, fill, _ = _ideal_basis(_relator_tensors(p, cap), n, cap)
     rows = []
     for e in basis:
         parts = {}
