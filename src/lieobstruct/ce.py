@@ -7,9 +7,9 @@ generators extended by the graded Leibniz rule.  It is an exterior stage: its
 product is computed by rule (cdga.WedgeProduct) and never stored.  The Jacobi
 identity is checked as d^2 = 0 on generators, to which it is equivalent
 (Chevalley-Eilenberg 1948).  That is the one axiom check a stage gets: the
-others hold by construction, and cdga's constructors check shapes only.  The
-chain complex carries the boundary del_n(x_1 ^ ... ^ x_n) = sum over i < j
-of (-1)^(i+j) [x_i, x_j] ^ (the rest).  On top of those sit Maurer-Cartan
+others hold by construction, and cdga's constructors check shapes only.  Lie
+algebra homology by weight is read off the same stage, dual to its
+cohomology.  On top of those sit Maurer-Cartan
 connections (d omega + 1/2 [omega, omega] = 0), the cdga morphisms C(g) -> A
 they induce (extended multiplicatively from degree 1, so they commute with d
 iff the connection is flat, which verify_one_equivalence checks), the
@@ -24,6 +24,7 @@ comes from counting transpositions, so results are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from itertools import combinations
 
 from .cdga import (
@@ -57,7 +58,6 @@ __all__ = [
     "HirschTower",
     "canonical_connection",
     "canonical_filtration",
-    "ce_chain_boundary",
     "ce_cochain",
     "check_stability",
     "hirsch_tower",
@@ -145,40 +145,7 @@ def ce_cochain(g: NilpotentLieAlgebra) -> CeComplex:
 
 
 # ---------------------------------------------------------------------------
-# chain complex and homology
-
-def ce_chain_boundary(g: NilpotentLieAlgebra, n: int) -> SparseMatrix:
-    """The boundary matrix from the n-th to the (n-1)-st exterior power."""
-    if n < 0:
-        raise CeError(f"chain degree must be >= 0, got {n}")
-    m = g.dim
-    if n == 0:
-        return SparseMatrix(0, 1, {})
-    rows = {t: i for i, t in enumerate(combinations(range(m), n - 1))}
-    columns = []
-    for t in combinations(range(m), n):
-        vec: dict = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                br = g.bracket_vec({t[a]: ONE}, {t[b]: ONE})
-                if not br:
-                    continue
-                rest = t[:a] + t[a + 1:b] + t[b + 1:]
-                sign0 = 1 if (a + b) % 2 == 0 else -1
-                for k, c in br.items():
-                    w = _merge_wedge(rest, (k,))
-                    if w is None:
-                        continue
-                    sgn, wt = w
-                    key = rows[wt]
-                    v = vec.get(key, ZERO) + sign0 * sgn * c
-                    if v:
-                        vec[key] = v
-                    else:
-                        del vec[key]
-        columns.append(vec)
-    return SparseMatrix.from_columns(len(rows), columns)
-
+# homology by weight
 
 def _require_graded(g: NilpotentLieAlgebra):
     for (i, j), table in g.brackets.items():
@@ -191,36 +158,29 @@ def _require_graded(g: NilpotentLieAlgebra):
 
 
 def lie_homology_by_weight(g: NilpotentLieAlgebra, n: int) -> dict:
-    """dim of the weight-w piece of H_n(g), for a weight-graded g."""
-    if n < 0:
-        raise CeError(f"homology degree must be >= 0, got {n}")
+    """dim of the weight-w piece of H_n(g), for a weight-graded g and
+    0 <= n <= 2.  Over Q, H_n(g) is dual to H^n(g), and on a graded g the
+    cochain differential keeps weight.  So the weight-w piece has dimension
+    the number of n-tuples of weight w, less the ranks in weight w of d from
+    degree n - 1 and from degree n, read off ce_cochain, which stops at
+    degree 3."""
+    if not 0 <= n <= 2:
+        raise CeError(f"homology degree must be 0, 1 or 2, got {n}")
     _require_graded(g)
+    ce = ce_cochain(g)
 
-    def tuple_weight(t):
+    def weight(t):
         return sum(g.weights[i] for i in t)
 
-    def ranks_by_weight(step):
-        mat = ce_chain_boundary(g, step)
-        cols = list(combinations(range(g.dim), step))
-        echs: dict = {}
-        for j, t in enumerate(cols):
-            col = mat.col(j)
-            if col:
-                echs.setdefault(tuple_weight(t), EchelonForm()).insert(col)
-        return {w: e.rank for w, e in echs.items()}
-
-    counts: dict = {}
-    for t in combinations(range(g.dim), n):
-        w = tuple_weight(t)
-        counts[w] = counts.get(w, 0) + 1
-    r_n = ranks_by_weight(n) if n >= 1 else {}
-    r_next = ranks_by_weight(n + 1)
-    out = {}
-    for w, c in sorted(counts.items()):
-        d = c - r_n.get(w, 0) - r_next.get(w, 0)
-        if d:
-            out[w] = d
-    return out
+    dims = Counter(weight(t) for t in ce.tuples[n])
+    for i in range(max(n - 1, 0), n + 1):
+        d, echs = ce.cdga.diff[i], defaultdict(EchelonForm)
+        for j, t in enumerate(ce.tuples[i]):
+            if col := d.col(j):
+                echs[weight(t)].insert(col)
+        for w, ech in echs.items():
+            dims[w] -= ech.rank
+    return {w: c for w, c in sorted(dims.items()) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -245,38 +205,22 @@ def _connection_columns(a: FiniteCdga, g: NilpotentLieAlgebra, omega: dict):
     return cols
 
 
-def _mc_defect(a: FiniteCdga, g: NilpotentLieAlgebra, omega: dict) -> dict:
-    """d omega + 1/2 [omega, omega] as one A^2 vector per g basis index."""
-    cols = _connection_columns(a, g, omega)
-    defect = {}
-    for k, col in cols.items():
-        v: dict = {}
-        for i, c in col.items():
-            v = vec_add(v, a.d_apply(1, {i: ONE}), c)
-        if v:
-            defect[k] = v
-    for k in sorted(cols):
-        for l in sorted(cols):
-            if l <= k:
-                continue
-            br = g.bracket_vec({k: ONE}, {l: ONE})
-            if not br:
-                continue
-            pair = a.mul(1, cols[k], 1, cols[l])
-            if not pair:
-                continue
-            for r, c in br.items():
-                cur = vec_add(defect.get(r, {}), pair, c)
-                if cur:
-                    defect[r] = cur
-                elif r in defect:
-                    del defect[r]
-    return {k: v for k, v in defect.items() if v}
-
-
 def is_flat(a: FiniteCdga, g: NilpotentLieAlgebra, omega: dict) -> bool:
-    """Whether d omega + 1/2 [omega, omega] = 0 in A^2 tensor g."""
-    return not _mc_defect(a, g, omega)
+    """Whether d omega + 1/2 [omega, omega] = 0 in A^2 tensor g.  Its g
+    component r is d of omega's column r plus, over pairs k < l of columns,
+    c_kl^r times the product of columns k and l."""
+    cols = _connection_columns(a, g, omega)
+    defect = {k: a.d_apply(1, col) for k, col in cols.items()}
+    for k, l in combinations(sorted(cols), 2):
+        br = g.brackets.get((k, l))
+        if not br:
+            continue
+        pair = a.mul(1, cols[k], 1, cols[l])
+        if not pair:
+            continue
+        for r, c in br.items():
+            defect[r] = vec_add(defect.get(r, {}), pair, c)
+    return not any(defect.values())
 
 
 def _morphism_from_connection(a, ce: CeComplex, omega: dict) -> CdgaMorphism:

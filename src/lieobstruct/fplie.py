@@ -24,8 +24,9 @@ ideal_span reads J's rows in basis-word coordinates off it.  H2 of
 L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree 1,
 J_k/[A, J_(k-1)]_k above for a graded J.  For homogeneous relators the
 closure counts it, as the degree-k relators that still raise its rank after
-that degree's brackets; a derived ideal ranks its words' brackets, and the
-second derived ideal is read in the Chen module L'/L'' instead.
+that degree's brackets, so it runs only through the top relator degree; a
+derived ideal ranks its words' brackets, and the second derived ideal is
+read in the Chen module L'/L'' instead.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
@@ -361,14 +362,17 @@ def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
 def _h2_free_lie(p: LiePresentation, degree_cap: int) -> dict:
     """Hopf H2 in the tensor algebra, where the bracket with a generator g
     is g*t - t*g.  A finite relator list's H2_k is the count _ideal_basis
-    keeps of its degree-k relators that raise J's rank past [A, J_(k-1)].
+    keeps of its degree-k relators that raise J's rank past [A, J_(k-1)],
+    0 above the top relator degree, through which alone J is closed.
     A derived ideal's basis words of level >= k span J, and their generator
     brackets span [L,J] = [A,J], ranked in one echelon over the Lyndon-word
     columns of every degree.
     """
     n = p.n_gens
     if isinstance(p.scheme, FiniteList):
-        dims = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)[2]
+        # an empty list still closes degree 1, where witt_dim checks the alphabet
+        relators = _relator_tensors(p, degree_cap)
+        dims = _ideal_basis(relators, n, max(map(max, relators), default=1))[2]
     else:
         words = hall_basis_derived(n, p.scheme.level, degree_cap)
         dims = Counter(w.degree for w in words)

@@ -170,7 +170,7 @@ def test_criterion_08_hopf_cross_check():
         for k in range(2, 7):
             g = lcs_quotient(p, k + 1)
             ok = ok and lie_homology_by_weight(g, 2).get(k, 0) == fp.get(k, 0)
-    note(8, ok, "chain-level H2 equals Hopf dims per degree <= 6, 3 presentations")
+    note(8, ok, "weight-split H2 equals Hopf dims per degree <= 6, 3 presentations")
 
 
 def test_criterion_09_linearize():

@@ -1,7 +1,21 @@
 """Chevalley-Eilenberg complexes, flat connections, classifying maps, and
-the tower stability checks."""
+the tower stability checks.
+
+The chain complex (ce_chain_boundary, the boundary on every exterior power,
+read through bracket_vec) is the oracle for the cochain stage: its degree-2
+boundary is the transpose of d on generators, homology_dim reads H_n off it,
+and its weight split (chain_homology_by_weight) is the reference for
+lie_homology_by_weight, which reads H_n by weight off ce_cochain by duality.
+The Maurer-Cartan defect over every pair of connection columns, through
+bracket_vec (mc_defect), is the reference for is_flat.  Exterior products by
+rule are checked against a stored table (wedge_table_reference), H^2 kernels
+read off the top quotient against composed stage inclusions
+(reference_inclusions), and the degree-3 shortcut of the classifying map
+against its product loop.
+"""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -35,8 +49,9 @@ from lieobstruct.ce import (
     _h2_kernel,
     _morphism_from_connection,
     canonical_connection,
+    _connection_columns,
+    _require_graded,
     canonical_filtration,
-    ce_chain_boundary,
     ce_cochain,
     check_stability,
     hirsch_tower,
@@ -54,8 +69,8 @@ from lieobstruct.fplie import (
     presentation_from_dict,
 )
 from lieobstruct.freelie import format_element
-from lieobstruct.ratlin import SparseMatrix, kernel, rank
-from test_fplie import check_jacobi
+from lieobstruct.ratlin import ZERO, EchelonForm, SparseMatrix, kernel, rank, vec_add
+from test_fplie import check_jacobi, random_relator_list
 
 ONE = Fraction(1)
 
@@ -96,6 +111,105 @@ def random_cdga(seed, gens, classes):
 
 
 RANDOM_CDGAS = [random_cdga(5, 3, 2), random_cdga(6, 4, 4)]
+
+
+def ce_chain_boundary(g: NilpotentLieAlgebra, n: int) -> SparseMatrix:
+    """The boundary matrix from the n-th to the (n-1)-st exterior power."""
+    if n < 0:
+        raise CeError(f"chain degree must be >= 0, got {n}")
+    m = g.dim
+    if n == 0:
+        return SparseMatrix(0, 1, {})
+    rows = {t: i for i, t in enumerate(combinations(range(m), n - 1))}
+    columns = []
+    for t in combinations(range(m), n):
+        vec: dict = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                br = g.bracket_vec({t[a]: ONE}, {t[b]: ONE})
+                if not br:
+                    continue
+                rest = t[:a] + t[a + 1:b] + t[b + 1:]
+                sign0 = 1 if (a + b) % 2 == 0 else -1
+                for k, c in br.items():
+                    w = _merge_wedge(rest, (k,))
+                    if w is None:
+                        continue
+                    sgn, wt = w
+                    key = rows[wt]
+                    v = vec.get(key, ZERO) + sign0 * sgn * c
+                    if v:
+                        vec[key] = v
+                    else:
+                        del vec[key]
+        columns.append(vec)
+    return SparseMatrix.from_columns(len(rows), columns)
+
+
+def chain_homology_by_weight(g, n):
+    """dim of the weight-w piece of H_n(g), for a weight-graded g, from the
+    chain complex: lie_homology_by_weight as it was before it read the
+    cochain stage."""
+    if n < 0:
+        raise CeError(f"homology degree must be >= 0, got {n}")
+    _require_graded(g)
+
+    def tuple_weight(t):
+        return sum(g.weights[i] for i in t)
+
+    def ranks_by_weight(step):
+        mat = ce_chain_boundary(g, step)
+        cols = list(combinations(range(g.dim), step))
+        echs: dict = {}
+        for j, t in enumerate(cols):
+            col = mat.col(j)
+            if col:
+                echs.setdefault(tuple_weight(t), EchelonForm()).insert(col)
+        return {w: e.rank for w, e in echs.items()}
+
+    counts: dict = {}
+    for t in combinations(range(g.dim), n):
+        w = tuple_weight(t)
+        counts[w] = counts.get(w, 0) + 1
+    r_n = ranks_by_weight(n) if n >= 1 else {}
+    r_next = ranks_by_weight(n + 1)
+    out = {}
+    for w, c in sorted(counts.items()):
+        d = c - r_n.get(w, 0) - r_next.get(w, 0)
+        if d:
+            out[w] = d
+    return out
+
+
+def mc_defect(a, g, omega):
+    """d omega + 1/2 [omega, omega] as one A^2 vector per g basis index,
+    with the bracket read through bracket_vec on unit vectors: is_flat as it
+    was before it read the bracket table."""
+    cols = _connection_columns(a, g, omega)
+    defect = {}
+    for k, col in cols.items():
+        v: dict = {}
+        for i, c in col.items():
+            v = vec_add(v, a.d_apply(1, {i: ONE}), c)
+        if v:
+            defect[k] = v
+    for k in sorted(cols):
+        for l in sorted(cols):
+            if l <= k:
+                continue
+            br = g.bracket_vec({k: ONE}, {l: ONE})
+            if not br:
+                continue
+            pair = a.mul(1, cols[k], 1, cols[l])
+            if not pair:
+                continue
+            for r, c in br.items():
+                cur = vec_add(defect.get(r, {}), pair, c)
+                if cur:
+                    defect[r] = cur
+                elif r in defect:
+                    del defect[r]
+    return {k: v for k, v in defect.items() if v}
 
 
 def homology_dim(g, n):
@@ -334,6 +448,48 @@ def test_homology_by_weight_needs_graded_input():
         lie_homology_by_weight(ungraded, 2)
 
 
+def test_homology_by_weight_stops_at_degree_two():
+    """The cochain stage stops at degree 3, so H_n by weight is read for
+    0 <= n <= 2 only."""
+    for n in (-1, 3):
+        with pytest.raises(CeError, match="homology degree"):
+            lie_homology_by_weight(HEIS_ALG, n)
+
+
+def test_homology_by_weight_matches_the_chain_reference():
+    """lie_homology_by_weight, read off the cochain stage, equals the chain
+    complex's weight split for n = 0, 1, 2: on the nilpotent quotients of
+    the bundled holonomies and presentations at classes 2-7, of the free
+    algebra on two letters at classes 2-6, and of seeded homogeneous relator
+    lists on 2-3 letters.  A quotient that is not graded (noncarnot's)
+    raises CeError on both."""
+    rng = random.Random(20261120)
+    cases = [(holonomy(a), c) for a in ALL_CDGAS for c in range(2, 8)]
+    cases += [(FREE2, c) for c in range(2, 7)]
+    cases += [
+        (load_presentation(data_path(name + ".json")), c)
+        for name in ("pres_cubic", "pres_heis", "pres_noncarnot", "pres_torus", "free_metabelian")
+        for c in range(2, 8)
+    ]
+    for n, top in ((2, 4), (3, 3)):
+        for _ in range(8):
+            p = random_relator_list(rng, n, top, rng.randint(1, 2), False, rng.random() < 0.5)
+            cases += [(p, c) for c in range(2, 9 - n)]
+    graded = Counter()
+    for p, c in cases:
+        g = lcs_quotient(p, c)
+        try:
+            want = [chain_homology_by_weight(g, n) for n in range(3)]
+        except CeError:
+            graded[False] += 1
+            with pytest.raises(CeError, match="graded"):
+                lie_homology_by_weight(g, 2)
+            continue
+        graded[True] += 1
+        assert [lie_homology_by_weight(g, n) for n in range(3)] == want, (g.labels, c)
+    assert graded[True] and graded[False]
+
+
 def test_graded_h2_matches_hopf_formula():
     """Degreewise second homology of the class-(k+1) quotient agrees with
     the Hopf formula dimensions in every degree k up to six."""
@@ -392,6 +548,35 @@ def test_truncation_h2_dimension_formula():
 
 # ---------------------------------------------------------------------------
 # flat connections
+
+
+def test_is_flat_matches_the_defect_reference():
+    """is_flat equals an empty mc_defect on the canonical connections of the
+    four bundled cdgas at stages 2-5 and on seeded perturbations of them:
+    scaled, one entry shifted, or one entry set, flat and not flat."""
+    rng = random.Random(20261121)
+    flat = Counter()
+    for a in ALL_CDGAS:
+        for n in range(2, 6):
+            g, omega = canonical_connection(a, n)
+            cases = [omega]
+            for _ in range(12):
+                pert, kind = dict(omega), rng.randrange(3)
+                if kind == 0:
+                    c = Fraction(rng.choice((-2, -1, 2, 3)), rng.randint(1, 2))
+                    pert = {key: c * v for key, v in pert.items()}
+                elif kind == 1:
+                    key = rng.choice(sorted(pert))
+                    pert[key] += rng.choice((-1, 1))
+                else:
+                    key = (rng.randrange(a.dim(1)), rng.randrange(g.dim))
+                    pert[key] = Fraction(rng.randint(-2, 2))
+                cases.append(pert)
+            for w in cases:
+                got = is_flat(a, g, w)
+                assert got == (not mc_defect(a, g, w)), (a.names, n, w)
+                flat[got] += 1
+    assert flat[True] > 20 and flat[False] > 20
 
 
 def test_zero_connection_is_flat():

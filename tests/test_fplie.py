@@ -936,6 +936,32 @@ def test_h2_of_a_relator_list_builds_one_echelon(monkeypatch):
         assert len(built) == 1, presentation_to_dict(p)
 
 
+def test_h2_closes_only_through_the_top_relator_degree(monkeypatch):
+    """h2_graded on a relator list closes J only through its top relator
+    degree: pres_cubic's relator has degree 3, so at cap 13 the closure
+    gets cap 3, and the H2 dims above it are still reported, as 0."""
+    caps = []
+    monkeypatch.setattr("lieobstruct.fplie._ideal_basis",
+                        lambda rels, n, cap: caps.append(cap) or _ideal_basis(rels, n, cap))
+    dims = h2_graded(load_presentation(data_path("pres_cubic.json")), 13)
+    assert caps == [3]
+    assert dims == {k: int(k == 3) for k in range(1, 14)}
+
+
+def test_h2_above_the_top_relator_degree_matches_two_echelon_count():
+    """At caps 1-3 above a relator list's top degree, where h2_graded's
+    closure stops below the cap, it equals the two-echelon count, whose
+    closure runs through the cap: seeded relator lists on 1-4 letters."""
+    rng = random.Random(20261120)
+    for n, top, count in ((1, 3, 3), (2, 6, 8), (3, 4, 6), (4, 3, 3)):
+        for _ in range(count):
+            p = random_relator_list(rng, n, top, rng.randint(1, min(n, 2)), rng.random() < 0.5,
+                                    rng.random() < 0.5)
+            high = max(d for r in p.scheme.relators for d in r.degrees())
+            for cap in range(high + 1, high + 4):
+                assert h2_graded(p, cap) == two_echelon_h2(p, cap), (presentation_to_dict(p), cap)
+
+
 def test_lyndon_bracket_matches_full_commutator():
     """The Lyndon coordinates of [w_a, w_b] read off one split per Lyndon
     word equal those of the full tensor commutator, on seeded pairs of
