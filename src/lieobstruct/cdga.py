@@ -28,6 +28,7 @@ and fixed sub-cdgas are both read off per-degree spans by one builder.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -104,15 +105,25 @@ class WedgeProduct(_Frozen):
     through degree top, computed by rule instead of stored.  The degree-n
     basis is the strictly increasing index n-tuples in combinations order:
     basis element k of degree n is tuples[n][k], and positions[n] inverts
-    tuples[n]."""
+    tuples[n].
 
-    _fields = ("gens", "top")
+    With a cap, generator k has weight weights[k], weights never decrease,
+    and only the tuples of weight <= cap are kept: the quotient by the ideal
+    of the heavier ones, so a product that lands above the cap is 0."""
+
+    _fields = ("gens", "top", "weights", "cap")
     __slots__ = _fields + ("tuples", "positions")
 
-    def __init__(self, gens: int, top: int):
-        tuples = tuple(tuple(combinations(range(gens), n)) for n in range(top + 1))
+    def __init__(self, gens: int, top: int, weights: tuple = None, cap: int = None):
+        # without a cap, every weight and the cap are 0
+        w, limit = ((0,) * gens, 0) if cap is None else (weights, cap)
+        tuples, level = [((),)], [((), 0)]
+        for _ in range(top):
+            level = [(t + (k,), s + w[k]) for t, s in level
+                     for k in range(t[-1] + 1 if t else 0, bisect_right(w, limit - s))]
+            tuples.append(tuple(t for t, _ in level))
         positions = tuple({t: k for k, t in enumerate(row)} for row in tuples)
-        self._fill(gens, top, tuples, positions)
+        self._fill(gens, top, weights, cap, tuple(tuples), positions)
 
     def mul(self, i: int, u: dict, j: int, v: dict) -> dict:
         """Product of a degree-i and a degree-j element, 1 <= i, j and
@@ -126,7 +137,9 @@ class WedgeProduct(_Frozen):
                 if w is None:
                     continue
                 sign, t = w
-                k = pos[t]
+                k = pos.get(t)
+                if k is None:
+                    continue
                 z = out.get(k, ZERO) + (x * y if sign > 0 else -x * y)
                 if z:
                     out[k] = z
@@ -169,7 +182,7 @@ class FiniteCdga(_Frozen):
     and b-th degree-j basis elements, stored complete for all ordered pairs
     of positive degrees with i + j <= top; absent entries are zero.  An
     exterior stage has a WedgeProduct prod, whose degree-n basis is the
-    n-tuples of the degree-1 basis.
+    n-tuples of the degree-1 basis, those of weight <= its cap if it has one.
 
     The constructor checks shapes only: nonempty distinct names, top <= 3,
     one differential of the right shape per degree, a closed unit, and for

@@ -17,6 +17,10 @@ canonical connections of the holonomy tower, and the finite-stage
 1-equivalence, stability, and canonical-filtration checks.  A later tower
 stage is a Hirsch extension of an earlier one, so the H^2 kernels those
 checks compare are read off the new generators' d, with no stage map built.
+When the tower's top is graded, d keeps weight and the cochains of weight
+> n form a dg-ideal and a direct summand of stage n, which holds no H^1 or H^2
+there (Hopf: the relators of h/Gamma_n have weight <= n).  So stage n is
+built in weights <= n only, and H^1, H^2 and the maps on them read the same.
 
 Exterior bases are tuples of strictly increasing basis indices; every sign
 comes from counting transpositions, so results are bit-for-bit reproducible.
@@ -102,13 +106,17 @@ def _d_on_generators(g: NilpotentLieAlgebra) -> list:
     return d_gen
 
 
-def ce_cochain(g: NilpotentLieAlgebra) -> CeComplex:
+def ce_cochain(g: NilpotentLieAlgebra, cap: int = None) -> CeComplex:
     """The Chevalley-Eilenberg cochain cdga of g through degree 3, as an
     exterior stage.  d on degree 2 is built from d on generators by the
     Leibniz rule, and d^2 = 0 on generators is checked: it is equivalent to
-    the Jacobi identity for the structure constants."""
+    the Jacobi identity for the structure constants.  With a cap, for a
+    graded g with no weight above it, only the weights <= cap are built: a
+    direct summand as a complex, and the quotient by the rest as a cdga."""
     m = g.dim
-    full = WedgeProduct(m, 3)
+    if cap is not None and not (_graded(g) and max(g.weights, default=0) <= cap):
+        raise CeError("a weight cap needs graded structure constants under it")
+    full = WedgeProduct(m, 3, g.weights, cap)
     tuples, positions = full.tuples, full.positions
     names = [("1",)]
     for n in range(1, 4):
@@ -147,14 +155,18 @@ def ce_cochain(g: NilpotentLieAlgebra) -> CeComplex:
 # ---------------------------------------------------------------------------
 # homology by weight
 
+def _graded(g: NilpotentLieAlgebra) -> bool:
+    """Whether every nonzero c_ij^k has w_k = w_i + w_j."""
+    w = g.weights
+    return all(w[k] == w[i] + w[j] for (i, j), table in g.brackets.items()
+               for k, c in table.items() if c)
+
+
 def _require_graded(g: NilpotentLieAlgebra):
-    for (i, j), table in g.brackets.items():
-        for k, c in table.items():
-            if c and g.weights[k] != g.weights[i] + g.weights[j]:
-                raise CeError(
-                    "weight-split homology needs strictly graded structure "
-                    "constants"
-                )
+    if not _graded(g):
+        raise CeError(
+            "weight-split homology needs strictly graded structure constants"
+        )
 
 
 def lie_homology_by_weight(g: NilpotentLieAlgebra, n: int) -> dict:
@@ -285,13 +297,16 @@ class HirschTower(_Frozen):
     the weight filtration (lcs_quotient checks it), so d of a weight-k
     generator uses only pairs of weight < k: stage m is a Hirsch extension
     of stage n < m by construction.  Stage max_stage + 1 is never built;
-    the H^2 kernels into it read top's brackets alone (_h2_kernel).
+    the H^2 kernels into it read top's brackets alone (_h2_kernel).  top's d
+    on generators and each H^2 kernel are kept in private memos, which
+    equality and repr ignore.
     """
 
-    __slots__ = _fields = ("max_stage", "stages", "top")
+    _fields = ("max_stage", "stages", "top")
+    __slots__ = _fields + ("_d_top", "_kernels")
 
     def __init__(self, max_stage: int, stages: dict, top: NilpotentLieAlgebra):
-        self._fill(max_stage, stages, top)
+        self._fill(max_stage, stages, top, _d_on_generators(top), {})
 
 
 def hirsch_tower(p, max_stage: int = 5) -> HirschTower:
@@ -301,8 +316,16 @@ def hirsch_tower(p, max_stage: int = 5) -> HirschTower:
     lcs_quotient(p, n) equals (see HirschTower)."""
     if max_stage < 2:
         raise CeError(f"tower needs max stage >= 2, got {max_stage}")
-    top = lcs_quotient(p, max_stage + 1)
-    stages = {n: ce_cochain(top.truncate(n)) for n in range(2, max_stage + 1)}
+    return _tower(lcs_quotient(p, max_stage + 1), max_stage)
+
+
+def _tower(top: NilpotentLieAlgebra, max_stage: int) -> HirschTower:
+    """The stages cut from top, each capped at weight n when top is graded.
+    top is generated in weight 1, as every lcs_quotient is, so Hopf's bound
+    on the weights of H^2 holds."""
+    graded = _graded(top)
+    stages = {n: ce_cochain(top.truncate(n), n if graded else None)
+              for n in range(2, max_stage + 1)}
     return HirschTower(max_stage, stages, top)
 
 
@@ -312,15 +335,26 @@ def tower_from_cdga(a: FiniteCdga, max_stage: int = 5) -> HirschTower:
 
 def _h2_kernel(tower: HirschTower, n: int, m: int) -> Subspace:
     """ker(H^2(stage n) -> H^2(stage m)) for n < m <= max_stage + 1, in stage
-    n's H^2 class coordinates.  Stage m is stage n with new generators v
-    adjoined, so a class of stage n dies there iff it is [dv] for a
-    combination v of them whose dv has no pair outside stage n."""
+    n's H^2 class coordinates, computed once per tower."""
+    ker = tower._kernels.get((n, m))
+    if ker is None:
+        ker = tower._kernels[n, m] = _killed_classes(tower, n, m)
+    return ker
+
+
+def _killed_classes(tower: HirschTower, n: int, m: int) -> Subspace:
+    """Stage m is stage n with new generators v adjoined, so a class of
+    stage n dies there iff it is [dv] for a combination v of them whose dv
+    has no pair outside stage n.  On a capped stage, whose classes have
+    weight <= n, only the weight-n generators can kill one, and each pair
+    of their d lies in stage n."""
     ce_n = tower.stages[n]
     dim_n = ce_n.algebra.dim
-    dim_m = sum(1 for w in tower.top.weights if w < m)
+    last = n + 1 if ce_n.cdga.prod.cap is not None else m
+    dim_m = sum(1 for w in tower.top.weights if w < last)
     outside: dict = {}
     inner, outer = [], []
-    for col in _d_on_generators(tower.top)[dim_n:dim_m]:
+    for col in tower._d_top[dim_n:dim_m]:
         inner.append({ce_n.positions[2][t]: c for t, c in col.items() if t[1] < dim_n})
         outer.append(
             {outside.setdefault(t, len(outside)): c for t, c in col.items() if t[1] >= dim_n}

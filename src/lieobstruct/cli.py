@@ -198,8 +198,11 @@ def cmd_classify(args, phases: _Phases) -> dict:
     phases.mark("tower")
     stages = {}
     for n, ce in sorted(tower.stages.items()):
-        d1 = ce.cdga.diff[1]
-        entries = sorted((r, c, v) for c in range(d1.cols) for r, v in d1.col(c).items())
+        d1, pairs, m = ce.cdga.diff[1], ce.tuples[2], ce.algebra.dim
+        # a row is reported by its pair's index among all pairs of the stage
+        entries = sorted((i * (2 * m - i - 1) // 2 + j - i - 1, c, v)
+                         for c in range(d1.cols) for r, v in d1.col(c).items()
+                         for i, j in (pairs[r],))
         stages[n] = {
             "dim": ce.algebra.dim,
             "dims_by_weight": ce.algebra.dims_by_weight(),

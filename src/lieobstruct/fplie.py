@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import Counter, defaultdict
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations_with_replacement, count
@@ -160,9 +161,9 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     A derived ideal is spanned by its basis words already, each a unit row.
     A finite relator list is closed in tensor coordinates by _ideal_basis;
     below its fill degree the pivots are the words _quotient_scan does not
-    keep, each row the word minus its coset over the kept ones, which is
-    already the RREF row.  The words at or above the fill degree are in J,
-    each a unit row.
+    keep, each row the word minus the coset over the kept ones that the scan
+    found for it, which is already the RREF row.  The words at or above the
+    fill degree are in J, each a unit row.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
@@ -175,50 +176,64 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
         return Subspace(len(words), tuple({i: ONE} for i in pivots), tuple(pivots))
     basis, fill, _ = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
     low = sum(witt_dim(n, d) for d in range(1, fill))
-    reps, coset = _quotient_scan(basis, n, words[:low])
-    kept = set(reps)
+    reps, _, cosets = _quotient_scan(basis, n, words[:low], cosets=True)
     pivots, rows = [], []
-    for i, w in enumerate(words):
-        if i not in kept:
+    for i in range(len(words)):
+        if i >= low or i in cosets:
             row = {i: ONE}
-            if i < low:
-                vec = _lyndon({w.degree: tensor_expand(w, n)}, n)
-                row.update((reps[a], -c) for a, c in coset(vec).items())
+            row.update((reps[a], -c) for a, c in cosets.get(i, {}).items())
             pivots.append(i)
             rows.append(row)
     return Subspace(len(words), tuple(rows), tuple(pivots))
 
 
-def _quotient_scan(ideal, m: int, words) -> tuple:
-    """(reps, coset) for the words, a prefix of hall_basis_derived's basis
-    on m letters, modulo the span J of ideal, tensor polynomials on m
-    letters; J holds every basis word past the prefix.
+def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
+    """(reps, coset, word cosets) for the words, a prefix of
+    hall_basis_derived's basis on m letters, modulo the span J of ideal,
+    vectors over the Lyndon-word columns on m letters; J holds every basis
+    word past the prefix.
 
-    Word w_j is kept iff it is not in J + span(w_(j+1), ...): one tracked
-    echelon over Lyndon-word columns takes J, then the words from last to
-    first, and keeps those that raise its rank.  reps lists their indices,
-    increasing: the non-pivot columns of J's RREF in basis-word
-    coordinates.  coset(vec) reads a Lyndon-column vector modulo J as
-    {position in reps: coefficient}; a word not kept meets only later
-    representatives.
+    Each vector is first reduced modulo J's RREF rows, one pass that clears
+    J's pivots, since no row holds another's pivot.  Word w_j is kept iff
+    its residual is not in the span of the residuals of w_(j+1), ...: one
+    tracked echelon takes them from last to first and keeps those that
+    raise its rank.  reps lists their indices, increasing: the non-pivot
+    columns of J's RREF in basis-word coordinates.  coset(vec) reads a
+    Lyndon-column vector modulo J as {position in reps: coefficient}; a
+    word not kept meets only later representatives.  With cosets, word
+    cosets maps each word not kept to its coset, found as it is reduced;
+    otherwise it is empty.
     """
-    ech = EchelonForm(track=True)
-    for e in ideal:
-        ech.insert(_lyndon(e, m))
-    found = []
+    ech, rref = EchelonForm(), EchelonForm()
+    for row in ideal:
+        ech.insert(row)
+    for row in ech.backsubstitute():
+        rref.insert(row)
+    pivots = set(rref.pivots)
+
+    def mod_j(vec):
+        return vec if pivots.isdisjoint(vec) else rref.reduce(vec)[0]
+
+    scan, found, word_cosets = EchelonForm(track=True), [], {}
     for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
-        if ech.insert(_lyndon({w.degree: tensor_expand(w, m)}, m))[0]:
-            found.append((ech.n_inserted - 1, j))
+        vec = mod_j(_lyndon({w.degree: tensor_expand(w, m)}, m))
+        if cosets:
+            res, combo = scan.reduce(vec)
+            if not res:
+                word_cosets[j] = combo
+                continue
+        if scan.insert(vec)[0]:
+            found.append((scan.n_inserted - 1, j))
     reps = [j for _, j in reversed(found)]
     slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
 
     def coset(vec):
-        res, combo = ech.reduce(vec)
+        res, combo = scan.reduce(mod_j(vec))
         if res:
             raise InternalError("representatives and J fail to span the quotient")
-        return {slot[i]: c for i, c in combo.items() if i in slot}
+        return {slot[i]: c for i, c in combo.items()}
 
-    return reps, coset
+    return reps, coset, {j: {slot[i]: x for i, x in c.items()} for j, c in word_cosets.items()}
 
 
 def _digits(k: int, d: int, n: int):
@@ -279,9 +294,10 @@ def _relator_tensors(p: LiePresentation, cap: int) -> list:
 
 
 def _ideal_basis(relators, n: int, cap: int) -> tuple:
-    """(basis, fill, new) for the degree <= cap part of the ideal J generated
-    by relators, tensor polynomials on n letters cut above the cap: each
-    basis element is {degree: integer vector over _word_int keys}.
+    """(rows, fill, new) for the degree <= cap part of the ideal J generated
+    by relators, tensor polynomials on n letters cut above the cap: rows are
+    the closure's echelon rows, integer vectors over the Lyndon-word columns
+    of every degree, cut below fill.
 
     J is spanned by the relators closed under the generator brackets, which
     here are g*t - t*g degree by degree.  A bracket is queued as a pending
@@ -298,8 +314,8 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     that J contains L_d modulo higher degrees, or cap + 1 if none does.
     Then J contains every degree from d on, since L is generated in degree
     1: L_(k+1) = [L_1, L_k].  So the closure works modulo degrees >= fill,
-    and basis is a basis of J cut below fill; for homogeneous relators,
-    J_k = L_k for k >= fill.
+    and rows are a basis of J cut below fill, in echelon form; for
+    homogeneous relators, J_k = L_k for k >= fill.
 
     new[k] counts the relators that raised the rank with a pivot in degree
     k.  Each degree's brackets go in before its relators, so for homogeneous
@@ -309,7 +325,6 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     fill = cap + 1
     pivots, new = Counter(), Counter()
     ech = EchelonForm()
-    basis = []
     # (lowest degree, is a relator, queueing number, generator or None, element)
     queued = count()
     pool = [(min(r), True, next(queued), None, _integral(r)) for r in relators]
@@ -336,13 +351,15 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
         if pivots[k] == witt_dim(n, k):
             fill = k  # e itself lies in degrees >= k
             continue
-        basis.append((k, e))
         if min(e) + 1 < fill:
             for g in range(n):
                 heappush(pool, (min(e) + 1, False, next(queued), g, e))
-    # an element whose pivot lies at or above the final fill is a combination
-    # of earlier ones modulo those degrees
-    return [{d: v for d, v in e.items() if d < fill} for k, e in basis if k < fill], fill, new
+    # a row whose pivot lies at or above the final fill is a combination of
+    # earlier ones modulo those degrees; the others keep their pivots when cut
+    low = tops[fill - 2] if fill > 1 else 0
+    rows = [{c: x for c, x in row.items() if c < low}
+            for lead, row in ech.pivot_rows.items() if lead < low]
+    return rows, fill, new
 
 
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
@@ -510,25 +527,29 @@ def _eliminate_linear(p: LiePresentation, cap: int):
     data drives every choice, so the kept set and the substitution order do
     not depend on the cap.  Letters keep their numbers until the last step,
     so a step rewrites only what may hold its letter (each item carries a
-    superset of its letters), and the kept ones are renumbered once."""
+    superset of its letters), and the kept ones are renumbered once.  Each
+    relator is scaled by _integral, so the arithmetic stays in ints unless a
+    pivot coefficient fails to divide its relator."""
     cap = max(cap, 1)
     n = p.n_gens
     rel = [(t, {g for d, v in t.items() for k in v for g in _digits(k, d, n)})
-           for t in _relator_tensors(p, cap)]
-    imgs = [({1: {g: ONE}}, {g}) for g in range(n)]
+           for t in map(_integral, _relator_tensors(p, cap))]
+    imgs = [({1: {g: 1}}, {g}) for g in range(n)]
     kept = list(range(n))
     while (ridx := next((i for i, (r, _) in enumerate(rel) if 1 in r), None)) is not None:
         r, used = rel.pop(ridx)
         z = max(r[1])
         c = r[1][z]
         # z = expr modulo r
-        expr = _nonzero({d: {k: -x / c for k, x in v.items() if d > 1 or k != z}
+        exact = all(type(x) is int and x % c == 0 for v in r.values() for x in v.values())
+        expr = _nonzero({d: {k: -x // c if exact else Fraction(-x, c)
+                             for k, x in v.items() if d > 1 or k != z}
                          for d, v in r.items()})
         # expr may mention z inside brackets; substituting it into itself
         # raises the total degree of every z-term, so this terminates, at
         # the first expr that is its own image: the first without z
         for _ in range(cap + 2):
-            push = _substitution([expr if j == z else {1: {j: ONE}} for j in range(n)], n, cap)
+            push = _substitution([expr if j == z else {1: {j: 1}} for j in range(n)], n, cap)
             expr, last = push(expr), expr
             if expr == last:
                 break
@@ -669,13 +690,13 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
             class_bound, p.generators, (), (), {}, tuple({} for _ in p.generators)
         )
     if isinstance(p.scheme, DerivedIdeal):
-        ideal = [{w.degree: tensor_expand(w, m)}
+        ideal = [_lyndon({w.degree: tensor_expand(w, m)}, m)
                  for w in hall_basis_derived(m, p.scheme.level, cap)]
     else:
         ideal, fill, _ = _ideal_basis(relators, m, cap)
         cap = min(cap, fill - 1)
     words = hall_basis_derived(m, 0, cap)
-    reps, coset = _quotient_scan(ideal, m, words)
+    reps, coset, _ = _quotient_scan(ideal, m, words)
     reps = [words[j] for j in reps]
     weights = [w.degree for w in reps]
     tens = [tensor_expand(w, m) for w in reps]

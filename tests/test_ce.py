@@ -11,7 +11,9 @@ bracket_vec (mc_defect), is the reference for is_flat.  Exterior products by
 rule are checked against a stored table (wedge_table_reference), H^2 kernels
 read off the top quotient against composed stage inclusions
 (reference_inclusions), and the degree-3 shortcut of the classifying map
-against its product loop.
+against its product loop.  A tower whose stages are capped by weight is
+checked against the same tower on full stages (full_tower), its H^2
+classes read there through h2_to_full.
 """
 
 import random
@@ -46,7 +48,10 @@ from lieobstruct.cdga import (
 from lieobstruct.ce import (
     CeError,
     HirschTower,
+    _canonical_omega,
+    _graded,
     _h2_kernel,
+    _tower,
     _morphism_from_connection,
     canonical_connection,
     _connection_columns,
@@ -69,7 +74,7 @@ from lieobstruct.fplie import (
     presentation_from_dict,
 )
 from lieobstruct.freelie import format_element
-from lieobstruct.ratlin import ZERO, EchelonForm, SparseMatrix, kernel, rank, vec_add
+from lieobstruct.ratlin import ZERO, EchelonForm, SparseMatrix, Subspace, kernel, rank, vec_add
 from test_fplie import check_jacobi, random_relator_list
 
 ONE = Fraction(1)
@@ -227,7 +232,8 @@ def classifying_map(a, n):
 
 def wedge_table_reference(ce):
     """The exterior stage with its product stored as a full table, built the
-    way ce_cochain used to build it; check_cdga runs on it."""
+    way ce_cochain used to build it, a product that lands outside a capped
+    stage's tuples left 0; check_cdga runs on it."""
     prod = {}
     top = ce.cdga.top
     for i in range(1, top):
@@ -239,7 +245,8 @@ def wedge_table_reference(ce):
                     if w is None:
                         continue
                     sgn, wt = w
-                    table[(a, b)] = {ce.positions[i + j][wt]: Fraction(sgn)}
+                    if wt in ce.positions[i + j]:
+                        table[(a, b)] = {ce.positions[i + j][wt]: Fraction(sgn)}
             if table:
                 prod[(i, j)] = table
     ref = FiniteCdga(ce.cdga.names, ce.cdga.diff, prod)
@@ -683,11 +690,19 @@ def test_classifying_stage_three_gains_a_weight_two_class():
 
 
 def test_classifying_stages_are_tower_compatible():
-    tower = tower_from_cdga(HEIS, 3)
+    """On the full reference of the (capped) heis tower; the capped stage's
+    classifying map is the full one's restriction."""
+    tower = full_tower(tower_from_cdga(HEIS, 3))
     f2 = classifying_map(HEIS, 2)
     f3 = classifying_map(HEIS, 3)
     composed = f3.compose(_stage_inclusion(tower.stages[2], tower.stages[3]))
     assert composed.maps == f2.maps
+    capped = tower_from_cdga(HEIS, 3).stages[3]
+    g = capped.algebra
+    f = _morphism_from_connection(HEIS, capped, _canonical_omega(g))
+    for deg in (1, 2, 3):
+        for t, k in capped.positions[deg].items():
+            assert f.maps[deg].col(k) == f3.maps[deg].col(tower.stages[3].positions[deg][t])
 
 
 def with_column(f, degree, k, vec):
@@ -802,7 +817,10 @@ def _stage_map(inclusions, n, m, i):
 
 def hand_tower(weights, brackets, max_stage):
     """The tower of a nilpotent Lie algebra given by its weights and bracket
-    table, with stage n the cochain cdga of its cut to weights < n."""
+    table, with stage n the cochain cdga of its cut to weights < n, capped
+    at weight n when the table is graded (the capped stages are checked
+    against full ones wherever they are used, since a hand-built algebra
+    need not be generated in weight 1)."""
     labels = tuple(f"e{k + 1}" for k in range(len(weights)))
     g = NilpotentLieAlgebra(
         class_bound=max_stage + 1,
@@ -812,8 +830,32 @@ def hand_tower(weights, brackets, max_stage):
         brackets=brackets,
         gen_images=({0: ONE}, {1: ONE}),
     )
-    stages = {n: ce_cochain(g.truncate(n)) for n in range(2, max_stage + 1)}
-    return HirschTower(max_stage, stages, g)
+    return _tower(g, max_stage)
+
+
+def full_tower(t):
+    """t with every stage built in all weights: the reference for a capped
+    tower, and t itself when it is not capped."""
+    stages = {n: ce_cochain(c.algebra) for n, c in t.stages.items()}
+    return HirschTower(t.max_stage, stages, t.top)
+
+
+def h2_to_full(capped, full):
+    """The matrix taking H^2 class coordinates of a capped stage to those of
+    the full stage of the same algebra: each capped representative is a
+    cocycle of weight <= cap, read in the full stage."""
+    src, tgt = _cohomology_data(capped.cdga, 2), _cohomology_data(full.cdga, 2)
+    tuples, positions = capped.tuples[2], full.positions[2]
+    return SparseMatrix.from_columns(tgt.dim, [
+        tgt.class_coords({positions[tuples[p]]: c for p, c in rep.items()})
+        for rep in src.reps
+    ])
+
+
+def kernel_in_full(capped, full, ker):
+    """A subspace of the capped stage's H^2, in the full stage's classes."""
+    to_full = h2_to_full(capped, full)
+    return Subspace.span([to_full.matvec(r) for r in ker.basis_rows], to_full.rows)
 
 
 def test_tower_stage_dims():
@@ -840,26 +882,32 @@ def test_tower_inclusions_are_hirsch_extensions():
 
 def test_tower_stages_match_per_stage_quotients():
     """Each stage of a tower, cut from its top quotient, is the stage built
-    from its own quotient: lcs_quotient(p, n) and its cochain cdga.
-    pres_noncarnot is filtered, not graded."""
+    from its own quotient: lcs_quotient(p, n) and its cochain cdga, capped
+    at weight n when the quotient is graded.  noncarnot and pres_noncarnot
+    are filtered, not graded."""
     inputs = [holonomy(a) for a in ALL_CDGAS + RANDOM_CDGAS]
     inputs += [
         load_presentation(data_path(name))
         for name in ("free_metabelian.json", "pres_noncarnot.json")
     ]
+    ungraded = (inputs[ALL_CDGAS.index(NONCARNOT)], inputs[-1])
     for p in inputs:
         t = hirsch_tower(p, 5)
         assert t.top == lcs_quotient(p, 6)
+        graded = _graded(t.top)
+        assert graded == (p not in ungraded)
         for n in range(2, 6):
             own = lcs_quotient(p, n)
             assert t.stages[n].algebra == own
-            assert t.stages[n].cdga == ce_cochain(own).cdga
+            assert t.stages[n].cdga == ce_cochain(own, n if graded else None).cdga
 
 
 def test_h2_kernels_match_the_inclusion_reference():
     """_h2_kernel, read off the top quotient's bracket table, equals the
     kernel of H^2 of the composed stage inclusions, which pass
-    check_morphism, for every 2 <= n < m <= max_stage + 1."""
+    check_morphism, for every 2 <= n < m <= max_stage + 1.  The inclusions
+    are of the full stages; a capped stage's kernel is read in the full
+    stage's classes."""
     inputs = [holonomy(a) for a in ALL_CDGAS + RANDOM_CDGAS]
     inputs += [
         holonomy(random_cdga(*args))
@@ -875,11 +923,81 @@ def test_h2_kernels_match_the_inclusion_reference():
         hand_tower((1, 1, 2), {}, 3),
     ]
     for t in towers:
-        inclusions = reference_inclusions(t)
+        full = full_tower(t)
+        inclusions = reference_inclusions(full)
         for n in range(2, t.max_stage + 1):
             for m in range(n + 1, t.max_stage + 2):
                 expected = kernel(_stage_map(inclusions, n, m, 2))
-                assert _h2_kernel(t, n, m) == expected, (t.top.labels, n, m)
+                got = kernel_in_full(t.stages[n], full.stages[n], _h2_kernel(t, n, m))
+                assert got == expected, (t.top.labels, n, m)
+
+
+CAPPED_CASES = [(a, 8) for a in (WEDGE2, TORUS, HEIS)] + [
+    (random_cdga(*args), top) for args, top in (
+        ((11, 3, 1), 5), ((12, 3, 2), 5), ((13, 4, 3), 5), ((14, 4, 5), 5),
+        ((15, 5, 6), 4), ((16, 4, 4), 5))
+]
+
+
+def test_capped_stages_match_full_stages():
+    """On graded towers (wedge2, torus and heis through stage 8, seeded d = 0
+    cdgas through stage 4 or 5) every stage n is capped at weight n, and against
+    the same stages built in all weights: H^1 and H^2 have the same
+    dimensions, the capped H^2 classes map isomorphically onto the full
+    ones, every H^2 kernel between stages agrees, n < m <= max + 1, and so
+    does every one-equivalence, stability and filtration result."""
+    for a, top in CAPPED_CASES:
+        t = tower_from_cdga(a, top)
+        full = full_tower(t)
+        assert _graded(t.top)
+        for n in range(2, top + 1):
+            capped, ref = t.stages[n], full.stages[n]
+            assert capped.cdga.prod.cap == n and ref.cdga.prod.cap is None
+            for i in (1, 2):
+                assert cohomology(capped.cdga, i)[0] == cohomology(ref.cdga, i)[0]
+            to_full = h2_to_full(capped, ref)
+            assert to_full.rows == to_full.cols == rank(to_full)
+            for m in range(n + 1, top + 2):
+                got = kernel_in_full(capped, ref, _h2_kernel(t, n, m))
+                assert got == _h2_kernel(full, n, m), (a, n, m)
+            assert verify_one_equivalence(a, t, n) == verify_one_equivalence(a, full, n)
+            for m in range(n + 1, top + 1):
+                assert check_stability(t, m, n) == check_stability(full, m, n)
+        assert canonical_filtration(t) == canonical_filtration(full)
+
+
+def test_ungraded_towers_keep_full_stages():
+    """noncarnot's holonomy and a hand-built tower with a weight gap are not
+    graded, so their stages are built in all weights; a graded hand-built
+    tower is capped.  A cap on an ungraded algebra, or below one of its
+    weights, is refused."""
+    for t in (tower_from_cdga(NONCARNOT, 5), hand_tower((1, 1, 3), {(0, 1): {2: ONE}}, 4)):
+        assert not _graded(t.top)
+        assert all(c.cdga.prod.cap is None for c in t.stages.values())
+    t = hand_tower((1, 1, 2), {}, 3)
+    assert [c.cdga.prod.cap for c in t.stages.values()] == [2, 3]
+    with pytest.raises(CeError, match="cap"):
+        ce_cochain(tower_from_cdga(NONCARNOT, 3).top, 4)
+    with pytest.raises(CeError, match="cap"):
+        ce_cochain(HEIS_ALG, 1)
+
+
+def test_h2_kernels_are_computed_once_per_tower(monkeypatch, capsys):
+    """A stage-6 classify asks for 25 H^2 kernels over 11 distinct stage
+    pairs; each pair is computed once.  The top's d on generators is read
+    once per tower, and once per stage by ce_cochain."""
+    from lieobstruct import ce as ce_module
+    from lieobstruct.cli import main
+
+    pairs, d_calls = Counter(), []
+    killed, d_on = ce_module._killed_classes, ce_module._d_on_generators
+    monkeypatch.setattr(ce_module, "_killed_classes",
+                        lambda t, n, m: pairs.update([(n, m)]) or killed(t, n, m))
+    monkeypatch.setattr(ce_module, "_d_on_generators", lambda g: d_calls.append(g) or d_on(g))
+    assert main(["classify", data_path("wedge2.json"), "--stage", "6"]) == 0
+    capsys.readouterr()
+    assert len(pairs) == 11 and set(pairs.values()) == {1}
+    assert len(d_calls) == 6
 
 
 def test_tower_h1_is_stable():
@@ -921,9 +1039,9 @@ def test_stability_validates_stage_order():
 def test_stage_maps_compose_to_the_direct_inclusion():
     """The reference: H^1 and H^2 of stage n -> m, read as the product of the
     adjacent inclusions' matrices, equal those of the inclusion built
-    directly."""
+    directly, on full stages."""
     for a in ALL_CDGAS + RANDOM_CDGAS:
-        t = tower_from_cdga(a, 5)
+        t = full_tower(tower_from_cdga(a, 5))
         inclusions = reference_inclusions(t)
         for n in range(2, 5):
             for m in range(n + 1, 6):

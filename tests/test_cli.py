@@ -435,6 +435,33 @@ def test_report_is_pinned(case, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[case]
 
 
+RANDOM4_CDGA = {
+    "d": {},
+    "degrees": {"1": ["a1", "a2", "a3", "a4"], "2": ["b1", "b2", "b3", "b4"]},
+    "mu": {"a1*a2": "-2*b1 + b2 + 2*b3 - 2*b4", "a1*a3": "-2*b1 + b3",
+           "a1*a4": "-2*b2 - b3 + 2*b4", "a2*a3": "-2*b1 - 2*b2 + 2*b4",
+           "a2*a4": "2*b1 - b2 - 2*b4", "a3*a4": "2*b1 + b2 - b3 + 2*b4"},
+}
+
+
+@pytest.mark.parametrize("model, stage, digest", [
+    ("wedge2", 10, "3f9f67fa49cd1dbaacb90fbf5f44176e0d8e97dae765568a29dae69d479060f1"),
+    ("random4", 6, "9b819146d352940d713cad9e9032ef425285253aede60cebc23b5c4f9f4097c3"),
+])
+def test_classify_on_weight_capped_stages_is_pinned(model, stage, digest, tmp_path, capsys):
+    """Graded towers whose stages are built in weights <= n only: the d1
+    rows are still reported by their index among all pairs of the stage.
+    random4 is a seeded d = 0 cdga on four generators with four classes,
+    whose quotient needs the representative scan modulo a large J."""
+    src = tmp_path / "random4.json"
+    src.write_text(json.dumps(RANDOM4_CDGA))
+    path = data_path("wedge2.json") if model == "wedge2" else str(src)
+    out = tmp_path / "report.json"
+    assert main(["classify", path, "--stage", str(stage), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_h2scan_commutator_relator_degree_13_is_pinned(tmp_path, capsys):
     """[x,y] fills its ideal in degree 2, so the whole report through degree
     13 reads the closure of one relator and the Hall words above it."""

@@ -21,7 +21,9 @@ two quotient stages are kept as oracles too: renumbering_eliminate_linear
 for _eliminate_linear and fifo_ideal_basis for the lazy closure, and the
 full tensor commutator checks the split-read _lyndon_bracket.  The solver
 write-back of the closure (writeback_ideal_span) checks the ideal_span
-rows read off the quotient scan.  check_jacobi
+rows read off the quotient scan, the tracked scan over J's tensor basis
+(tracked_quotient_scan) the scan modulo J's RREF, and the Fraction
+elimination (fraction_eliminate_linear) the integer one.  check_jacobi
 is the Jacobi identity on every triple of a quotient's basis vectors.
 """
 
@@ -70,6 +72,7 @@ from lieobstruct.fplie import (
     _ideal_basis,
     _integral,
     _lyndon_bracket,
+    _quotient_scan,
     _relator_tensors,
     finiteness_scan,
     h2_graded,
@@ -669,6 +672,85 @@ def test_elimination_matches_step_by_step_renumbering():
                 assert got == renumbering_eliminate_linear(p, cap), (presentation_to_dict(p), cap)
 
 
+def fraction_eliminate_linear(p, cap):
+    """_eliminate_linear as it was before it ran in ints: the relators as
+    _relator_tensors gives them, each expression divided out in Fractions."""
+    cap = max(cap, 1)
+    n = p.n_gens
+    rel = [(t, {g for d, v in t.items() for k in v for g in _digits(k, d, n)})
+           for t in _relator_tensors(p, cap)]
+    imgs = [({1: {g: ONE}}, {g}) for g in range(n)]
+    kept = list(range(n))
+    while (ridx := next((i for i, (r, _) in enumerate(rel) if 1 in r), None)) is not None:
+        r, used = rel.pop(ridx)
+        z = max(r[1])
+        c = r[1][z]
+        expr = _nonzero({d: {k: -x / c for k, x in v.items() if d > 1 or k != z}
+                         for d, v in r.items()})
+        for _ in range(cap + 2):
+            push = _substitution([expr if j == z else {1: {j: ONE}} for j in range(n)], n, cap)
+            expr, last = push(expr), expr
+            if expr == last:
+                break
+        else:
+            raise AssertionError("generator elimination did not converge")
+        rel = [(push(t), u | used) if z in u else (t, u) for t, u in rel]
+        imgs = [(push(t), u | used) if z in u else (t, u) for t, u in imgs]
+        kept.remove(z)
+    rel, imgs = [t for t, _ in rel if t], [t for t, _ in imgs]
+    if len(kept) < n:
+        pos, m = {g: i for i, g in enumerate(kept)}, len(kept)
+
+        def renumber(t):
+            return {d: {sum(pos[g] * m ** i for i, g in enumerate(_digits(k, d, n))): c
+                        for k, c in v.items()} for d, v in t.items()}
+
+        rel, imgs = list(map(renumber, rel)), list(map(renumber, imgs))
+    return rel, imgs, tuple(p.generators[g] for g in kept)
+
+
+def test_integer_elimination_matches_fraction_elimination():
+    """_eliminate_linear, which scales each relator by _integral and divides
+    exactly where the pivot coefficient divides its relator, gives the
+    images and kept names of the Fraction elimination, and each relator a
+    positive multiple of its relator there: on the bundled presentations,
+    the linearized pres_noncarnot, seeded relators with linear terms of
+    coefficient -2 to 3 on 2-4 letters, seeded relators with halves, and
+    one relator whose pivot coefficient 2 divides it and one it does not."""
+    rng = random.Random(20261027)
+    inputs = [load_presentation(data_path(f"{name}.json")) for name in (
+        "pres_heis", "pres_noncarnot", "pres_cubic", "pres_torus")]
+    inputs.append(linearize_presentation(inputs[1], 3))
+    inputs += [pres(("x1", "x2", "x3"), ("2*x3 - 2*[x1,x2] + 4*[x1,[x1,x2]]",)),
+               pres(("x1", "x2", "x3"), ("2*x3 - [x1,x2]",)),
+               pres(("x1", "x2", "x3"), ("2*x3 - [x1,x2]", "x1 - 3*[x2,x3]"))]
+    inputs += [linear_presentation(rng, n, 3 if n < 4 else 2) for n in (2, 3, 4) for _ in range(10)]
+    for n in (2, 3):
+        for _ in range(10):
+            lin = LieElement(n, {generator(rng.randrange(n)): Fraction(rng.choice((2, 3)))})
+            inputs.append(LiePresentation(tuple(f"x{i + 1}" for i in range(n)), FiniteList(
+                tuple(e for e in (random_element(rng, n, 3) + lin, random_element(rng, n, 3))
+                      if not e.is_zero()))))
+    for p in inputs:
+        for cap in range(1, 6 if p.n_gens < 4 else 4):
+            rel, imgs, kept = _eliminate_linear(p, cap)
+            want_rel, want_imgs, want_kept = fraction_eliminate_linear(p, cap)
+            assert (imgs, kept) == (want_imgs, want_kept), (presentation_to_dict(p), cap)
+            assert len(rel) == len(want_rel)
+            for t, u in zip(rel, want_rel):
+                d = min(u)
+                k = min(u[d])
+                scale = Fraction(t[d][k]) / u[d][k]
+                assert scale > 0 and t == {e: {k: scale * x for k, x in v.items()}
+                                           for e, v in u.items()}, (presentation_to_dict(p), cap)
+    # 2 divides 2*x3 - 2*[x1,x2], so x3's image stays in ints; it does not
+    # divide 2*x3 - [x1,x2], whose image has halves
+    imgs = _eliminate_linear(inputs[5], 3)[1]
+    assert all(type(x) is int for v in imgs[2].values() for x in v.values())
+    imgs = _eliminate_linear(inputs[6], 3)[1]
+    assert {x for v in imgs[2].values() for x in v.values()} == {Fraction(1, 2), Fraction(-1, 2)}
+
+
 def test_quotient_matches_hall_coordinate_reference():
     """lcs_quotient, read in tensor coordinates on Lyndon-word columns,
     equals the Hall-coordinate quotient as a whole at classes 1-6: the
@@ -755,16 +837,19 @@ FILLING = filling_cases()
 def test_ideal_basis_fill_degree():
     """_ideal_basis reports the first degree whose Lyndon columns fill, or
     cap + 1 when none does below the cap, also for ideals that never fill;
-    its basis lies below the fill degree and is independent there."""
+    its rows lie on the Lyndon columns below the fill degree and are
+    independent there, in echelon form."""
     for p, fill in FILLING:
         for cap in range(1, fill + 3):
             basis, got, _ = _ideal_basis(_relator_tensors(p, cap), p.n_gens, cap)
             assert got == min(fill, cap + 1), (presentation_to_dict(p), cap)
+            low = sum(witt_dim(p.n_gens, d) for d in range(1, got))
             ech = EchelonForm()
-            for e in basis:
-                assert e and max(e) < got
-                ech.insert({(d, k): c for d, v in e.items() for k, c in v.items()})
+            for row in basis:
+                assert row and max(row) < low
+                ech.insert(row)
             assert ech.rank == len(basis), (presentation_to_dict(p), cap)
+            assert len({min(row) for row in basis}) == len(basis)
     never = [load_presentation(data_path("pres_cubic.json")),
              holonomy(load_cdga(data_path("wedge2.json"))), XXY]
     for p in never:
@@ -826,10 +911,10 @@ def test_lazy_closure_matches_fifo_closure():
     first-out closure: on FILLING, on ideals that never fill, and on seeded
     inhomogeneous presentations with their linear generators eliminated."""
 
-    def span(basis, n):
+    def span(rows):
         ech = EchelonForm()
-        for e in basis:
-            ech.insert(_lyndon(e, n))
+        for row in rows:
+            ech.insert(row)
         return ech.backsubstitute()
 
     rng = random.Random(20261024)
@@ -847,7 +932,7 @@ def test_lazy_closure_matches_fifo_closure():
             got, fill, _ = _ideal_basis(relators, n, cap)
             want, want_fill = fifo_ideal_basis(relators, n, cap)
             assert fill == want_fill, (presentation_to_dict(p), cap)
-            assert span(got, n) == span(want, n), (presentation_to_dict(p), cap)
+            assert span(got) == span(_lyndon(e, n) for e in want), (presentation_to_dict(p), cap)
 
 
 def two_echelon_h2(p, cap):
@@ -1010,12 +1095,13 @@ def test_ideal_span_and_h2_past_the_fill_degree():
 
 def writeback_ideal_span(p, cap):
     """ideal_span as it was before it read the quotient scan: the tensor
-    closure's basis written back over the basis words one multidegree at a
-    time by _MultidegreeSolver.solve, the words at or above the fill degree
-    added as unit rows, and the whole reduced by Subspace.span."""
+    closure's basis (here the eager one of fifo_ideal_basis) written back
+    over the basis words one multidegree at a time by
+    _MultidegreeSolver.solve, the words at or above the fill degree added
+    as unit rows, and the whole reduced by Subspace.span."""
     n = p.n_gens
     idx = {w: i for i, w in enumerate(hall_basis_derived(n, 0, cap))}
-    basis, fill, _ = _ideal_basis(_relator_tensors(p, cap), n, cap)
+    basis, fill = fifo_ideal_basis(_relator_tensors(p, cap), n, cap)
     rows = []
     for e in basis:
         parts = {}
@@ -1063,6 +1149,83 @@ def test_ideal_span_matches_writeback():
         s = ideal_span(p, cap)
         assert s == writeback_ideal_span(p, cap), (presentation_to_dict(p), cap)
         assert Subspace.span(s.basis_rows, s.ambient) == s, (presentation_to_dict(p), cap)
+
+
+def tracked_quotient_scan(ideal, m, words):
+    """_quotient_scan as it was before it reduced modulo J's RREF: one
+    tracked echelon takes J's tensor basis, then the words from last to
+    first, and keeps those that raise its rank."""
+    ech = EchelonForm(track=True)
+    for e in ideal:
+        ech.insert(_lyndon(e, m))
+    found = []
+    for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
+        if ech.insert(_lyndon({w.degree: tensor_expand(w, m)}, m))[0]:
+            found.append((ech.n_inserted - 1, j))
+    reps = [j for _, j in reversed(found)]
+    slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
+
+    def coset(vec):
+        res, combo = ech.reduce(vec)
+        assert not res
+        return {slot[i]: c for i, c in combo.items() if i in slot}
+
+    return reps, coset
+
+
+def test_quotient_scan_matches_the_tracked_scan():
+    """_quotient_scan, which reduces modulo the RREF of the closure's rows
+    and tracks only the words' residuals, keeps the words the tracked scan
+    over J's eager tensor basis keeps, and gives every word, every bracket
+    of two kept words and every generator image the same coset; with
+    cosets, the words it does not keep map to those cosets.  On the bundled
+    presentations, FILLING, seeded homogeneous, inhomogeneous and linear
+    relator lists, and derived schemes of levels 1-3."""
+    rng = random.Random(20261028)
+    cases = [load_presentation(data_path(f"{name}.json")) for name in (
+        "pres_heis", "pres_noncarnot", "pres_cubic", "pres_torus", "free_metabelian")]
+    cases += [p for p, _ in FILLING] + [XXY, FREE2, HEIS, METAB]
+    cases += [random_graded_presentation(rng, n, low, homogeneous)
+              for n, low in ((2, 2), (2, 3), (3, 2)) for homogeneous in (True, False)]
+    cases += [linear_presentation(rng, n, 3) for n in (2, 3) for _ in range(3)]
+    cases += [pres(("x", "y"), (), DerivedIdeal(k)) for k in (1, 3)]
+    cases += [pres(("x", "y", "z"), (), DerivedIdeal(k)) for k in (1, 2)]
+    checked = 0
+    for p in cases:
+        for cap in range(1, {2: 10, 3: 6}.get(p.n_gens, 4)):
+            if isinstance(p.scheme, DerivedIdeal):
+                m, imgs = p.n_gens, [{1: {g: 1}} for g in range(p.n_gens)]
+                old = [{w.degree: tensor_expand(w, m)}
+                       for w in hall_basis_derived(m, p.scheme.level, cap)]
+                new = [_lyndon(e, m) for e in old]
+            else:
+                relators, imgs, kept = _eliminate_linear(p, cap)
+                m = len(kept)
+                if m == 0:
+                    continue
+                new, fill, _ = _ideal_basis(relators, m, cap)
+                old = fifo_ideal_basis(relators, m, cap)[0]
+                cap = min(cap, fill - 1)
+            words = hall_basis_derived(m, 0, cap)
+            want_reps, want = tracked_quotient_scan(old, m, words)
+            reps, coset, none = _quotient_scan(new, m, words)
+            assert reps == want_reps and none == {}, (presentation_to_dict(p), cap)
+            assert _quotient_scan(new, m, words, cosets=True)[0] == reps
+            cosets = _quotient_scan(new, m, words, cosets=True)[2]
+            assert set(cosets) == set(range(len(words))) - set(reps)
+            vecs = [_lyndon({w.degree: tensor_expand(w, m)}, m) for w in words]
+            vecs += [_lyndon({d: v for d, v in img.items() if d <= cap}, m) for img in imgs]
+            for a, b in combinations(reps, 2):
+                da, db = words[a].degree, words[b].degree
+                if da + db <= cap:
+                    vecs.append(_lyndon({da + db: _tensor_commutator(
+                        tensor_expand(words[a], m), tensor_expand(words[b], m), m ** da, m ** db)}, m))
+            for v in vecs:
+                assert coset(v) == want(v), (presentation_to_dict(p), cap)
+            for j, c in cosets.items():
+                assert c == want(vecs[j])
+            checked += len(vecs)
+    assert checked > 5000
 
 
 def test_ideal_span_non_pivots_are_the_quotient_representatives():

@@ -95,7 +95,12 @@ def test_wedge_product_equality_ignores_derived_tables():
     assert w.positions[2][(0, 2)] == 1
     assert w == WedgeProduct(gens=3, top=3) and hash(w) == hash(WedgeProduct(3, 3))
     assert w != WedgeProduct(3, 2)
-    assert repr(w) == "WedgeProduct(gens=3, top=3)"
+    assert repr(w) == "WedgeProduct(gens=3, top=3, weights=None, cap=None)"
+    # a cap keeps the tuples of weight <= cap and takes part in equality
+    capped = WedgeProduct(3, 3, (1, 1, 2), 3)
+    assert capped.tuples[2] == w.tuples[2] and capped.tuples[3] == ()
+    assert capped != w and capped == WedgeProduct(3, 3, (1, 1, 2), 3)
+    assert capped.mul(1, {0: 1}, 2, {2: 1}) == {}
 
 
 def test_cdga_equality_ignores_the_cohomology_memo():
