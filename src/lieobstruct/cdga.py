@@ -16,13 +16,13 @@ and the loaders run them once on each cdga and each action map read from
 JSON.  Everything the library derives from checked input is a cdga or a
 cdga map by the rule that builds it, and is not checked again.
 
-On top of that sit the operations this toolkit needs: the sub-cdga A[q]
-generated in degrees <= q (same cohomology through q, monomorphism in q+1),
-cohomology with explicit representatives, the holonomy Lie presentation dual
-to d and the product on degree 1, resonance dimensions for twisted
-differentials d + omega.(-), probing for nontrivial degree-1 resonance, and
-fixed sub-cdgas of finite group actions via the averaging projector.  A[q]
-and fixed sub-cdgas are both read off per-degree spans by one builder.
+On top of that sit the operations this toolkit needs: cohomology with
+explicit representatives, the holonomy Lie presentation dual to d and the
+product on degree 1, read off the degree-2 part of the sub-cdga A[1] (the
+span of d(A^1) and A^1*A^1) without building A[1], resonance dimensions for
+twisted differentials d + omega.(-), probing for nontrivial degree-1
+resonance, and fixed sub-cdgas of finite group actions via the averaging
+projector, read off per-degree spans.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ __all__ = [
     "parse_cdga_element",
     "resonance_dim",
     "resonance_trivial_probe",
-    "truncate",
 ]
 
 
@@ -469,21 +468,7 @@ def induced_cohomology_matrix(f: CdgaMorphism, i: int) -> SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# sub-cdgas and the truncation A[q]
-
-def _degree_drop(a: FiniteCdga, new_top: int) -> FiniteCdga:
-    """Quotient by everything above new_top."""
-    if new_top >= a.top:
-        return a
-    names = a.names[: new_top + 1]
-    diff = list(a.diff[:new_top])
-    diff.append(SparseMatrix(0, len(names[new_top])))
-    if isinstance(a.prod, WedgeProduct):
-        prod = a.prod  # mul is zero above the new top by itself
-    else:
-        prod = {(i, j): t for (i, j), t in a.prod.items() if i + j <= new_top}
-    return FiniteCdga(names, tuple(diff), prod)
-
+# sub-cdgas
 
 def _subcdga(a: FiniteCdga, subs, names):
     """The sub-cdga of a spanned in each degree i by the RREF rows of
@@ -526,54 +511,36 @@ def _subcdga(a: FiniteCdga, subs, names):
     return sub, CdgaMorphism(sub, a, mats)
 
 
-def truncate(a: FiniteCdga, q: int):
-    """The sub-cdga A[q] of the quotient A/(degrees > q+1), together with its
-    inclusion: degrees <= q kept whole, degree q+1 cut down to
-    d(A^q) + sum of products from positive degrees."""
-    if q < 1:
-        raise CdgaError(f"truncation level must be >= 1, got {q}")
-    quot = _degree_drop(a, q + 1)
-    top_dim = quot.dim(q + 1)
-    span_vecs = [quot.d_apply(q, {k: ONE}) for k in range(quot.dim(q))]
-    for i in range(1, q + 1):
-        for x in range(quot.dim(i)):
-            for y in range(quot.dim(q + 1 - i)):
-                span_vecs.append(quot.mul(i, {x: ONE}, q + 1 - i, {y: ONE}))
-    cut = Subspace.span(span_vecs, top_dim)
-    if cut.dim == top_dim:
-        return quot, identity_morphism(quot)
-    whole = [
-        Subspace(n, tuple({k: ONE} for k in range(n)), tuple(range(n)))
-        for n in map(quot.dim, range(q + 1))
-    ]
-    names = (*quot.names[: q + 1], tuple(f"t{q + 1}_{r + 1}" for r in range(cut.dim)))
-    return _subcdga(quot, whole + [cut], names)
-
-
 # ---------------------------------------------------------------------------
 # holonomy presentation
 
 def holonomy(a: FiniteCdga):
     """The Lie presentation dual to (d, product) on A[1]: one generator per
-    degree-1 basis element, one relator per degree-2 basis element of A[1],
-    each relator the sum of the dual of d and the dual of the product.
-    Each d(a_i), product a_i*a_j and nonzero product's bracket is formed once."""
+    degree-1 basis element and one relator per basis row of the degree-2
+    part of A[1], the span of the d(a_i) and the products a_i*a_j.  Relator
+    r is the sum of the dual of d and the dual of the product at that span's
+    r-th RREF pivot; when the span is all of A^2 this is the r-th basis
+    element.  Each d(a_i), product a_i*a_j and nonzero product's bracket is
+    formed once."""
     from .fplie import FiniteList, LiePresentation
     from .freelie import LieElement, bracket, gen_elt
 
-    a1, _ = truncate(a, 1)
-    g = a1.dim(1)
+    g = a.dim(1)
     gens = tuple(f"x{i + 1}" for i in range(g))
-    terms = [{} for _ in range(a1.dim(2))]
-    parts = [(gen_elt(g, i), a1.d_apply(1, {i: ONE})) for i in range(g)]
+    parts = [(gen_elt(g, i), a.d_apply(1, {i: ONE})) for i in range(g)]
     for i, j in combinations(range(g), 2):
-        prod = a1.mul(1, {i: ONE}, 1, {j: ONE})
+        prod = a.mul(1, {i: ONE}, 1, {j: ONE})
         if prod:
             parts.append((bracket(gen_elt(g, i), gen_elt(g, j)), prod))
+    # a_j*a_i = -a_i*a_j and a_i*a_i = 0, so these span the degree-2 part
+    pivots = Subspace.span([vec for _, vec in parts], a.dim(2)).pivots
+    row = {p: r for r, p in enumerate(pivots)}
+    terms = [{} for _ in pivots]
     # no word occurs twice in a relator: [x_i, x_j] is one basis word
-    for e, coeffs in parts:
-        for k, c in coeffs.items():
-            terms[k].update((w, c * x) for w, x in e.terms.items())
+    for e, vec in parts:
+        for p, c in vec.items():
+            if p in row:
+                terms[row[p]].update((w, c * x) for w, x in e.terms.items())
     return LiePresentation(gens, FiniteList(tuple(LieElement(g, t) for t in terms if t)))
 
 

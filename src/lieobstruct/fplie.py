@@ -55,6 +55,7 @@ from math import lcm
 from .freelie import (
     LieElement,
     LieError,
+    _MultidegreeSolver,
     _check_enum_args,
     _lyndon,
     _lyndon_columns,
@@ -731,38 +732,29 @@ def lcs_graded_dims(p: LiePresentation, class_bound: int) -> dict:
 # ---------------------------------------------------------------------------
 # linear-plus-quadratic rewriting
 
-class _AdBasis:
-    """Tracked echelon over the degree-d right-normed ad monomials
-    [x_{i1}, [x_{i2}, [... x_{ik}]]], in lexicographic order, for writing
-    homogeneous elements as monomial combinations with free coordinates set
-    to zero.  Rows are tensor images over _word_int columns: the set of
-    independent monomials and the expression over them do not depend on the
-    coordinates."""
-
-    def __init__(self, n_gens, degree):
-        from itertools import product
-
-        self.degree = degree
-        self.ech = EchelonForm(track=True)
-        # combo indices count every insert attempt, so keep them all
-        self.attempts = list(product(range(n_gens), repeat=degree))
-        for J in self.attempts:
-            vec = {J[-1]: 1}
-            for d, i in enumerate(reversed(J[:-1]), 1):
-                vec = _tensor_commutator({i: 1}, vec, n_gens, n_gens ** d)
-            self.ech.insert(vec)
-
-    def express(self, e: LieElement) -> dict:
-        """A nonzero element of this degree over the ad monomials."""
-        res, combo = self.ech.reduce(lie_tensor(e)[self.degree])
-        if res:
-            raise InternalError("ad monomials failed to span a graded piece")
-        return {self.attempts[i]: c for i, c in (combo or {}).items()}
+def _arrangements(letters: tuple) -> list:
+    """The distinct words on a sorted tuple of letters, in lexicographic order."""
+    if not letters:
+        return [()]
+    return [(g, *rest) for i, g in enumerate(letters) if i == 0 or g != letters[i - 1]
+            for rest in _arrangements(letters[:i] + letters[i + 1:])]
 
 
 @lru_cache(maxsize=None)
-def _ad_basis(n_gens, degree):
-    return _AdBasis(n_gens, degree)
+def _ad_solver(n_gens: int, letters: tuple) -> _MultidegreeSolver:
+    """The solver over the right-normed ad monomials
+    [x_{i1}, [x_{i2}, [... x_{ik}]]] on a sorted tuple of letters, labelled
+    by their index tuples in lexicographic order.  Multidegrees are
+    independent blocks, so the monomials it keeps and the combinations it
+    gives are those of one echelon over every monomial of the degree."""
+    monomials = _arrangements(letters)
+    rows = []
+    for J in monomials:
+        vec = {J[-1]: 1}
+        for d, i in enumerate(reversed(J[:-1]), 1):
+            vec = _tensor_commutator({i: 1}, vec, n_gens, n_gens ** d)
+        rows.append(vec)
+    return _MultidegreeSolver(monomials, rows, n_gens, len(letters))
 
 
 def _tuple_name(J):
@@ -776,7 +768,8 @@ def linearize_presentation(p: LiePresentation, max_relator_degree: int) -> LiePr
     New generators y_J for index tuples J with 1 <= |J| <= N; defining
     relators y_J - [y_{J_1}, y_{J'}] express each long monomial by a bracket
     of shorter ones, and each original relator becomes a linear combination
-    of the y_J.
+    of the y_J: over the ad monomials independent of those before them in
+    lexicographic order, solved one multidegree at a time.
     """
     if not isinstance(p.scheme, FiniteList):
         raise PresentationError("linearization needs a finite relator list")
@@ -809,7 +802,13 @@ def linearize_presentation(p: LiePresentation, max_relator_degree: int) -> LiePr
                     "relator component exceeds the degree bound: "
                     f"{format_element(comp, p.generators)}"
                 )
-            for J, c in sorted(_ad_basis(n, d).express(comp).items()):
+            blocks = defaultdict(dict)
+            for k, c in lie_tensor(comp)[d].items():
+                blocks[tuple(sorted(_digits(k, d, n)))][k] = c
+            combo = {}
+            for letters, vec in blocks.items():
+                combo.update(_ad_solver(n, letters).solve(vec))
+            for J, c in sorted(combo.items()):
                 acc = acc + c * gen_elt(nn, pos[J])
         if acc.is_zero():
             raise InternalError("relator vanished during rewriting")

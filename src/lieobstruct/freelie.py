@@ -19,8 +19,8 @@ are tuple operations.
 The basis is built degree by degree, once per alphabet and level in a
 process: each layer of one level and one degree is made from lower layers,
 and a degree cap reads a prefix of the layers already built.  A word made
-there is one tuple over the words it extends, unchecked; the public
-constructor validates first and then builds the same tuple.
+there is one tuple over the words it extends, unchecked;
+HallWord(level, children=...) validates first and then builds the same tuple.
 The words form a DAG, every child built before its parent, so none can be
 cyclic garbage, yet each new word is a container the cyclic collector
 would walk again and again.  A layer build therefore pauses the collector
@@ -32,10 +32,12 @@ Arbitrary brackets are rewritten into the basis by expanding both sides in
 the tensor algebra (the free Lie algebra sits inside it, multidegree by
 multidegree) and solving the resulting exact linear system over the basis
 words of the same multidegree, on Lyndon-word columns (_lyndon numbers
-them for whole degrees).  A tensor is a dict from integer word keys to
-coefficients: a word of d letters over n is the base-n number of its
-letters (_word_int), and each vector here holds one degree, so the product
-uv has the key u * n**d(v) + v and a commutator needs no letter tuples.
+them for whole degrees); the same solver, over a multidegree's
+right-normed monomials, writes fplie.linearize_presentation's relators.  A
+tensor is a dict from integer word keys to coefficients: a word of d
+letters over n is the base-n number of its letters (_word_int), and each
+vector here holds one degree, so the product uv has the key u * n**d(v) + v
+and a commutator needs no letter tuples.
 Two shortcut cases avoid the solve: a bracket of two distinct same-level
 words is itself a basis word, and appending a small enough previous-level
 word to a left-normed bracket just extends it.  The solve is fraction-free
@@ -67,7 +69,6 @@ __all__ = [
     "LieError",
     "bigraded_dims",
     "bracket",
-    "bracket_word",
     "default_names",
     "format_element",
     "gen_elt",
@@ -163,11 +164,6 @@ def generator(g: int) -> HallWord:
         w = HallWord(0, gen=g)
         _GENERATORS[g] = w
     return w
-
-
-def bracket_word(children) -> HallWord:
-    """The left-normed basis word with these children (validated)."""
-    return HallWord(children[0].level + 1, children=tuple(children))
 
 
 def multidegree(w: HallWord, n_gens: int):
@@ -439,18 +435,50 @@ def _relabel(w: HallWord, letters) -> HallWord:
 
 
 class _MultidegreeSolver:
-    """Expresses Lie polynomials of one multidegree over the basis words.
+    """Expresses Lie polynomials of one multidegree over a family of them.
 
-    The words are enumerated over the letters of the multidegree's support
-    alone and relabelled, so the cost follows the support, not the alphabet.
-    Their rows are their tensor_expand images over the full alphabet of
-    n_gens letters, the keys solve() is given, cut to the Lyndon words (a
-    square system), tested key by key rather than listed for the alphabet.
-    Hall words are a Z-basis, so the rows stay integral and the echelon
-    never sees a Fraction until it reports the coefficients.
+    The family is given as labels and their rows, tensor images over the
+    _word_int keys of words of degree letters on n_gens letters.  Each row
+    is cut to its Lyndon-word columns, tested key by key rather than listed
+    for the alphabet; the cut is injective on Lie polynomials.  A tracked
+    echelon keeps each row that is independent of the rows before it, so
+    solve() gives the unique combination over those, with the dependent
+    labels' coefficients zero.  Integral rows stay integral, and the
+    echelon never sees a Fraction until it reports the coefficients.
     """
 
-    def __init__(self, n_gens, md):
+    def __init__(self, labels, rows, n_gens, degree):
+        self.labels, self.n_gens, self.degree = labels, n_gens, degree
+        self.ech = EchelonForm(track=True)
+        for row in rows:
+            self.ech.insert(self._lyndon_part(row))
+
+    def _lyndon_part(self, vec: dict) -> dict:
+        return {k: c for k, c in vec.items() if _is_lyndon(k, self.degree, self.n_gens)}
+
+    def solve(self, vec: dict) -> dict:
+        """The label combination of a Lie polynomial of this multidegree,
+        given as a vector over _word_int keys.  A Lyndon word outside the
+        family's span leaves a residual; a vector that is not a Lie
+        polynomial goes unnoticed."""
+        res, combo = self.ech.reduce(self._lyndon_part(vec))
+        if res:
+            raise InternalError("vector leaves the solver's multidegree")
+        return {self.labels[i]: c for i, c in combo.items()}
+
+
+_SOLVERS: dict = {}
+
+
+def _solver(n_gens, md) -> _MultidegreeSolver:
+    """The solver over the basis words of multidegree md, which must expand
+    independently.  The words are enumerated over the letters of md's
+    support alone and relabelled, so the cost follows the support, not the
+    alphabet; Hall words are a Z-basis, so the rows are their integral
+    tensor_expand images."""
+    key = (n_gens, md)
+    s = _SOLVERS.get(key)
+    if s is None:
         support = tuple(g for g, m in enumerate(md) if m)
         words = hall_words_of_degree(len(support), sum(md)).get(
             tuple(md[g] for g in support), ()
@@ -459,36 +487,9 @@ class _MultidegreeSolver:
             # skipped for the identity relabel, so the words stay the
             # enumerated objects, which dict lookups match by identity first
             words = tuple(_relabel(w, support) for w in words)
-        self.words = words
-        self.n_gens, self.degree = n_gens, sum(md)
-        self.ech = EchelonForm(track=True)
-        for w in self.words:
-            row, _ = self.ech.insert(self._lyndon_part(tensor_expand(w, n_gens)))
-            if not row:
-                raise InternalError("basis words must expand independently")
-
-    def _lyndon_part(self, vec: dict) -> dict:
-        return {k: c for k, c in vec.items() if _is_lyndon(k, self.degree, self.n_gens)}
-
-    def solve(self, vec: dict) -> dict:
-        """The basis-word combination of a Lie polynomial of this
-        multidegree, given as a vector over _word_int keys.  A Lyndon word
-        of another multidegree leaves a residual; a vector that is not a
-        Lie polynomial goes unnoticed."""
-        res, combo = self.ech.reduce(self._lyndon_part(vec))
-        if res:
-            raise InternalError("vector leaves the solver's multidegree")
-        return {self.words[i]: c for i, c in combo.items()}
-
-
-_SOLVERS: dict = {}
-
-
-def _solver(n_gens, md) -> _MultidegreeSolver:
-    key = (n_gens, md)
-    s = _SOLVERS.get(key)
-    if s is None:
-        s = _MultidegreeSolver(n_gens, md)
+        s = _MultidegreeSolver(words, [tensor_expand(w, n_gens) for w in words], n_gens, sum(md))
+        if s.ech.rank != len(words):
+            raise InternalError("basis words must expand independently")
         _SOLVERS[key] = s
     return s
 

@@ -10,6 +10,8 @@ import pytest
 from lieobstruct import data_path
 from lieobstruct.cdga import (
     CdgaError,
+    FiniteCdga,
+    WedgeProduct,
     _subcdga,
     action_from_dict,
     cdga_from_dict,
@@ -24,11 +26,10 @@ from lieobstruct.cdga import (
     load_cdga,
     resonance_dim,
     resonance_trivial_probe,
-    truncate,
 )
 from lieobstruct.fplie import FiniteList, LiePresentation, lcs_graded_dims, lcs_quotient
 from lieobstruct.freelie import LieElement, bracket, format_element, gen_elt
-from lieobstruct.ratlin import ONE, InternalError, Subspace, rank
+from lieobstruct.ratlin import ONE, InternalError, SparseMatrix, Subspace, rank
 
 
 HEIS = load_cdga(data_path("heis.json"))
@@ -157,6 +158,47 @@ def test_identity_induces_identity():
 
 
 # -- truncation -------------------------------------------------------------
+# _degree_drop and truncate are the library's A[q] builders as they stood
+# before holonomy read A[1]'s degree-2 span directly; they stay here as the
+# A[q] oracle.
+
+def _degree_drop(a: FiniteCdga, new_top: int) -> FiniteCdga:
+    """Quotient by everything above new_top."""
+    if new_top >= a.top:
+        return a
+    names = a.names[: new_top + 1]
+    diff = list(a.diff[:new_top])
+    diff.append(SparseMatrix(0, len(names[new_top])))
+    if isinstance(a.prod, WedgeProduct):
+        prod = a.prod  # mul is zero above the new top by itself
+    else:
+        prod = {(i, j): t for (i, j), t in a.prod.items() if i + j <= new_top}
+    return FiniteCdga(names, tuple(diff), prod)
+
+
+def truncate(a: FiniteCdga, q: int):
+    """The sub-cdga A[q] of the quotient A/(degrees > q+1), together with its
+    inclusion: degrees <= q kept whole, degree q+1 cut down to
+    d(A^q) + sum of products from positive degrees."""
+    if q < 1:
+        raise CdgaError(f"truncation level must be >= 1, got {q}")
+    quot = _degree_drop(a, q + 1)
+    top_dim = quot.dim(q + 1)
+    span_vecs = [quot.d_apply(q, {k: ONE}) for k in range(quot.dim(q))]
+    for i in range(1, q + 1):
+        for x in range(quot.dim(i)):
+            for y in range(quot.dim(q + 1 - i)):
+                span_vecs.append(quot.mul(i, {x: ONE}, q + 1 - i, {y: ONE}))
+    cut = Subspace.span(span_vecs, top_dim)
+    if cut.dim == top_dim:
+        return quot, identity_morphism(quot)
+    whole = [
+        Subspace(n, tuple({k: ONE} for k in range(n)), tuple(range(n)))
+        for n in map(quot.dim, range(q + 1))
+    ]
+    names = (*quot.names[: q + 1], tuple(f"t{q + 1}_{r + 1}" for r in range(cut.dim)))
+    return _subcdga(quot, whole + [cut], names)
+
 
 def test_truncate_drops_top():
     a1, incl = truncate(HEIS, 1)
@@ -471,8 +513,9 @@ def test_swap_must_flip_the_top_class():
 # -- where the axioms are checked -------------------------------------------
 
 def test_sub_cdgas_pass_the_axiom_checks():
-    """A[2] and fixed sub-cdgas are built without re-checking the axioms;
-    they and their inclusions pass check_cdga and check_morphism."""
+    """Fixed sub-cdgas are built without re-checking the axioms; they, A[2]
+    as the truncate oracle builds it on _subcdga, and their inclusions pass
+    check_cdga and check_morphism."""
     built = [fixed_subcdga(load_action(TORUS, data_path("swap_torus.json")))]
     built += [truncate(a, 2) for a in (HEIS, NONCARNOT, TORUS, WEDGE2)]
     for sub, incl in built:
@@ -500,7 +543,7 @@ def test_loaders_check_each_input_once(monkeypatch):
     action = load_action(a, data_path("swap_torus.json"))
     assert calls == ["check_cdga", "check_morphism", "check_morphism"]
     fixed_subcdga(action)
-    truncate(a, 1)
+    holonomy(a)
     identity_morphism(a).compose(identity_morphism(a))
     tower = tower_from_cdga(a, 3)
     for n in (2, 3):

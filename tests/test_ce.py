@@ -43,7 +43,6 @@ from lieobstruct.cdga import (
     identity_morphism,
     induced_cohomology_matrix,
     load_cdga,
-    truncate,
 )
 from lieobstruct.ce import (
     CeError,
@@ -75,6 +74,7 @@ from lieobstruct.fplie import (
 )
 from lieobstruct.freelie import format_element
 from lieobstruct.ratlin import ZERO, EchelonForm, SparseMatrix, Subspace, kernel, rank, vec_add
+from test_cdga import truncate
 from test_fplie import check_jacobi, random_relator_list
 
 ONE = Fraction(1)

@@ -492,6 +492,22 @@ def test_h2scan_relator_consequence_and_duplicate_are_pinned(tmp_path, capsys):
     )
 
 
+def test_linearize_three_letters_degree_6_is_pinned(tmp_path, capsys):
+    """A degree-6 relator on three letters, each repeated, beside a cubic
+    one: the rewritten relators are solved over ad monomials with letters
+    repeated, where the dependent monomials' coefficients are set to 0."""
+    src = tmp_path / "xyz.json"
+    src.write_text(json.dumps({"generators": ["x", "y", "z"], "relators": [
+        "[x,[y,[z,[x,[y,z]]]]] - 2*[z,[z,[x,[y,[x,y]]]]] + [[x,y],[[x,z],[y,z]]]",
+        "[x,[x,y]] + 3*[z,[y,z]]"]}))
+    out = tmp_path / "report.json"
+    assert main(["linearize", str(src), "--class", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8a3b7aa9ee57813df2c36d0fb579606a32f56292aef1b4a19024310fc514e1e7"
+    )
+
+
 def test_internal_error_is_reported_as_json(monkeypatch, capsys):
     """A failing runtime invariant exits 1 with a JSON error, not a traceback."""
     from lieobstruct import fplie

@@ -24,12 +24,11 @@ from lieobstruct.freelie import (
     HallWord,
     LieElement,
     LieError,
-    _MultidegreeSolver,
+    _solver,
     _substitution,
     _word_int,
     bigraded_dims,
     bracket,
-    bracket_word,
     format_element,
     gen_elt,
     generator,
@@ -53,7 +52,7 @@ WITT_3 = (3, 3, 8, 18, 48, 116, 312, 810)
 
 X = generator(0)
 Y = generator(1)
-XY = bracket_word((X, Y))
+XY = HallWord(1, children=(X, Y))
 
 
 def counts_by_degree(words, top):
@@ -78,8 +77,8 @@ def test_hall_counts_match_witt():
 
 def test_level_one_words_degree_three():
     words = hall_level(2, 1, 3)
-    xyx = bracket_word((X, Y, X))
-    xyy = bracket_word((X, Y, Y))
+    xyx = HallWord(1, children=(X, Y, X))
+    xyy = HallWord(1, children=(X, Y, Y))
     assert set(words) == {XY, xyx, xyy}
     assert words[0] == XY
     assert hall_level(2, 0, 1) == (X, Y)
@@ -143,7 +142,7 @@ def hall_level_reference(n_gens, level, max_degree):
 
     def extend(indices, total):
         if len(indices) >= 2:
-            out.append(bracket_word(tuple(prev[i] for i in indices)))
+            out.append(HallWord(level, children=tuple(prev[i] for i in indices)))
         for nxt in range(indices[-1] + 1):
             d = total + prev[nxt].degree
             if d <= max_degree:
@@ -203,8 +202,8 @@ def test_bracket_basic_identities():
     assert xy == LieElement(2, {XY: Fraction(1)})
     assert bracket(xy, xy).is_zero()
     # [y,[x,y]] = -[[x,y],y]
-    assert bracket(y, xy) == LieElement(2, {bracket_word((X, Y, Y)): Fraction(-1)})
-    assert bracket(x, xy) == LieElement(2, {bracket_word((X, Y, X)): Fraction(-1)})
+    assert bracket(y, xy) == LieElement(2, {HallWord(1, children=(X, Y, Y)): Fraction(-1)})
+    assert bracket(x, xy) == LieElement(2, {HallWord(1, children=(X, Y, X)): Fraction(-1)})
 
 
 def test_bracket_multidegrees_add():
@@ -222,7 +221,7 @@ def test_solver_words_are_the_multidegree_slice():
             words = hall_words_of_degree(n, d)
             for md in product(range(d + 1), repeat=n):
                 if sum(md) == d:
-                    assert _MultidegreeSolver(n, md).words == words.get(md, ())
+                    assert _solver(n, md).labels == words.get(md, ())
 
 
 def tensor_commutator(a, b):
@@ -277,7 +276,7 @@ def test_tensor_expand_against_letter_oracle():
         for d in range(2, 6):
             for md in product(range(d + 1), repeat=n):
                 if sum(md) == d:
-                    cases.extend((n, w) for w in _MultidegreeSolver(n, md).words)
+                    cases.extend((n, w) for w in _solver(n, md).labels)
     for n, w in cases:
         want = letter_expand(w)
         assert {len(u) for u in want} == {w.degree}
@@ -305,7 +304,7 @@ def rebuilt(w):
     """w built again through the validating constructor, from fresh children."""
     if w.level == 0:
         return generator(w.gen)
-    return bracket_word([rebuilt(c) for c in w.children])
+    return HallWord(w.level, children=tuple(rebuilt(c) for c in w.children))
 
 
 def nested_key(w):
@@ -337,7 +336,7 @@ def test_enumerated_words_match_validated_rebuilds():
 
 def test_flat_keys_of_relabelled_words():
     for md in ((0, 2, 1), (3, 0, 2), (0, 0, 4, 2), (2, 0, 1, 2)):
-        words = _MultidegreeSolver(len(md), md).words
+        words = _solver(len(md), md).labels
         assert words and any(w.max_gen() == len(md) - 1 for w in words)
         for w in words:
             assert w.key == flat_key(w) == rebuilt(w).key
@@ -464,8 +463,8 @@ def test_format_parse_round_trip(e):
 
 
 def test_word_str_left_normed():
-    assert word_str(bracket_word((X, Y, Y)), ("x", "y")) == "[[x,y],y]"
-    assert word_str(bracket_word((XY, bracket_word((X, Y, Y)))), ("x", "y")) == (
+    assert word_str(HallWord(1, children=(X, Y, Y)), ("x", "y")) == "[[x,y],y]"
+    assert word_str(HallWord(2, children=(XY, HallWord(1, children=(X, Y, Y)))), ("x", "y")) == (
         "[[x,y],[[x,y],y]]"
     )
 
@@ -531,14 +530,14 @@ def test_solver_solves_seeded_lie_polynomials():
             vec = random_lie_polynomial(rng, n, md)
             if not vec:
                 continue
-            combo = _MultidegreeSolver(n, md).solve(vec)
+            combo = _solver(n, md).solve(vec)
             got = lie_tensor(LieElement(n, combo))
             assert got == {sum(md): vec}, (n, md)
             cases += 1
     assert cases == 83
     # [x,y] plus xz, a Lyndon word of multidegree (1,0,1), on three letters
     with pytest.raises(InternalError, match="multidegree"):
-        _MultidegreeSolver(3, (1, 1, 0)).solve({1: 1, 3: -1, 2: 1})
+        _solver(3, (1, 1, 0)).solve({1: 1, 3: -1, 2: 1})
 
 
 def test_element_validation():
