@@ -41,6 +41,7 @@ from .ratlin import (
     LieobstructError,
     SparseMatrix,
     Subspace,
+    _cleared,
     _Frozen,
     kernel,
     rank,
@@ -547,11 +548,12 @@ def holonomy(a: FiniteCdga):
 # ---------------------------------------------------------------------------
 # resonance
 
-def _twisted_matrix(a: FiniteCdga, omega: dict, i: int) -> SparseMatrix:
+def _twisted_matrix(a: FiniteCdga, omega: dict, q: int, i: int) -> SparseMatrix:
+    """q*d + omega.(-) on degree i, for an integral omega and an int q."""
     return SparseMatrix.from_columns(
         a.dim(i + 1),
         [
-            vec_add(a.d_apply(i, {k: ONE}), a.mul(1, omega, i, {k: ONE}))
+            vec_add(a.mul(1, omega, i, {k: ONE}), a.d_apply(i, {k: ONE}), q)
             for k in range(a.dim(i))
         ],
     )
@@ -567,19 +569,24 @@ def _require_cocycle(a: FiniteCdga, omega: dict):
 
 
 def resonance_dim(a: FiniteCdga, omega: dict, i: int) -> int:
-    """dim H^i of the complex twisted by a closed degree-1 element."""
+    """dim H^i of the complex twisted by a closed degree-1 element.
+
+    Ranks are taken of q*d + omega'.(-), where omega = omega'/q with omega'
+    integral and q > 0: that is q times d + omega.(-), so it has the same
+    rank and holds no Fraction that d's own entries do not bring."""
     omega = _require_cocycle(a, omega)
     if not 0 <= i <= a.top - 1:
         raise CdgaError(f"degree {i} out of range for resonance (top {a.top})")
-    sq = _twisted_matrix(a, omega, i)
+    omega, q = _cleared(omega)
+    sq = _twisted_matrix(a, omega, q, i)
     # the twisted differential squares to zero because omega is closed and
     # degree-1 squares vanish; spot-check it before trusting the ranks
     if i + 1 <= a.top - 1:
-        nxt = _twisted_matrix(a, omega, i + 1)
+        nxt = _twisted_matrix(a, omega, q, i + 1)
         if not nxt.matmul(sq).is_zero():
             raise InternalError("twisted differential does not square to zero")
     r_i = rank(sq)
-    r_prev = rank(_twisted_matrix(a, omega, i - 1)) if i >= 1 else 0
+    r_prev = rank(_twisted_matrix(a, omega, q, i - 1)) if i >= 1 else 0
     return a.dim(i) - r_i - r_prev
 
 
@@ -601,7 +608,7 @@ def resonance_trivial_probe(a: FiniteCdga, trials: int = 20, seed: int = 0) -> d
     for _ in range(max(trials, 0)):
         vec: dict = {}
         for rep in reps:
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            c = scal(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
             vec = vec_add(vec, rep, c)
         if vec:
             candidates.append(vec)
@@ -742,7 +749,7 @@ class _ExprParser:
         return self.lookup[nm]
 
     def _term(self, sign):
-        c = Fraction(sign)
+        c = sign
         if self.peek().isdigit():
             try:
                 x, self.pos = scan_rational(self.text, self.pos)

@@ -535,7 +535,8 @@ def _eliminate_linear(p: LiePresentation, cap: int):
     n = p.n_gens
     rel = [(t, {g for d, v in t.items() for k in v for g in _digits(k, d, n)})
            for t in map(_integral, _relator_tensors(p, cap))]
-    imgs = [({1: {g: 1}}, {g}) for g in range(n)]
+    ident = [{1: {g: 1}} for g in range(n)]
+    imgs = [(t, {g}) for g, t in enumerate(ident)]
     kept = list(range(n))
     while (ridx := next((i for i, (r, _) in enumerate(rel) if 1 in r), None)) is not None:
         r, used = rel.pop(ridx)
@@ -550,7 +551,9 @@ def _eliminate_linear(p: LiePresentation, cap: int):
         # raises the total degree of every z-term, so this terminates, at
         # the first expr that is its own image: the first without z
         for _ in range(cap + 2):
-            push = _substitution([expr if j == z else {1: {j: 1}} for j in range(n)], n, cap)
+            images = ident.copy()
+            images[z] = expr
+            push = _substitution(images, n, cap)
             expr, last = push(expr), expr
             if expr == last:
                 break

@@ -41,9 +41,10 @@ and a commutator needs no letter tuples.
 Two shortcut cases avoid the solve: a bracket of two distinct same-level
 words is itself a basis word, and appending a small enough previous-level
 word to a left-normed bracket just extends it.  The solve is fraction-free
-inside the echelon and only its reported coefficients are Fractions; no
-floats.  A substitution of generators is the algebra map on tensor
-polynomials sending each letter to its image (_substitution).
+inside the echelon, and its reported coefficients are ints where integral
+and Fractions only where not; no floats.  A substitution of generators is
+the algebra map on tensor polynomials sending each letter to its image
+(_substitution).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from __future__ import annotations
 import atexit
 import gc
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .ratlin import (
@@ -60,6 +60,7 @@ from .ratlin import (
     EchelonForm,
     InternalError,
     LieobstructError,
+    scal,
     scan_rational,
 )
 
@@ -444,7 +445,8 @@ class _MultidegreeSolver:
     echelon keeps each row that is independent of the rows before it, so
     solve() gives the unique combination over those, with the dependent
     labels' coefficients zero.  Integral rows stay integral, and the
-    echelon never sees a Fraction until it reports the coefficients.
+    echelon makes a Fraction only for a reported coefficient that is not
+    an integer.
     """
 
     def __init__(self, labels, rows, n_gens, degree):
@@ -518,7 +520,10 @@ def _normalize_pair(n_gens, a: HallWord, b: HallWord) -> dict:
 
 
 class LieElement:
-    """A finite rational combination of basis words on a fixed alphabet."""
+    """A finite rational combination of basis words on a fixed alphabet.
+
+    Coefficients are canonical scalars (ratlin.scal): ints where integral,
+    else Fractions."""
 
     __slots__ = ("n_gens", "terms")
 
@@ -526,7 +531,7 @@ class LieElement:
         self.n_gens = n_gens
         clean = {}
         for w, c in terms.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = scal(c)
             if c:
                 if w.max_gen() >= n_gens:
                     raise LieError(
@@ -560,7 +565,7 @@ class LieElement:
         return LieElement(self.n_gens, {w: -c for w, c in self.terms.items()})
 
     def __rmul__(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = scal(c)
         return LieElement(self.n_gens, {w: c * x for w, x in self.terms.items()})
 
     def __repr__(self):
@@ -644,7 +649,7 @@ def _add_product(out: dict, a: dict, b: dict, n_gens: int, cap: int) -> dict:
 
 def lie_tensor(e: LieElement) -> dict:
     """Image of an element in the tensor algebra, one vector per degree:
-    {degree: {_word_int key: Fraction}}, with no empty vector."""
+    {degree: {_word_int key: scalar}}, with no empty vector."""
     out: dict = {}
     for w, c in e.terms.items():
         _add_product(out, {0: {0: c}}, {w.degree: tensor_expand(w, e.n_gens)}, e.n_gens, w.degree)

@@ -2,20 +2,25 @@
 
 Everything downstream (free Lie algebra normal forms, nilpotent quotients,
 cohomology of finite cdgas) reduces to row reduction of sparse matrices with
-Fraction entries, so this module stays small and boring.  Sparse vectors
+rational entries, so this module stays small and boring.  Sparse vectors
 are dicts keyed by coordinate index, elimination follows a fixed pivot rule
 (first nonzero column, lowest row index), and there is no floating point
 anywhere.
 
-SparseMatrix stores its nonzero columns, {col: {row: Fraction}}, and nothing
+A scalar is a Python int when it is an integer and a Fraction only when it
+is not (the canonical form that scal returns); the two compare, hash and
+print alike, and int arithmetic is far cheaper.  No code here divides with
+'/', which would turn two ints into a float.
+
+SparseMatrix stores its nonzero columns, {col: {row: scalar}}, and nothing
 else: callers build it from the column vectors they compute, matvec touches
 only the columns in its vector's support, and col(j) is a lookup.  rank and
 kernel transpose once into rows for the echelon engine.
 
 EchelonForm is the one elimination engine.  It is fraction-free inside: each
 input has its denominators cleared once, stored rows are primitive integer
-vectors, and Fractions appear only at its boundary (residuals, combinations
-and RREF rows), all of which are canonical.
+vectors, and its boundary values (residuals, combinations and RREF rows)
+are canonical scalars: ints where integral, else Fractions.
 
 The dense Gaussian elimination oracle used to certify this module lives in
 the test suite, not here.
@@ -28,10 +33,11 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
-Scalar = Fraction
+# an exact rational: an int when integral, else a Fraction (denominator > 1)
+Scalar = int | Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class LieobstructError(Exception):
@@ -87,52 +93,61 @@ class _Frozen:
         return f"{type(self).__name__}({args})"
 
 
-def scal(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to a Fraction.
+def scal(x) -> Scalar:
+    """Coerce ints, strings like '3/4', and Fractions to a canonical scalar:
+    an int when the value is integral ('4/2' gives 2), else a Fraction.
 
-    Floats are rejected on purpose: this library is exact or nothing.
+    Floats and bools are rejected on purpose: this library is exact or
+    nothing, and True is not a coefficient.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
     raise LinAlgError(f"not an exact scalar: {x!r} of type {type(x).__name__}")
+
+
+def _ratio(x: int, den: int) -> Scalar:
+    """The canonical scalar x/den, for ints x and den != 0."""
+    q, r = divmod(x, den)
+    return Fraction(x, den) if r else q
 
 
 _RATIONAL = re.compile(r"(\d+)(/(\d*))?")
 
 
-def scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
+def scan_rational(text: str, pos: int) -> tuple[Scalar, int]:
     """Read a coefficient 'n' or 'n/m' in decimal digits at text[pos:].
 
-    Returns the value and the position just past it.  A malformed
-    coefficient or a missing or zero denominator raises ValueError, which
-    each expression parser re-raises as its own error.
+    Returns the value, canonical as scal makes it ('4/2' gives the int 2),
+    and the position just past it.  A malformed coefficient or a missing or
+    zero denominator raises ValueError, which each expression parser
+    re-raises as its own error.
     """
     m = _RATIONAL.match(text, pos)
     if m is None:
         raise ValueError("expected a coefficient")
     num, slash, den = m.groups()
     if slash is None:
-        return Fraction(int(num)), m.end()
+        return int(num), m.end()
     if not den:
         raise ValueError("missing denominator")
     if not int(den):
         raise ValueError("zero denominator")
-    return Fraction(int(num), int(den)), m.end()
+    return _ratio(int(num), int(den)), m.end()
 
 
 def scalar_to_json(x):
     """Render a scalar for JSON reports: plain int when integral, else 'p/q'."""
     x = scal(x)
-    if x.denominator == 1:
-        return int(x)
+    if type(x) is int:
+        return x
     return f"{x.numerator}/{x.denominator}"
 
 
-def vec_add(u: dict, v: dict, c: Fraction = ONE) -> dict:
+def vec_add(u: dict, v: dict, c: Scalar = ONE) -> dict:
     """Return u + c*v as a new sparse vector (zero entries dropped)."""
     out = dict(u)
     for k, x in v.items():
@@ -145,11 +160,12 @@ def vec_add(u: dict, v: dict, c: Fraction = ONE) -> dict:
 
 
 class SparseMatrix(_Frozen):
-    """Immutable sparse matrix with Fraction entries, stored by columns.
+    """Immutable sparse matrix with exact entries, stored by columns.
 
-    columns maps col -> {row: nonzero Fraction}; a column with no nonzero
-    entry is absent.  Rows and cols may be zero; an empty matrix of a given
-    shape is fine.  Matrices here are built from, and applied to, basis
+    columns maps col -> {row: nonzero scalar}, each entry of type exactly
+    int or a Fraction (floats and bools are rejected); a column with no
+    nonzero entry is absent.  Rows and cols may be zero; an empty matrix of
+    a given shape is fine.  Matrices here are built from, and applied to, basis
     vectors, so column storage makes both a lookup per basis vector.
     """
 
@@ -165,8 +181,8 @@ class SparseMatrix(_Frozen):
             for i, x in col.items():
                 if not 0 <= i < self.rows:
                     raise LinAlgError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-                if not isinstance(x, Fraction):
-                    raise LinAlgError(f"entry ({i},{j}) is not a Fraction: {x!r}")
+                if type(x) is not int and not isinstance(x, Fraction):
+                    raise LinAlgError(f"entry ({i},{j}) is not an exact scalar: {x!r}")
                 if x == 0:
                     raise LinAlgError(f"explicit zero stored at ({i},{j})")
 
@@ -220,7 +236,7 @@ class SparseMatrix(_Frozen):
                 del columns[j]
         return SparseMatrix(self.rows, self.cols, columns)
 
-    def scale(self, c: Fraction) -> "SparseMatrix":
+    def scale(self, c: Scalar) -> "SparseMatrix":
         c = scal(c)
         if not c:
             return SparseMatrix(self.rows, self.cols)
@@ -269,9 +285,10 @@ class EchelonForm:
     once, by their lcm.  Stored rows are primitive integer vectors with a
     positive lead, and a reduction step is p*v - a*row with a and p divided
     by their gcd first (fraction-free elimination in the manner of Bareiss).
-    Fractions appear only at the boundary: the residual and combination that
+    Rationals appear only at the boundary: the residual and combination that
     reduce returns, and the RREF rows of backsubstitute.  All three are
-    canonical, so they do not depend on how rows were scaled inside.
+    canonical, so they do not depend on how rows were scaled inside, and
+    each value is canonical too: an int when integral, else a Fraction.
 
     With track=True, each stored row also carries an integer combination of
     the inputs and one positive integer denominator (row = combo /
@@ -371,8 +388,9 @@ class EchelonForm:
     def reduce(self, vec: dict):
         """Reduce vec against the stored rows.
 
-        Returns (residual, combo), both with Fraction values.  The residual
-        is the unique vector in vec + span that vanishes at every pivot.
+        Returns (residual, combo), both with canonical scalar values (an
+        int when integral, else a Fraction).  The residual is the unique
+        vector in vec + span that vanishes at every pivot.
         combo maps insert-order indices to the coefficient of that inserted
         vector in vec - residual; it is None unless tracking is on.
         """
@@ -380,12 +398,12 @@ class EchelonForm:
         steps = [] if self.track else None
         scale, _ = self._eliminate(cur, False, steps)
         den *= scale
-        res = {k: Fraction(x, den) for k, x in cur.items()}
+        res = {k: _ratio(x, den) for k, x in cur.items()}
         if steps is None:
             return res, None
         num, e = self._subtracted(steps)
         den *= e
-        combo = {j: Fraction(x, den) for j, x in num.items()}
+        combo = {j: _ratio(x, den) for j, x in num.items()}
         return res, combo
 
     def insert(self, vec: dict):
@@ -425,7 +443,8 @@ class EchelonForm:
         return cur, lead
 
     def backsubstitute(self) -> list[dict]:
-        """Return the fully reduced (RREF) rows, sorted by pivot column."""
+        """Return the fully reduced (RREF) rows, sorted by pivot column, with
+        canonical scalar values (each pivot entry is the int 1)."""
         pivots = self.pivots
         where = {q: i for i, q in enumerate(pivots)}
         out = [None] * len(pivots)
@@ -455,7 +474,7 @@ class EchelonForm:
                 if g != 1:
                     row = {k: x // g for k, x in row.items()}
             out[i] = row
-        return [{k: Fraction(x, row[q]) for k, x in row.items()} for q, row in zip(pivots, out)]
+        return [{k: _ratio(x, row[q]) for k, x in row.items()} for q, row in zip(pivots, out)]
 
 
 def _row_echelon(m: SparseMatrix) -> EchelonForm:
@@ -477,9 +496,9 @@ def rank(m: SparseMatrix) -> int:
 class Subspace(_Frozen):
     """A subspace of Q^ambient, stored as RREF basis rows.
 
-    basis_rows is a tuple of sparse vectors (dict col -> Fraction), in RREF
-    with strictly increasing pivot columns.  RREF rows are unique to the
-    span, so equality is equality of subspaces; containment is read as
+    basis_rows is a tuple of sparse vectors (dict col -> canonical scalar),
+    in RREF with strictly increasing pivot columns.  RREF rows are unique to
+    the span, so equality is equality of subspaces; containment is read as
     span(S + T) == S, with EchelonForm doing the only reduction.
     """
 

@@ -29,7 +29,7 @@ from lieobstruct.cdga import (
 )
 from lieobstruct.fplie import FiniteList, LiePresentation, lcs_graded_dims, lcs_quotient
 from lieobstruct.freelie import LieElement, bracket, format_element, gen_elt
-from lieobstruct.ratlin import ONE, InternalError, SparseMatrix, Subspace, rank
+from lieobstruct.ratlin import ONE, InternalError, SparseMatrix, Subspace, rank, vec_add
 
 
 HEIS = load_cdga(data_path("heis.json"))
@@ -418,6 +418,65 @@ def test_resonance_scale_invariance():
             lam = Fraction(rng.choice([1, 2, 3, 5, -1, -2, 7]), rng.randint(1, 4))
             scaled = {k: lam * c for k, c in omega.items()}
             assert resonance_dim(a, omega, 1) == resonance_dim(a, scaled, 1)
+
+
+def fraction_twisted_matrix(a, omega, i):
+    """d + omega.(-) on degree i, with omega's Fraction entries as given:
+    the twisted matrix as resonance_dim built it before it cleared omega's
+    denominators."""
+    return SparseMatrix.from_columns(
+        a.dim(i + 1),
+        [vec_add(a.d_apply(i, {k: ONE}), a.mul(1, omega, i, {k: ONE}))
+         for k in range(a.dim(i))],
+    )
+
+
+def fraction_resonance_dim(a, omega, i):
+    r_prev = rank(fraction_twisted_matrix(a, omega, i - 1)) if i >= 1 else 0
+    return a.dim(i) - rank(fraction_twisted_matrix(a, omega, i)) - r_prev
+
+
+def jump_cdga(lam):
+    """Degree 1 spanned by a and c, degree 2 by e, with d(c) = e and
+    a*c = lam*e.  At omega = t*a the twisted map sends c to (1 + lam*t)*e,
+    so degree-1 resonance jumps to 1 at t = -1/lam alone: not a cone, so
+    scaling omega without scaling d moves it."""
+    return cdga_from_dict({"degrees": {"1": ["a", "c"], "2": ["e"]},
+                           "d": {"c": "e"}, "mu": {"a*c": f"{lam}*e"}})
+
+
+def test_resonance_matches_fraction_twisted_ranks():
+    """resonance_dim, which ranks q*d + omega'.(-) for omega = omega'/q with
+    omega' integral, equals the ranks of d + omega.(-) itself: on the four
+    bundled cdgas (d != 0 on heis and noncarnot) in every degree, on seeded
+    top-2 cdgas with d != 0, at closed omega whose coefficients have
+    denominators 2 and 3, and on jump_cdga at and off its jump."""
+    rng = random.Random(20261029)
+    cases = [(a, a.top) for a in (HEIS, NONCARNOT, TORUS, WEDGE2)]
+    cases += [(random_top2_cdga(rng, rng.randint(2, 5), rng.randint(1, 6), True), 2)
+              for _ in range(25)]
+    assert not HEIS.diff[1].is_zero() and not NONCARNOT.diff[1].is_zero()
+    checked = scaled = 0
+    for a, top in cases:
+        _, reps = cohomology(a, 1)
+        for _ in range(6):
+            omega: dict = {}
+            for rep in reps:
+                omega = vec_add(omega, rep, Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+            if not omega:
+                continue
+            scaled += any(type(c) is Fraction and c.denominator > 1 for c in omega.values())
+            for i in range(top):
+                assert resonance_dim(a, omega, i) == fraction_resonance_dim(a, omega, i)
+                checked += 1
+    assert checked >= 200 and scaled >= 50
+    for lam in (2, 3, "3/2", "2/3", 6):
+        a = jump_cdga(lam)
+        jump = -1 / Fraction(lam)
+        for t in (jump, 2 * jump, -jump, jump / 2, jump / 3):
+            omega = {0: t}
+            want = 1 if t == jump else 0
+            assert resonance_dim(a, omega, 1) == fraction_resonance_dim(a, omega, 1) == want
 
 
 def test_probe_torus_finds_nothing():

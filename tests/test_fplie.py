@@ -508,7 +508,7 @@ def hall_eliminate_linear(p, cap):
         lin = {w.gen: c for w, c in r.terms.items() if w.degree == 1}
         z = max(lin)
         c = lin[z]
-        expr = (-1 / c) * (r - c * gen_elt(m, z))
+        expr = Fraction(-1, c) * (r - c * gen_elt(m, z))
         for _ in range(cap + 1):
             if all(w.gen_counts().get(z, 0) == 0 for w in expr.terms):
                 break
@@ -635,7 +635,7 @@ def renumbering_eliminate_linear(p, cap):
         r = rel.pop(ridx)
         z = max(r[1])
         c = r[1][z]
-        expr = _nonzero({d: {k: -x / c for k, x in v.items() if d > 1 or k != z}
+        expr = _nonzero({d: {k: Fraction(-x, c) for k, x in v.items() if d > 1 or k != z}
                          for d, v in r.items()})
         for _ in range(cap + 2):
             subs = [expr if j == z else {1: {j: ONE}} for j in range(m)]
@@ -685,7 +685,7 @@ def fraction_eliminate_linear(p, cap):
         r, used = rel.pop(ridx)
         z = max(r[1])
         c = r[1][z]
-        expr = _nonzero({d: {k: -x / c for k, x in v.items() if d > 1 or k != z}
+        expr = _nonzero({d: {k: Fraction(-x, c) for k, x in v.items() if d > 1 or k != z}
                          for d, v in r.items()})
         for _ in range(cap + 2):
             push = _substitution([expr if j == z else {1: {j: ONE}} for j in range(n)], n, cap)

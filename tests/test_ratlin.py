@@ -18,7 +18,16 @@ from lieobstruct.ratlin import (
     quotient_basis,
     rank,
     scal,
+    scan_rational,
 )
+
+
+def canonical(x) -> bool:
+    """x is a nonzero scalar in the library's canonical form: an int when
+    integral, else a Fraction with a denominator above 1."""
+    if type(x) is int:
+        return x != 0
+    return type(x) is Fraction and x.denominator > 1
 
 
 def dense_rref(mat):
@@ -70,7 +79,9 @@ def rref_rows(rows):
     ech = EchelonForm()
     for r in rows:
         ech.insert(sparse(r))
-    red = [[row.get(j, Fraction(0)) for j in range(len(rows[0]))] for row in ech.backsubstitute()]
+    out = ech.backsubstitute()
+    assert all(canonical(x) for row in out for x in row.values())
+    red = [[row.get(j, Fraction(0)) for j in range(len(rows[0]))] for row in out]
     return red, ech.pivots
 
 
@@ -171,20 +182,40 @@ def test_scal_rejects_floats():
     assert scal(-2) == Fraction(-2)
 
 
+def test_scalars_are_canonical():
+    """scal and scan_rational give an int for an integral value and a
+    Fraction only for one that is not; bools are not scalars."""
+    for x in ("4/2", Fraction(6, 3), -2, "-8/4"):
+        assert type(scal(x)) is int, x
+    assert scal("4/2") == 2
+    assert type(scal("3/4")) is Fraction
+    with pytest.raises(LinAlgError):
+        scal(True)
+    assert scan_rational("4/2*x", 0) == (2, 3)
+    assert type(scan_rational("4/2*x", 0)[0]) is int
+    assert type(scan_rational("12", 0)[0]) is int
+    value, end = scan_rational("a+3/4*x", 2)
+    assert (value, end) == (Fraction(3, 4), 5)
+    assert type(value) is Fraction
+
+
 def test_sparse_matrix_validation():
     for columns in (
         {0: {1: Fraction(1)}},  # row out of range
         {2: {0: Fraction(1)}},  # column out of range
         {-1: {0: Fraction(1)}},
         {0: {0: Fraction(0)}},  # explicit zero
-        {0: {0: 1}},  # not a Fraction
+        {0: {0: True}},  # a bool is not a scalar
+        {0: {0: 1.0}},  # nor is a float
         {0: {}},  # empty column
     ):
         with pytest.raises(LinAlgError):
             SparseMatrix(1, 2, columns)
-    for vector in ({1: Fraction(1)}, {0: Fraction(0)}, {0: 1}):
+    for vector in ({1: Fraction(1)}, {0: Fraction(0)}, {0: True}, {0: 1.0}):
         with pytest.raises(LinAlgError):
             SparseMatrix.from_columns(1, [{}, vector])
+    # int entries are exact scalars
+    assert SparseMatrix(1, 2, {0: {0: 1}}).col(0) == {0: 1}
 
 
 def test_quotient_basis_example():
@@ -282,8 +313,8 @@ def test_tracked_reduce_law(rows, target):
         ech.insert(v)
     vec = sparse(target[:nc])
     res, combo = ech.reduce(vec)
-    assert all(isinstance(x, Fraction) and x for x in res.values())
-    assert all(isinstance(x, Fraction) and x for x in combo.values())
+    assert all(canonical(x) for x in res.values())
+    assert all(canonical(x) for x in combo.values())
     lhs = dict(vec)
     for j, x in res.items():
         lhs[j] = lhs.get(j, 0) - x
