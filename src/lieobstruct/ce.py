@@ -405,25 +405,27 @@ def check_stability(tower: HirschTower, m: int, n: int) -> dict:
 def canonical_filtration(tower: HirschTower) -> dict:
     """Run the W filtration recursion W^(n+1) = (d restricted to V)^(-1) of
     the second exterior power of W^n inside the top stage, and compare with
-    the defining filtration V^n = dual of h/Gamma_n."""
+    the defining filtration V^n = dual of h/Gamma_n.
+
+    W only grows: W^1 = 0, and W^(n-1) <= W^n gives the same of their
+    exterior squares, hence W^n <= W^(n+1).  So one echelon holds the
+    exterior square across stages.  A row of W^n that raises the rank of
+    W's basis so far is added to it, with its products by the basis rows
+    before it: new^old and new^new."""
     top = tower.stages[tower.max_stage]
     mdim = top.algebra.dim
     d1 = top.cdga.diff[1]
     pair_count = len(top.tuples[2])
-
-    def wedge_square(w: Subspace) -> EchelonForm:
-        ech = EchelonForm()
-        rows = w.basis_rows
-        for r in range(len(rows)):
-            for s in range(r + 1, len(rows)):
-                ech.insert(top.cdga.mul(1, rows[r], 1, rows[s]))
-        return ech
-
+    w_ech, ech, basis = EchelonForm(), EchelonForm(), []
     w = Subspace.span([], mdim)
     report = {}
     all_equal = True
     for stage in range(2, tower.max_stage + 1):
-        ech = wedge_square(w)
+        for row in w.basis_rows:
+            if w_ech.insert(row)[0]:
+                for old in basis:
+                    ech.insert(top.cdga.mul(1, old, 1, row))
+                basis.append(row)
         w = kernel(
             SparseMatrix.from_columns(
                 pair_count, [ech.reduce(d1.col(t))[0] for t in range(mdim)]

@@ -20,13 +20,15 @@ Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
 Lie elements is taken on those columns alone; the quotient's bracket
 table reads them off one split of each Lyndon word.  One scan, from the
 last basis word to the first, picks the quotient's representatives, and
-ideal_span reads J's rows in basis-word coordinates off it.  H2 of
-L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree 1,
-J_k/[A, J_(k-1)]_k above for a graded J.  For homogeneous relators the
-closure counts it, as the degree-k relators that still raise its rank after
-that degree's brackets, so it runs only through the top relator degree; a
-derived ideal ranks its words' brackets, and the second derived ideal is
-read in the Chen module L'/L'' instead.
+ideal_span reads J's rows in basis-word coordinates off it.  The scan
+reads its top degree, its largest, the same way, bracketing the images of
+each word's prefix and last child; no word extends that degree, so no
+tensor image of it is built.  H2 of L = free/J is (J meet [L, L])/[L, J]
+(Hopf's formula): 0 in degree 1, J_k/[A, J_(k-1)]_k above for a graded J.
+For homogeneous relators the closure counts it, as the degree-k relators
+that still raise its rank after that degree's brackets, so it runs only
+through the top relator degree; a derived ideal ranks its words' brackets,
+and the second derived ideal is read in the Chen module L'/L'' instead.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
@@ -53,6 +55,7 @@ from itertools import accumulate, combinations_with_replacement, count
 from math import lcm
 
 from .freelie import (
+    HallWord,
     LieElement,
     LieError,
     _MultidegreeSolver,
@@ -194,7 +197,10 @@ def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
     vectors over the Lyndon-word columns on m letters; J holds every basis
     word past the prefix.
 
-    Each vector is first reduced modulo J's RREF rows, one pass that clears
+    A word's vector is its tensor image cut to the Lyndon columns; in the
+    top degree of the words it is read off the word's one split instead
+    (_split_lyndon), since no image of that degree is used again.  Each
+    vector is first reduced modulo J's RREF rows, one pass that clears
     J's pivots, since no row holds another's pivot.  Word w_j is kept iff
     its residual is not in the span of the residuals of w_(j+1), ...: one
     tracked echelon takes them from last to first and keeps those that
@@ -215,9 +221,14 @@ def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
     def mod_j(vec):
         return vec if pivots.isdisjoint(vec) else rref.reduce(vec)[0]
 
+    top = words[-1].degree if words else 0
     scan, found, word_cosets = EchelonForm(track=True), [], {}
     for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
-        vec = mod_j(_lyndon({w.degree: tensor_expand(w, m)}, m))
+        if w[1] == top and w[0]:
+            vec = _split_lyndon(w, m)
+        else:
+            vec = _lyndon({w.degree: tensor_expand(w, m)}, m)
+        vec = mod_j(vec)
         if cosets:
             res, combo = scan.reduce(vec)
             if not res:
@@ -251,6 +262,20 @@ def _lyndon_groups(n: int, d: int) -> dict:
     for k, col in _lyndon_columns(n, d).items():
         groups[tuple(sorted(_digits(k, d, n)))].append((k, col))
     return dict(groups)
+
+
+def _split_lyndon(w: HallWord, m: int) -> dict:
+    """_lyndon of a bracket word's tensor image on m letters, read off its
+    standard factorisation [prefix, last child] without building the image.
+    The prefix is the first child of a two-child word, else w without its
+    last child, a basis word of w's level; either way tensor_expand(w) is
+    the commutator of the prefix's image with the last child's."""
+    last = w[-1]
+    prefix = w[2] if len(w) == 4 else tuple.__new__(HallWord, (w[0], w[1] - last[1], *w[2:-1]))
+    ta, tb = tensor_expand(prefix, m), tensor_expand(last, m)
+    da, db = prefix[1], last[1]
+    letters = (*_digits(next(iter(ta)), da, m), *_digits(next(iter(tb)), db, m))
+    return _lyndon_bracket(ta, tb, da, db, letters, m)
 
 
 def _lyndon_bracket(ta: dict, tb: dict, da: int, db: int, letters: tuple, n: int) -> dict:
@@ -666,7 +691,10 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     nilpotent algebra after quotienting by the truncated relator ideal J,
     the representatives of _quotient_scan, which ideal_span reads too.  A
     bracket or generator image is read off its coset.  Weights are word
-    degrees, non-decreasing along the basis.
+    degrees, non-decreasing along the basis.  The bracket table splits
+    each Lyndon word of a bracket between the two representatives' tensor
+    images; a representative of top weight brackets to zero, so no image
+    of it is built.
     A finite relator list's J holds every degree from its fill degree on
     (_ideal_basis), since L_(k+1) = [L_1, L_k]; so the words, brackets and
     images are cut below it, where no representative lies.  The cost then
@@ -703,10 +731,10 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     reps, coset, _ = _quotient_scan(ideal, m, words)
     reps = [words[j] for j in reps]
     weights = [w.degree for w in reps]
-    tens = [tensor_expand(w, m) for w in reps]
+    tens = [tensor_expand(w, m) for w in reps[:bisect_right(weights, cap - 1)]]
     letters = [tuple(_digits(next(iter(t)), d, m)) for t, d in zip(tens, weights)]
     brackets: dict = {}
-    for a, da in enumerate(weights):
+    for a, da in enumerate(weights[:len(tens)]):
         for b in range(a + 1, bisect_right(weights, cap - da)):
             table = coset(_lyndon_bracket(tens[a], tens[b], da, weights[b],
                                           letters[a] + letters[b], m))

@@ -176,6 +176,34 @@ def multidegree(w: HallWord, n_gens: int):
     return tuple(md)
 
 
+def _multidegree(w: HallWord, n_gens: int, memo: dict) -> tuple:
+    """multidegree(w, n_gens), summed from its children's.  memo keeps the
+    children's, so a pass that shares it walks each word once and stores
+    nothing for the words it is asked about."""
+    if not w[0]:
+        return multidegree(w, n_gens)
+    parts = []
+    for c in w[2:]:
+        v = memo.get(c)
+        if v is None:
+            v = memo[c] = _multidegree(c, n_gens, memo)
+        parts.append(v)
+    return tuple(map(sum, zip(*parts)))
+
+
+def _max_letter(w: HallWord, memo: dict) -> int:
+    """w.max_gen(), from its children's, which memo keeps as _multidegree's."""
+    if not w[0]:
+        return w[2]
+    top = -1
+    for c in w[2:]:
+        g = memo.get(c)
+        if g is None:
+            g = memo[c] = _max_letter(c, memo)
+        top = max(top, g)
+    return top
+
+
 def word_str(w: HallWord, names) -> str:
     """Render as nested binary brackets, e.g. [[x,y],y]."""
 
@@ -274,10 +302,10 @@ def hall_basis_derived(n_gens: int, derived_level: int, max_degree: int):
 def hall_words_of_degree(n_gens: int, degree: int):
     """Basis words of exact total degree, grouped by multidegree."""
     _check_enum_args(n_gens, 0, degree)
-    grouped: dict = {}
+    grouped, memo = {}, {}
     for level in range(degree.bit_length() - 1, -1, -1):
         for w in _layer(n_gens, level, degree):
-            grouped.setdefault(multidegree(w, n_gens), []).append(w)
+            grouped.setdefault(_multidegree(w, n_gens, memo), []).append(w)
     return {md: tuple(ws) for md, ws in grouped.items()}
 
 
@@ -321,9 +349,9 @@ def bigraded_dims(derived_level: int, max_degree: int) -> dict:
     Returns {(i, j): count} over the derived-level basis with x-degree i and
     y-degree j, i + j <= max_degree.
     """
-    out: dict = {}
+    out, memo = {}, {}
     for w in hall_basis_derived(2, derived_level, max_degree):
-        md = multidegree(w, 2)
+        md = _multidegree(w, 2, memo)
         out[md] = out.get(md, 0) + 1
     return out
 
@@ -408,8 +436,10 @@ def _lyndon(e: dict, n_gens: int) -> dict:
     """A tensor polynomial {degree: vector over _word_int keys}, as from
     lie_tensor or tensor_expand, cut to the Lyndon-word columns of each
     degree and numbered into one vector.  This does not commute with ad,
-    so a bracket is formed on full tensors first; only lcs_quotient's table
-    reads a commutator's Lyndon coefficients off one split of each word."""
+    so a bracket is formed on full tensors first, except where the
+    commutator's Lyndon coefficients are read off one split of each Lyndon
+    word (fplie._lyndon_bracket): in lcs_quotient's table and in the top
+    degree of the representative scan."""
     out = {}
     for d, v in e.items():
         cols = _lyndon_columns(n_gens, d)
@@ -529,11 +559,11 @@ class LieElement:
 
     def __init__(self, n_gens: int, terms: dict):
         self.n_gens = n_gens
-        clean = {}
+        clean, memo = {}, {}
         for w, c in terms.items():
             c = scal(c)
             if c:
-                if w.max_gen() >= n_gens:
+                if _max_letter(w, memo) >= n_gens:
                     raise LieError(
                         f"word {word_str(w, None)} uses a generator outside alphabet size {n_gens}"
                     )

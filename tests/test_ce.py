@@ -1110,6 +1110,54 @@ def test_canonical_filtration_matches_defining_filtration():
             assert row["w_dim"] == row["v_dim"]
 
 
+def scratch_canonical_filtration(tower: HirschTower) -> dict:
+    """canonical_filtration as it was when it rebuilt the exterior square
+    of W from scratch at every stage."""
+    top = tower.stages[tower.max_stage]
+    mdim = top.algebra.dim
+    d1 = top.cdga.diff[1]
+    pair_count = len(top.tuples[2])
+
+    def wedge_square(w: Subspace) -> EchelonForm:
+        ech = EchelonForm()
+        rows = w.basis_rows
+        for r in range(len(rows)):
+            for s in range(r + 1, len(rows)):
+                ech.insert(top.cdga.mul(1, rows[r], 1, rows[s]))
+        return ech
+
+    w = Subspace.span([], mdim)
+    report = {}
+    all_equal = True
+    for stage in range(2, tower.max_stage + 1):
+        ech = wedge_square(w)
+        w = kernel(
+            SparseMatrix.from_columns(
+                pair_count, [ech.reduce(d1.col(t))[0] for t in range(mdim)]
+            )
+        )
+        v_dim = tower.stages[stage].algebra.dim
+        expected = Subspace.span([{k: ONE} for k in range(v_dim)], mdim)
+        equal = w == expected
+        all_equal = all_equal and equal
+        report[stage] = {"w_dim": w.dim, "v_dim": v_dim, "equal": equal}
+    return {"stages": report, "all_equal": all_equal}
+
+
+def test_canonical_filtration_matches_the_scratch_rebuild():
+    """canonical_filtration, which keeps one echelon of the exterior square
+    of W across stages, reports what the stage-by-stage rebuild reports: on
+    wedge2 at stages 3-10, heis and noncarnot, seeded d = 0 cdgas, and the
+    tower with a weight gap, where W and V part."""
+    towers = [tower_from_cdga(WEDGE2, top) for top in range(3, 11)]
+    towers += [tower_from_cdga(a, top) for a in (HEIS, NONCARNOT) for top in (3, 5, 7)]
+    towers += [tower_from_cdga(a, top) for a, top in CAPPED_CASES[3:]]
+    towers += [tower_from_cdga(a, 5) for a in RANDOM_CDGAS]
+    towers.append(hand_tower((1, 1, 3), {(0, 1): {2: ONE}}, 4))
+    for t in towers:
+        assert canonical_filtration(t) == scratch_canonical_filtration(t), t.top.labels
+
+
 def test_filtration_starts_at_closed_generators():
     """W^2 is the kernel of d on degree-one generators."""
     t = tower_from_cdga(NONCARNOT, 5)

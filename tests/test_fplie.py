@@ -19,7 +19,9 @@ words of hall_ideal_span.  Neither Hall-coordinate oracle uses the fill
 degree at which _ideal_basis stops its closure.  The first tensor forms of
 two quotient stages are kept as oracles too: renumbering_eliminate_linear
 for _eliminate_linear and fifo_ideal_basis for the lazy closure, and the
-full tensor commutator checks the split-read _lyndon_bracket.  The solver
+full tensor commutator checks the split-read _lyndon_bracket, and a word's
+full tensor image checks _split_lyndon, the split the scan reads its top
+degree off.  The solver
 write-back of the closure (writeback_ideal_span) checks the ideal_span
 rows read off the quotient scan, the tracked scan over J's tensor basis
 (tracked_quotient_scan) the scan modulo J's RREF, and the Fraction
@@ -36,7 +38,7 @@ from itertools import accumulate, combinations, product
 
 import pytest
 
-from lieobstruct import data_path
+from lieobstruct import data_path, freelie
 from lieobstruct.cdga import cdga_from_dict, holonomy, load_cdga
 from lieobstruct.freelie import (
     LieElement,
@@ -74,6 +76,7 @@ from lieobstruct.fplie import (
     _lyndon_bracket,
     _quotient_scan,
     _relator_tensors,
+    _split_lyndon,
     finiteness_scan,
     h2_graded,
     ideal_span,
@@ -1063,6 +1066,32 @@ def test_lyndon_bracket_matches_full_commutator():
             got = _lyndon_bracket(ta, tb, wa.degree, wb.degree, letters, n)
             full = _tensor_commutator(ta, tb, n ** wa.degree, n ** wb.degree)
             assert got == _lyndon({wa.degree + wb.degree: full}, n), (n, wa, wb)
+
+
+def test_split_lyndon_matches_the_full_image(monkeypatch):
+    """The Lyndon coordinates of a bracket word read off its one split
+    [prefix, last child] equal those of its full tensor image, for every
+    bracket word on 2 letters through degree 12, 3 through 8 and 4 through
+    6.  The images go to an emptied memo, which drops each top one."""
+    monkeypatch.setattr(freelie, "_EXPAND", {})
+    for n, top in ((2, 12), (3, 8), (4, 6)):
+        for w in hall_basis_derived(n, 1, top):
+            full = _lyndon({w.degree: tensor_expand(w, n)}, n)
+            assert _split_lyndon(w, n) == full, (n, w)
+            if w.degree == top:
+                del freelie._EXPAND[w, n]
+
+
+def test_quotient_builds_no_top_degree_image(monkeypatch):
+    """On an emptied tensor_expand memo, lcs_quotient of the free
+    2-generator algebra at class c memoises words of degree c - 2 and none
+    of degree c - 1: the scan reads its top degree off one split per word
+    and the bracket table needs no top-weight image."""
+    p = holonomy(load_cdga(data_path("wedge2.json")))
+    for c in range(3, 11):
+        monkeypatch.setattr(freelie, "_EXPAND", {})
+        assert lcs_quotient(p, c).dims_by_weight()[c - 1] == witt_dim(2, c - 1)
+        assert max(w.degree for w, _ in freelie._EXPAND) == c - 2, c
 
 
 def test_quotients_past_the_fill_degree():

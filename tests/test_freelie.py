@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -111,6 +112,31 @@ def test_parity_of_x_degree_two_slice():
         assert dims.get((2, i), 0) == d
     assert (2, 2) not in dims
     assert bigraded_dims(1, 2) == {(1, 1): 1}
+
+
+def test_multidegree_grouping_matches_the_letter_walk():
+    """hall_words_of_degree, which sums each word's multidegree from its
+    children's, groups every word of a degree as multidegree's walk over
+    its letters does, in basis order, on 1-4 letters.  LieElement's
+    alphabet check, which reads each word's largest letter the same way,
+    rejects exactly the words past the alphabet."""
+    for n, top in ((1, 3), (2, 12), (3, 8), (4, 6)):
+        words = hall_basis_derived(n, 0, top)
+        for d in range(1, top + 1):
+            want = {}
+            for w in words:
+                if w.degree == d:
+                    want.setdefault(multidegree(w, n), []).append(w)
+            got = hall_words_of_degree.__wrapped__(n, d)
+            assert got == {md: tuple(ws) for md, ws in want.items()}, (n, d)
+            assert list(got) == list(want), (n, d)
+        assert LieElement(n, dict.fromkeys(words, 1)).terms == dict.fromkeys(words, 1)
+        for w in words:
+            top_letter = max(g for g, c in enumerate(multidegree(w, n)) if c)
+            with pytest.raises(LieError, match="outside alphabet"):
+                LieElement(top_letter, {generator(0): 1, w: 1})
+    words = hall_basis_derived(2, 0, 10)
+    assert bigraded_dims(0, 10) == Counter(multidegree(w, 2) for w in words)
 
 
 def test_x_degree_lower_bound_per_level():
