@@ -27,7 +27,6 @@ projector, read off per-degree spans.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
@@ -43,6 +42,7 @@ from .ratlin import (
     Subspace,
     _cleared,
     _Frozen,
+    _load_json,
     kernel,
     rank,
     scal,
@@ -411,11 +411,7 @@ class _CohomologyData:
                 self.ech.insert(a.d_apply(i - 1, {k: ONE}))
                 attempt += 1
         if 0 <= i <= a.top:
-            if i == a.top:
-                cocycles = [{k: ONE} for k in range(a.dim(i))]
-            else:
-                cocycles = list(kernel(a.diff[i]).basis_rows)
-            for vec in cocycles:
+            for vec in kernel(a.diff[i]).basis_rows:
                 res, _ = self.ech.insert(vec)
                 if res:
                     self.rep_of_attempt[attempt] = len(self.reps)
@@ -675,14 +671,16 @@ class GroupAction(_Frozen):
 def fixed_subcdga(action: GroupAction):
     """The sub-cdga of invariants, via the averaging projector, with its
     inclusion into the ambient cdga."""
-    a = action.cdga
-    order = Fraction(1, len(action.elements))
+    a, order = action.cdga, len(action.elements)
     projectors = []
     for i in range(a.top + 1):
-        acc = SparseMatrix(a.dim(i), a.dim(i))
-        for g in action.elements:
-            acc = acc.add(action.morphisms[g].maps[i])
-        p = acc.scale(order)
+        columns = []
+        for j in range(a.dim(i)):
+            total: dict = {}
+            for g in action.elements:
+                total = vec_add(total, action.morphisms[g].maps[i].col(j))
+            columns.append({r: scal(Fraction(x, order)) for r, x in total.items()})
+        p = SparseMatrix.from_columns(a.dim(i), columns)
         if p.matmul(p) != p:
             raise InternalError("averaging projector is not idempotent")
         projectors.append(p)
@@ -776,6 +774,17 @@ def _reject_unknown_keys(data: dict, known, what: str):
             raise CdgaError(f"unknown key {key!r}; {what} has {', '.join(known)}")
 
 
+def _name_lookup(names) -> dict:
+    """{basis name: (degree, index)} over the rows of names, one per degree."""
+    lookup = {}
+    for i, row in enumerate(names):
+        for k, nm in enumerate(row):
+            if nm in lookup:
+                raise CdgaError(f"duplicate basis name {nm!r}")
+            lookup[nm] = (i, k)
+    return lookup
+
+
 def cdga_from_dict(data: dict) -> FiniteCdga:
     if not isinstance(data, dict):
         raise CdgaError("cdga file must hold a JSON object")
@@ -803,12 +812,7 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
         if not isinstance(row, list) or not all(isinstance(x, str) for x in row):
             raise CdgaError(f'"degrees"["{i}"] must be a list of names')
         names.append(tuple(row))
-    lookup = {}
-    for i, row in enumerate(names):
-        for k, nm in enumerate(row):
-            if nm in lookup:
-                raise CdgaError(f"duplicate basis name {nm!r}")
-            lookup[nm] = (i, k)
+    lookup = _name_lookup(names)
 
     # products first: both the differential and later consumers need them
     mu_raw = data.get("mu", {})
@@ -887,26 +891,14 @@ def cdga_from_dict(data: dict) -> FiniteCdga:
 def parse_cdga_element(a: FiniteCdga, text: str):
     """Parse a sum of rational multiples of basis names, with optional binary
     products, into (degree, vector).  Zero parses to (None, {})."""
-    lookup = {}
-    for i, row in enumerate(a.names):
-        for k, nm in enumerate(row):
-            lookup[nm] = (i, k)
-    out = _ExprParser(str(text), lookup, a.mul).parse()
+    out = _ExprParser(str(text), _name_lookup(a.names), a.mul).parse()
     if out is None:
         return None, {}
     return out
 
 
 def load_cdga(path) -> FiniteCdga:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CdgaError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return cdga_from_dict(data)
-    except CdgaError as exc:
-        raise CdgaError(f"{path}: {exc}") from exc
+    return _load_json(path, cdga_from_dict, CdgaError)
 
 
 def action_from_dict(a: FiniteCdga, data: dict) -> GroupAction:
@@ -929,10 +921,7 @@ def action_from_dict(a: FiniteCdga, data: dict) -> GroupAction:
         if not isinstance(val, str):
             raise CdgaError(f"table value at {key!r} must be an element name")
         table[(parts[0], parts[1])] = val
-    lookup = {}
-    for i, row in enumerate(a.names):
-        for k, nm in enumerate(row):
-            lookup[nm] = (i, k)
+    lookup = _name_lookup(a.names)
     maps_raw = data.get("maps", {})
     if not isinstance(maps_raw, dict):
         raise CdgaError('"maps" must be an object')
@@ -960,12 +949,4 @@ def action_from_dict(a: FiniteCdga, data: dict) -> GroupAction:
 
 
 def load_action(a: FiniteCdga, path) -> GroupAction:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CdgaError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return action_from_dict(a, data)
-    except CdgaError as exc:
-        raise CdgaError(f"{path}: {exc}") from exc
+    return _load_json(path, partial(action_from_dict, a), CdgaError)

@@ -21,9 +21,9 @@ Lie elements is taken on those columns alone; the quotient's bracket
 table reads them off one split of each Lyndon word.  One scan, from the
 last basis word to the first, picks the quotient's representatives, and
 ideal_span reads J's rows in basis-word coordinates off it.  The scan
-reads its top degree, its largest, the same way, bracketing the images of
-each word's prefix and last child; no word extends that degree, so no
-tensor image of it is built.  H2 of L = free/J is (J meet [L, L])/[L, J]
+reads each bracket word's vector the same way, bracketing the images of
+its prefix and last child, so no word's own image is built for it; a
+letter is its own column.  H2 of L = free/J is (J meet [L, L])/[L, J]
 (Hopf's formula): 0 in degree 1, J_k/[A, J_(k-1)]_k above for a graded J.
 For homogeneous relators the closure counts it, as the degree-k relators
 that still raise its rank after that degree's brackets, so it runs only
@@ -31,7 +31,9 @@ through the top relator degree; a derived ideal ranks its words' brackets,
 and the second derived ideal is read in the Chen module L'/L'' instead.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
-x3 + [x1,x2] mixes filtration degrees).  Generators that appear linearly in
+x3 + [x1,x2] mixes filtration degrees).  A derived ideal enters them as its
+basis words, which span it, by the same elimination, closure and scan as a
+relator list.  Generators that appear linearly in
 some relator are eliminated by substitution before any quotient is formed;
 this keeps the ambient free nilpotent algebra as small as the presentation
 really is, which is what makes the rewritten presentations produced by
@@ -45,7 +47,6 @@ agree wherever both exist.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -84,6 +85,7 @@ from .ratlin import (
     LieobstructError,
     Subspace,
     _Frozen,
+    _load_json,
 )
 
 __all__ = [
@@ -197,10 +199,10 @@ def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
     vectors over the Lyndon-word columns on m letters; J holds every basis
     word past the prefix.
 
-    A word's vector is its tensor image cut to the Lyndon columns; in the
-    top degree of the words it is read off the word's one split instead
-    (_split_lyndon), since no image of that degree is used again.  Each
-    vector is first reduced modulo J's RREF rows, one pass that clears
+    A word's vector is its tensor image cut to the Lyndon columns: a
+    letter's own column, and a bracket word's read off its one split
+    (_split_lyndon), with no image of the word itself.  Each vector is
+    first reduced modulo J's RREF rows, one pass that clears
     J's pivots, since no row holds another's pivot.  Word w_j is kept iff
     its residual is not in the span of the residuals of w_(j+1), ...: one
     tracked echelon takes them from last to first and keeps those that
@@ -221,14 +223,9 @@ def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
     def mod_j(vec):
         return vec if pivots.isdisjoint(vec) else rref.reduce(vec)[0]
 
-    top = words[-1].degree if words else 0
     scan, found, word_cosets = EchelonForm(track=True), [], {}
     for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
-        if w[1] == top and w[0]:
-            vec = _split_lyndon(w, m)
-        else:
-            vec = _lyndon({w.degree: tensor_expand(w, m)}, m)
-        vec = mod_j(vec)
+        vec = mod_j(_split_lyndon(w, m) if w[0] else {w[2]: 1})
         if cosets:
             res, combo = scan.reduce(vec)
             if not res:
@@ -266,10 +263,12 @@ def _lyndon_groups(n: int, d: int) -> dict:
 
 def _split_lyndon(w: HallWord, m: int) -> dict:
     """_lyndon of a bracket word's tensor image on m letters, read off its
-    standard factorisation [prefix, last child] without building the image.
-    The prefix is the first child of a two-child word, else w without its
-    last child, a basis word of w's level; either way tensor_expand(w) is
-    the commutator of the prefix's image with the last child's."""
+    standard factorisation [prefix, last child] without building the image;
+    _quotient_scan reads every bracket word's vector this way.  The prefix
+    is the first child of a two-child word, else w without its last child,
+    a basis word of w's level; either way tensor_expand(w) is the
+    commutator of the prefix's image with the last child's, whose images
+    are built and memoised."""
     last = w[-1]
     prefix = w[2] if len(w) == 4 else tuple.__new__(HallWord, (w[0], w[1] - last[1], *w[2:-1]))
     ta, tb = tensor_expand(prefix, m), tensor_expand(last, m)
@@ -314,7 +313,13 @@ def _integral(e: dict) -> dict:
 
 
 def _relator_tensors(p: LiePresentation, cap: int) -> list:
-    """The relators' lie_tensor images cut above the cap, those left nonzero."""
+    """The tensor polynomials that generate p's ideal, cut above the cap and
+    those left nonzero: a relator list's lie_tensor images, or a derived
+    ideal's basis words through the cap, which span it degreewise."""
+    if isinstance(p.scheme, DerivedIdeal):
+        n = p.n_gens
+        words = hall_basis_derived(n, p.scheme.level, cap) if n else ()
+        return [{w.degree: tensor_expand(w, n)} for w in words]
     cut = ({d: v for d, v in lie_tensor(r).items() if d <= cap} for r in p.scheme.relators)
     return [t for t in cut if t]
 
@@ -549,18 +554,23 @@ def _eliminate_linear(p: LiePresentation, cap: int):
     """Substitute away every generator that occurs linearly in a relator,
     on the _relator_tensors images.  Returns (relators, images, kept names):
     the nonzero reduced relators and the image of each original generator,
-    tensor polynomials on the kept generators cut above the cap.  Degree-1
+    tensor polynomials on the kept generators cut above the cap.  When no
+    relator has a degree-1 part, as for a derived ideal or a holonomy with
+    d = 0, the relators come back as they are, unscaled (_ideal_basis
+    scales them), with the identity images and every name.  Degree-1
     data drives every choice, so the kept set and the substitution order do
     not depend on the cap.  Letters keep their numbers until the last step,
     so a step rewrites only what may hold its letter (each item carries a
     superset of its letters), and the kept ones are renumbered once.  Each
     relator is scaled by _integral, so the arithmetic stays in ints unless a
     pivot coefficient fails to divide its relator."""
-    cap = max(cap, 1)
     n = p.n_gens
-    rel = [(t, {g for d, v in t.items() for k in v for g in _digits(k, d, n)})
-           for t in map(_integral, _relator_tensors(p, cap))]
+    relators = _relator_tensors(p, max(cap, 1))
     ident = [{1: {g: 1}} for g in range(n)]
+    if not any(1 in t for t in relators):
+        return relators, ident, p.generators
+    rel = [(t, {g for d, v in t.items() for k in v for g in _digits(k, d, n)})
+           for t in map(_integral, relators)]
     imgs = [(t, {g}) for g, t in enumerate(ident)]
     kept = list(range(n))
     while (ridx := next((i for i, (r, _) in enumerate(rel) if 1 in r), None)) is not None:
@@ -687,46 +697,42 @@ class NilpotentLieAlgebra(_Frozen):
 def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     """Structure constants of L/Gamma_n for n = class_bound.
 
-    The basis is the set of non-pivot basis words of the ambient free
-    nilpotent algebra after quotienting by the truncated relator ideal J,
-    the representatives of _quotient_scan, which ideal_span reads too.  A
-    bracket or generator image is read off its coset.  Weights are word
-    degrees, non-decreasing along the basis.  The bracket table splits
-    each Lyndon word of a bracket between the two representatives' tensor
-    images; a representative of top weight brackets to zero, so no image
-    of it is built.
-    A finite relator list's J holds every degree from its fill degree on
-    (_ideal_basis), since L_(k+1) = [L_1, L_k]; so the words, brackets and
-    images are cut below it, where no representative lies.  The cost then
-    follows the quotient, not the free Lie algebra.
+    Every scheme takes one route: its generating tensors (_relator_tensors,
+    a derived ideal's basis words), _eliminate_linear, the closure
+    _ideal_basis and the scan _quotient_scan; only the guard on derived
+    levels >= 2 looks at the scheme.  The basis is the set of non-pivot
+    basis words of the ambient free nilpotent algebra after quotienting by
+    the truncated ideal J, the representatives of _quotient_scan, which
+    ideal_span reads too.  A bracket or generator image is read off its
+    coset.  Weights are word degrees, non-decreasing along the basis.  The
+    bracket table splits each Lyndon word of a bracket between the two
+    representatives' tensor images; a representative of top weight
+    brackets to zero, so no image of it is built.
+    J holds every degree from its fill degree on (_ideal_basis), since
+    L_(k+1) = [L_1, L_k]; so the words, brackets and images are cut below
+    it, where no representative lies.  The cost then follows the quotient,
+    not the free Lie algebra.
     Quotients at different class bounds agree across classes:
     lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
     and ce.hirsch_tower builds every lower stage that way from one quotient.
     """
     if class_bound < 1:
         raise PresentationError(f"class bound must be >= 1, got {class_bound}")
+    if isinstance(p.scheme, DerivedIdeal) and p.scheme.level >= 2 and (
+            p.n_gens > 2 or class_bound > 8):
+        raise PresentationError(
+            "derived-ideal quotients of level >= 2 are limited to two "
+            "generators and class bound <= 8"
+        )
     cap = class_bound - 1
-    if isinstance(p.scheme, DerivedIdeal):
-        if p.scheme.level >= 2 and (p.n_gens > 2 or class_bound > 8):
-            raise PresentationError(
-                "derived-ideal quotients of level >= 2 are limited to two "
-                "generators and class bound <= 8"
-            )
-        kept = p.generators
-        imgs = [{1: {g: ONE}} for g in range(p.n_gens)]
-    else:
-        relators, imgs, kept = _eliminate_linear(p, cap)
+    relators, imgs, kept = _eliminate_linear(p, cap)
     m = len(kept)
     if cap == 0 or m == 0:
         return NilpotentLieAlgebra(
             class_bound, p.generators, (), (), {}, tuple({} for _ in p.generators)
         )
-    if isinstance(p.scheme, DerivedIdeal):
-        ideal = [_lyndon({w.degree: tensor_expand(w, m)}, m)
-                 for w in hall_basis_derived(m, p.scheme.level, cap)]
-    else:
-        ideal, fill, _ = _ideal_basis(relators, m, cap)
-        cap = min(cap, fill - 1)
+    ideal, fill, _ = _ideal_basis(relators, m, cap)
+    cap = min(cap, fill - 1)
     words = hall_basis_derived(m, 0, cap)
     reps, coset, _ = _quotient_scan(ideal, m, words)
     reps = [words[j] for j in reps]
@@ -899,12 +905,4 @@ def presentation_to_dict(p: LiePresentation) -> dict:
 
 
 def load_presentation(path) -> LiePresentation:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PresentationError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return presentation_from_dict(data)
-    except PresentationError as exc:
-        raise PresentationError(f"{path}: {exc}") from exc
+    return _load_json(path, presentation_from_dict, PresentationError)

@@ -23,11 +23,13 @@ vectors, and its boundary values (residuals, combinations and RREF rows)
 are canonical scalars: ints where integral, else Fractions.
 
 The dense Gaussian elimination oracle used to certify this module lives in
-the test suite, not here.
+the test suite, not here.  What every module shares sits here too: the
+error base, the immutable value base and the JSON file loader.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -52,6 +54,21 @@ class LinAlgError(LieobstructError, ValueError):
 
 class InternalError(LieobstructError, RuntimeError):
     """A runtime invariant of the library failed: a bug, not bad input."""
+
+
+def _load_json(path, parse, error):
+    """parse(data) for the JSON value in the file at path.  Invalid JSON,
+    and an error of the given type that parse raises, are raised as that
+    type with the path in front."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 class _Frozen:
@@ -223,28 +240,6 @@ class SparseMatrix(_Frozen):
             if v:
                 columns[j] = v
         return SparseMatrix(self.rows, other.cols, columns)
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinAlgError("shape mismatch in add")
-        columns = dict(self.columns)
-        for j, col in other.columns.items():
-            v = vec_add(columns.get(j, {}), col)
-            if v:
-                columns[j] = v
-            else:
-                del columns[j]
-        return SparseMatrix(self.rows, self.cols, columns)
-
-    def scale(self, c: Scalar) -> "SparseMatrix":
-        c = scal(c)
-        if not c:
-            return SparseMatrix(self.rows, self.cols)
-        return SparseMatrix(
-            self.rows,
-            self.cols,
-            {j: {i: c * x for i, x in col.items()} for j, col in self.columns.items()},
-        )
 
     def is_zero(self) -> bool:
         return not self.columns

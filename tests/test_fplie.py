@@ -20,8 +20,10 @@ degree at which _ideal_basis stops its closure.  The first tensor forms of
 two quotient stages are kept as oracles too: renumbering_eliminate_linear
 for _eliminate_linear and fifo_ideal_basis for the lazy closure, and the
 full tensor commutator checks the split-read _lyndon_bracket, and a word's
-full tensor image checks _split_lyndon, the split the scan reads its top
-degree off.  The solver
+full tensor image checks _split_lyndon, the split the scan reads every
+bracket word off.  The scan modulo a derived ideal's own word vectors
+(word_vector_lcs_quotient) checks the derived quotients that now go
+through the closure.  The solver
 write-back of the closure (writeback_ideal_span) checks the ideal_span
 rows read off the quotient scan, the tracked scan over J's tensor basis
 (tracked_quotient_scan) the scan modulo J's RREF, and the Fraction
@@ -38,9 +40,10 @@ from itertools import accumulate, combinations, product
 
 import pytest
 
-from lieobstruct import data_path, freelie
+from lieobstruct import data_path, fplie, freelie
 from lieobstruct.cdga import cdga_from_dict, holonomy, load_cdga
 from lieobstruct.freelie import (
+    HallWord,
     LieElement,
     _is_lyndon,
     _lyndon,
@@ -1085,13 +1088,36 @@ def test_split_lyndon_matches_the_full_image(monkeypatch):
 def test_quotient_builds_no_top_degree_image(monkeypatch):
     """On an emptied tensor_expand memo, lcs_quotient of the free
     2-generator algebra at class c memoises words of degree c - 2 and none
-    of degree c - 1: the scan reads its top degree off one split per word
+    of degree c - 1: the scan reads every bracket word off one split
     and the bracket table needs no top-weight image."""
     p = holonomy(load_cdga(data_path("wedge2.json")))
     for c in range(3, 11):
         monkeypatch.setattr(freelie, "_EXPAND", {})
         assert lcs_quotient(p, c).dims_by_weight()[c - 1] == witt_dim(2, c - 1)
         assert max(w.degree for w, _ in freelie._EXPAND) == c - 2, c
+
+
+def test_scan_memoises_only_the_images_its_splits_read(monkeypatch):
+    """On an emptied tensor_expand memo, the representative scan over every
+    word on 2 letters through degree 10, and on 3 through 6, memoises the
+    prefix and last child of each bracket word and the words tensor_expand
+    builds their images from, and no other word: no word's image is built
+    for its own vector."""
+    for n, cap in ((2, 10), (3, 6)):
+        monkeypatch.setattr(freelie, "_EXPAND", {})
+        words = hall_basis_derived(n, 0, cap)
+        _quotient_scan([], n, words)
+        todo = [w[2] if len(w) == 4 else HallWord(w.level, children=w[2:-1])
+                for w in words if w[0]]
+        todo += [w[-1] for w in words if w[0]]
+        need = set()
+        while todo:
+            w = todo.pop()
+            if w not in need:
+                need.add(w)
+                todo.extend(w[2:] if w[0] else ())
+        assert {w for w, _ in freelie._EXPAND} == need, (n, cap)
+        assert len(need) < len(words) // 2
 
 
 def test_quotients_past_the_fill_degree():
@@ -1324,6 +1350,77 @@ def test_derived_quotient_guard():
     # level 1 has no such restriction
     q = lcs_quotient(LiePresentation(("a", "b", "c"), DerivedIdeal(1)), 4)
     assert q.dims_by_weight() == {1: 3, 2: 0, 3: 0}
+
+
+def word_vector_lcs_quotient(p, class_bound):
+    """lcs_quotient of a derived ideal as it was before the ideal went
+    through the closure: the basis words' vectors go straight into
+    _quotient_scan, uncut at the fill degree, each generator's image is
+    its own letter, and each bracket is read off the full tensor
+    commutator of the two representatives."""
+    cap, m = class_bound - 1, p.n_gens
+    if cap == 0 or m == 0:
+        return NilpotentLieAlgebra(class_bound, p.generators, (), (), {}, tuple({} for _ in range(m)))
+    ideal = [_lyndon({w.degree: tensor_expand(w, m)}, m)
+             for w in hall_basis_derived(m, p.scheme.level, cap)]
+    words = hall_basis_derived(m, 0, cap)
+    reps, coset, _ = _quotient_scan(ideal, m, words)
+    reps = [words[j] for j in reps]
+    weights = [w.degree for w in reps]
+    brackets = {}
+    for a, b in combinations(range(len(reps)), 2):
+        da, db = weights[a], weights[b]
+        if da + db <= cap:
+            full = _tensor_commutator(tensor_expand(reps[a], m), tensor_expand(reps[b], m),
+                                      m ** da, m ** db)
+            table = coset(_lyndon({da + db: full}, m))
+            if table:
+                brackets[(a, b)] = table
+    return NilpotentLieAlgebra(
+        class_bound, p.generators, tuple(word_str(w, p.generators) for w in reps),
+        tuple(weights), brackets, tuple(coset({g: 1}) for g in range(m)))
+
+
+def test_derived_quotient_matches_the_word_vector_scan():
+    """A derived ideal's quotient, whose basis words now go through
+    _eliminate_linear and the closure like any relator list, equals the
+    quotient that scanned modulo the words' own vectors: labels, weights,
+    brackets and generator images, on levels 1-3 and 2-4 letters at every
+    class the guard allows, up to 8."""
+    for level in (1, 2, 3):
+        for n in (2, 3, 4) if level == 1 else (2,):
+            p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
+            for c in range(1, 9):
+                assert lcs_quotient(p, c) == word_vector_lcs_quotient(p, c), (level, n, c)
+
+
+def test_zero_letter_derived_quotients_are_empty():
+    """With no letters, a derived scheme still gives the empty algebra,
+    at class 1 and past it, though no basis word can be enumerated."""
+    for level in (1, 2, 3):
+        p = LiePresentation((), DerivedIdeal(level))
+        for c in (1, 3):
+            assert lcs_quotient(p, c) == NilpotentLieAlgebra(c, (), (), (), {}, ()), (level, c)
+
+
+def test_elimination_returns_a_list_without_linear_parts_unchanged(monkeypatch):
+    """When no relator has a degree-1 part, _eliminate_linear returns the
+    relators as _relator_tensors gives them, halves unscaled, with the
+    identity images and every name, and makes no _integral copy."""
+    def no_copy(_t):
+        raise AssertionError("_integral called with nothing to eliminate")
+
+    monkeypatch.setattr(fplie, "_integral", no_copy)
+    cases = [load_presentation(data_path(f"{name}.json")) for name in ("pres_cubic", "pres_torus")]
+    cases += [XXY, FREE2, METAB, pres(("x", "y", "z"), ("[x,[x,y]] + 1/2*[z,[x,y]]", "1/3*[y,z]")),
+              holonomy(load_cdga(data_path("wedge2.json")))]
+    for p in cases:
+        for cap in range(0, 6):
+            rel, imgs, kept = _eliminate_linear(p, cap)
+            assert rel == _relator_tensors(p, max(cap, 1)), (presentation_to_dict(p), cap)
+            assert imgs == [{1: {g: 1}} for g in range(p.n_gens)] and kept == p.generators
+    halves = _eliminate_linear(cases[-2], 3)[0]
+    assert {x for t in halves for v in t.values() for x in v.values()} >= {Fraction(1, 2)}
 
 
 def test_trivial_class_bounds():

@@ -1,7 +1,9 @@
 """Value semantics of the immutable library classes: construction in the
 shapes the call sites use, field-wise equality and hash, no assignment,
-and the shared base of the domain errors."""
+the shared base of the domain errors, and the path in front of every
+loader's message."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -173,3 +175,28 @@ def test_domain_errors_share_a_base_and_exit_one(error, monkeypatch, capsys):
     assert err == (
         '{"error": {"message": "planted failure", "type": "%s"}}\n' % error.__name__
     )
+
+
+LOADERS = [
+    ("presentation", load_presentation, PresentationError),
+    ("cdga", load_cdga, CdgaError),
+    ("action", lambda path: load_action(load_cdga(data_path("torus.json")), path), CdgaError),
+]
+
+
+@pytest.mark.parametrize("what, load, error", LOADERS, ids=[w for w, _, _ in LOADERS])
+def test_loaders_prefix_their_messages_with_the_path(what, load, error, tmp_path):
+    """Each JSON loader raises its own error type, with the path and
+    "invalid JSON: " before the decoder's message on bad JSON, and the path
+    before the parser's message on a JSON value of the wrong shape."""
+    path = tmp_path / "bad.json"
+    path.write_text("{nope")
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads("{nope")
+    with pytest.raises(error) as raised:
+        load(path)
+    assert str(raised.value) == f"{path}: invalid JSON: {decoded.value}"
+    path.write_text("[]")
+    with pytest.raises(error) as raised:
+        load(path)
+    assert str(raised.value) == f"{path}: {what} file must hold a JSON object"
