@@ -9,14 +9,7 @@ second derived subalgebra that exhibits the parity growth pattern.
 
 import argparse
 
-from lieobstruct.freelie import bigraded_dims, hall_basis_derived, witt_dim
-
-
-def counts(n_gens, level, cap):
-    out = {d: 0 for d in range(1, cap + 1)}
-    for w in hall_basis_derived(n_gens, level, cap):
-        out[w.degree] += 1
-    return out
+from lieobstruct.freelie import bigraded_dims, hall_degree_counts, witt_dim
 
 
 def main():
@@ -34,7 +27,7 @@ def main():
 
     print("derived-level strata on two generators")
     for level in (0, 1, 2):
-        row = counts(2, level, cap)
+        row = hall_degree_counts(2, level, cap)
         print(
             f"level>={level} "
             + " ".join(f"{row[d]:>5d}" for d in range(1, cap + 1))

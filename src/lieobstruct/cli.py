@@ -30,7 +30,7 @@ from .fplie import (
     presentation_to_dict,
     x2_slice,
 )
-from .freelie import hall_basis_derived
+from .freelie import hall_degree_counts
 from .ratlin import LieobstructError, scalar_to_json
 
 __all__ = ["main"]
@@ -91,9 +91,7 @@ def cmd_hall(args, phases: _Phases) -> dict:
     _require(args.gens >= 1, "--gens must be >= 1")
     _require(args.level >= 0, "--level must be >= 0")
     _require(args.deg >= 1, "--deg must be >= 1")
-    counts = {d: 0 for d in range(1, args.deg + 1)}
-    for w in hall_basis_derived(args.gens, args.level, args.deg):
-        counts[w.degree] += 1
+    counts = hall_degree_counts(args.gens, args.level, args.deg)
     phases.mark("enumerate")
     results = {
         "gens": args.gens,

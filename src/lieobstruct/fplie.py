@@ -334,9 +334,11 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     here are g*t - t*g degree by degree.  A bracket is queued as a pending
     (g, element) pair and formed when taken, lowest degree first and, within
     a degree, before every relator, cut at the fill degree of that moment;
-    one that vanishes is not inserted.  Each relator is scaled by one
-    integer for all its degrees.  One echelon ranks every degree on its own
-    Lyndon-word columns, so an inhomogeneous relator stays one vector.
+    one that vanishes is not inserted.  A relator is cut at the fill when
+    taken, and what is left is scaled by one integer for all its degrees,
+    so no relator past the fill is copied.  One echelon ranks every degree
+    on its own Lyndon-word columns, so an inhomogeneous relator stays one
+    vector.
     Elements already in the span are not closed further; linearity of ad
     makes that sound.  J below the fill and the fill degree do not depend
     on the order of the pool; the basis does.
@@ -358,12 +360,14 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     ech = EchelonForm()
     # (lowest degree, is a relator, queueing number, generator or None, element)
     queued = count()
-    pool = [(min(r), True, next(queued), None, _integral(r)) for r in relators]
+    pool = [(min(r), True, next(queued), None, r) for r in relators]
     heapify(pool)
     while pool:
         _, _, _, g, e = heappop(pool)
         if g is None:
             e = {d: v for d, v in e.items() if d < fill}
+            if e:
+                e = _integral(e)
         else:
             e = _nonzero({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)
                           for d, v in e.items() if d + 1 < fill})

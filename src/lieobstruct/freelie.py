@@ -18,8 +18,9 @@ are tuple operations.
 
 The basis is built degree by degree, once per alphabet and level in a
 process: each layer of one level and one degree is made from lower layers,
-and a degree cap reads a prefix of the layers already built.  A word made
-there is one tuple over the words it extends, unchecked;
+already in the fixed order, so nothing is sorted (_layer says why the
+order holds), and a degree cap reads a prefix of the layers already built.
+A word made there is one tuple over the words it extends, unchecked;
 HallWord(level, children=...) validates first and then builds the same tuple.
 The words form a DAG, every child built before its parent, so none can be
 cyclic garbage, yet each new word is a container the cyclic collector
@@ -51,8 +52,10 @@ from __future__ import annotations
 
 import atexit
 import gc
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .ratlin import (
     ONE,
@@ -75,6 +78,7 @@ __all__ = [
     "gen_elt",
     "generator",
     "hall_basis_derived",
+    "hall_degree_counts",
     "hall_level",
     "hall_words_of_degree",
     "lie_tensor",
@@ -237,10 +241,25 @@ def _layer(n_gens: int, level: int, d: int):
 
     A level-l word has degree >= 2**l, which d.bit_length() decides without
     forming the power, and one letter has no word above level 0.  Each
-    layer is built once, from lower layers: the pairs h1 < h2 one level
-    down, and a shorter word of this level with one more child h <= its
-    last child.  The cyclic collector is paused while layers grow; a
-    recursive call finds it paused and leaves it so.
+    layer is built once, from lower layers, and emitted in its final order:
+    nothing is sorted.  A level-l word of degree m is (c1, c2, t1, ..., tk)
+    over level-(l-1) words, c1 < c2 >= t1 >= ... >= tk, and the layer is
+    ordered by that child sequence, in which children compare by degree,
+    then by position in their own layer.  So the build takes c1 ascending,
+    then c2 > c1 ascending (degree e2 from e1 to m - e1), then the tails
+    (t1, ..., tk) of degree r = m - e1 - e2 with t1 <= c2, in tail order:
+    a prefix of all tails of degree r, or all of them when e2 > r.
+
+    A tail is a weakly decreasing sequence of level-(l-1) words.  With cmin
+    the smallest of those, of degree b, the one tail that starts with cmin
+    is (cmin,) * (r / b), when b divides r; one that starts with t1 > cmin
+    is w[3:] for the word w = (cmin, t1, ...) of this level and degree
+    b + r.  Those words are that layer's first block, the one cmin leads,
+    and already in tail order; b + r <= m - b, so the layer is built.  The
+    tails of each degree are collected once per call and dropped with it.
+    Every child has degree >= b, so only the layers one level down through
+    degree d - b are read or built.  The cyclic collector is paused while
+    layers grow; a recursive call finds it paused and leaves it so.
     """
     if level == 0:
         return tuple(generator(g) for g in range(n_gens)) if d == 1 else ()
@@ -249,25 +268,38 @@ def _layer(n_gens: int, level: int, d: int):
     layers = _LAYERS.setdefault((n_gens, level), [])
     if len(layers) > d:
         return layers[d]
-    new, top = tuple.__new__, -level
+    new, top, below = tuple.__new__, -level, level - 1
+    tails: dict = {}  # r -> the tails of degree r, in order; this call's own
     enabled = gc.isenabled()
     gc.disable()
     try:
+        # b, the degree of the smallest word one level down (d if none lies
+        # below d): every child has degree >= b, so none has more than d - b
+        b = next((e for e in range(1, d) if _layer(n_gens, below, e)), d)
+        lower = [_layer(n_gens, below, e) for e in range(d - b + 1)]
         while len(layers) <= d:
             m = len(layers)
             out = []
-            for e in range(1, m // 2 + 1):
-                low, high = _layer(n_gens, level - 1, e), _layer(n_gens, level - 1, m - e)
-                for i, h1 in enumerate(low):
-                    for h2 in high[i + 1:] if 2 * e == m else high:
-                        out.append(new(HallWord, (top, m, h1, h2)))
-                for w in layers[m - e]:
-                    head, last = (top, m, *w[2:]), w[-1]
-                    for h in low:
-                        if last < h:
-                            break
-                        out.append(new(HallWord, head + (h,)))
-            out.sort()
+            for e1 in range(b, m // 2 + 1):
+                for i, c1 in enumerate(lower[e1]):
+                    for e2 in range(e1, m - e1 + 1):
+                        high = lower[e2][i + 1:] if e2 == e1 else lower[e2]
+                        r = m - e1 - e2
+                        if not r:
+                            out += [new(HallWord, (top, m, c1, c2)) for c2 in high]
+                            continue
+                        ts = tails.get(r)
+                        if ts is None:
+                            cmin, block = lower[b][0], layers[b + r]
+                            ts = tails[r] = [(cmin,) * (r // b)] if r % b == 0 else []
+                            end = bisect_right(block, cmin, key=itemgetter(2))
+                            ts += [w[3:] for w in block[:end]]
+                        if not ts:
+                            continue
+                        for c2 in high:
+                            head = (top, m, c1, c2)
+                            fit = ts if e2 > r else ts[:bisect_right(ts, c2, key=itemgetter(0))]
+                            out += [new(HallWord, head + t) for t in fit]
             layers.append(tuple(out))
     finally:
         if enabled:
@@ -296,6 +328,17 @@ def hall_basis_derived(n_gens: int, derived_level: int, max_degree: int):
         for level in range(d.bit_length() - 1, derived_level - 1, -1):
             words.extend(_layer(n_gens, level, d))
     return tuple(words)
+
+
+def hall_degree_counts(n_gens: int, derived_level: int, max_degree: int) -> dict:
+    """{d: how many of hall_basis_derived's words have degree d} for
+    1 <= d <= max_degree, summed over layer lengths, so no word is walked
+    or gathered."""
+    _check_enum_args(n_gens, derived_level, max_degree)
+    return {
+        d: sum(len(_layer(n_gens, level, d)) for level in range(derived_level, d.bit_length()))
+        for d in range(1, max_degree + 1)
+    }
 
 
 @lru_cache(maxsize=None)

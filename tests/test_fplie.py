@@ -879,6 +879,24 @@ def test_ideal_basis_inserts_no_empty_vector(monkeypatch):
     assert len(inserted) > 100 and all(inserted)
 
 
+def test_only_relators_taken_below_the_fill_are_scaled(monkeypatch):
+    """_ideal_basis cuts a relator at the fill of the moment it is taken,
+    and only then scales what is left by _integral.  In a derived level-1
+    quotient only the degree-2 words, which fill degree 2, get a copy; the
+    words above it are cut to nothing and copied never."""
+    calls = []
+    integral = fplie._integral
+    monkeypatch.setattr(fplie, "_integral", lambda e: calls.append(e) or integral(e))
+    for names, c in ((("x", "y"), 9), (("x", "y", "z"), 6)):
+        calls.clear()
+        n = len(names)
+        q = lcs_quotient(pres(names, (), scheme=DerivedIdeal(1)), c)
+        assert {k: v for k, v in q.dims_by_weight().items() if v} == {1: n}
+        words = hall_basis_derived(n, 1, c)
+        assert len(calls) == sum(w.degree == 2 for w in words) == witt_dim(n, 2) < len(words)
+        assert all(set(e) == {2} for e in calls)
+
+
 def fifo_ideal_basis(relators, n, cap):
     """_ideal_basis as first built: a first-in first-out pool, every
     generator bracket formed as soon as its element is stored, cut at the

@@ -2,7 +2,9 @@
 
 The necklace (Witt) formula and direct tensor-algebra commutators are the
 oracles here; enumeration counts and normalized brackets must reproduce them
-exactly.
+exactly.  Layers are also checked against two earlier enumerators: the
+recursive one (hall_level_reference) and the build-then-sort one
+(sorted_layer_reference).
 """
 
 import gc
@@ -34,6 +36,7 @@ from lieobstruct.freelie import (
     gen_elt,
     generator,
     hall_basis_derived,
+    hall_degree_counts,
     hall_level,
     hall_words_of_degree,
     lie_tensor,
@@ -196,6 +199,90 @@ def test_layers_match_the_recursive_reference(monkeypatch):
         union = [w for lv in range(level, 4) for w in hall_level_reference(n, lv, cap)]
         union.sort(key=lambda w: (w.degree, w.key))
         assert hall_basis_derived(n, level, cap) == tuple(union)
+
+
+# (n_gens, level) -> reference layers, built by sorted_layer_reference alone
+REFERENCE_LAYERS: dict = {}
+
+
+def sorted_layer_reference(n_gens: int, level: int, d: int):
+    """freelie._layer as it stood before layers were built in order: every
+    pair h1 < h2 one level down, and every shorter word of this level with
+    one more child h <= its last child, then the layer sorted.  Verbatim
+    but for its name and its own cache."""
+    if level == 0:
+        return tuple(generator(g) for g in range(n_gens)) if d == 1 else ()
+    if n_gens == 1 or d.bit_length() <= level:
+        return ()
+    layers = REFERENCE_LAYERS.setdefault((n_gens, level), [])
+    if len(layers) > d:
+        return layers[d]
+    new, top = tuple.__new__, -level
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while len(layers) <= d:
+            m = len(layers)
+            out = []
+            for e in range(1, m // 2 + 1):
+                low = sorted_layer_reference(n_gens, level - 1, e)
+                high = sorted_layer_reference(n_gens, level - 1, m - e)
+                for i, h1 in enumerate(low):
+                    for h2 in high[i + 1:] if 2 * e == m else high:
+                        out.append(new(HallWord, (top, m, h1, h2)))
+                for w in layers[m - e]:
+                    head, last = (top, m, *w[2:]), w[-1]
+                    for h in low:
+                        if last < h:
+                            break
+                        out.append(new(HallWord, head + (h,)))
+            out.sort()
+            layers.append(tuple(out))
+    finally:
+        if enabled:
+            gc.enable()
+    return layers[d]
+
+
+def test_layers_match_the_sorted_reference(monkeypatch):
+    """Every layer of every level, built in its final order with no sort,
+    is the sorted build's tuple.  Degrees are requested in shuffled order
+    on an empty layer cache, so a request reads a built layer or grows the
+    level through several degrees at once."""
+    monkeypatch.setattr(freelie, "_LAYERS", {})
+    top = {1: 5, 2: 18, 3: 11, 4: 8, 5: 6}
+    cases = [(n, level, d) for n, cap in top.items()
+             for level in range(cap.bit_length()) for d in range(cap + 1)]
+    random.Random(32).shuffle(cases)
+    for n, level, d in cases:
+        assert freelie._layer(n, level, d) == sorted_layer_reference(n, level, d), (n, level, d)
+    for n, cap in top.items():
+        built = sum(len(freelie._layer(n, level, d)) for level in range(cap.bit_length())
+                    for d in range(cap + 1))
+        assert built == sum(witt_dim(n, d) for d in range(1, cap + 1)), n
+
+
+def test_a_level_builds_the_level_below_only_as_far_as_its_children_reach(monkeypatch):
+    """On two letters the smallest level-2 words, [[x,y],[[x,y],x]] and
+    [[x,y],[[x,y],y]], have degree 5, so a level-3 word of degree <= 16 has
+    children of degree <= 11."""
+    monkeypatch.setattr(freelie, "_LAYERS", {})
+    assert hall_level(2, 3, 16) == hall_level_reference(2, 3, 16)
+    assert [len(layer) for layer in freelie._LAYERS[2, 2]][:6] == [0, 0, 0, 0, 0, 2]
+    assert len(freelie._LAYERS[2, 2]) == 16 - 5 + 1
+
+
+def test_degree_counts_are_the_basis_counts():
+    for n in range(1, 5):
+        for level in range(4):
+            for cap in (0, 1, 5, 9):
+                want = Counter(w.degree for w in hall_basis_derived(n, level, cap))
+                assert hall_degree_counts(n, level, cap) == {
+                    d: want[d] for d in range(1, cap + 1)
+                }, (n, level, cap)
+    assert hall_degree_counts(3, 10**8, 50) == dict.fromkeys(range(1, 51), 0)
+    with pytest.raises(LieError):
+        hall_degree_counts(0, 0, 3)
 
 
 def test_hall_counts_match_witt_through_degree_14():
@@ -589,23 +676,21 @@ def test_layer_build_restores_the_callers_gc_setting(monkeypatch, enabled):
         gc.enable() if was else gc.disable()
 
 
-class Unorderable:
-    def __eq__(self, other):
-        raise RuntimeError("build interrupted in degree 6")
+class Unreadable(tuple):
+    """A layer whose words cannot be read."""
 
-    __lt__ = __eq__
-    __hash__ = object.__hash__
+    def __iter__(self):
+        raise RuntimeError("build interrupted in degree 6")
 
 
 def test_failed_layer_build_caches_nothing_and_retries_whole(monkeypatch):
     """With level 1 built, its degree-4 layer on three letters is first
-    used by the level-2 degree-6 build, whose sort then compares the
-    poisoned entry."""
+    read by the level-2 degree-6 build, for c2 after each c1 of degree 2."""
     monkeypatch.setattr(freelie, "_LAYERS", {})
     lower = freelie._LAYERS.setdefault((3, 1), [])
     hall_level(3, 1, 7)
     whole = lower[4]
-    lower[4] = whole + (Unorderable(),)
+    lower[4] = Unreadable(whole)
     assert gc.isenabled()
     with pytest.raises(RuntimeError, match="degree 6"):
         hall_level(3, 2, 8)
