@@ -43,6 +43,7 @@ from .ratlin import (
     _cleared,
     _Frozen,
     _load_json,
+    format_sum,
     kernel,
     rank,
     scal,
@@ -304,18 +305,7 @@ def check_cdga(a: FiniteCdga):
 
 
 def format_cdga_element(a: FiniteCdga, i: int, vec: dict) -> str:
-    if not vec:
-        return "0"
-    parts = []
-    for k in sorted(vec):
-        c = vec[k]
-        nm = a.names[i][k]
-        body = nm if abs(c) == 1 else f"{abs(c)}*{nm}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+    return format_sum((a.names[i][k], vec[k]) for k in sorted(vec))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ is determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
 Lie elements is taken on those columns alone; the quotient's bracket
 table reads them off one split of each Lyndon word.  One scan, from the
-last basis word to the first, picks the quotient's representatives, and
-ideal_span reads J's rows in basis-word coordinates off it.  The scan
-reads each bracket word's vector the same way, bracketing the images of
-its prefix and last child, so no word's own image is built for it; a
-letter is its own column.  H2 of L = free/J is (J meet [L, L])/[L, J]
-(Hopf's formula): 0 in degree 1, J_k/[A, J_(k-1)]_k above for a graded J.
+last basis word to the first, picks the quotient's representatives;
+ideal_span reads J's rows off the other words' cosets.  It reads each
+bracket word's vector off a split too, and stops each degree at the count
+of representatives the closure's pivots leave there, which lcs_graded_dims
+reads with no scan.  H2 of L = free/J is (J meet [L, L])/[L, J] (Hopf's
+formula): 0 in degree 1, J_k/[A, J_(k-1)]_k above for a graded J.
 For homogeneous relators the closure counts it, as the degree-k relators
 that still raise its rank after that degree's brackets, so it runs only
 through the top relator degree; a derived ideal ranks its words' brackets,
@@ -52,7 +52,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations_with_replacement, count
+from itertools import accumulate, combinations_with_replacement, count, product
 from math import lcm
 
 from .freelie import (
@@ -167,9 +167,9 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     A derived ideal is spanned by its basis words already, each a unit row.
     A finite relator list is closed in tensor coordinates by _ideal_basis;
     below its fill degree the pivots are the words _quotient_scan does not
-    keep, each row the word minus the coset over the kept ones that the scan
-    found for it, which is already the RREF row.  The words at or above the
-    fill degree are in J, each a unit row.
+    keep, each row the word minus its coset over the kept ones, which meets
+    only later words and so is already the RREF row.  The words at or above
+    the fill degree are in J, each a unit row.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
@@ -180,38 +180,38 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     if isinstance(p.scheme, DerivedIdeal):
         pivots = [i for i, w in enumerate(words) if w.level >= p.scheme.level]
         return Subspace(len(words), tuple({i: ONE} for i in pivots), tuple(pivots))
-    basis, fill, _ = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
+    basis, fill, _, _ = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
     low = sum(witt_dim(n, d) for d in range(1, fill))
-    reps, _, cosets = _quotient_scan(basis, n, words[:low], cosets=True)
-    pivots, rows = [], []
-    for i in range(len(words)):
-        if i >= low or i in cosets:
-            row = {i: ONE}
-            row.update((reps[a], -c) for a, c in cosets.get(i, {}).items())
-            pivots.append(i)
-            rows.append(row)
+    reps, coset = _quotient_scan(basis, n, words[:low])
+    pivots = sorted(set(range(len(words))).difference(reps))
+    rows = [{i: ONE} for i in pivots]
+    for i, row in zip(pivots, rows):
+        if i < low:
+            row.update((reps[a], -c) for a, c in coset(_split_lyndon(words[i], n)).items())
     return Subspace(len(words), tuple(rows), tuple(pivots))
 
 
-def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
-    """(reps, coset, word cosets) for the words, a prefix of
-    hall_basis_derived's basis on m letters, modulo the span J of ideal,
-    vectors over the Lyndon-word columns on m letters; J holds every basis
-    word past the prefix.
+def _quotient_scan(ideal, m: int, words) -> tuple:
+    """(reps, coset) for the words, hall_basis_derived's basis on m letters
+    through some degree, modulo the span J of ideal, vectors over the
+    Lyndon-word columns on m letters; J holds every basis word past them.
 
-    A word's vector is its tensor image cut to the Lyndon columns: a
-    letter's own column, and a bracket word's read off its one split
+    A word's vector is its tensor image cut to the Lyndon columns
     (_split_lyndon), with no image of the word itself.  Each vector is
-    first reduced modulo J's RREF rows, one pass that clears
-    J's pivots, since no row holds another's pivot.  Word w_j is kept iff
-    its residual is not in the span of the residuals of w_(j+1), ...: one
-    tracked echelon takes them from last to first and keeps those that
-    raise its rank.  reps lists their indices, increasing: the non-pivot
-    columns of J's RREF in basis-word coordinates.  coset(vec) reads a
-    Lyndon-column vector modulo J as {position in reps: coefficient}; a
-    word not kept meets only later representatives.  With cosets, word
-    cosets maps each word not kept to its coset, found as it is reduced;
-    otherwise it is empty.
+    first reduced modulo J's RREF rows, one pass that clears J's pivots,
+    since no row holds another's pivot.  Word w_j is kept iff its residual
+    is not in the span of the residuals of w_(j+1), ...: one tracked
+    echelon takes them from last to first and keeps those that raise its
+    rank.  reps lists their indices, increasing: the non-pivot columns of
+    J's RREF in basis-word coordinates.  coset(vec) reads a Lyndon-column
+    vector modulo J as {position in reps: coefficient}; a word not kept
+    meets only later representatives.
+
+    The words kept from degree k up are a basis of the degrees >= k modulo
+    J, so degree k keeps its witt_dim(m, k) words less J's pivots there,
+    each row's lowest Lyndon column, numbered degree-major as the words
+    are.  Once a degree has kept that many, no vector of its other words is
+    built; a degree that ends short is an InternalError.
     """
     ech, rref = EchelonForm(), EchelonForm()
     for row in ideal:
@@ -219,20 +219,19 @@ def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
     for row in ech.backsubstitute():
         rref.insert(row)
     pivots = set(rref.pivots)
+    quota = Counter(w.degree for w in words)
+    quota.subtract(words[c].degree for c in pivots)
 
     def mod_j(vec):
         return vec if pivots.isdisjoint(vec) else rref.reduce(vec)[0]
 
-    scan, found, word_cosets = EchelonForm(track=True), [], {}
+    scan, found = EchelonForm(track=True), []
     for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
-        vec = mod_j(_split_lyndon(w, m) if w[0] else {w[2]: 1})
-        if cosets:
-            res, combo = scan.reduce(vec)
-            if not res:
-                word_cosets[j] = combo
-                continue
-        if scan.insert(vec)[0]:
+        if quota[w.degree] and scan.insert(mod_j(_split_lyndon(w, m)))[0]:
             found.append((scan.n_inserted - 1, j))
+            quota[w.degree] -= 1
+    if any(quota.values()):
+        raise InternalError("the representatives miss a degree's rank modulo J")
     reps = [j for _, j in reversed(found)]
     slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
 
@@ -242,7 +241,7 @@ def _quotient_scan(ideal, m: int, words, cosets: bool = False) -> tuple:
             raise InternalError("representatives and J fail to span the quotient")
         return {slot[i]: c for i, c in combo.items()}
 
-    return reps, coset, {j: {slot[i]: x for i, x in c.items()} for j, c in word_cosets.items()}
+    return reps, coset
 
 
 def _digits(k: int, d: int, n: int):
@@ -262,13 +261,15 @@ def _lyndon_groups(n: int, d: int) -> dict:
 
 
 def _split_lyndon(w: HallWord, m: int) -> dict:
-    """_lyndon of a bracket word's tensor image on m letters, read off its
-    standard factorisation [prefix, last child] without building the image;
-    _quotient_scan reads every bracket word's vector this way.  The prefix
-    is the first child of a two-child word, else w without its last child,
-    a basis word of w's level; either way tensor_expand(w) is the
+    """A basis word's vector: _lyndon of its tensor image on m letters, a
+    letter's own column, or a bracket word's read off its standard
+    factorisation [prefix, last child] without building the image.  The
+    prefix is the first child of a two-child word, else w without its last
+    child, a basis word of w's level; either way tensor_expand(w) is the
     commutator of the prefix's image with the last child's, whose images
     are built and memoised."""
+    if not w[0]:
+        return {w[2]: 1}
     last = w[-1]
     prefix = w[2] if len(w) == 4 else tuple.__new__(HallWord, (w[0], w[1] - last[1], *w[2:-1]))
     ta, tb = tensor_expand(prefix, m), tensor_expand(last, m)
@@ -325,10 +326,10 @@ def _relator_tensors(p: LiePresentation, cap: int) -> list:
 
 
 def _ideal_basis(relators, n: int, cap: int) -> tuple:
-    """(rows, fill, new) for the degree <= cap part of the ideal J generated
-    by relators, tensor polynomials on n letters cut above the cap: rows are
-    the closure's echelon rows, integer vectors over the Lyndon-word columns
-    of every degree, cut below fill.
+    """(rows, fill, new, pivots) for the degree <= cap part of the ideal J
+    generated by relators, tensor polynomials on n letters cut above the
+    cap: rows are the closure's echelon rows, integer vectors over the
+    Lyndon-word columns of every degree, cut below fill.
 
     J is spanned by the relators closed under the generator brackets, which
     here are g*t - t*g degree by degree.  A bracket is queued as a pending
@@ -350,8 +351,9 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     and rows are a basis of J cut below fill, in echelon form; for
     homogeneous relators, J_k = L_k for k >= fill.
 
-    new[k] counts the relators that raised the rank with a pivot in degree
-    k.  Each degree's brackets go in before its relators, so for homogeneous
+    pivots[k] counts the rows with a pivot in degree k, for k < fill, and
+    new[k] the relators that raised the rank with a pivot in degree k.
+    Each degree's brackets go in before its relators, so for homogeneous
     relators new[k] = dim J_k - dim [A, J_(k-1)]_k, 0 above fill.
     """
     tops = list(accumulate(witt_dim(n, d) for d in range(1, cap + 1)))
@@ -394,7 +396,7 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     low = tops[fill - 2] if fill > 1 else 0
     rows = [{c: x for c, x in row.items() if c < low}
             for lead, row in ech.pivot_rows.items() if lead < low]
-    return rows, fill, new
+    return rows, fill, new, pivots
 
 
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:
@@ -648,12 +650,8 @@ class NilpotentLieAlgebra(_Frozen):
         def cut(vec):
             return {m: c for m, c in vec.items() if m < k}
 
-        brackets = {}
-        for (i, j), table in self.brackets.items():
-            if j < k:
-                small = cut(table)
-                if small:
-                    brackets[(i, j)] = small
+        brackets = {ij: small for ij, table in self.brackets.items()
+                    if ij[1] < k and (small := cut(table))}
         return NilpotentLieAlgebra(
             class_bound=class_bound,
             gen_names=self.gen_names,
@@ -698,28 +696,11 @@ class NilpotentLieAlgebra(_Frozen):
         return True
 
 
-def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
-    """Structure constants of L/Gamma_n for n = class_bound.
-
-    Every scheme takes one route: its generating tensors (_relator_tensors,
-    a derived ideal's basis words), _eliminate_linear, the closure
-    _ideal_basis and the scan _quotient_scan; only the guard on derived
-    levels >= 2 looks at the scheme.  The basis is the set of non-pivot
-    basis words of the ambient free nilpotent algebra after quotienting by
-    the truncated ideal J, the representatives of _quotient_scan, which
-    ideal_span reads too.  A bracket or generator image is read off its
-    coset.  Weights are word degrees, non-decreasing along the basis.  The
-    bracket table splits each Lyndon word of a bracket between the two
-    representatives' tensor images; a representative of top weight
-    brackets to zero, so no image of it is built.
-    J holds every degree from its fill degree on (_ideal_basis), since
-    L_(k+1) = [L_1, L_k]; so the words, brackets and images are cut below
-    it, where no representative lies.  The cost then follows the quotient,
-    not the free Lie algebra.
-    Quotients at different class bounds agree across classes:
-    lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
-    and ce.hirsch_tower builds every lower stage that way from one quotient.
-    """
+def _lcs_ideal(p: LiePresentation, class_bound: int) -> tuple:
+    """The guards of lcs_quotient and lcs_graded_dims, then (images, kept
+    names, rows, fill, pivots) of J on the kept letters through degree
+    class_bound - 1: _eliminate_linear, then _ideal_basis on its relators;
+    fill is 1 when no degree is left, at class 1 or with no letter kept."""
     if class_bound < 1:
         raise PresentationError(f"class bound must be >= 1, got {class_bound}")
     if isinstance(p.scheme, DerivedIdeal) and p.scheme.level >= 2 and (
@@ -730,15 +711,40 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
         )
     cap = class_bound - 1
     relators, imgs, kept = _eliminate_linear(p, cap)
-    m = len(kept)
-    if cap == 0 or m == 0:
-        return NilpotentLieAlgebra(
-            class_bound, p.generators, (), (), {}, tuple({} for _ in p.generators)
-        )
-    ideal, fill, _ = _ideal_basis(relators, m, cap)
-    cap = min(cap, fill - 1)
+    if cap == 0 or not kept:
+        return imgs, kept, [], 1, Counter()
+    rows, fill, _, pivots = _ideal_basis(relators, len(kept), cap)
+    return imgs, kept, rows, fill, pivots
+
+
+def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
+    """Structure constants of L/Gamma_n for n = class_bound.
+
+    Every scheme, a derived ideal as its basis words, takes one route:
+    _lcs_ideal (_eliminate_linear, then the closure _ideal_basis), then
+    _quotient_scan; only the guard on derived levels >= 2 looks at the
+    scheme.  The basis is the scan's representatives, the basis words that
+    are not pivots of the truncated ideal J, as ideal_span reads them too;
+    a bracket or generator image is read off its coset.  Weights are word
+    degrees, non-decreasing along the basis.  The bracket table splits each
+    Lyndon word of a bracket between the two representatives' tensor
+    images; a representative of top weight brackets to zero, so no image
+    of it is built.
+    J holds every degree from its fill degree on (_ideal_basis), since
+    L_(k+1) = [L_1, L_k]; so the words, brackets and images are cut below
+    it, where no representative lies.  The cost then follows the quotient,
+    not the free Lie algebra.
+    Quotients at different class bounds agree across classes:
+    lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
+    and ce.hirsch_tower builds every lower stage that way from one quotient.
+    """
+    imgs, kept, ideal, fill, _ = _lcs_ideal(p, class_bound)
+    cap, m = fill - 1, len(kept)
+    if cap == 0:
+        return NilpotentLieAlgebra(class_bound, p.generators, (), (), {},
+                                   tuple({} for _ in imgs))
     words = hall_basis_derived(m, 0, cap)
-    reps, coset, _ = _quotient_scan(ideal, m, words)
+    reps, coset = _quotient_scan(ideal, m, words)
     reps = [words[j] for j in reps]
     weights = [w.degree for w in reps]
     tens = [tensor_expand(w, m) for w in reps[:bisect_right(weights, cap - 1)]]
@@ -766,8 +772,12 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
 
 def lcs_graded_dims(p: LiePresentation, class_bound: int) -> dict:
     """Dimensions of the lower-central-series layers Gamma_k/Gamma_(k+1) for
-    k < class_bound, read off the quotient's weights."""
-    return lcs_quotient(p, class_bound).dims_by_weight()
+    k < class_bound, lcs_quotient(p, class_bound).dims_by_weight() without
+    the quotient: _quotient_scan keeps witt_dim(m, k) words of degree k less
+    J's pivots there below the fill degree, and none from it."""
+    _, kept, _, fill, pivots = _lcs_ideal(p, class_bound)
+    return {k: witt_dim(len(kept), k) - pivots[k] if k < fill else 0
+            for k in range(1, class_bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -818,11 +828,7 @@ def linearize_presentation(p: LiePresentation, max_relator_degree: int) -> LiePr
     if N < 1:
         raise PresentationError(f"max relator degree must be >= 1, got {N}")
     n = p.n_gens
-    from itertools import product
-
-    tuples = []
-    for length in range(1, N + 1):
-        tuples.extend(product(range(n), repeat=length))
+    tuples = [J for length in range(1, N + 1) for J in product(range(n), repeat=length)]
     pos = {J: i for i, J in enumerate(tuples)}
     names = tuple(_tuple_name(J) for J in tuples)
     nn = len(tuples)

@@ -63,6 +63,7 @@ from .ratlin import (
     EchelonForm,
     InternalError,
     LieobstructError,
+    format_sum,
     scal,
     scan_rational,
 )
@@ -771,17 +772,7 @@ def default_names(n_gens: int):
 def format_element(e: LieElement, names=None) -> str:
     if names is None:
         names = default_names(e.n_gens)
-    if not e.terms:
-        return "0"
-    parts = []
-    for w, c in e.sorted_terms():
-        ws = word_str(w, names)
-        body = ws if abs(c) == 1 else f"{abs(c)}*{ws}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+    return format_sum((word_str(w, names), c) for w, c in e.sorted_terms())
 
 
 class _Parser:

@@ -164,6 +164,18 @@ def scalar_to_json(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_sum(terms) -> str:
+    """Nonzero (name, scalar) terms as one signed sum: "0" when there are
+    none, a bare "-" on a negative first term, "+ " or "- " before each
+    later one, and an abs(c)* prefix only when |c| != 1."""
+    parts = []
+    for name, c in terms:
+        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
 def vec_add(u: dict, v: dict, c: Scalar = ONE) -> dict:
     """Return u + c*v as a new sparse vector (zero entries dropped)."""
     out = dict(u)

@@ -26,8 +26,9 @@ bracket word off.  The scan modulo a derived ideal's own word vectors
 through the closure.  The solver
 write-back of the closure (writeback_ideal_span) checks the ideal_span
 rows read off the quotient scan, the tracked scan over J's tensor basis
-(tracked_quotient_scan) the scan modulo J's RREF, and the Fraction
-elimination (fraction_eliminate_linear) the integer one.  check_jacobi
+(tracked_quotient_scan) the scan modulo J's RREF, the quotient's weights
+lcs_graded_dims's pivot counts, and the Fraction elimination
+(fraction_eliminate_linear) the integer one.  check_jacobi
 is the Jacobi identity on every triple of a quotient's basis vectors.
 """
 
@@ -844,10 +845,11 @@ def test_ideal_basis_fill_degree():
     """_ideal_basis reports the first degree whose Lyndon columns fill, or
     cap + 1 when none does below the cap, also for ideals that never fill;
     its rows lie on the Lyndon columns below the fill degree and are
-    independent there, in echelon form."""
+    independent there, in echelon form, and pivots counts their pivots,
+    their lowest columns, by degree below the fill."""
     for p, fill in FILLING:
         for cap in range(1, fill + 3):
-            basis, got, _ = _ideal_basis(_relator_tensors(p, cap), p.n_gens, cap)
+            basis, got, _, pivots = _ideal_basis(_relator_tensors(p, cap), p.n_gens, cap)
             assert got == min(fill, cap + 1), (presentation_to_dict(p), cap)
             low = sum(witt_dim(p.n_gens, d) for d in range(1, got))
             ech = EchelonForm()
@@ -856,6 +858,9 @@ def test_ideal_basis_fill_degree():
                 ech.insert(row)
             assert ech.rank == len(basis), (presentation_to_dict(p), cap)
             assert len({min(row) for row in basis}) == len(basis)
+            tops = list(accumulate(witt_dim(p.n_gens, d) for d in range(1, cap + 1)))
+            degrees = Counter(bisect_right(tops, min(row)) + 1 for row in basis)
+            assert all(pivots[k] == degrees[k] for k in range(1, got)), (presentation_to_dict(p), cap)
     never = [load_presentation(data_path("pres_cubic.json")),
              holonomy(load_cdga(data_path("wedge2.json"))), XXY]
     for p in never:
@@ -953,7 +958,7 @@ def test_lazy_closure_matches_fifo_closure():
             n = len(kept)
             if n == 0:
                 continue
-            got, fill, _ = _ideal_basis(relators, n, cap)
+            got, fill, _, _ = _ideal_basis(relators, n, cap)
             want, want_fill = fifo_ideal_basis(relators, n, cap)
             assert fill == want_fill, (presentation_to_dict(p), cap)
             assert span(got) == span(_lyndon(e, n) for e in want), (presentation_to_dict(p), cap)
@@ -1091,12 +1096,13 @@ def test_lyndon_bracket_matches_full_commutator():
 
 def test_split_lyndon_matches_the_full_image(monkeypatch):
     """The Lyndon coordinates of a bracket word read off its one split
-    [prefix, last child] equal those of its full tensor image, for every
-    bracket word on 2 letters through degree 12, 3 through 8 and 4 through
-    6.  The images go to an emptied memo, which drops each top one."""
+    [prefix, last child], and of a letter read as its own column, equal
+    those of its full tensor image, for every word on 2 letters through
+    degree 12, 3 through 8 and 4 through 6.  The images go to an emptied
+    memo, which drops each top one."""
     monkeypatch.setattr(freelie, "_EXPAND", {})
     for n, top in ((2, 12), (3, 8), (4, 6)):
-        for w in hall_basis_derived(n, 1, top):
+        for w in hall_basis_derived(n, 0, top):
             full = _lyndon({w.degree: tensor_expand(w, n)}, n)
             assert _split_lyndon(w, n) == full, (n, w)
             if w.degree == top:
@@ -1250,10 +1256,11 @@ def test_quotient_scan_matches_the_tracked_scan():
     """_quotient_scan, which reduces modulo the RREF of the closure's rows
     and tracks only the words' residuals, keeps the words the tracked scan
     over J's eager tensor basis keeps, and gives every word, every bracket
-    of two kept words and every generator image the same coset; with
-    cosets, the words it does not keep map to those cosets.  On the bundled
-    presentations, FILLING, seeded homogeneous, inhomogeneous and linear
-    relator lists, and derived schemes of levels 1-3."""
+    of two kept words and every generator image the same coset; each word
+    it does not keep, read off its split, has that coset too, over later
+    representatives only.  On the bundled presentations, FILLING, seeded
+    homogeneous, inhomogeneous and linear relator lists, seeded cdga
+    holonomies, and derived schemes of levels 1-3."""
     rng = random.Random(20261028)
     cases = [load_presentation(data_path(f"{name}.json")) for name in (
         "pres_heis", "pres_noncarnot", "pres_cubic", "pres_torus", "free_metabelian")]
@@ -1261,6 +1268,7 @@ def test_quotient_scan_matches_the_tracked_scan():
     cases += [random_graded_presentation(rng, n, low, homogeneous)
               for n, low in ((2, 2), (2, 3), (3, 2)) for homogeneous in (True, False)]
     cases += [linear_presentation(rng, n, 3) for n in (2, 3) for _ in range(3)]
+    cases += [random_cdga_holonomy(seed, 3, 2) for seed in (1, 2)]
     cases += [pres(("x", "y"), (), DerivedIdeal(k)) for k in (1, 3)]
     cases += [pres(("x", "y", "z"), (), DerivedIdeal(k)) for k in (1, 2)]
     checked = 0
@@ -1276,16 +1284,13 @@ def test_quotient_scan_matches_the_tracked_scan():
                 m = len(kept)
                 if m == 0:
                     continue
-                new, fill, _ = _ideal_basis(relators, m, cap)
+                new, fill, _, _ = _ideal_basis(relators, m, cap)
                 old = fifo_ideal_basis(relators, m, cap)[0]
                 cap = min(cap, fill - 1)
             words = hall_basis_derived(m, 0, cap)
             want_reps, want = tracked_quotient_scan(old, m, words)
-            reps, coset, none = _quotient_scan(new, m, words)
-            assert reps == want_reps and none == {}, (presentation_to_dict(p), cap)
-            assert _quotient_scan(new, m, words, cosets=True)[0] == reps
-            cosets = _quotient_scan(new, m, words, cosets=True)[2]
-            assert set(cosets) == set(range(len(words))) - set(reps)
+            reps, coset = _quotient_scan(new, m, words)
+            assert reps == want_reps, (presentation_to_dict(p), cap)
             vecs = [_lyndon({w.degree: tensor_expand(w, m)}, m) for w in words]
             vecs += [_lyndon({d: v for d, v in img.items() if d <= cap}, m) for img in imgs]
             for a, b in combinations(reps, 2):
@@ -1295,10 +1300,71 @@ def test_quotient_scan_matches_the_tracked_scan():
                         tensor_expand(words[a], m), tensor_expand(words[b], m), m ** da, m ** db)}, m))
             for v in vecs:
                 assert coset(v) == want(v), (presentation_to_dict(p), cap)
-            for j, c in cosets.items():
-                assert c == want(vecs[j])
+            for j in set(range(len(words))) - set(reps):
+                c = coset(_split_lyndon(words[j], m))
+                assert c == want(vecs[j]) and all(reps[a] > j for a in c)
             checked += len(vecs)
     assert checked > 5000
+
+
+def test_scan_stops_each_degree_at_its_rank(monkeypatch):
+    """On three letters with two generic quadratic relators (the shape of a
+    random d = 0 cdga's holonomy), lcs_quotient at class 7 builds the
+    vectors of exactly the words from the last one of each degree down to
+    that degree's first representative, fewer than the bracket words
+    alone; a degree holding one word more than its rank modulo J ends
+    short of it, an InternalError."""
+    p = pres(("x", "y", "z"), ("[x,y] + 2*[x,z] - 3*[y,z]", "2*[x,y] - [x,z] + [y,z]"))
+    built, split = [], fplie._split_lyndon
+    monkeypatch.setattr(fplie, "_split_lyndon", lambda w, m: built.append(w) or split(w, m))
+    q = lcs_quotient(p, 7)
+    words = hall_basis_derived(3, 0, 6)
+    first = {}
+    for i, w in enumerate(words):
+        if word_str(w, p.generators) in q.labels:
+            first.setdefault(w.degree, i)
+    index = {w: i for i, w in enumerate(words)}
+    assert sorted(index[w] for w in built) == [
+        i for i, w in enumerate(words) if i >= first.get(w.degree, len(words))]
+    assert len(built) < sum(1 for w in words if w[0])
+    ideal, fill, _, _ = _ideal_basis(_relator_tensors(p, 6), 3, 6)
+    assert fill == 7
+    assert _quotient_scan(ideal, 3, words)[0] == [index[w] for w in words
+                                                  if word_str(w, p.generators) in q.labels]
+    with pytest.raises(InternalError, match="rank"):
+        _quotient_scan(ideal, 3, (*words, words[-1]))
+
+
+def test_lcs_graded_dims_match_the_quotient():
+    """lcs_graded_dims, read off the closure's pivot counts, equals
+    lcs_quotient(p, c).dims_by_weight() at every class through a cap: on
+    the bundled holonomies and presentations, seeded homogeneous,
+    inhomogeneous and linear relator lists, seeded cdga holonomies, derived
+    levels 1-3, and alphabets of 0 and 1 letters.  Both raise the same
+    errors on a class below 1 and on a guarded derived level."""
+    rng = random.Random(20261029)
+    cases = [holonomy(load_cdga(data_path(f"{name}.json")))
+             for name in ("heis", "noncarnot", "torus", "wedge2")]
+    cases += [load_presentation(data_path(f"{name}.json")) for name in (
+        "pres_heis", "pres_noncarnot", "pres_cubic", "pres_torus", "free_metabelian")]
+    cases += [random_graded_presentation(rng, n, low, homogeneous)
+              for n, low in ((2, 2), (2, 3), (3, 2)) for homogeneous in (True, False)]
+    cases += [linear_presentation(rng, n, 3) for n in (2, 3) for _ in range(3)]
+    cases += [random_cdga_holonomy(seed, 3, 2) for seed in range(3)]
+    cases += [pres(("x", "y"), (), DerivedIdeal(k)) for k in (1, 2, 3)]
+    cases += [pres(("x", "y", "z"), (), DerivedIdeal(1)), pres((), ()), pres(("x",), ()),
+              pres(("x",), ("x",)), pres(("x", "y"), ("x - [x,y]",))]
+    for p in cases:
+        for c in range(1, {0: 6, 1: 6, 2: 9, 3: 7}.get(p.n_gens, 5)):
+            assert lcs_graded_dims(p, c) == lcs_quotient(p, c).dims_by_weight(), (
+                presentation_to_dict(p), c)
+    for p, c in ((FREE2, 0), (pres(("a", "b", "c"), (), DerivedIdeal(2)), 4), (METAB, 9)):
+        messages = set()
+        for f in (lcs_graded_dims, lcs_quotient):
+            with pytest.raises(PresentationError) as err:
+                f(p, c)
+            messages.add(str(err.value))
+        assert len(messages) == 1, (presentation_to_dict(p), c)
 
 
 def test_ideal_span_non_pivots_are_the_quotient_representatives():
@@ -1382,7 +1448,7 @@ def word_vector_lcs_quotient(p, class_bound):
     ideal = [_lyndon({w.degree: tensor_expand(w, m)}, m)
              for w in hall_basis_derived(m, p.scheme.level, cap)]
     words = hall_basis_derived(m, 0, cap)
-    reps, coset, _ = _quotient_scan(ideal, m, words)
+    reps, coset = _quotient_scan(ideal, m, words)
     reps = [words[j] for j in reps]
     weights = [w.degree for w in reps]
     brackets = {}
