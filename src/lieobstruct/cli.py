@@ -10,11 +10,21 @@ usage error.  Errors are printed to stderr as a JSON object
 
 A subcommand imports the cdga and ce modules only when it runs them; with
 --timings that import is the phase "import".
+
+A job is a short process, so its fixed costs are kept small.  main builds
+only the subparser its first argument names; no command, an unknown one or
+a top-level -h gets the whole parser, whose messages list every
+subcommand.  `python -m lieobstruct.cli` and the lieobstruct console script
+enter through process_main, which runs main and calls gc.freeze() however
+it ends: the interpreter's closing collections skip frozen objects, and
+would otherwise walk every module object of a heap the process is about to
+drop, often for longer than the job's own work.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -33,7 +43,7 @@ from .fplie import (
 from .freelie import hall_degree_counts
 from .ratlin import LieobstructError, scalar_to_json
 
-__all__ = ["main"]
+__all__ = ["main", "process_main"]
 
 
 class _UsageError(Exception):
@@ -276,69 +286,89 @@ def cmd_fixed(args, phases: _Phases) -> dict:
 # wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lieobstruct", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", help="write the report to this file")
-        sp.add_argument(
-            "--timings", action="store_true", help="include phase timings"
-        )
-
-    sp = sub.add_parser("hall", help="free Lie algebra basis counts")
+def _hall_options(sp):
     sp.add_argument("--gens", type=int, required=True)
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--deg", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_hall)
 
-    sp = sub.add_parser("h2scan", help="degreewise H2 scan of a presentation")
+
+def _h2scan_options(sp):
     sp.add_argument("path", help="presentation JSON file")
     sp.add_argument("--deg", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_h2scan)
 
-    sp = sub.add_parser("holonomy", help="holonomy presentation of a cdga")
+
+def _holonomy_options(sp):
     sp.add_argument("path", help="cdga JSON file")
     sp.add_argument("--lcs", type=int, help="also report quotient dims up to this class")
-    common(sp)
-    sp.set_defaults(func=cmd_holonomy)
 
-    sp = sub.add_parser("resonance", help="resonance dims or triviality probe")
+
+def _resonance_options(sp):
     sp.add_argument("path", help="cdga JSON file")
     sp.add_argument("--point", help="degree-1 element, e.g. 'a1 - 2*a2'")
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_resonance)
 
-    sp = sub.add_parser("classify", help="tower, classifying maps, stability")
+
+def _classify_options(sp):
     sp.add_argument("path", help="cdga JSON file")
     sp.add_argument("--stage", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("linearize", help="rewrite relators into degrees <= 2")
+
+def _linearize_options(sp):
     sp.add_argument("path", help="presentation JSON file")
     sp.add_argument("--deg", type=int, help="ad-monomial length bound (default: max relator degree)")
     sp.add_argument("--class", dest="class_cap", type=int, default=6,
                     help="compare quotient dims through this class")
-    common(sp)
-    sp.set_defaults(func=cmd_linearize)
 
-    sp = sub.add_parser("fixed", help="fixed sub-cdga of a finite group action")
+
+def _fixed_options(sp):
     sp.add_argument("path", help="cdga JSON file")
     sp.add_argument("action", help="action JSON file")
-    common(sp)
-    sp.set_defaults(func=cmd_fixed)
 
+
+# subcommand -> (help line, its own options, the function it runs), in the
+# order the top-level help lists them
+_COMMANDS = {
+    "hall": ("free Lie algebra basis counts", _hall_options, cmd_hall),
+    "h2scan": ("degreewise H2 scan of a presentation", _h2scan_options, cmd_h2scan),
+    "holonomy": ("holonomy presentation of a cdga", _holonomy_options, cmd_holonomy),
+    "resonance": ("resonance dims or triviality probe", _resonance_options, cmd_resonance),
+    "classify": ("tower, classifying maps, stability", _classify_options, cmd_classify),
+    "linearize": ("rewrite relators into degrees <= 2", _linearize_options, cmd_linearize),
+    "fixed": ("fixed sub-cdga of a finite group action", _fixed_options, cmd_fixed),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser: only the named subcommand's subparser when
+    command is one, else all of them.
+
+    A subparser's prog, options and messages do not depend on which others
+    exist, and the top-level parser has no option but -h, so an argv whose
+    first item is a known command parses the same, errors included, with
+    that one subparser; any other argv needs the whole parser.
+    """
+    parser = _Parser(prog="lieobstruct", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    for name in names:
+        help_line, options, func = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_line)
+        options(sp)
+        sp.add_argument("--out", help="write the report to this file")
+        sp.add_argument(
+            "--timings", action="store_true", help="include phase timings"
+        )
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand on argv (default sys.argv[1:]) and return its exit
+    code; a usage error raises SystemExit(2), as argparse does.  main does
+    not touch the collector, so in-process callers are left as they were."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     phases = _Phases()
     try:
         results = args.func(args, phases)
@@ -367,5 +397,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def process_main() -> int:
+    """The entry point of a lieobstruct process, for `python -m
+    lieobstruct.cli` and the console script: main on sys.argv[1:], then
+    gc.freeze() on every way out, a return or a SystemExit alike.
+
+    The process ends right after, and the interpreter's closing collections
+    would walk every object alive, the imported modules' included, to find
+    no garbage worth the time; frozen objects are skipped.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(process_main())

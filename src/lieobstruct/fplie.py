@@ -14,8 +14,9 @@ tensor-algebra coordinates, where the bracket with a generator g is
 g*t - t*g and needs no rewriting into the basis.  It stops at the first
 degree the ideal fills: L is generated in degree 1, so an ideal holding
 all of L_d holds every higher degree too; a bracket is formed only when
-taken, lowest degree first, cut at the fill known then.  A Lie polynomial
-is determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
+taken, lowest degree first, cut at the fill known then, and one taken a
+degree below the fill is read straight onto its Lyndon columns.  A Lie
+polynomial is determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
 Lie elements is taken on those columns alone; the quotient's bracket
 table reads them off one split of each Lyndon word.  One scan, from the
@@ -33,7 +34,8 @@ and the second derived ideal is read in the Chen module L'/L'' instead.
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  A derived ideal enters them as its
 basis words, which span it, by the same elimination, closure and scan as a
-relator list.  Generators that appear linearly in
+relator list, only through the first degree they fill.  Generators
+that appear linearly in
 some relator are eliminated by substitution before any quotient is formed;
 this keeps the ambient free nilpotent algebra as small as the presentation
 really is, which is what makes the rewritten presentations produced by
@@ -69,6 +71,7 @@ from .freelie import (
     bracket,
     gen_elt,
     hall_basis_derived,
+    hall_degree_counts,
     lie_tensor,
     parse_element,
     format_element,
@@ -316,11 +319,18 @@ def _integral(e: dict) -> dict:
 def _relator_tensors(p: LiePresentation, cap: int) -> list:
     """The tensor polynomials that generate p's ideal, cut above the cap and
     those left nonzero: a relator list's lie_tensor images, or a derived
-    ideal's basis words through the cap, which span it degreewise."""
+    ideal's basis words, which span it degreewise.  The words stop at the
+    first degree where they are all of L, as many as witt_dim counts (degree
+    2 for level 1): L is generated in degree 1, so J holds every degree from
+    there on, and the closure, which fills there, would drop the rest."""
     if isinstance(p.scheme, DerivedIdeal):
         n = p.n_gens
-        words = hall_basis_derived(n, p.scheme.level, cap) if n else ()
-        return [{w.degree: tensor_expand(w, n)} for w in words]
+        if not n:
+            return []
+        level = p.scheme.level
+        counts = hall_degree_counts(n, level, cap)
+        top = next((d for d, c in counts.items() if c == witt_dim(n, d)), cap)
+        return [{w.degree: tensor_expand(w, n)} for w in hall_basis_derived(n, level, top)]
     cut = ({d: v for d, v in lie_tensor(r).items() if d <= cap} for r in p.scheme.relators)
     return [t for t in cut if t]
 
@@ -335,9 +345,12 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     here are g*t - t*g degree by degree.  A bracket is queued as a pending
     (g, element) pair and formed when taken, lowest degree first and, within
     a degree, before every relator, cut at the fill degree of that moment;
-    one that vanishes is not inserted.  A relator is cut at the fill when
-    taken, and what is left is scaled by one integer for all its degrees,
-    so no relator past the fill is copied.  One echelon ranks every degree
+    one that vanishes is not inserted.  A bracket that is taken one degree
+    below the fill is cut to that degree, and none of its own brackets can
+    be queued, so it is read straight onto that degree's Lyndon columns
+    (_generator_bracket) and its tensor is never formed.  A relator is cut
+    at the fill when taken, and what is left is scaled by one integer for
+    all its degrees, so no relator past the fill is copied.  One echelon ranks every degree
     on its own Lyndon-word columns, so an inhomogeneous relator stays one
     vector.
     Elements already in the span are not closed further; linearity of ad
@@ -365,16 +378,21 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     pool = [(min(r), True, next(queued), None, r) for r in relators]
     heapify(pool)
     while pool:
-        _, _, _, g, e = heappop(pool)
+        low, _, _, g, e = heappop(pool)
+        if low >= fill:
+            continue  # fill came down to its degrees after it was queued
         if g is None:
-            e = {d: v for d, v in e.items() if d < fill}
-            if e:
-                e = _integral(e)
-        else:
+            e = _integral({d: v for d, v in e.items() if d < fill})
+            vec = _lyndon(e, n)
+        elif low + 1 < fill:
             e = _nonzero({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)
                           for d, v in e.items() if d + 1 < fill})
-        # e is empty when fill came down to its degrees after it was queued
-        lead = ech.insert(_lyndon(e, n))[1] if e else None
+            vec = _lyndon(e, n)
+        else:
+            # cut to its lowest degree, and none of its brackets can be
+            # queued, since fill only comes down: only its vector is needed
+            vec, e = _generator_bracket(g, e[low - 1], low - 1, n), None
+        lead = ech.insert(vec)[1] if vec else None
         if lead is None:
             continue
         # the pivot is the lowest column left, so its degree is the lowest
@@ -388,7 +406,7 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
         if pivots[k] == witt_dim(n, k):
             fill = k  # e itself lies in degrees >= k
             continue
-        if min(e) + 1 < fill:
+        if e is not None and min(e) + 1 < fill:
             for g in range(n):
                 heappush(pool, (min(e) + 1, False, next(queued), g, e))
     # a row whose pivot lies at or above the final fill is a combination of
@@ -397,6 +415,23 @@ def _ideal_basis(relators, n: int, cap: int) -> tuple:
     rows = [{c: x for c, x in row.items() if c < low}
             for lead, row in ech.pivot_rows.items() if lead < low]
     return rows, fill, new, pivots
+
+
+def _generator_bracket(g: int, v: dict, d: int, n: int) -> dict:
+    """_lyndon of [g, v] = g*v - v*g for a tensor v of degree d on n letters,
+    read off the Lyndon columns of degree d + 1 with no commutator formed:
+    the word g.u has the key g * n**d + u, and u.g the key u * n + g.  A
+    Lyndon word of two or more letters never starts and ends with the same
+    letter, so no column is reached both ways."""
+    cols, head, vec = _lyndon_columns(n, d + 1), g * n ** d, {}
+    for u, x in v.items():
+        c = cols.get(head + u)
+        if c is not None:
+            vec[c] = x
+        c = cols.get(u * n + g)
+        if c is not None:
+            vec[c] = -x
+    return vec
 
 
 def h2_graded(p: LiePresentation, degree_cap: int) -> dict:

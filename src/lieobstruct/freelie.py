@@ -27,7 +27,10 @@ cyclic garbage, yet each new word is a container the cyclic collector
 would walk again and again.  A layer build therefore pauses the collector
 and restores the caller's setting, and an exit hook empties the layer
 cache, so refcounting frees the words before the interpreter's closing
-collections would walk them.
+collections would walk them.  The lieobstruct command freezes its heap
+before it exits (cli.process_main), so its closing collections skip the
+words anyway; library hosts, such as scripts, test runs or a program that
+calls cli.main, do not freeze and still need the hook.
 
 Arbitrary brackets are rewritten into the basis by expanding both sides in
 the tensor algebra (the free Lie algebra sits inside it, multidegree by
@@ -232,7 +235,8 @@ def _check_enum_args(n_gens, level, max_degree):
         raise LieError(f"degree cap must be >= 0, got {max_degree}")
 
 
-# (n_gens, level) -> [words of degree 0, of degree 1, ...], grown on demand
+# (n_gens, level) -> [words of degree 0, of degree 1, ...], grown on demand;
+# emptied at exit for library hosts, whose heap is not frozen (see above)
 _LAYERS: dict = {}
 atexit.register(_LAYERS.clear)
 

@@ -19,6 +19,8 @@ words of hall_ideal_span.  Neither Hall-coordinate oracle uses the fill
 degree at which _ideal_basis stops its closure.  The first tensor forms of
 two quotient stages are kept as oracles too: renumbering_eliminate_linear
 for _eliminate_linear and fifo_ideal_basis for the lazy closure, and the
+closure that forms every bracket's tensor (formed_ideal_basis) checks the
+brackets _ideal_basis reads straight onto Lyndon columns; the
 full tensor commutator checks the split-read _lyndon_bracket, and a word's
 full tensor image checks _split_lyndon, the split the scan reads every
 bracket word off.  The scan modulo a derived ideal's own word vectors
@@ -37,7 +39,8 @@ from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, combinations, count, product
 
 import pytest
 
@@ -964,6 +967,75 @@ def test_lazy_closure_matches_fifo_closure():
             assert span(got) == span(_lyndon(e, n) for e in want), (presentation_to_dict(p), cap)
 
 
+def formed_ideal_basis(relators, n, cap):
+    """_ideal_basis as it was before it read brackets onto the Lyndon
+    columns: every generator bracket's tensor is formed, cut at the fill of
+    the moment, and then cut to its Lyndon columns."""
+    tops = list(accumulate(witt_dim(n, d) for d in range(1, cap + 1)))
+    fill = cap + 1
+    pivots, new = Counter(), Counter()
+    ech = EchelonForm()
+    queued = count()
+    pool = [(min(r), True, next(queued), None, r) for r in relators]
+    heapify(pool)
+    while pool:
+        _, _, _, g, e = heappop(pool)
+        if g is None:
+            e = {d: v for d, v in e.items() if d < fill}
+            if e:
+                e = _integral(e)
+        else:
+            e = _nonzero({d + 1: _tensor_commutator({g: 1}, v, n, n ** d)
+                          for d, v in e.items() if d + 1 < fill})
+        lead = ech.insert(_lyndon(e, n))[1] if e else None
+        if lead is None:
+            continue
+        k = bisect_right(tops, lead) + 1
+        if k >= fill:
+            continue
+        pivots[k] += 1
+        if g is None:
+            new[k] += 1
+        if pivots[k] == witt_dim(n, k):
+            fill = k
+            continue
+        if min(e) + 1 < fill:
+            for g in range(n):
+                heappush(pool, (min(e) + 1, False, next(queued), g, e))
+    low = tops[fill - 2] if fill > 1 else 0
+    rows = [{c: x for c, x in row.items() if c < low}
+            for lead, row in ech.pivot_rows.items() if lead < low]
+    return rows, fill, new, pivots
+
+
+def test_brackets_read_onto_lyndon_columns_match_formed_brackets(monkeypatch):
+    """_ideal_basis, which reads a bracket taken one degree below the fill
+    straight onto its Lyndon columns, returns the rows, in order, the fill,
+    new and pivots of the closure that forms every bracket's tensor: on
+    FILLING, on ideals that never fill, and on seeded homogeneous relator
+    lists and inhomogeneous presentations, their linear generators
+    eliminated."""
+    read = []
+    bracket_read = fplie._generator_bracket
+    monkeypatch.setattr(fplie, "_generator_bracket",
+                        lambda *a: read.append(a) or bracket_read(*a))
+    rng = random.Random(20261021)
+    cases = [p for p, _ in FILLING]
+    cases += [load_presentation(data_path("pres_cubic.json")), XXY,
+              holonomy(load_cdga(data_path("wedge2.json"))), random_cdga_holonomy(7, 3, 2)]
+    cases += [random_relator_list(rng, n, 5 if n == 2 else 3, 2, rng.random() < 0.5,
+                                  rng.random() < 0.5) for n in (2, 3) for _ in range(8)]
+    cases += [random_presentation(rng, n, 3) for n in (2, 3) for _ in range(6)]
+    cases += [linear_presentation(rng, n, 3) for n in (2, 3) for _ in range(6)]
+    for p in cases:
+        for cap in range(1, {2: 9, 3: 7}.get(p.n_gens, 6)):
+            relators, _, kept = _eliminate_linear(p, cap)
+            if kept:
+                got = _ideal_basis(relators, len(kept), cap)
+                assert got == formed_ideal_basis(relators, len(kept), cap), (presentation_to_dict(p), cap)
+    assert len(read) > 1000
+
+
 def two_echelon_h2(p, cap):
     """h2_graded on a relator list as it was before the closure counted
     relators: J from the eager closure (fifo_ideal_basis) and [L, J] =
@@ -1476,6 +1548,29 @@ def test_derived_quotient_matches_the_word_vector_scan():
             p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
             for c in range(1, 9):
                 assert lcs_quotient(p, c) == word_vector_lcs_quotient(p, c), (level, n, c)
+
+
+def test_derived_ideal_builds_images_only_through_its_full_degree(monkeypatch):
+    """A derived ideal's basis words go to the closure only through the
+    first degree they fill, degree 2 for level 1, so a level-1 quotient
+    builds the tensor images of the letters and of the degree-2 words
+    alone: 3 on two letters at class 14 and 6 on three at class 10, where
+    the image of every basis word through the cap was built before (1,377
+    and 3,502).  The second derived ideal never fills a degree, and all its
+    words through the cap go in.  The quotients equal the word-vector
+    scan's."""
+    for n, c in ((2, 14), (3, 10)):
+        p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(1))
+        monkeypatch.setattr(freelie, "_EXPAND", {})
+        q = lcs_quotient(p, c)
+        assert len(freelie._EXPAND) == n + witt_dim(n, 2), (n, c)
+        assert {k: v for k, v in q.dims_by_weight().items() if v} == {1: n}
+        assert [set(t) for t in _relator_tensors(p, c - 1)] == [{2}] * witt_dim(n, 2)
+    p = LiePresentation(("x1", "x2"), DerivedIdeal(2))
+    assert len(_relator_tensors(p, 9)) == len(hall_basis_derived(2, 2, 9))
+    for level, n, c in ((1, 2, 12), (1, 3, 9), (1, 4, 8)):
+        p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
+        assert lcs_quotient(p, c) == word_vector_lcs_quotient(p, c), (level, n, c)
 
 
 def test_zero_letter_derived_quotients_are_empty():
