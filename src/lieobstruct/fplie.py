@@ -45,6 +45,13 @@ the letter, and renumbers the kept letters once at the end.  Coset
 representatives are the non-pivot basis words under the degree-major
 echelon pivot rule, so representatives chosen at different class bounds
 agree wherever both exist.
+
+That closure and scan build a quotient only when a relator left after the
+elimination has two degrees, so that the quotient is filtered, not graded.
+When every relator left is homogeneous, or none is, lcs_quotient hands
+them to nilquot, imported on first use, which builds each layer from the
+layers below with the same representatives, table and generator images;
+the closure route stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -263,18 +270,25 @@ def _lyndon_groups(n: int, d: int) -> dict:
     return dict(groups)
 
 
+def _split(w: HallWord) -> tuple:
+    """A bracket word's standard factorisation (prefix, last child): the
+    prefix is the first child of a two-child word, else w without its last
+    child, a basis word of w's level; either way w = [prefix, last child]."""
+    last = w[-1]
+    if len(w) == 4:
+        return w[2], last
+    return tuple.__new__(HallWord, (w[0], w[1] - last[1], *w[2:-1])), last
+
+
 def _split_lyndon(w: HallWord, m: int) -> dict:
     """A basis word's vector: _lyndon of its tensor image on m letters, a
-    letter's own column, or a bracket word's read off its standard
-    factorisation [prefix, last child] without building the image.  The
-    prefix is the first child of a two-child word, else w without its last
-    child, a basis word of w's level; either way tensor_expand(w) is the
+    letter's own column, or a bracket word's read off its split [prefix,
+    last child] (_split) without building the image: tensor_expand(w) is the
     commutator of the prefix's image with the last child's, whose images
     are built and memoised."""
     if not w[0]:
         return {w[2]: 1}
-    last = w[-1]
-    prefix = w[2] if len(w) == 4 else tuple.__new__(HallWord, (w[0], w[1] - last[1], *w[2:-1]))
+    prefix, last = _split(w)
     ta, tb = tensor_expand(prefix, m), tensor_expand(last, m)
     da, db = prefix[1], last[1]
     letters = (*_digits(next(iter(ta)), da, m), *_digits(next(iter(tb)), db, m))
@@ -651,6 +665,28 @@ def _eliminate_linear(p: LiePresentation, cap: int):
     return rel, imgs, tuple(p.generators[g] for g in kept)
 
 
+def _bracket(table: dict, u: dict, v: dict, out: dict | None = None) -> dict:
+    """Add [u, v] into out (a new dict when None) and return it, for vectors
+    u, v over a basis whose brackets table gives as {(i, j): vector}, i < j,
+    a missing pair bracketing to zero; zero entries are dropped."""
+    out = {} if out is None else out
+    for i, a in u.items():
+        for j, b in v.items():
+            if i < j:
+                table_ij, c = table.get((i, j)), a * b
+            elif j < i:
+                table_ij, c = table.get((j, i)), -a * b
+            else:
+                continue
+            for k, s in (table_ij or {}).items():
+                y = out.get(k, ZERO) + c * s
+                if y:
+                    out[k] = y
+                else:
+                    del out[k]
+    return out
+
+
 class NilpotentLieAlgebra(_Frozen):
     """L modulo the class_bound-th lower central series term, on a weighted
     basis with exact structure constants.
@@ -703,25 +739,7 @@ class NilpotentLieAlgebra(_Frozen):
         return out
 
     def bracket_vec(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                if i == j:
-                    continue
-                c = a * b
-                if i < j:
-                    table = self.brackets.get((i, j), {})
-                    sign = 1
-                else:
-                    table = self.brackets.get((j, i), {})
-                    sign = -1
-                for k, s in table.items():
-                    y = out.get(k, ZERO) + sign * c * s
-                    if y:
-                        out[k] = y
-                    else:
-                        del out[k]
-        return out
+        return _bracket(self.brackets, u, v)
 
     def check_filtration(self) -> bool:
         for (i, j), table in self.brackets.items():
@@ -732,10 +750,9 @@ class NilpotentLieAlgebra(_Frozen):
 
 
 def _lcs_ideal(p: LiePresentation, class_bound: int) -> tuple:
-    """The guards of lcs_quotient and lcs_graded_dims, then (images, kept
-    names, rows, fill, pivots) of J on the kept letters through degree
-    class_bound - 1: _eliminate_linear, then _ideal_basis on its relators;
-    fill is 1 when no degree is left, at class 1 or with no letter kept."""
+    """The guards of lcs_quotient and lcs_graded_dims, then (relators,
+    images, kept names, cap) of _eliminate_linear at cap = class_bound - 1:
+    J's generators on the kept letters, cut above the cap."""
     if class_bound < 1:
         raise PresentationError(f"class bound must be >= 1, got {class_bound}")
     if isinstance(p.scheme, DerivedIdeal) and p.scheme.level >= 2 and (
@@ -745,39 +762,24 @@ def _lcs_ideal(p: LiePresentation, class_bound: int) -> tuple:
             "generators and class bound <= 8"
         )
     cap = class_bound - 1
-    relators, imgs, kept = _eliminate_linear(p, cap)
-    if cap == 0 or not kept:
-        return imgs, kept, [], 1, Counter()
-    rows, fill, _, pivots = _ideal_basis(relators, len(kept), cap)
-    return imgs, kept, rows, fill, pivots
+    return (*_eliminate_linear(p, cap), cap)
 
 
-def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
-    """Structure constants of L/Gamma_n for n = class_bound.
-
-    Every scheme, a derived ideal as its basis words, takes one route:
-    _lcs_ideal (_eliminate_linear, then the closure _ideal_basis), then
-    _quotient_scan; only the guard on derived levels >= 2 looks at the
-    scheme.  The basis is the scan's representatives, the basis words that
-    are not pivots of the truncated ideal J, as ideal_span reads them too;
-    a bracket or generator image is read off its coset.  Weights are word
-    degrees, non-decreasing along the basis.  The bracket table splits each
+def _closure_quotient(relators: list, imgs: list, m: int, cap: int) -> tuple:
+    """(reps, brackets, gen_images) of the quotient through degree cap on m
+    letters by the closure: _ideal_basis, then _quotient_scan.  The basis
+    is the scan's representatives, the basis words that are not pivots of
+    the truncated ideal J, as ideal_span reads them too; a bracket or
+    generator image is read off its coset.  The bracket table splits each
     Lyndon word of a bracket between the two representatives' tensor
     images; a representative of top weight brackets to zero, so no image
-    of it is built.
-    J holds every degree from its fill degree on (_ideal_basis), since
+    of it is built.  J holds every degree from its fill degree on, since
     L_(k+1) = [L_1, L_k]; so the words, brackets and images are cut below
-    it, where no representative lies.  The cost then follows the quotient,
-    not the free Lie algebra.
-    Quotients at different class bounds agree across classes:
-    lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
-    and ce.hirsch_tower builds every lower stage that way from one quotient.
-    """
-    imgs, kept, ideal, fill, _ = _lcs_ideal(p, class_bound)
-    cap, m = fill - 1, len(kept)
+    it, where no representative lies."""
+    ideal, fill = _ideal_basis(relators, m, cap)[:2] if cap and m else ([], 1)
+    cap = fill - 1
     if cap == 0:
-        return NilpotentLieAlgebra(class_bound, p.generators, (), (), {},
-                                   tuple({} for _ in imgs))
+        return [], {}, [{} for _ in imgs]
     words = hall_basis_derived(m, 0, cap)
     reps, coset = _quotient_scan(ideal, m, words)
     reps = [words[j] for j in reps]
@@ -791,14 +793,42 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
                                           letters[a] + letters[b], m))
             if table:
                 brackets[(a, b)] = table
+    gen_images = [coset(_lyndon({d: v for d, v in img.items() if d <= cap}, m)) for img in imgs]
+    return reps, brackets, gen_images
+
+
+def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
+    """Structure constants of L/Gamma_n for n = class_bound.
+
+    Every scheme, a derived ideal as its basis words, starts the same way:
+    _lcs_ideal (the guards, then _eliminate_linear); only the guard on
+    derived levels >= 2 looks at the scheme.  When every relator left is
+    homogeneous, or none is, the quotient is graded and is built layer by
+    layer from the layers below (nilquot.graded_quotient, imported on first
+    use), with no closure of J in the free Lie algebra, so the cost follows
+    the quotient.  A relator left with two degrees takes the closure and
+    its scan (_closure_quotient).  Both give the same basis, the Hall
+    words the scan keeps, and so the same table and generator images.
+    Weights are word degrees, non-decreasing along the basis.
+    Quotients at different class bounds agree across classes:
+    lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
+    and ce.hirsch_tower builds every lower stage that way from one quotient.
+    """
+    relators, imgs, kept, cap = _lcs_ideal(p, class_bound)
+    m = len(kept)
+    if cap and m and all(len(t) == 1 for t in relators):
+        from .nilquot import graded_quotient
+
+        reps, brackets, gen_images = graded_quotient(relators, imgs, m, cap)
+    else:
+        reps, brackets, gen_images = _closure_quotient(relators, imgs, m, cap)
     alg = NilpotentLieAlgebra(
         class_bound=class_bound,
         gen_names=p.generators,
         labels=tuple(word_str(w, kept) for w in reps),
-        weights=tuple(weights),
+        weights=tuple(w.degree for w in reps),
         brackets=brackets,
-        gen_images=tuple(coset(_lyndon({d: v for d, v in img.items() if d <= cap}, m))
-                         for img in imgs),
+        gen_images=tuple(gen_images),
     )
     if not alg.check_filtration():
         raise InternalError("quotient brackets break the weight filtration")
@@ -810,9 +840,10 @@ def lcs_graded_dims(p: LiePresentation, class_bound: int) -> dict:
     k < class_bound, lcs_quotient(p, class_bound).dims_by_weight() without
     the quotient: _quotient_scan keeps witt_dim(m, k) words of degree k less
     J's pivots there below the fill degree, and none from it."""
-    _, kept, _, fill, pivots = _lcs_ideal(p, class_bound)
-    return {k: witt_dim(len(kept), k) - pivots[k] if k < fill else 0
-            for k in range(1, class_bound)}
+    relators, _, kept, cap = _lcs_ideal(p, class_bound)
+    m = len(kept)
+    fill, _, pivots = _ideal_basis(relators, m, cap)[1:] if cap and m else (1, 0, Counter())
+    return {k: witt_dim(m, k) - pivots[k] if k < fill else 0 for k in range(1, class_bound)}
 
 
 # ---------------------------------------------------------------------------

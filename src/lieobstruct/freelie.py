@@ -574,16 +574,26 @@ def _solver(n_gens, md) -> _MultidegreeSolver:
     return s
 
 
+def _basis_bracket(a: HallWord, b: HallWord):
+    """[a, b] for basis words a < b when it is itself a basis word, else
+    None: a bracket of two distinct same-level words, or a left-normed
+    bracket extended by a previous-level word no larger than its last."""
+    if a[0] == b[0]:
+        return tuple.__new__(HallWord, (a[0] - 1, a[1] + b[1], a, b))
+    if b[0] == a[0] + 1 and b <= a[-1]:
+        return tuple.__new__(HallWord, (a[0], a[1] + b[1], *a[2:], b))
+    return None
+
+
 def _normalize_pair(n_gens, a: HallWord, b: HallWord) -> dict:
     """[a, b] as a combination of basis words, for basis words a, b."""
     if a is b or a == b:
         return {}
     if b < a:
         return {w: -c for w, c in _normalize_pair(n_gens, b, a).items()}
-    if a[0] == b[0]:
-        return {tuple.__new__(HallWord, (a[0] - 1, a[1] + b[1], a, b)): ONE}
-    if b[0] == a[0] + 1 and b <= a[-1]:
-        return {tuple.__new__(HallWord, (a[0], a[1] + b[1], *a[2:], b)): ONE}
+    w = _basis_bracket(a, b)
+    if w is not None:
+        return {w: ONE}
     md = tuple(
         x + y
         for x, y in zip(multidegree(a, n_gens), multidegree(b, n_gens))

@@ -617,15 +617,15 @@ def _closure(argv):
 
 
 @pytest.mark.parametrize("argv, absent, present", [
-    (["h2scan", "pres_torus.json", "--deg", "4"], {"cdga", "ce"}, set()),
-    (["hall", "--gens", "2", "--deg", "6"], {"cdga", "ce"}, set()),
-    (["holonomy", "heis.json", "--lcs", "3"], {"ce"}, {"cdga"}),
-    (["classify", "heis.json", "--stage", "3"], set(), {"cdga", "ce"}),
+    (["h2scan", "pres_torus.json", "--deg", "4"], {"cdga", "ce", "nilquot"}, set()),
+    (["hall", "--gens", "2", "--deg", "6"], {"cdga", "ce", "nilquot"}, set()),
+    (["holonomy", "heis.json", "--lcs", "3"], {"ce"}, {"cdga", "nilquot"}),
+    (["classify", "heis.json", "--stage", "3"], set(), {"cdga", "ce", "nilquot"}),
 ], ids=["h2scan", "hall", "holonomy", "classify"])
 def test_subcommands_import_only_what_they_run(argv, absent, present):
     imported, loaded = _closure(argv)
     assert not imported & {"dataclasses", "inspect"}
-    assert not imported & {"lieobstruct.cdga", "lieobstruct.ce"}
+    assert not imported & {"lieobstruct.cdga", "lieobstruct.ce", "lieobstruct.nilquot"}
     assert not loaded & {f"lieobstruct.{m}" for m in absent}
     assert {f"lieobstruct.{m}" for m in present} <= loaded
 

@@ -889,17 +889,18 @@ def test_ideal_basis_inserts_no_empty_vector(monkeypatch):
 
 def test_only_relators_taken_below_the_fill_are_scaled(monkeypatch):
     """_ideal_basis cuts a relator at the fill of the moment it is taken,
-    and only then scales what is left by _integral.  In a derived level-1
-    quotient only the degree-2 words, which fill degree 2, get a copy; the
-    words above it are cut to nothing and copied never."""
+    and only then scales what is left by _integral.  In the closure of a
+    derived level-1 ideal, which lcs_graded_dims runs, only the degree-2
+    words, which fill degree 2, get a copy; the words above it are cut to
+    nothing and copied never."""
     calls = []
     integral = fplie._integral
     monkeypatch.setattr(fplie, "_integral", lambda e: calls.append(e) or integral(e))
     for names, c in ((("x", "y"), 9), (("x", "y", "z"), 6)):
         calls.clear()
         n = len(names)
-        q = lcs_quotient(pres(names, (), scheme=DerivedIdeal(1)), c)
-        assert {k: v for k, v in q.dims_by_weight().items() if v} == {1: n}
+        dims = lcs_graded_dims(pres(names, (), scheme=DerivedIdeal(1)), c)
+        assert {k: v for k, v in dims.items() if v} == {1: n}
         words = hall_basis_derived(n, 1, c)
         assert len(calls) == sum(w.degree == 2 for w in words) == witt_dim(n, 2) < len(words)
         assert all(set(e) == {2} for e in calls)
@@ -1182,14 +1183,14 @@ def test_split_lyndon_matches_the_full_image(monkeypatch):
 
 
 def test_quotient_builds_no_top_degree_image(monkeypatch):
-    """On an emptied tensor_expand memo, lcs_quotient of the free
-    2-generator algebra at class c memoises words of degree c - 2 and none
-    of degree c - 1: the scan reads every bracket word off one split
+    """On an emptied tensor_expand memo, the closure route's quotient of the
+    free 2-generator algebra at class c memoises words of degree c - 2 and
+    none of degree c - 1: the scan reads every bracket word off one split
     and the bracket table needs no top-weight image."""
     p = holonomy(load_cdga(data_path("wedge2.json")))
     for c in range(3, 11):
         monkeypatch.setattr(freelie, "_EXPAND", {})
-        assert lcs_quotient(p, c).dims_by_weight()[c - 1] == witt_dim(2, c - 1)
+        assert closure_quotient(p, c).dims_by_weight()[c - 1] == witt_dim(2, c - 1)
         assert max(w.degree for w, _ in freelie._EXPAND) == c - 2, c
 
 
@@ -1381,15 +1382,15 @@ def test_quotient_scan_matches_the_tracked_scan():
 
 def test_scan_stops_each_degree_at_its_rank(monkeypatch):
     """On three letters with two generic quadratic relators (the shape of a
-    random d = 0 cdga's holonomy), lcs_quotient at class 7 builds the
-    vectors of exactly the words from the last one of each degree down to
-    that degree's first representative, fewer than the bracket words
-    alone; a degree holding one word more than its rank modulo J ends
-    short of it, an InternalError."""
+    random d = 0 cdga's holonomy), the closure route's quotient at class 7
+    builds the vectors of exactly the words from the last one of each
+    degree down to that degree's first representative, fewer than the
+    bracket words alone; a degree holding one word more than its rank
+    modulo J ends short of it, an InternalError."""
     p = pres(("x", "y", "z"), ("[x,y] + 2*[x,z] - 3*[y,z]", "2*[x,y] - [x,z] + [y,z]"))
     built, split = [], fplie._split_lyndon
     monkeypatch.setattr(fplie, "_split_lyndon", lambda w, m: built.append(w) or split(w, m))
-    q = lcs_quotient(p, 7)
+    q = closure_quotient(p, 7)
     words = hall_basis_derived(3, 0, 6)
     first = {}
     for i, w in enumerate(words):
@@ -1437,6 +1438,98 @@ def test_lcs_graded_dims_match_the_quotient():
                 f(p, c)
             messages.add(str(err.value))
         assert len(messages) == 1, (presentation_to_dict(p), c)
+
+
+def closure_quotient(p, class_bound):
+    """lcs_quotient by the closure route, whatever the relators' degrees:
+    _ideal_basis, then the representative scan."""
+    relators, imgs, kept, cap = fplie._lcs_ideal(p, class_bound)
+    reps, brackets, gen_images = fplie._closure_quotient(relators, imgs, len(kept), cap)
+    return NilpotentLieAlgebra(
+        class_bound, p.generators, tuple(word_str(w, kept) for w in reps),
+        tuple(w.degree for w in reps), brackets, tuple(gen_images))
+
+
+def same_quotient(a, b):
+    """a == b, every scalar of one type on both sides: int or Fraction."""
+    pairs = [(a.brackets[ij], b.brackets[ij]) for ij in a.brackets if ij in b.brackets]
+    pairs += list(zip(a.gen_images, b.gen_images))
+    return a == b and all(type(u[i]) is type(v[i]) for u, v in pairs for i in u)
+
+
+def seeded_graded_presentation(rng, n_gens, degrees):
+    """One relator per entry of degrees, each an integer combination of one
+    to four basis words of that degree."""
+    relators = []
+    for d in degrees:
+        pool = [w for w in hall_basis_derived(n_gens, 0, d) if w.degree == d]
+        words = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+        relators.append(LieElement(n_gens, {w: rng.choice((-2, -1, 1, 2, 3)) for w in words}))
+    return LiePresentation(tuple(f"x{i + 1}" for i in range(n_gens)), FiniteList(tuple(relators)))
+
+
+def graded_cases():
+    """(presentation, top class) of the graded oracle cases: bundled, derived
+    level 1, seeded relator lists on 2-4 letters and seeded d = 0 holonomies."""
+    cases = [(holonomy(load_cdga(data_path(f"{name}.json"))), 12)
+             for name in ("heis", "torus", "wedge2")]
+    cases += [(load_presentation(data_path(f"{name}.json")), 12)
+              for name in ("pres_heis", "pres_cubic", "pres_torus")]
+    cases += [(pres(names, (), DerivedIdeal(1)), 12 if len(names) == 2 else 9)
+              for names in (("x", "y"), ("x", "y", "z"))]
+    rng = random.Random(20261103)
+    for n, top in ((2, 12), (3, 9), (4, 6)):
+        for degrees in ((2,), (3,), (4,), (2, 2), (2, 3), (3, 4), (2, 2, 3), (2, 3, 4)):
+            light = n == 3 and degrees.count(2) < 2
+            cases.append((seeded_graded_presentation(rng, n, degrees), top - 2 * light))
+    cases += [(random_cdga_holonomy(seed, 3, 2), 9) for seed in range(3)]
+    cases += [(random_cdga_holonomy(seed, 4, 3), 6) for seed in range(2)]
+    return cases
+
+
+def test_graded_quotient_matches_the_closure():
+    """On graded inputs lcs_quotient builds each layer from the layers
+    below; its labels, weights, brackets and generator images equal the
+    closure route's, scalar types included, at classes 1-4 and at the top
+    class, 12 on two letters, 9 on three (7 with fewer than two quadratic
+    relators) and 6 on four, whose layers are those of every class below."""
+    for p, top in graded_cases():
+        for c in sorted({1, 2, 3, 4, top}):
+            assert same_quotient(lcs_quotient(p, c), closure_quotient(p, c)), (
+                presentation_to_dict(p), c)
+
+
+def test_graded_quotient_runs_no_closure_and_no_scan(monkeypatch):
+    """A graded quotient calls neither _ideal_basis nor _split_lyndon, and
+    leaves lcs_graded_dims's layer dimensions as they were."""
+    def forbidden(*_args):
+        raise AssertionError("the closure route ran on a graded input")
+
+    cases = [(p, min(top, 8)) for p, top in graded_cases()[::3]]
+    dims = [lcs_graded_dims(p, c) for p, c in cases]
+    monkeypatch.setattr(fplie, "_ideal_basis", forbidden)
+    monkeypatch.setattr(fplie, "_split_lyndon", forbidden)
+    for (p, c), d in zip(cases, dims):
+        assert lcs_quotient(p, c).dims_by_weight() == d, presentation_to_dict(p)
+
+
+def test_filtered_quotients_take_the_closure(monkeypatch):
+    """A relator left with two degrees after elimination, as in noncarnot
+    and pres_noncarnot, sends the quotient through the closure; so does
+    one cut to a single degree below the class only when it is not."""
+    from lieobstruct import nilquot
+
+    def forbidden(*_args):
+        raise AssertionError("the graded builder ran on a filtered input")
+
+    monkeypatch.setattr(nilquot, "graded_quotient", forbidden)
+    for p in (holonomy(load_cdga(data_path("noncarnot.json"))),
+              load_presentation(data_path("pres_noncarnot.json")),
+              pres(("x", "y"), ("[x,y] + [x,[x,y]]",))):
+        for c in range(4, 8):
+            assert lcs_quotient(p, c) == closure_quotient(p, c)
+    with pytest.raises(AssertionError, match="graded builder"):
+        lcs_quotient(pres(("x", "y"), ("[x,y] + [x,[x,y]]",)), 3)
 
 
 def test_ideal_span_non_pivots_are_the_quotient_representatives():
