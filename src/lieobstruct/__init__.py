@@ -4,7 +4,7 @@ Submodules:
   ratlin   sparse rational linear algebra (RREF, kernels, quotients)
   freelie  Hall bases of free Lie algebras stratified by derived level
   fplie    finitely presented Lie algebras, ideal spans, LCS quotients
-  nilquot  graded LCS quotients, built one weight layer at a time
+  nilquot  LCS quotients, built one weight layer at a time
   cdga     finite commutative differential graded algebras, holonomy,
            resonance, group actions
   ce       Chevalley-Eilenberg complexes, flat connections, classifying

@@ -311,9 +311,9 @@ class HirschTower(_Frozen):
 
 def hirsch_tower(p, max_stage: int = 5) -> HirschTower:
     """Stages 2..max_stage of the tower of cochain cdgas of the nilpotent
-    quotients of a finitely presented Lie algebra.  The relator ideal is
-    closed once, for top; stage n is its cut to weights < n, which
-    lcs_quotient(p, n) equals (see HirschTower)."""
+    quotients of a finitely presented Lie algebra.  One quotient is built,
+    for top; stage n is its cut to weights < n, which lcs_quotient(p, n)
+    equals (see HirschTower)."""
     if max_stage < 2:
         raise CeError(f"tower needs max stage >= 2, got {max_stage}")
     return _tower(lcs_quotient(p, max_stage + 1), max_stage)

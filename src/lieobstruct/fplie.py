@@ -6,10 +6,10 @@ here is degree-truncated: ideal spans live inside the free Lie algebra in
 degrees <= D, lower-central-series quotients live in the free nilpotent
 algebra of the matching class.
 
-The ideal span, the Hopf formula and the quotients use the fact that for
-an ideal J generated by a set R, the subspace [L, J] equals [A, J] where A
-is the generator alphabet, so closing R under bracketing with generators
-alone already spans the ideal degreewise.  That closure runs once, in
+The ideal span and the Hopf formula use the fact that for an ideal J
+generated by a set R, the subspace [L, J] equals [A, J] where A is the
+generator alphabet, so closing R under bracketing with generators alone
+already spans the ideal degreewise.  That closure runs once, in
 tensor-algebra coordinates, where the bracket with a generator g is
 g*t - t*g and needs no rewriting into the basis.  It stops at the first
 degree the ideal fills: L is generated in degree 1, so an ideal holding
@@ -18,14 +18,13 @@ taken, lowest degree first, cut at the fill known then, and one taken a
 degree below the fill is read straight onto its Lyndon columns.  A Lie
 polynomial is determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
-Lie elements is taken on those columns alone; the quotient's bracket
-table reads them off one split of each Lyndon word.  One scan, from the
-last basis word to the first, picks the quotient's representatives;
-ideal_span reads J's rows off the other words' cosets.  It reads each
-bracket word's vector off a split too, and stops each degree at the count
-of representatives the closure's pivots leave there, which lcs_graded_dims
-reads with no scan.  H2 of L = free/J is (J meet [L, L])/[L, J] (Hopf's
-formula): 0 in degree 1, J_k/[A, J_(k-1)]_k above for a graded J.
+Lie elements is taken on those columns alone.  One scan, from the last
+basis word to the first, picks representatives modulo J, and ideal_span
+reads J's rows off the other words' cosets.  It reads each bracket word's
+vector off a split, and stops each degree at the count of representatives
+the closure's pivots leave there, which lcs_graded_dims reads with no scan.
+H2 of L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree
+1, J_k/[A, J_(k-1)]_k above for a graded J.
 For homogeneous relators the closure counts it, as the degree-k relators
 that still raise its rank after that degree's brackets, so it runs only
 through the top relator degree; a derived ideal ranks its words' brackets,
@@ -33,25 +32,19 @@ and the second derived ideal is read in the Chen module L'/L'' instead.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
 x3 + [x1,x2] mixes filtration degrees).  A derived ideal enters them as its
-basis words, which span it, by the same elimination, closure and scan as a
-relator list, only through the first degree they fill.  Generators
-that appear linearly in
-some relator are eliminated by substitution before any quotient is formed;
-this keeps the ambient free nilpotent algebra as small as the presentation
-really is, which is what makes the rewritten presentations produced by
+basis words, which span it, like a relator list, only through the first
+degree they fill.  Generators that appear linearly in some relator are
+eliminated by substitution before any quotient is formed; this keeps the
+ambient free nilpotent algebra as small as the presentation really is,
+which is what makes the rewritten presentations produced by
 linearize_presentation tractable.  It maps the relators' tensor images
 by the algebra map sending each letter to its image, only those that hold
-the letter, and renumbers the kept letters once at the end.  Coset
-representatives are the non-pivot basis words under the degree-major
-echelon pivot rule, so representatives chosen at different class bounds
-agree wherever both exist.
-
-That closure and scan build a quotient only when a relator left after the
-elimination has two degrees, so that the quotient is filtered, not graded.
-When every relator left is homogeneous, or none is, lcs_quotient hands
-them to nilquot, imported on first use, which builds each layer from the
-layers below with the same representatives, table and generator images;
-the closure route stays as its test oracle.
+the letter, and renumbers the kept letters once at the end.
+lcs_quotient hands what is left to nilquot, imported on first use, which
+builds each weight layer from the layers below, with no closure of J.  Its
+representatives are the basis words that are not pivots of J under the
+degree-major echelon pivot rule, the words the scan keeps, so
+representatives chosen at different class bounds agree wherever both exist.
 """
 
 from __future__ import annotations
@@ -765,63 +758,24 @@ def _lcs_ideal(p: LiePresentation, class_bound: int) -> tuple:
     return (*_eliminate_linear(p, cap), cap)
 
 
-def _closure_quotient(relators: list, imgs: list, m: int, cap: int) -> tuple:
-    """(reps, brackets, gen_images) of the quotient through degree cap on m
-    letters by the closure: _ideal_basis, then _quotient_scan.  The basis
-    is the scan's representatives, the basis words that are not pivots of
-    the truncated ideal J, as ideal_span reads them too; a bracket or
-    generator image is read off its coset.  The bracket table splits each
-    Lyndon word of a bracket between the two representatives' tensor
-    images; a representative of top weight brackets to zero, so no image
-    of it is built.  J holds every degree from its fill degree on, since
-    L_(k+1) = [L_1, L_k]; so the words, brackets and images are cut below
-    it, where no representative lies."""
-    ideal, fill = _ideal_basis(relators, m, cap)[:2] if cap and m else ([], 1)
-    cap = fill - 1
-    if cap == 0:
-        return [], {}, [{} for _ in imgs]
-    words = hall_basis_derived(m, 0, cap)
-    reps, coset = _quotient_scan(ideal, m, words)
-    reps = [words[j] for j in reps]
-    weights = [w.degree for w in reps]
-    tens = [tensor_expand(w, m) for w in reps[:bisect_right(weights, cap - 1)]]
-    letters = [tuple(_digits(next(iter(t)), d, m)) for t, d in zip(tens, weights)]
-    brackets: dict = {}
-    for a, da in enumerate(weights[:len(tens)]):
-        for b in range(a + 1, bisect_right(weights, cap - da)):
-            table = coset(_lyndon_bracket(tens[a], tens[b], da, weights[b],
-                                          letters[a] + letters[b], m))
-            if table:
-                brackets[(a, b)] = table
-    gen_images = [coset(_lyndon({d: v for d, v in img.items() if d <= cap}, m)) for img in imgs]
-    return reps, brackets, gen_images
-
-
 def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     """Structure constants of L/Gamma_n for n = class_bound.
 
-    Every scheme, a derived ideal as its basis words, starts the same way:
-    _lcs_ideal (the guards, then _eliminate_linear); only the guard on
-    derived levels >= 2 looks at the scheme.  When every relator left is
-    homogeneous, or none is, the quotient is graded and is built layer by
-    layer from the layers below (nilquot.graded_quotient, imported on first
-    use), with no closure of J in the free Lie algebra, so the cost follows
-    the quotient.  A relator left with two degrees takes the closure and
-    its scan (_closure_quotient).  Both give the same basis, the Hall
-    words the scan keeps, and so the same table and generator images.
-    Weights are word degrees, non-decreasing along the basis.
+    Every scheme, a derived ideal as its basis words, takes one path:
+    _lcs_ideal (the guards, then _eliminate_linear), then
+    nilquot.nilpotent_quotient, imported on first use, which builds the
+    quotient layer by layer from its own lower layers, graded or filtered,
+    so the cost follows the quotient, not J.  Only the guard on derived
+    levels >= 2 looks at the scheme.  The basis is the Hall words the scan
+    keeps modulo J; weights are word degrees, non-decreasing along it.
     Quotients at different class bounds agree across classes:
     lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
     and ce.hirsch_tower builds every lower stage that way from one quotient.
     """
-    relators, imgs, kept, cap = _lcs_ideal(p, class_bound)
-    m = len(kept)
-    if cap and m and all(len(t) == 1 for t in relators):
-        from .nilquot import graded_quotient
+    from .nilquot import nilpotent_quotient
 
-        reps, brackets, gen_images = graded_quotient(relators, imgs, m, cap)
-    else:
-        reps, brackets, gen_images = _closure_quotient(relators, imgs, m, cap)
+    relators, imgs, kept, cap = _lcs_ideal(p, class_bound)
+    reps, brackets, gen_images = nilpotent_quotient(relators, imgs, len(kept), cap)
     alg = NilpotentLieAlgebra(
         class_bound=class_bound,
         gen_names=p.generators,

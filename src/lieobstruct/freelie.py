@@ -486,8 +486,8 @@ def _lyndon(e: dict, n_gens: int) -> dict:
     degree and numbered into one vector.  This does not commute with ad,
     so a bracket is formed on full tensors first, except where the
     commutator's Lyndon coefficients are read off one split of each Lyndon
-    word (fplie._lyndon_bracket): in lcs_quotient's table and for every
-    bracket word of the representative scan."""
+    word (fplie._lyndon_bracket): for every bracket word of the
+    representative scan."""
     out = {}
     for d, v in e.items():
         cols = _lyndon_columns(n_gens, d)

@@ -1,69 +1,88 @@
-"""Graded nilpotent quotients, built one weight layer at a time.
+"""Nilpotent quotients, built one weight layer at a time.
 
-When every relator is homogeneous, L = free/J is graded, and
-fplie.lcs_quotient builds L/Gamma_n here with no closure of J in the free
-Lie algebra: the extension step of the nilpotent quotient algorithm
-(Havas, Newman and Vaughan-Lee, J. Symbolic Comput. 9, 1990; Schneider,
-DMTCS 1997).  With g = L_1 + ... + L_(k-1) known, on a basis of
-representatives with its bracket table, layer k is the span T of one tail
-t(a, b) per pair a < b of representatives whose weights sum to k, modulo
-  - the Jacobi identity [x,[b,c]] + [b,[c,x]] + [c,[x,b]] on each triple of
-    weight k holding a letter x, its inner brackets read in g;
-  - the relators of degree k, each read by Dynkin-Specht-Wever: a Lie
-    polynomial sum c_u u of degree k is (1/k) sum c_u [u1,[u2,...,uk]], and
-    each right-normed bracket is [u1, that of its suffix], memoised.
+fplie.lcs_quotient builds Q_k = L/Gamma_(k+1), L = free/J, here, with no
+closure of J in the free Lie algebra: the extension step of the nilpotent
+quotient algorithm (Havas, Newman and Vaughan-Lee, J. Symbolic Comput. 9,
+1990; Schneider, DMTCS 1997).  With Q_(k-1) known, on a basis B of
+representatives with its bracket table, let M = B + T, where T has one
+central tail t(a, b) per pair a < b of representatives whose weights sum
+to at most k, and [a, b] = table(a, b) + t(a, b); a pair that is the split
+[prefix, last child] of a representative c brackets to c and has no tail.
+Layer k is T modulo the relations R:
+  - the Jacobi identity [x,[b,c]] + [b,[c,x]] + [c,[x,b]] on each triple
+    of weight at most k holding a letter x;
+  - each relator, read by Dynkin-Specht-Wever: a Lie polynomial sum c_u u
+    of degree d is (1/d) sum c_u [u1,[u2,...,ud]], and each right-normed
+    bracket is [u1, that of its suffix], memoised;
+  - for each representative c whose split is not two representatives, the
+    bracket of its split's classes less c.
+Each is read on T alone: its part in B vanishes, since Q_(k-1) is a Lie
+algebra in which the relators vanish.
 
-Why it is exact.  Let R be those relations and M = g + T/R.  Triples holding
-a letter suffice for M to be a Lie algebra: the Jacobiator J of an
-antisymmetric bracket satisfies dJ = 0, which at total weight k, where J
-vanishes below k and on triples holding a letter, reads J([x,a],b,c) =
-J([x,b],a,c) - J([x,c],a,b); g is generated by its letters, so induction on
-the smallest weight of an entry ends at a letter.  So M is a graded Lie
-algebra generated in degree 1 in which the relators vanish, a quotient of
-L/J; and (L/J)_k is spanned by the tails and satisfies R, so it is a
-quotient of T/R.  Hence M_k = (L/J)_k, and a layer that is zero ends the
-quotient.
+Why it is exact.  M/R is a Lie algebra: the Jacobiator J of an
+antisymmetric bracket satisfies dJ = 0.  On M, J takes values in T and
+vanishes when an entry lies in T, holds a letter or the weights pass k, so
+dJ = 0 reads J([x,a],b,c) = J([x,b],a,c) - J([x,c],a,b) for a letter x.
+Each a of weight >= 2 is a sum of such [x,a'], a' of weights >= w(a) - 1,
+and each triple on the right has a larger weight sum, or the same sum and
+a smaller least weight; so induction ends at a letter or past k.  Sending
+each representative to its Hall word's class in Q_k, and each tail to the
+difference of the two sides, respects the bracket, so it kills R; it is
+onto, since layer k of Q_k is spanned by brackets of lower classes.  The
+last relations make each representative the bracket of its split's classes,
+so the letters generate M/R, in which the relators and weights past k
+vanish: a quotient of free/(J + free_(>k)) = Q_k, so M/R = Q_k.  When every
+relator is homogeneous, Q_k is graded: a pair of smaller sum has no term of
+weight k, so only pairs, triples and relators of weight k are taken, and
+the last relations are empty.  Otherwise each class below gains terms of
+weight k, so classes are memoised for one layer only.  A zero layer ends
+the quotient, since the graded algebra of Q is generated in degree 1.
 
-The representatives are the Hall words fplie's scan keeps: from the last
-word of degree k to the first, a word is kept when its image, its split
-[prefix, last child] bracketed as tails, raises the rank modulo R.  A word
-whose prefix and last child are both representatives has one tail for its
-image, its defining tail.  Those tails are the last columns, in word order,
-so R's RREF rows pivot on the other tails and read each in the words kept.
-A layer whose words are all such and all kept, as in a free algebra, needs
-no scan: its table is read off those rows alone.  The relations go into
-the echelon sparsest first, which keeps its integers short; with no
-relator at all the algebra is free, and once the rank leaves witt_dim
-columns free the other relations are left out.
+The representatives are the Hall words the closure's scan keeps modulo J
+(fplie._quotient_scan): from the last word of degree k to the first, a
+word is kept when its class, its split bracketed in M, raises the rank
+modulo R.  A word whose prefix and last child are both representatives has
+one tail for its class, its defining tail.  Those tails are the last
+columns, in word order, so R's RREF rows pivot on the other tails and read
+each in the words kept.  A layer whose words are all such and all kept, as
+in a free algebra, needs no scan: its table is read off those rows alone.
+The relations go into the echelon sparsest first, which keeps its integers
+short; with no relator at all the algebra is free, and once the rank leaves
+witt_dim columns free the other relations are left out.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 from .fplie import _bracket, _split
 from .freelie import _basis_bracket, _layer, witt_dim
 from .ratlin import EchelonForm, InternalError, scal, vec_add
 
-__all__ = ["graded_quotient"]
+__all__ = ["nilpotent_quotient"]
 
 
-def graded_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
-    """(reps, brackets, gen_images) of L/Gamma_(cap+1) for homogeneous
-    relators, tensors on m >= 1 letters cut above cap >= 1, and the tensor
-    images of the presentation's generators, as fplie's closure route
-    gives them: the kept Hall words by weight, their bracket table and each
-    generator's class, every scalar canonical."""
+def nilpotent_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
+    """(reps, brackets, gen_images) of L/Gamma_(cap+1) for relators, tensor
+    polynomials on m letters cut above cap, and the tensor images of the
+    presentation's generators: the kept Hall words by weight, their bracket
+    table and each generator's class, every scalar canonical.  With no
+    letter or no class left the quotient is 0."""
+    if not (m and cap):
+        return [], {}, [{} for _ in images]
+    filtered = any(len(t) > 1 for t in relators)
     reps = list(_layer(m, 0, 1))
     starts = [0, 0, m]  # weight d holds the representatives starts[d]:starts[d+1]
+    index = {w: i for i, w in enumerate(reps)}
+    loose = []  # the split of each representative whose parts are not both ones
     brackets: dict = {}
-    img = {w: {i: 1} for i, w in enumerate(reps)}
+    img = {w: {i: 1} for w, i in index.items()}
     memo: dict = {}
     by_degree = defaultdict(list)
     for t in relators:
-        (d, v), = t.items()
-        by_degree[d].append(v)
+        by_degree[min(t)].append(t)
 
     def image(w):  # the class of a basis word below the current layer
         v = img.get(w)
@@ -80,36 +99,43 @@ def graded_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
         return v
 
     for k in range(2, cap + 1):
+        low = 2 if filtered else k  # the least weight sum that takes a tail
         pairs = [(a, b) for e in range(1, k // 2 + 1)
                  for a in range(starts[e], starts[e + 1])
-                 for b in range(max(a + 1, starts[k - e]), starts[k - e + 1])]
-        defining = []
+                 for b in range(max(a + 1, starts[max(e, low - e)]), starts[k - e + 1])]
+        plain, defining = [], []
         for a, b in pairs:  # [reps[a], reps[b]] = s * w, for w a basis word
             u, v, s = (reps[a], reps[b], 1) if reps[a] < reps[b] else (reps[b], reps[a], -1)
-            if w := _basis_bracket(u, v):
+            if (w := _basis_bracket(u, v)) in index:
+                continue  # a representative's split brackets to it: no tail
+            if w and w[1] == k:
                 defining.append((w, (a, b), s))
+            else:
+                plain.append((a, b))
         defining.sort()
-        defined = {ab for _, ab, _ in defining}
-        order = [ab for ab in pairs if ab not in defined] + [ab for _, ab, _ in defining]
+        order = plain + [ab for _, ab, _ in defining]
         tails = {ab: {c: 1} for c, ab in enumerate(order)}
         ech, rows = EchelonForm(), []
         for e in range(1, (k - 1) // 2 + 1):
             for b in range(starts[e], starts[e + 1]):
-                for c in range(max(b + 1, starts[k - 1 - e]), starts[k - e]):
+                for c in range(max(b + 1, starts[max(e, low - 1 - e)]), starts[k - e]):
                     bc = brackets.get((b, c), {})
                     for x in range(min(b, m)):
                         row = _bracket(tails, {x: 1}, bc)
                         _bracket(tails, {b: -1}, brackets.get((x, c), {}), row)
                         rows.append(_bracket(tails, {c: 1}, brackets.get((x, b), {}), row))
-        for v in by_degree[k]:
+        for t in relators if filtered else by_degree[k]:
             heads: dict = {}
-            for u, c in v.items():
-                g, s = divmod(u, m ** (k - 1))
-                heads[g] = vec_add(heads.get(g, {}), rho(k - 1, s), c)
+            top = lcm(*(d for d in t if d <= k))
+            for d, v in t.items():
+                for u, c in v.items() if d <= k else ():
+                    g, s = divmod(u, m ** (d - 1))
+                    heads[g] = vec_add(heads.get(g, {}), rho(d - 1, s), c * (top // d))
             row: dict = {}
             for g, h in heads.items():
                 _bracket(tails, {g: 1}, h, row)
             rows.append(row)
+        rows += [_bracket(tails, image(p), image(last)) for p, last in loose]
         target = None if relators else len(order) - witt_dim(m, k)
         for row in sorted(rows, key=len):  # sparsest first: shorter integers, less fill
             if ech.rank == target:
@@ -127,9 +153,7 @@ def graded_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
         else:
             scan, found = EchelonForm(track=True), []
             for w in layer:
-                v = _bracket(tails, *map(image, _split(w)))
-                for p in [p for p in v if p in rref]:
-                    v = vec_add(v, rref[p], -v[p])
+                v = ech.reduce(_bracket(tails, *map(image, _split(w))))[0]
                 if scan.insert(v)[1] is not None:
                     found.append((w, scan.n_inserted - 1))
                     if len(found) == quota:
@@ -143,7 +167,10 @@ def graded_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
                     for q in range(len(order)) if q not in rref}
         for w in new:
             img[w] = {len(reps): 1}
+            index[w] = len(reps)
             reps.append(w)
+        if filtered:
+            loose += [ab for ab in map(_split, new) if not all(h in index for h in ab)]
         starts.append(len(reps))
         for q, ab in enumerate(order):
             table = dict(unit.get(q, ()))
@@ -151,7 +178,10 @@ def graded_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
                 for i, y in unit[r].items() if r != q else ():
                     table[i] = table.get(i, 0) - x * y
             if table := {i: scal(y) for i, y in table.items() if y}:
-                brackets[ab] = table
+                brackets.setdefault(ab, {}).update(table)
+        if filtered:  # the classes below gain terms of weight k
+            img = {w: {i: 1} for w, i in index.items()}
+            memo.clear()
     gen_images = []
     for t in images:
         out: dict = {}
@@ -160,6 +190,6 @@ def graded_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
                 acc: dict = {}
                 for u, c in v.items():
                     acc = vec_add(acc, rho(d, u), c)
-                out.update((i, scal(Fraction(x, d))) for i, x in acc.items())
-        gen_images.append(out)
+                out = vec_add(out, acc, Fraction(1, d))
+        gen_images.append({i: scal(x) for i, x in out.items()})
     return reps, brackets, gen_images

@@ -462,6 +462,33 @@ def test_classify_on_weight_capped_stages_is_pinned(model, stage, digest, tmp_pa
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+FILTERED_CDGA = {
+    "d": {"a3": "b1", "a4": "b2"},
+    "degrees": {"1": ["a1", "a2", "a3", "a4"], "2": ["b1", "b2", "b3"]},
+    "mu": {"a1*a2": "b1", "a1*a3": "b3", "a1*a4": "b2", "a2*a3": "b2", "a2*a4": "-2*b3"},
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["holonomy", "--lcs", "9"], "58bcdf5b1295a4869ddfde0b8c23bb2ea542512dc895bd52176f547c8cfa949f"),
+    (["classify", "--stage", "6"], "1d0ff1f519e6c90c9f4b4d6703a2deec13db04e1fea86ac853cc0cda850f9694"),
+], ids=["holonomy", "classify"])
+def test_filtered_report_is_pinned(argv, digest, tmp_path, capsys):
+    """A d != 0 cdga whose holonomy, once x3 and x4 are eliminated, keeps
+    one relator on x1 and x2 with parts of degrees 3 to 8, and whose
+    quotient does not close by class 8: its layers run 2, 1, 1, 1, 2, 2,
+    4, 5."""
+    src = tmp_path / "filtered.json"
+    src.write_text(json.dumps(FILTERED_CDGA))
+    out = tmp_path / "report.json"
+    assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    if argv[0] == "holonomy":
+        assert report["results"]["lcs_dims"] == [2, 1, 1, 1, 2, 2, 4, 5]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_h2scan_commutator_relator_degree_13_is_pinned(tmp_path, capsys):
     """[x,y] fills its ideal in degree 2, so the whole report through degree
     13 reads the closure of one relator and the Hall words above it."""
@@ -621,7 +648,9 @@ def _closure(argv):
     (["hall", "--gens", "2", "--deg", "6"], {"cdga", "ce", "nilquot"}, set()),
     (["holonomy", "heis.json", "--lcs", "3"], {"ce"}, {"cdga", "nilquot"}),
     (["classify", "heis.json", "--stage", "3"], set(), {"cdga", "ce", "nilquot"}),
-], ids=["h2scan", "hall", "holonomy", "classify"])
+    (["holonomy", "noncarnot.json", "--lcs", "6"], {"ce"}, {"cdga", "nilquot"}),
+    (["linearize", "pres_noncarnot.json"], {"cdga", "ce", "nilquot"}, set()),
+], ids=["h2scan", "hall", "holonomy", "classify", "holonomy-filtered", "linearize"])
 def test_subcommands_import_only_what_they_run(argv, absent, present):
     imported, loaded = _closure(argv)
     assert not imported & {"dataclasses", "inspect"}

@@ -32,6 +32,9 @@ rows read off the quotient scan, the tracked scan over J's tensor basis
 lcs_graded_dims's pivot counts, and the Fraction elimination
 (fraction_eliminate_linear) the integer one.  check_jacobi
 is the Jacobi identity on every triple of a quotient's basis vectors.
+closure_quotient, the closure of J and its scan by which lcs_quotient once
+built filtered quotients, is the oracle for the layer builder on graded and
+filtered presentations alike.
 """
 
 import random
@@ -1183,7 +1186,7 @@ def test_split_lyndon_matches_the_full_image(monkeypatch):
 
 
 def test_quotient_builds_no_top_degree_image(monkeypatch):
-    """On an emptied tensor_expand memo, the closure route's quotient of the
+    """On an emptied tensor_expand memo, the closure oracle's quotient of the
     free 2-generator algebra at class c memoises words of degree c - 2 and
     none of degree c - 1: the scan reads every bracket word off one split
     and the bracket table needs no top-weight image."""
@@ -1382,7 +1385,7 @@ def test_quotient_scan_matches_the_tracked_scan():
 
 def test_scan_stops_each_degree_at_its_rank(monkeypatch):
     """On three letters with two generic quadratic relators (the shape of a
-    random d = 0 cdga's holonomy), the closure route's quotient at class 7
+    random d = 0 cdga's holonomy), the closure oracle's quotient at class 7
     builds the vectors of exactly the words from the last one of each
     degree down to that degree's first representative, fewer than the
     bracket words alone; a degree holding one word more than its rank
@@ -1441,10 +1444,36 @@ def test_lcs_graded_dims_match_the_quotient():
 
 
 def closure_quotient(p, class_bound):
-    """lcs_quotient by the closure route, whatever the relators' degrees:
-    _ideal_basis, then the representative scan."""
+    """lcs_quotient by the closure of J in the free Lie algebra, whatever the
+    relators' degrees, as the library built filtered quotients before the
+    layer builder took them: _ideal_basis, then _quotient_scan.  The basis
+    is the scan's representatives, the basis words that are not pivots of
+    the truncated ideal J; a bracket or generator image is read off its
+    coset.  The table splits each Lyndon word of a bracket between the two
+    representatives' tensor images, and a representative of top weight
+    brackets to zero, so no image of it is built.  J holds every degree
+    from its fill degree on, so the words, brackets and images are cut
+    below it."""
     relators, imgs, kept, cap = fplie._lcs_ideal(p, class_bound)
-    reps, brackets, gen_images = fplie._closure_quotient(relators, imgs, len(kept), cap)
+    m = len(kept)
+    ideal, fill = _ideal_basis(relators, m, cap)[:2] if cap and m else ([], 1)
+    cap = fill - 1
+    reps, brackets, gen_images = [], {}, [{} for _ in imgs]
+    if cap:
+        words = hall_basis_derived(m, 0, cap)
+        kept_words, coset = _quotient_scan(ideal, m, words)
+        reps = [words[j] for j in kept_words]
+        weights = [w.degree for w in reps]
+        tens = [tensor_expand(w, m) for w in reps[:bisect_right(weights, cap - 1)]]
+        letters = [tuple(_digits(next(iter(t)), d, m)) for t, d in zip(tens, weights)]
+        for a, da in enumerate(weights[:len(tens)]):
+            for b in range(a + 1, bisect_right(weights, cap - da)):
+                table = coset(_lyndon_bracket(tens[a], tens[b], da, weights[b],
+                                              letters[a] + letters[b], m))
+                if table:
+                    brackets[(a, b)] = table
+        gen_images = [coset(_lyndon({d: v for d, v in img.items() if d <= cap}, m))
+                      for img in imgs]
     return NilpotentLieAlgebra(
         class_bound, p.generators, tuple(word_str(w, kept) for w in reps),
         tuple(w.degree for w in reps), brackets, tuple(gen_images))
@@ -1513,23 +1542,89 @@ def test_graded_quotient_runs_no_closure_and_no_scan(monkeypatch):
         assert lcs_quotient(p, c).dims_by_weight() == d, presentation_to_dict(p)
 
 
-def test_filtered_quotients_take_the_closure(monkeypatch):
-    """A relator left with two degrees after elimination, as in noncarnot
-    and pres_noncarnot, sends the quotient through the closure; so does
-    one cut to a single degree below the class only when it is not."""
-    from lieobstruct import nilquot
+def seeded_filtered_presentation(rng, n_gens, linear):
+    """One or two relators, each a sum of homogeneous parts in two or three
+    of the degrees 2-4, a part being an integer combination of one to three
+    basis words of its degree.  With linear there are two, and the first
+    has a part of degree 1 too, so that eliminating a letter substitutes
+    into the second."""
+    pool = hall_basis_derived(n_gens, 0, 4)
+    relators = []
+    for i in range(2 if linear else rng.randint(1, 2)):
+        terms = {}
+        degrees = rng.sample((2, 3, 4), rng.randint(2, 3)) + [1] * (linear and i == 0)
+        for d in degrees:
+            words = [w for w in pool if w.degree == d]
+            terms.update((w, Fraction(rng.choice((-2, -1, 1, 3))))
+                         for w in rng.sample(words, min(len(words), rng.randint(1, 3))))
+        relators.append(LieElement(n_gens, terms))
+    return LiePresentation(tuple(f"x{i + 1}" for i in range(n_gens)), FiniteList(tuple(relators)))
 
+
+def filtered_cases():
+    """(presentation, top class) of the filtered oracle cases: noncarnot,
+    pres_noncarnot, three hand-made relators, one of which never closes and
+    one (the fifth case) with a representative of weight 5 whose split is
+    not two representatives, and seeded relator lists on 2 and 3 letters,
+    those on 3 with a linear part too.  Each keeps, at its top class, a
+    relator with two degrees after elimination."""
+    two = ("x", "y")
+    cases = [(holonomy(load_cdga(data_path("noncarnot.json"))), 8),
+             (load_presentation(data_path("pres_noncarnot.json")), 8),
+             (pres(two, ("[x,y] + [x,[x,y]]",)), 8),
+             (pres(two, ("[x,[x,y]] + [y,[y,[y,x]]]",)), 8),
+             (pres(("x1", "x2", "x3"), ("-[x1,x2] - [x1,x3] - 2*[x2,x3] + 3*[[x2,x3],x1]",)), 7)]
+    rng = random.Random(20261107)
+    cases += [(seeded_filtered_presentation(rng, n, linear), {2: 8, 3: 6}[n])
+              for n, linear in ((2, False), (3, False), (3, True)) for _ in range(5)]
+    return cases
+
+
+def loose_weights(q):
+    """The weights of q's representatives whose split [prefix, last child]
+    is not two representatives, for a quotient with no letter eliminated."""
+    names = q.gen_names
+    words = {word_str(w, names): w for w in hall_basis_derived(len(names), 0, max(q.weights))}
+    kept = {words[label] for label in q.labels}
+    return sorted(w.degree for w in kept if w[0] and not set(fplie._split(w)) <= kept)
+
+
+def test_filtered_quotient_matches_the_closure(monkeypatch):
+    """A filtered quotient, one with a relator left with two degrees after
+    elimination, is built layer by layer, calling neither _ideal_basis nor
+    _split_lyndon, and keeps each representative its Hall word's class
+    below the top layer too, where its split is not two representatives.
+    It equals the closure's quotient, scalar types included, and the
+    Hall-coordinate one, whose scalars are not canonical, at classes 1-4
+    and at the top class, 8 on two letters and 6 or 7 on three."""
     def forbidden(*_args):
-        raise AssertionError("the graded builder ran on a filtered input")
+        raise AssertionError("the closure route ran on a filtered input")
 
-    monkeypatch.setattr(nilquot, "graded_quotient", forbidden)
-    for p in (holonomy(load_cdga(data_path("noncarnot.json"))),
-              load_presentation(data_path("pres_noncarnot.json")),
-              pres(("x", "y"), ("[x,y] + [x,[x,y]]",))):
-        for c in range(4, 8):
-            assert lcs_quotient(p, c) == closure_quotient(p, c)
-    with pytest.raises(AssertionError, match="graded builder"):
-        lcs_quotient(pres(("x", "y"), ("[x,y] + [x,[x,y]]",)), 3)
+    tops = filtered_cases()
+    assert all(any(len(t) > 1 for t in fplie._lcs_ideal(p, top)[0]) for p, top in tops)
+    p, top = tops[4]
+    assert loose_weights(lcs_quotient(p, top))[0] < top - 1
+    cases = [(p, c) for p, top in tops for c in sorted({1, 2, 3, 4, top})]
+    want = [(closure_quotient(p, c), hall_lcs_quotient(p, c)) for p, c in cases]
+    monkeypatch.setattr(fplie, "_ideal_basis", forbidden)
+    monkeypatch.setattr(fplie, "_split_lyndon", forbidden)
+    for (p, c), (closure, hall) in zip(cases, want):
+        got = lcs_quotient(p, c)
+        assert same_quotient(got, closure) and got == hall, (presentation_to_dict(p), c)
+
+
+def test_quotients_with_no_class_or_no_letter_left():
+    """Class bound 1, and a presentation whose elimination leaves no
+    letter, give the zero quotient, as the closure does: no labels or
+    brackets, and every generator's image 0."""
+    none_left = pres(("x", "y"), ("x + [x,y]", "y - [y,[x,y]]"))
+    cases = [(HEIS, 1), (XXY, 1), (pres(("x", "y"), ("[x,y] + [x,[x,y]]",)), 1)]
+    cases += [(none_left, c) for c in range(1, 5)]
+    assert all(not fplie._lcs_ideal(none_left, c)[2] for c in range(1, 5))
+    for p, c in cases:
+        got = lcs_quotient(p, c)
+        assert got.dim == 0 and not any(got.gen_images)
+        assert same_quotient(got, closure_quotient(p, c)), (presentation_to_dict(p), c)
 
 
 def test_ideal_span_non_pivots_are_the_quotient_representatives():
