@@ -6,8 +6,9 @@ quotient algorithm (Havas, Newman and Vaughan-Lee, J. Symbolic Comput. 9,
 1990; Schneider, DMTCS 1997).  With Q_(k-1) known, on a basis B of
 representatives with its bracket table, let M = B + T, where T has one
 central tail t(a, b) per pair a < b of representatives whose weights sum
-to at most k, and [a, b] = table(a, b) + t(a, b); a pair that is the split
-[prefix, last child] of a representative c brackets to c and has no tail.
+to at most k, and [a, b] = table(a, b) + t(a, b), 0 for a larger sum; a
+pair that is the split [prefix, last child] of a representative c
+brackets to c and has no tail.
 Layer k is T modulo the relations R:
   - the Jacobi identity [x,[b,c]] + [b,[c,x]] + [c,[x,b]] on each triple
     of weight at most k holding a letter x;
