@@ -18,11 +18,12 @@ taken, lowest degree first, cut at the fill known then, and one taken a
 degree below the fill is read straight onto its Lyndon columns.  A Lie
 polynomial is determined by its coefficients on Lyndon words (Chen-Fox-Lyndon;
 Reutenauer, Free Lie Algebras, Thm 5.1), so every rank and combination of
-Lie elements is taken on those columns alone.  One scan, from the last
-basis word to the first, picks representatives modulo J, and ideal_span
-reads J's rows off the other words' cosets.  It reads each bracket word's
-vector off a split, and stops each degree at the count of representatives
-the closure's pivots leave there, which lcs_graded_dims reads with no scan.
+Lie elements is taken on those columns alone; lcs_graded_dims reads the
+quotient's layer dimensions off the closure's pivot counts.  ideal_span does
+not close J: it reads J through the cap as the kernel of the map sending a
+basis word to its class in the quotient nilquot builds, and one scan, from
+the last basis word to the first, keeps the words whose classes raise its
+rank and reads each other word's row off its class.
 H2 of L = free/J is (J meet [L, L])/[L, J] (Hopf's formula): 0 in degree
 1, J_k/[A, J_(k-1)]_k above for a graded J.
 For homogeneous relators the closure counts it, as the degree-k relators
@@ -43,7 +44,7 @@ the letter, and renumbers the kept letters once at the end.
 lcs_quotient hands what is left to nilquot, imported on first use, which
 builds each weight layer from the layers below, with no closure of J.  Its
 representatives are the basis words that are not pivots of J under the
-degree-major echelon pivot rule, the words the scan keeps, so
+degree-major echelon pivot rule, the words ideal_span's scan keeps, so
 representatives chosen at different class bounds agree wherever both exist.
 """
 
@@ -168,11 +169,20 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     as a subspace of the free Lie algebra in the basis-word coordinates.
 
     A derived ideal is spanned by its basis words already, each a unit row.
-    A finite relator list is closed in tensor coordinates by _ideal_basis;
-    below its fill degree the pivots are the words _quotient_scan does not
-    keep, each row the word minus its coset over the kept ones, which meets
-    only later words and so is already the RREF row.  The words at or above
-    the fill degree are in J, each a unit row.
+    A finite relator list goes through _eliminate_linear to
+    nilquot.nilpotent_quotient, imported on first use, which builds
+    Q = L/(J + L_(>cap)) layer by layer.  A basis word's class in Q is its
+    letter's generator image, or the bracket of its split's classes (_split),
+    and J through the cap is the kernel of w -> class.  One tracked scan
+    takes the words from last to first and keeps a word when its class
+    raises the rank; the kept words are the non-pivot columns of the
+    kernel's RREF, so each other word is a pivot, its row the word less its
+    class's combination of the kept classes, all later words.  Words of
+    degree k span the weights >= k of Q, so degree k keeps as many words as
+    Q has weight-k representatives, and its other words are only reduced.  A
+    zero layer ends Q, whose graded algebra is generated in degree 1, so
+    every word above Q's top weight maps to 0: a unit row, with no class
+    built.
     """
     if degree_cap < 1:
         raise PresentationError(f"degree cap must be >= 1, got {degree_cap}")
@@ -183,68 +193,31 @@ def ideal_span(p: LiePresentation, degree_cap: int) -> Subspace:
     if isinstance(p.scheme, DerivedIdeal):
         pivots = [i for i, w in enumerate(words) if w.level >= p.scheme.level]
         return Subspace(len(words), tuple({i: ONE} for i in pivots), tuple(pivots))
-    basis, fill, _, _ = _ideal_basis(_relator_tensors(p, degree_cap), n, degree_cap)
-    low = sum(witt_dim(n, d) for d in range(1, fill))
-    reps, coset = _quotient_scan(basis, n, words[:low])
-    pivots = sorted(set(range(len(words))).difference(reps))
-    rows = [{i: ONE} for i in pivots]
-    for i, row in zip(pivots, rows):
-        if i < low:
-            row.update((reps[a], -c) for a, c in coset(_split_lyndon(words[i], n)).items())
-    return Subspace(len(words), tuple(rows), tuple(pivots))
+    from .nilquot import nilpotent_quotient
 
-
-def _quotient_scan(ideal, m: int, words) -> tuple:
-    """(reps, coset) for the words, hall_basis_derived's basis on m letters
-    through some degree, modulo the span J of ideal, vectors over the
-    Lyndon-word columns on m letters; J holds every basis word past them.
-
-    A word's vector is its tensor image cut to the Lyndon columns
-    (_split_lyndon), with no image of the word itself.  Each vector is
-    first reduced modulo J's RREF rows, one pass that clears J's pivots,
-    since no row holds another's pivot.  Word w_j is kept iff its residual
-    is not in the span of the residuals of w_(j+1), ...: one tracked
-    echelon takes them from last to first and keeps those that raise its
-    rank.  reps lists their indices, increasing: the non-pivot columns of
-    J's RREF in basis-word coordinates.  coset(vec) reads a Lyndon-column
-    vector modulo J as {position in reps: coefficient}; a word not kept
-    meets only later representatives.
-
-    The words kept from degree k up are a basis of the degrees >= k modulo
-    J, so degree k keeps its witt_dim(m, k) words less J's pivots there,
-    each row's lowest Lyndon column, numbered degree-major as the words
-    are.  Once a degree has kept that many, no vector of its other words is
-    built; a degree that ends short is an InternalError.
-    """
-    ech, rref = EchelonForm(), EchelonForm()
-    for row in ideal:
-        ech.insert(row)
-    for row in ech.backsubstitute():
-        rref.insert(row)
-    pivots = set(rref.pivots)
-    quota = Counter(w.degree for w in words)
-    quota.subtract(words[c].degree for c in pivots)
-
-    def mod_j(vec):
-        return vec if pivots.isdisjoint(vec) else rref.reduce(vec)[0]
-
-    scan, found = EchelonForm(track=True), []
-    for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
-        if quota[w.degree] and scan.insert(mod_j(_split_lyndon(w, m)))[0]:
-            found.append((scan.n_inserted - 1, j))
-            quota[w.degree] -= 1
-    if any(quota.values()):
-        raise InternalError("the representatives miss a degree's rank modulo J")
-    reps = [j for _, j in reversed(found)]
-    slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
-
-    def coset(vec):
-        res, combo = scan.reduce(mod_j(vec))
+    relators, imgs, kept = _eliminate_linear(p, degree_cap)
+    reps, brackets, gen_images = nilpotent_quotient(relators, imgs, len(kept), degree_cap)
+    quota = Counter(w.degree for w in reps)
+    low = sum(witt_dim(n, d) for d in quota)  # the words of degree <= Q's top weight
+    classes = {}
+    for w in words[:low]:  # a split's parts are words of lower degree
+        classes[w] = _bracket(brackets, *map(classes.get, _split(w))) if w[0] else gen_images[w[2]]
+    scan, slot, rows = EchelonForm(track=True), {}, []
+    for j in range(low - 1, -1, -1):
+        v, d = classes[words[j]], words[j].degree
+        if quota[d] and scan.insert(v)[1] is not None:
+            slot[scan.n_inserted - 1] = j
+            quota[d] -= 1
+            continue
+        res, combo = scan.reduce(v)
         if res:
-            raise InternalError("representatives and J fail to span the quotient")
-        return {slot[i]: c for i, c in combo.items()}
-
-    return reps, coset
+            raise InternalError("the kept words' classes fail to span the quotient")
+        rows.append({j: ONE, **{slot[i]: -c for i, c in combo.items()}})
+    if any(quota.values()):
+        raise InternalError("the kept words miss a weight's rank of the quotient")
+    rows = rows[::-1] + [{i: ONE} for i in range(low, len(words))]
+    # each row's pivot is its own word, the first it holds
+    return Subspace(len(words), tuple(rows), tuple(next(iter(row)) for row in rows))
 
 
 def _digits(k: int, d: int, n: int):
@@ -252,15 +225,6 @@ def _digits(k: int, d: int, n: int):
     for _ in range(d):
         k, g = divmod(k, n)
         yield g
-
-
-@lru_cache(maxsize=None)
-def _lyndon_groups(n: int, d: int) -> dict:
-    """{sorted letters: [(key, column), ...]} of the Lyndon columns of length d."""
-    groups = defaultdict(list)
-    for k, col in _lyndon_columns(n, d).items():
-        groups[tuple(sorted(_digits(k, d, n)))].append((k, col))
-    return dict(groups)
 
 
 def _split(w: HallWord) -> tuple:
@@ -271,33 +235,6 @@ def _split(w: HallWord) -> tuple:
     if len(w) == 4:
         return w[2], last
     return tuple.__new__(HallWord, (w[0], w[1] - last[1], *w[2:-1])), last
-
-
-def _split_lyndon(w: HallWord, m: int) -> dict:
-    """A basis word's vector: _lyndon of its tensor image on m letters, a
-    letter's own column, or a bracket word's read off its split [prefix,
-    last child] (_split) without building the image: tensor_expand(w) is the
-    commutator of the prefix's image with the last child's, whose images
-    are built and memoised."""
-    if not w[0]:
-        return {w[2]: 1}
-    prefix, last = _split(w)
-    ta, tb = tensor_expand(prefix, m), tensor_expand(last, m)
-    da, db = prefix[1], last[1]
-    letters = (*_digits(next(iter(ta)), da, m), *_digits(next(iter(tb)), db, m))
-    return _lyndon_bracket(ta, tb, da, db, letters, m)
-
-
-def _lyndon_bracket(ta: dict, tb: dict, da: int, db: int, letters: tuple, n: int) -> dict:
-    """[A, B] = AB - BA on the Lyndon columns, for homogeneous tensors A, B of
-    degrees da, db with these letters between them, splitting each Lyndon
-    word u once: A(u[:da]) B(u[da:]) - B(u[:db]) A(u[db:])."""
-    sa, sb, vec = n ** da, n ** db, {}
-    for k, col in _lyndon_groups(n, da + db).get(tuple(sorted(letters)), ()):
-        x = ta.get(k // sb, 0) * tb.get(k % sb, 0) - tb.get(k // sa, 0) * ta.get(k % sa, 0)
-        if x:
-            vec[col] = x
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +729,8 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
 def lcs_graded_dims(p: LiePresentation, class_bound: int) -> dict:
     """Dimensions of the lower-central-series layers Gamma_k/Gamma_(k+1) for
     k < class_bound, lcs_quotient(p, class_bound).dims_by_weight() without
-    the quotient: _quotient_scan keeps witt_dim(m, k) words of degree k less
-    J's pivots there below the fill degree, and none from it."""
+    the quotient: below the fill degree, layer k is witt_dim(m, k) less J's
+    pivots there in the closure's degree-major echelon, and from it on 0."""
     relators, _, kept, cap = _lcs_ideal(p, class_bound)
     m = len(kept)
     fill, _, pivots = _ideal_basis(relators, m, cap)[1:] if cap and m else (1, 0, Counter())

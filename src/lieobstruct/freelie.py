@@ -484,10 +484,8 @@ def _lyndon(e: dict, n_gens: int) -> dict:
     """A tensor polynomial {degree: vector over _word_int keys}, as from
     lie_tensor or tensor_expand, cut to the Lyndon-word columns of each
     degree and numbered into one vector.  This does not commute with ad,
-    so a bracket is formed on full tensors first, except where the
-    commutator's Lyndon coefficients are read off one split of each Lyndon
-    word (fplie._lyndon_bracket): for every bracket word of the
-    representative scan."""
+    so a bracket is formed on full tensors first, or read straight onto
+    the Lyndon columns of the degree above (fplie._generator_bracket)."""
     out = {}
     for d, v in e.items():
         cols = _lyndon_columns(n_gens, d)

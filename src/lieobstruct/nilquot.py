@@ -39,14 +39,15 @@ the last relations are empty.  Otherwise each class below gains terms of
 weight k, so classes are memoised for one layer only.  A zero layer ends
 the quotient, since the graded algebra of Q is generated in degree 1.
 
-The representatives are the Hall words the closure's scan keeps modulo J
-(fplie._quotient_scan): from the last word of degree k to the first, a
-word is kept when its class, its split bracketed in M, raises the rank
-modulo R.  A word whose prefix and last child are both representatives has
-one tail for its class, its defining tail.  Those tails are the last
-columns, in word order, so R's RREF rows pivot on the other tails and read
-each in the words kept.  A layer whose words are all such and all kept, as
-in a free algebra, needs no scan: its table is read off those rows alone.
+The representatives are the Hall words that are not pivots of J's RREF,
+the words fplie.ideal_span's scan keeps: from the last word of degree k to
+the first, a word is kept when its class, its split bracketed in M, raises
+the rank modulo R.  A word whose prefix and last child are both
+representatives has one tail for its class, its defining tail.  Those
+tails are the last columns, in word order, so R's RREF rows pivot on the
+other tails and read each in the words kept.  A layer whose words are all
+such and all kept, as in a free algebra, needs no scan: its table is read
+off those rows alone.
 The relations go into the echelon sparsest first, which keeps its integers
 short; with no relator at all the algebra is free, and once the rank leaves
 witt_dim columns free the other relations are left out.

@@ -374,6 +374,10 @@ GOLDEN_REPORT_SHA256 = {
         "df1be73b2a0c29b90ba3f0b6613c35ef8f0159704ead05d95384710e5404efde",
     ("h2scan", "pres_cubic.json", "--deg", "10"):
         "ea72e638a88743dd1f0431b16288a83f0dcd21c9d19296b6b89bc19b3ee57a09",
+    ("h2scan", "pres_cubic.json", "--deg", "14"):
+        "1a3ee1bc7d047cc369b7a0bd06230d42d99ba329d6f22c617a10c67cb7396245",
+    ("h2scan", "linear_quintic.json", "--deg", "12"):
+        "060a8115d21d9f57aefb6e4f056503ac82098e06e697ad3ddf063f087f18dc15",
     ("h2scan", "free_metabelian.json", "--deg", "12"):
         "9236e491e062b86ce160536860ea214aafcc22eeaa6e21d3e70a6ed58f6d650a",
     ("h2scan", "pres_torus.json", "--deg", "10"):
@@ -411,13 +415,34 @@ GOLDEN_REPORT_SHA256 = {
 }
 
 
+INLINE_PRESENTATIONS = {
+    # a degree-1 relator eliminates y, so J is all but one line of L
+    "linear_quintic.json": {"generators": ["x", "y"], "relators": [
+        "2*x - 3*y", "[x,[x,[x,[x,y]]]] - [y,[y,[x,[x,y]]]]"]},
+    "three_quadratic.json": {"generators": ["x", "y", "z"], "relators": [
+        "[x,y] + 2*[x,z]", "[y,z]"]},
+}
+
+
+def _arg(a, tmp_path):
+    """A command-line argument: a bundled file's path, an inline
+    presentation written to tmp_path, or the argument itself."""
+    if a in INLINE_PRESENTATIONS:
+        path = tmp_path / a
+        path.write_text(json.dumps(INLINE_PRESENTATIONS[a]))
+        return str(path)
+    return data_path(a) if a.endswith(".json") else a
+
+
 def _case_id(case):
     return "-".join(a[:-5] if a.endswith(".json") else a for a in case if not a.startswith("--"))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=_case_id)
 def test_report_is_pinned(case, tmp_path, capsys):
-    """Pins whole reports: h2scan (ideal_x2_dims included), holonomy
+    """Pins whole reports: h2scan (ideal_x2_dims included; pres_cubic also
+    at degree 14, and a two-letter list whose degree-1 relator is
+    eliminated), holonomy
     (relators included; noncarnot also at classes 9 and 12, past the degree
     its relator ideal fills, where the quotient stays 5-dimensional), fixed,
     resonance probe and point dims, linearize (pres_cubic also at degree and
@@ -429,7 +454,7 @@ def test_report_is_pinned(case, tmp_path, capsys):
     level to degrees 14 and 18, three letters to degrees 9 and 11, one
     letter, and an empty level)."""
     out = tmp_path / "report.json"
-    argv = [data_path(a) if a.endswith(".json") else a for a in case]
+    argv = [_arg(a, tmp_path) for a in case]
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[case]
@@ -626,13 +651,13 @@ print(json.dumps({"code": code, "imported": imported, "loaded": sorted(sys.modul
 """
 
 
-def _closure(argv):
+def _closure(argv, tmp_path):
     """The modules that importing the CLI loads, and every module loaded
     once main(argv) has returned, in a fresh interpreter."""
     src = str(Path(lieobstruct.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    argv = [data_path(a) if a.endswith(".json") else a for a in argv]
+    argv = [_arg(a, tmp_path) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", CLOSURE_PROBE, *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -644,15 +669,19 @@ def _closure(argv):
 
 
 @pytest.mark.parametrize("argv, absent, present", [
-    (["h2scan", "pres_torus.json", "--deg", "4"], {"cdga", "ce", "nilquot"}, set()),
+    (["h2scan", "pres_torus.json", "--deg", "4"], {"cdga", "ce"}, {"nilquot"}),
+    (["h2scan", "three_quadratic.json", "--deg", "4"], {"cdga", "ce", "nilquot"}, set()),
     (["hall", "--gens", "2", "--deg", "6"], {"cdga", "ce", "nilquot"}, set()),
     (["holonomy", "heis.json", "--lcs", "3"], {"ce"}, {"cdga", "nilquot"}),
     (["classify", "heis.json", "--stage", "3"], set(), {"cdga", "ce", "nilquot"}),
     (["holonomy", "noncarnot.json", "--lcs", "6"], {"ce"}, {"cdga", "nilquot"}),
     (["linearize", "pres_noncarnot.json"], {"cdga", "ce", "nilquot"}, set()),
-], ids=["h2scan", "hall", "holonomy", "classify", "holonomy-filtered", "linearize"])
-def test_subcommands_import_only_what_they_run(argv, absent, present):
-    imported, loaded = _closure(argv)
+], ids=["h2scan", "h2scan-three-letters", "hall", "holonomy", "classify", "holonomy-filtered",
+        "linearize"])
+def test_subcommands_import_only_what_they_run(argv, absent, present, tmp_path):
+    """A two-letter h2scan reads J's x-degree-2 slice off the layer
+    builder, so it loads nilquot; on three letters there is no slice."""
+    imported, loaded = _closure(argv, tmp_path)
     assert not imported & {"dataclasses", "inspect"}
     assert not imported & {"lieobstruct.cdga", "lieobstruct.ce", "lieobstruct.nilquot"}
     assert not loaded & {f"lieobstruct.{m}" for m in absent}

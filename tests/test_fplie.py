@@ -3,8 +3,8 @@
 The independent oracle for ideal_span is a brute-force closure that brackets
 with every basis word, not just generators; the two must agree degreewise.
 The Hall-coordinate ideal closure (hall_ideal_span) is the whole-row
-reference for ideal_span, which closes in tensor coordinates, and the
-Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  So is
+reference for ideal_span, which reads J off the layer builder's quotient,
+and the Hall-coordinate Hopf H2 built on it is the reference for h2_graded.  So is
 the two-echelon count (two_echelon_h2), which ranks [L, J] in a second
 echelon over the eager closure's basis, for the relators h2_graded counts
 inside the closure, at every cap and with the relator list permuted.  The
@@ -26,20 +26,23 @@ full tensor image checks _split_lyndon, the split the scan reads every
 bracket word off.  The scan modulo a derived ideal's own word vectors
 (word_vector_lcs_quotient) checks the derived quotients that now go
 through the closure.  The solver
-write-back of the closure (writeback_ideal_span) checks the ideal_span
-rows read off the quotient scan, the tracked scan over J's tensor basis
+write-back of the closure (writeback_ideal_span) checks ideal_span's
+rows, the tracked scan over J's tensor basis
 (tracked_quotient_scan) the scan modulo J's RREF, the quotient's weights
 lcs_graded_dims's pivot counts, and the Fraction elimination
 (fraction_eliminate_linear) the integer one.  check_jacobi
 is the Jacobi identity on every triple of a quotient's basis vectors.
 closure_quotient, the closure of J and its scan by which lcs_quotient once
 built filtered quotients, is the oracle for the layer builder on graded and
-filtered presentations alike.
+filtered presentations alike, and closure_ideal_span, the same closure and
+scan by which ideal_span once read J's rows, the oracle for ideal_span,
+scalar types included.  The scan (_quotient_scan) and the split reads it
+takes (_split_lyndon, _lyndon_bracket) live here, with the oracles.
 """
 
 import random
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -83,10 +86,8 @@ from lieobstruct.fplie import (
     _h2_free_lie,
     _ideal_basis,
     _integral,
-    _lyndon_bracket,
-    _quotient_scan,
     _relator_tensors,
-    _split_lyndon,
+    _split,
     finiteness_scan,
     h2_graded,
     ideal_span,
@@ -1152,6 +1153,174 @@ def test_h2_above_the_top_relator_degree_matches_two_echelon_count():
                 assert h2_graded(p, cap) == two_echelon_h2(p, cap), (presentation_to_dict(p), cap)
 
 
+@lru_cache(maxsize=None)
+def _lyndon_groups(n, d):
+    """{sorted letters: [(key, column), ...]} of the Lyndon columns of length d."""
+    groups = defaultdict(list)
+    for k, col in _lyndon_columns(n, d).items():
+        groups[tuple(sorted(_digits(k, d, n)))].append((k, col))
+    return dict(groups)
+
+
+def _split_lyndon(w, m):
+    """A basis word's vector: _lyndon of its tensor image on m letters, a
+    letter's own column, or a bracket word's read off its split [prefix,
+    last child] (fplie._split) without building the image: tensor_expand(w)
+    is the commutator of the prefix's image with the last child's, whose
+    images are built and memoised."""
+    if not w[0]:
+        return {w[2]: 1}
+    prefix, last = _split(w)
+    ta, tb = tensor_expand(prefix, m), tensor_expand(last, m)
+    da, db = prefix[1], last[1]
+    letters = (*_digits(next(iter(ta)), da, m), *_digits(next(iter(tb)), db, m))
+    return _lyndon_bracket(ta, tb, da, db, letters, m)
+
+
+def _lyndon_bracket(ta, tb, da, db, letters, n):
+    """[A, B] = AB - BA on the Lyndon columns, for homogeneous tensors A, B of
+    degrees da, db with these letters between them, splitting each Lyndon
+    word u once: A(u[:da]) B(u[da:]) - B(u[:db]) A(u[db:])."""
+    sa, sb, vec = n ** da, n ** db, {}
+    for k, col in _lyndon_groups(n, da + db).get(tuple(sorted(letters)), ()):
+        x = ta.get(k // sb, 0) * tb.get(k % sb, 0) - tb.get(k // sa, 0) * ta.get(k % sa, 0)
+        if x:
+            vec[col] = x
+    return vec
+
+
+def _quotient_scan(ideal, m, words):
+    """(reps, coset) for the words, hall_basis_derived's basis on m letters
+    through some degree, modulo the span J of ideal, vectors over the
+    Lyndon-word columns on m letters; J holds every basis word past them.
+    The closure oracles' representative scan, as the library ran it before
+    the layer builder read J's quotient.
+
+    A word's vector is its tensor image cut to the Lyndon columns
+    (_split_lyndon), with no image of the word itself.  Each vector is
+    first reduced modulo J's RREF rows, one pass that clears J's pivots,
+    since no row holds another's pivot.  Word w_j is kept iff its residual
+    is not in the span of the residuals of w_(j+1), ...: one tracked
+    echelon takes them from last to first and keeps those that raise its
+    rank.  reps lists their indices, increasing: the non-pivot columns of
+    J's RREF in basis-word coordinates.  coset(vec) reads a Lyndon-column
+    vector modulo J as {position in reps: coefficient}; a word not kept
+    meets only later representatives.
+
+    The words kept from degree k up are a basis of the degrees >= k modulo
+    J, so degree k keeps its witt_dim(m, k) words less J's pivots there,
+    each row's lowest Lyndon column, numbered degree-major as the words
+    are.  Once a degree has kept that many, no vector of its other words is
+    built; a degree that ends short is an InternalError.
+    """
+    ech, rref = EchelonForm(), EchelonForm()
+    for row in ideal:
+        ech.insert(row)
+    for row in ech.backsubstitute():
+        rref.insert(row)
+    pivots = set(rref.pivots)
+    quota = Counter(w.degree for w in words)
+    quota.subtract(words[c].degree for c in pivots)
+
+    def mod_j(vec):
+        return vec if pivots.isdisjoint(vec) else rref.reduce(vec)[0]
+
+    scan, found = EchelonForm(track=True), []
+    for j, w in zip(range(len(words) - 1, -1, -1), reversed(words)):
+        if quota[w.degree] and scan.insert(mod_j(_split_lyndon(w, m)))[0]:
+            found.append((scan.n_inserted - 1, j))
+            quota[w.degree] -= 1
+    if any(quota.values()):
+        raise InternalError("the representatives miss a degree's rank modulo J")
+    reps = [j for _, j in reversed(found)]
+    slot = {i: len(reps) - 1 - a for a, (i, _) in enumerate(found)}
+
+    def coset(vec):
+        res, combo = scan.reduce(mod_j(vec))
+        if res:
+            raise InternalError("representatives and J fail to span the quotient")
+        return {slot[i]: c for i, c in combo.items()}
+
+    return reps, coset
+
+
+def closure_ideal_span(p, cap):
+    """ideal_span of a relator list as the library computed it before it
+    read J off the layer builder: J closed in tensor coordinates by
+    _ideal_basis; below its fill degree the pivots are the words
+    _quotient_scan does not keep, each row the word minus its coset over
+    the kept ones, which meets only later words and so is already the RREF
+    row.  The words at or above the fill degree are in J, each a unit row."""
+    n = p.n_gens
+    words = hall_basis_derived(n, 0, cap)
+    basis, fill, _, _ = _ideal_basis(_relator_tensors(p, cap), n, cap)
+    low = sum(witt_dim(n, d) for d in range(1, fill))
+    reps, coset = _quotient_scan(basis, n, words[:low])
+    pivots = sorted(set(range(len(words))).difference(reps))
+    rows = [{i: ONE} for i in pivots]
+    for i, row in zip(pivots, rows):
+        if i < low:
+            row.update((reps[a], -c) for a, c in coset(_split_lyndon(words[i], n)).items())
+    return Subspace(len(words), tuple(rows), tuple(pivots))
+
+
+def same_span(a, b):
+    """a == b, every scalar of one type on both sides: int or Fraction."""
+    return a == b and all(type(u[i]) is type(v[i])
+                          for u, v in zip(a.basis_rows, b.basis_rows) for i in u)
+
+
+def test_ideal_span_matches_the_closure():
+    """ideal_span, which reads J off the layer builder's quotient, equals the
+    closure's span (closure_ideal_span), rows, pivots and scalar types, at
+    every cap through 4 on one and four letters, 8 on two and 5 on three:
+    seeded relator lists, homogeneous or not, with and without degree-1
+    parts, the bundled presentations and cdga holonomies, and HEIS, XXY and
+    the free algebra."""
+    rng = random.Random(20261130)
+    cases = []
+    for n, top in ((1, 4), (2, 8), (3, 5), (4, 4)):
+        for _ in range(5):
+            cases.append((random_presentation(rng, n, 3), top))
+            cases.append((linear_presentation(rng, n, 3), top))
+            cases.append((random_relator_list(rng, n, 3, 1 if n == 1 else rng.randint(1, 2),
+                                              rng.random() < 0.5, rng.random() < 0.5), top))
+        if n > 1:
+            cases += [(seeded_filtered_presentation(rng, n, linear), top)
+                      for linear in (False, True, False, True)]
+    bundled = [load_presentation(data_path(f"{name}.json"))
+               for name in ("pres_cubic", "pres_torus", "pres_noncarnot")]
+    bundled += [holonomy(load_cdga(data_path(f"{name}.json")))
+                for name in ("heis", "noncarnot", "wedge2")]
+    cases += [(p, {2: 8, 3: 5}.get(p.n_gens, 4)) for p in (*bundled, HEIS, XXY, FREE2)]
+    for p, top in cases:
+        for cap in range(1, top + 1):
+            assert same_span(ideal_span(p, cap), closure_ideal_span(p, cap)), (
+                presentation_to_dict(p), cap)
+
+
+def test_ideal_span_of_a_relator_list_runs_no_closure(monkeypatch):
+    """ideal_span on a relator list calls no _ideal_basis, linear generators
+    and inhomogeneous relators included, and gives the spans it gave with
+    the closure in place; so a two-letter finiteness_scan closes J once,
+    for h2_graded."""
+    def forbidden(*_args):
+        raise AssertionError("ideal_span closed J")
+
+    cases = [(load_presentation(data_path("pres_cubic.json")), 10), (XXY, 8), (HEIS, 5),
+             (pres(("x", "y"), ("2*x - 3*y", "[x,[x,[x,y]]]")), 6),
+             (pres(("x", "y"), ("[x,y] + [x,[x,y]]",)), 7)]
+    want = [closure_ideal_span(p, c) for p, c in cases]
+    calls = []
+    monkeypatch.setattr(fplie, "_ideal_basis", forbidden)
+    for (p, c), span in zip(cases, want):
+        assert same_span(ideal_span(p, c), span), (presentation_to_dict(p), c)
+    monkeypatch.setattr(fplie, "_ideal_basis",
+                        lambda rels, n, cap: calls.append(cap) or _ideal_basis(rels, n, cap))
+    finiteness_scan(load_presentation(data_path("pres_cubic.json")), 12)
+    assert calls == [3]
+
+
 def test_lyndon_bracket_matches_full_commutator():
     """The Lyndon coordinates of [w_a, w_b] read off one split per Lyndon
     word equal those of the full tensor commutator, on seeded pairs of
@@ -1391,8 +1560,8 @@ def test_scan_stops_each_degree_at_its_rank(monkeypatch):
     bracket words alone; a degree holding one word more than its rank
     modulo J ends short of it, an InternalError."""
     p = pres(("x", "y", "z"), ("[x,y] + 2*[x,z] - 3*[y,z]", "2*[x,y] - [x,z] + [y,z]"))
-    built, split = [], fplie._split_lyndon
-    monkeypatch.setattr(fplie, "_split_lyndon", lambda w, m: built.append(w) or split(w, m))
+    built, split = [], _split_lyndon
+    monkeypatch.setitem(globals(), "_split_lyndon", lambda w, m: built.append(w) or split(w, m))
     q = closure_quotient(p, 7)
     words = hall_basis_derived(3, 0, 6)
     first = {}
@@ -1529,15 +1698,15 @@ def test_graded_quotient_matches_the_closure():
 
 
 def test_graded_quotient_runs_no_closure_and_no_scan(monkeypatch):
-    """A graded quotient calls neither _ideal_basis nor _split_lyndon, and
-    leaves lcs_graded_dims's layer dimensions as they were."""
+    """A graded quotient calls no _ideal_basis, and leaves
+    lcs_graded_dims's layer dimensions as they were; no representative scan
+    but the layer builder's is left in the library."""
     def forbidden(*_args):
         raise AssertionError("the closure route ran on a graded input")
 
     cases = [(p, min(top, 8)) for p, top in graded_cases()[::3]]
     dims = [lcs_graded_dims(p, c) for p, c in cases]
     monkeypatch.setattr(fplie, "_ideal_basis", forbidden)
-    monkeypatch.setattr(fplie, "_split_lyndon", forbidden)
     for (p, c), d in zip(cases, dims):
         assert lcs_quotient(p, c).dims_by_weight() == d, presentation_to_dict(p)
 
@@ -1591,8 +1760,8 @@ def loose_weights(q):
 
 def test_filtered_quotient_matches_the_closure(monkeypatch):
     """A filtered quotient, one with a relator left with two degrees after
-    elimination, is built layer by layer, calling neither _ideal_basis nor
-    _split_lyndon, and keeps each representative its Hall word's class
+    elimination, is built layer by layer, calling no _ideal_basis, and
+    keeps each representative its Hall word's class
     below the top layer too, where its split is not two representatives.
     It equals the closure's quotient, scalar types included, and the
     Hall-coordinate one, whose scalars are not canonical, at classes 1-4
@@ -1607,7 +1776,6 @@ def test_filtered_quotient_matches_the_closure(monkeypatch):
     cases = [(p, c) for p, top in tops for c in sorted({1, 2, 3, 4, top})]
     want = [(closure_quotient(p, c), hall_lcs_quotient(p, c)) for p, c in cases]
     monkeypatch.setattr(fplie, "_ideal_basis", forbidden)
-    monkeypatch.setattr(fplie, "_split_lyndon", forbidden)
     for (p, c), (closure, hall) in zip(cases, want):
         got = lcs_quotient(p, c)
         assert same_quotient(got, closure) and got == hall, (presentation_to_dict(p), c)
