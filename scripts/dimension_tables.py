@@ -4,12 +4,14 @@ Usage: python3 scripts/dimension_tables.py [--deg N]
 
 Three tables: Witt dimensions for 2 and 3 generators, counts of the
 derived-level strata on two generators, and the bidegree-(2, i) slice of the
-second derived subalgebra that exhibits the parity growth pattern.
+second derived subalgebra that exhibits the parity growth pattern, counted
+in closed form by fplie.x2_slice.
 """
 
 import argparse
 
-from lieobstruct.freelie import bigraded_dims, hall_degree_counts, witt_dim
+from lieobstruct.fplie import x2_slice
+from lieobstruct.freelie import hall_degree_counts, witt_dim
 
 
 def main():
@@ -35,8 +37,7 @@ def main():
     print()
 
     print("second derived subalgebra, words with the first letter twice")
-    table = bigraded_dims(2, cap + 2)
-    slice2 = {j: c for (i, j), c in table.items() if i == 2 and j <= cap}
+    slice2 = {b: c for b, c in x2_slice(2, cap).items() if c}
     print("i   " + " ".join(f"{i:>3d}" for i in sorted(slice2)))
     print("dim " + " ".join(f"{slice2[i]:>3d}" for i in sorted(slice2)))
 

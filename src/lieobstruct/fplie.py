@@ -32,12 +32,11 @@ through the top relator degree; a derived ideal ranks its words' brackets,
 and the second derived ideal is read in the Chen module L'/L'' instead.
 
 Lower-central-series quotients accept inhomogeneous relators (a relator like
-x3 + [x1,x2] mixes filtration degrees).  A derived ideal enters them as its
-basis words, which span it, like a relator list, only through the first
-degree they fill.  Generators that appear linearly in some relator are
-eliminated by substitution before any quotient is formed; this keeps the
-ambient free nilpotent algebra as small as the presentation really is,
-which is what makes the rewritten presentations produced by
+x3 + [x1,x2] mixes filtration degrees).  A derived ideal enters them as a
+law that nilquot imposes, none of its words expanded.  Generators that
+appear linearly in some relator are eliminated by substitution before any
+quotient is formed; this keeps the ambient free nilpotent algebra as small
+as the presentation really is, which is what makes the rewritten presentations produced by
 linearize_presentation tractable.  It maps the relators' tensor images
 by the algebra map sending each letter to its image, only those that hold
 the letter, and renumbers the kept letters once at the end.
@@ -72,7 +71,6 @@ from .freelie import (
     bracket,
     gen_elt,
     hall_basis_derived,
-    hall_degree_counts,
     lie_tensor,
     parse_element,
     format_element,
@@ -261,20 +259,9 @@ def _integral(e: dict) -> dict:
 
 
 def _relator_tensors(p: LiePresentation, cap: int) -> list:
-    """The tensor polynomials that generate p's ideal, cut above the cap and
-    those left nonzero: a relator list's lie_tensor images, or a derived
-    ideal's basis words, which span it degreewise.  The words stop at the
-    first degree where they are all of L, as many as witt_dim counts (degree
-    2 for level 1): L is generated in degree 1, so J holds every degree from
-    there on, and the closure, which fills there, would drop the rest."""
-    if isinstance(p.scheme, DerivedIdeal):
-        n = p.n_gens
-        if not n:
-            return []
-        level = p.scheme.level
-        counts = hall_degree_counts(n, level, cap)
-        top = next((d for d, c in counts.items() if c == witt_dim(n, d)), cap)
-        return [{w.degree: tensor_expand(w, n)} for w in hall_basis_derived(n, level, top)]
+    """The lie_tensor images of a relator list's relators, cut above the cap,
+    those left nonzero.  A derived ideal has none: a quotient imposes it as a
+    law (_lcs_ideal)."""
     cut = ({d: v for d, v in lie_tensor(r).items() if d <= cap} for r in p.scheme.relators)
     return [t for t in cut if t]
 
@@ -536,11 +523,11 @@ def x2_slice(level: int, max_b: int) -> dict:
 # generator elimination and nilpotent quotients
 
 def _eliminate_linear(p: LiePresentation, cap: int):
-    """Substitute away every generator that occurs linearly in a relator,
-    on the _relator_tensors images.  Returns (relators, images, kept names):
-    the nonzero reduced relators and the image of each original generator,
-    tensor polynomials on the kept generators cut above the cap.  When no
-    relator has a degree-1 part, as for a derived ideal or a holonomy with
+    """Substitute away every generator that occurs linearly in a relator of
+    a relator list, on the _relator_tensors images.  Returns (relators,
+    images, kept names): the nonzero reduced relators and the image of each
+    original generator, tensor polynomials on the kept generators cut above
+    the cap.  When no relator has a degree-1 part, as for a holonomy with
     d = 0, the relators come back as they are, unscaled (_ideal_basis
     scales them), with the identity images and every name.  Degree-1
     data drives every choice, so the kept set and the substitution order do
@@ -681,38 +668,42 @@ class NilpotentLieAlgebra(_Frozen):
 
 def _lcs_ideal(p: LiePresentation, class_bound: int) -> tuple:
     """The guards of lcs_quotient and lcs_graded_dims, then (relators,
-    images, kept names, cap) of _eliminate_linear at cap = class_bound - 1:
-    J's generators on the kept letters, cut above the cap."""
+    images, kept names, cap, level) at cap = class_bound - 1: a relator
+    list's from _eliminate_linear, with level 0; a derived scheme's as no
+    relators and the level nilquot imposes as a law, 0 past level 2, whose
+    guard keeps L^(level), from degree 2**level on, above the cap."""
     if class_bound < 1:
         raise PresentationError(f"class bound must be >= 1, got {class_bound}")
-    if isinstance(p.scheme, DerivedIdeal) and p.scheme.level >= 2 and (
-            p.n_gens > 2 or class_bound > 8):
+    cap = class_bound - 1
+    if isinstance(p.scheme, FiniteList):
+        return (*_eliminate_linear(p, cap), cap, 0)
+    level = p.scheme.level
+    if level >= 3 and (p.n_gens > 2 or class_bound > 8):
         raise PresentationError(
-            "derived-ideal quotients of level >= 2 are limited to two "
+            "derived-ideal quotients of level >= 3 are limited to two "
             "generators and class bound <= 8"
         )
-    cap = class_bound - 1
-    return (*_eliminate_linear(p, cap), cap)
+    ident = [{1: {g: 1}} for g in range(p.n_gens)]
+    return [], ident, p.generators, cap, level if level <= 2 else 0
 
 
 def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
     """Structure constants of L/Gamma_n for n = class_bound.
 
-    Every scheme, a derived ideal as its basis words, takes one path:
-    _lcs_ideal (the guards, then _eliminate_linear), then
-    nilquot.nilpotent_quotient, imported on first use, which builds the
-    quotient layer by layer from its own lower layers, graded or filtered,
-    so the cost follows the quotient, not J.  Only the guard on derived
-    levels >= 2 looks at the scheme.  The basis is the Hall words the scan
-    keeps modulo J; weights are word degrees, non-decreasing along it.
+    Every scheme takes one path: _lcs_ideal (the guards, then
+    _eliminate_linear for a relator list), then nilquot.nilpotent_quotient,
+    imported on first use, which builds the quotient layer by layer from its
+    own lower layers, graded or filtered, or with a derived law, so the cost
+    follows the quotient, not J.  The basis is the Hall words the scan keeps
+    modulo J; weights are word degrees, non-decreasing along it.
     Quotients at different class bounds agree across classes:
     lcs_quotient(p, n) equals lcs_quotient(p, N).truncate(n) for n <= N,
     and ce.hirsch_tower builds every lower stage that way from one quotient.
     """
     from .nilquot import nilpotent_quotient
 
-    relators, imgs, kept, cap = _lcs_ideal(p, class_bound)
-    reps, brackets, gen_images = nilpotent_quotient(relators, imgs, len(kept), cap)
+    relators, imgs, kept, cap, level = _lcs_ideal(p, class_bound)
+    reps, brackets, gen_images = nilpotent_quotient(relators, imgs, len(kept), cap, level)
     alg = NilpotentLieAlgebra(
         class_bound=class_bound,
         gen_names=p.generators,
@@ -728,10 +719,13 @@ def lcs_quotient(p: LiePresentation, class_bound: int) -> NilpotentLieAlgebra:
 
 def lcs_graded_dims(p: LiePresentation, class_bound: int) -> dict:
     """Dimensions of the lower-central-series layers Gamma_k/Gamma_(k+1) for
-    k < class_bound, lcs_quotient(p, class_bound).dims_by_weight() without
-    the quotient: below the fill degree, layer k is witt_dim(m, k) less J's
-    pivots there in the closure's degree-major echelon, and from it on 0."""
-    relators, _, kept, cap = _lcs_ideal(p, class_bound)
+    k < class_bound, lcs_quotient(p, class_bound).dims_by_weight(), read
+    off it for a derived scheme.  A relator list needs no quotient: below
+    the fill degree, layer k is witt_dim(m, k) less J's pivots there in the
+    closure's degree-major echelon, and from it on 0."""
+    if isinstance(p.scheme, DerivedIdeal):
+        return lcs_quotient(p, class_bound).dims_by_weight()
+    relators, _, kept, cap, _ = _lcs_ideal(p, class_bound)
     m = len(kept)
     fill, _, pivots = _ideal_basis(relators, m, cap)[1:] if cap and m else (1, 0, Counter())
     return {k: witt_dim(m, k) - pivots[k] if k < fill else 0 for k in range(1, class_bound)}

@@ -75,7 +75,6 @@ __all__ = [
     "HallWord",
     "LieElement",
     "LieError",
-    "bigraded_dims",
     "bracket",
     "default_names",
     "format_element",
@@ -389,19 +388,6 @@ def witt_dim(n_gens: int, degree: int) -> int:
     if r:
         raise InternalError(f"necklace count {total} is not divisible by {degree}")
     return q
-
-
-def bigraded_dims(derived_level: int, max_degree: int) -> dict:
-    """Multidegree counts for the two-letter alphabet.
-
-    Returns {(i, j): count} over the derived-level basis with x-degree i and
-    y-degree j, i + j <= max_degree.
-    """
-    out, memo = {}, {}
-    for w in hall_basis_derived(2, derived_level, max_degree):
-        md = _multidegree(w, 2, memo)
-        out[md] = out.get(md, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

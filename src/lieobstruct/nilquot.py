@@ -51,6 +51,18 @@ off those rows alone.
 The relations go into the echelon sparsest first, which keeps its integers
 short; with no relator at all the algebra is free, and once the rank leaves
 witt_dim columns free the other relations are left out.
+
+A derived scheme of level l <= 2 comes with no relators and is imposed as a
+law, Q_k = L/(L^(l) + Gamma_(k+1)).  A Lie algebra generated in degree 1
+has g' = g_(>=2), so g^(l) is spanned by the brackets of two elements of
+weight >= 2**(l-1), and R gains the row t(a, b) for each pair of
+representatives of those weights: it holds in Q_k, and with it M/R
+satisfies the law (such brackets of smaller weight sum vanish in Q_(k-1)),
+so the argument above runs with L^(l) added to J.  The words of level >= l
+span L^(l): the scan takes only the words below, and only they have
+defining tails (a pair bracketing to a word of level >= l has a plain tail,
+which the law kills), so a layer of such words all kept needs no scan.  The
+free algebra's early stop is off.
 """
 
 from __future__ import annotations
@@ -66,11 +78,13 @@ from .ratlin import EchelonForm, InternalError, scal, vec_add
 __all__ = ["nilpotent_quotient"]
 
 
-def nilpotent_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
+def nilpotent_quotient(relators: list, images: list, m: int, cap: int, level: int = 0) -> tuple:
     """(reps, brackets, gen_images) of L/Gamma_(cap+1) for relators, tensor
     polynomials on m letters cut above cap, and the tensor images of the
     presentation's generators: the kept Hall words by weight, their bracket
-    table and each generator's class, every scalar canonical.  With no
+    table and each generator's class, every scalar canonical.  A level of 1
+    or 2 builds L/(L^(level) + Gamma_(cap+1)) by the derived law, for a
+    derived scheme with no relators; 0 takes relators alone.  With no
     letter or no class left the quotient is 0."""
     if not (m and cap):
         return [], {}, [{} for _ in images]
@@ -102,6 +116,7 @@ def nilpotent_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
 
     for k in range(2, cap + 1):
         low = 2 if filtered else k  # the least weight sum that takes a tail
+        bound = level or k.bit_length()  # scanned and defining words lie below this level
         pairs = [(a, b) for e in range(1, k // 2 + 1)
                  for a in range(starts[e], starts[e + 1])
                  for b in range(max(a + 1, starts[max(e, low - e)]), starts[k - e + 1])]
@@ -110,7 +125,7 @@ def nilpotent_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
             u, v, s = (reps[a], reps[b], 1) if reps[a] < reps[b] else (reps[b], reps[a], -1)
             if (w := _basis_bracket(u, v)) in index:
                 continue  # a representative's split brackets to it: no tail
-            if w and w[1] == k:
+            if w and w[1] == k and -w[0] < bound:
                 defining.append((w, (a, b), s))
             else:
                 plain.append((a, b))
@@ -118,6 +133,8 @@ def nilpotent_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
         order = plain + [ab for _, ab, _ in defining]
         tails = {ab: {c: 1} for c, ab in enumerate(order)}
         ech, rows = EchelonForm(), []
+        if level:  # the law: two representatives of weights >= 2**(level-1) commute
+            rows = [{c: 1} for c, (a, _) in enumerate(order) if reps[a].degree >= 1 << (level - 1)]
         for e in range(1, (k - 1) // 2 + 1):
             for b in range(starts[e], starts[e + 1]):
                 for c in range(max(b + 1, starts[max(e, low - 1 - e)]), starts[k - e]):
@@ -138,7 +155,7 @@ def nilpotent_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
                 _bracket(tails, {g: 1}, h, row)
             rows.append(row)
         rows += [_bracket(tails, image(p), image(last)) for p, last in loose]
-        target = None if relators else len(order) - witt_dim(m, k)
+        target = None if relators or level else len(order) - witt_dim(m, k)
         for row in sorted(rows, key=len):  # sparsest first: shorter integers, less fill
             if ech.rank == target:
                 break
@@ -147,7 +164,7 @@ def nilpotent_quotient(relators: list, images: list, m: int, cap: int) -> tuple:
         quota = len(order) - len(rref)
         if not quota:
             break
-        layer = [w for level in range(1, k.bit_length()) for w in reversed(_layer(m, level, k))]
+        layer = [w for lv in range(1, bound) for w in reversed(_layer(m, lv, k))]
         if quota == len(defining) == len(layer):  # every word kept, its tail a column
             new = [w for w, _, _ in defining]
             unit = {len(order) - quota + i: {len(reps) + i: s}

@@ -24,8 +24,12 @@ brackets _ideal_basis reads straight onto Lyndon columns; the
 full tensor commutator checks the split-read _lyndon_bracket, and a word's
 full tensor image checks _split_lyndon, the split the scan reads every
 bracket word off.  The scan modulo a derived ideal's own word vectors
-(word_vector_lcs_quotient) checks the derived quotients that now go
-through the closure.  The solver
+(word_vector_lcs_quotient) checks the derived quotients, which the layer
+builder now takes by the derived law, and so does the route they took
+before (basis_word_quotient): the ideal's basis words through the first
+degree they fill (derived_relator_tensors), read by the layer builder as
+relators; the free metabelian ones meet the closed form
+(k - 1) C(n + k - 2, k) too.  The solver
 write-back of the closure (writeback_ideal_span) checks ideal_span's
 rows, the tracked scan over J's tensor basis
 (tracked_quotient_scan) the scan modulo J's RREF, the quotient's weights
@@ -47,10 +51,11 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, count, product
+from math import comb
 
 import pytest
 
-from lieobstruct import data_path, fplie, freelie
+from lieobstruct import data_path, fplie, freelie, nilquot
 from lieobstruct.cdga import cdga_from_dict, holonomy, load_cdga
 from lieobstruct.freelie import (
     HallWord,
@@ -894,7 +899,7 @@ def test_ideal_basis_inserts_no_empty_vector(monkeypatch):
 def test_only_relators_taken_below_the_fill_are_scaled(monkeypatch):
     """_ideal_basis cuts a relator at the fill of the moment it is taken,
     and only then scales what is left by _integral.  In the closure of a
-    derived level-1 ideal, which lcs_graded_dims runs, only the degree-2
+    derived level-1 ideal's basis words through the cap, only the degree-2
     words, which fill degree 2, get a copy; the words above it are cut to
     nothing and copied never."""
     calls = []
@@ -903,9 +908,9 @@ def test_only_relators_taken_below_the_fill_are_scaled(monkeypatch):
     for names, c in ((("x", "y"), 9), (("x", "y", "z"), 6)):
         calls.clear()
         n = len(names)
-        dims = lcs_graded_dims(pres(names, (), scheme=DerivedIdeal(1)), c)
-        assert {k: v for k, v in dims.items() if v} == {1: n}
         words = hall_basis_derived(n, 1, c)
+        relators = [{w.degree: tensor_expand(w, n)} for w in words]
+        assert _ideal_basis(relators, n, c)[1] == 2
         assert len(calls) == sum(w.degree == 2 for w in words) == witt_dim(n, 2) < len(words)
         assert all(set(e) == {2} for e in calls)
 
@@ -1603,13 +1608,41 @@ def test_lcs_graded_dims_match_the_quotient():
         for c in range(1, {0: 6, 1: 6, 2: 9, 3: 7}.get(p.n_gens, 5)):
             assert lcs_graded_dims(p, c) == lcs_quotient(p, c).dims_by_weight(), (
                 presentation_to_dict(p), c)
-    for p, c in ((FREE2, 0), (pres(("a", "b", "c"), (), DerivedIdeal(2)), 4), (METAB, 9)):
+    for p, c in ((FREE2, 0), (pres(("a", "b", "c"), (), DerivedIdeal(3)), 4),
+                 (pres(("x", "y"), (), DerivedIdeal(3)), 9)):
         messages = set()
         for f in (lcs_graded_dims, lcs_quotient):
             with pytest.raises(PresentationError) as err:
                 f(p, c)
             messages.add(str(err.value))
         assert len(messages) == 1, (presentation_to_dict(p), c)
+
+
+def derived_relator_tensors(p, cap):
+    """_relator_tensors of a derived ideal as the library gave them before
+    the layer builder imposed the ideal as a law: its basis words' tensor
+    images, which span it degreewise, through the first degree where they
+    are all of L, as many as witt_dim counts (degree 2 for level 1), and
+    through the cap when none is.  J holds every degree from there on, and
+    the closure, which fills there, would drop the rest."""
+    n, level = p.n_gens, p.scheme.level
+    if not n:
+        return []
+    counts = freelie.hall_degree_counts(n, level, cap)
+    top = next((d for d, c in counts.items() if c == witt_dim(n, d)), cap)
+    return [{w.degree: tensor_expand(w, n)} for w in hall_basis_derived(n, level, top)]
+
+
+def basis_word_quotient(p, class_bound):
+    """lcs_quotient of a derived scheme as the library built it before the
+    layer builder imposed the derived law: derived_relator_tensors, read by
+    nilquot.nilpotent_quotient as relators, with no guard."""
+    cap, m = class_bound - 1, p.n_gens
+    reps, brackets, gen_images = nilquot.nilpotent_quotient(
+        derived_relator_tensors(p, max(cap, 1)), [{1: {g: 1}} for g in range(m)], m, cap)
+    return NilpotentLieAlgebra(
+        class_bound, p.generators, tuple(word_str(w, p.generators) for w in reps),
+        tuple(w.degree for w in reps), brackets, tuple(gen_images))
 
 
 def closure_quotient(p, class_bound):
@@ -1623,7 +1656,9 @@ def closure_quotient(p, class_bound):
     brackets to zero, so no image of it is built.  J holds every degree
     from its fill degree on, so the words, brackets and images are cut
     below it."""
-    relators, imgs, kept, cap = fplie._lcs_ideal(p, class_bound)
+    relators, imgs, kept, cap, _ = fplie._lcs_ideal(p, class_bound)
+    if isinstance(p.scheme, DerivedIdeal):
+        relators = derived_relator_tensors(p, max(cap, 1))
     m = len(kept)
     ideal, fill = _ideal_basis(relators, m, cap)[:2] if cap and m else ([], 1)
     cap = fill - 1
@@ -1841,25 +1876,37 @@ def test_lyndon_columns_are_the_lyndon_words():
 
 
 def test_metabelian_quotient_dims():
+    """The free metabelian algebra L/L'' on n letters has dimension
+    (k - 1) C(n + k - 2, k) in each weight k >= 2, and n in weight 1: its
+    quotients by the derived law meet that on 2-5 letters, past the old
+    guard of two letters and class 8, and lcs_graded_dims reads the same."""
     q = lcs_quotient(METAB, 6)
     assert q.dims_by_weight() == {1: 2, 2: 1, 3: 2, 4: 3, 5: 4}
     assert check_jacobi(q)
     assert q.check_filtration()
+    for n, c in ((2, 24), (3, 10), (4, 8), (5, 7)):
+        p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(2))
+        want = {k: (k - 1) * comb(n + k - 2, k) if k > 1 else n for k in range(1, c)}
+        assert lcs_quotient(p, c).dims_by_weight() == want, (n, c)
+        assert lcs_graded_dims(p, c) == want, (n, c)
 
 
 def test_derived_quotient_guard():
-    """Derived schemes of level >= 2 stop at two generators and class 8:
-    pinned on both sides until the guard gives way to an ambient budget."""
-    limited = "limited to two generators and class bound <= 8"
-    with pytest.raises(PresentationError, match=limited):
-        lcs_quotient(
-            LiePresentation(("a", "b", "c"), DerivedIdeal(2)), 4
-        )
-    with pytest.raises(PresentationError, match=limited):
-        lcs_quotient(METAB, 9)
-    q = lcs_quotient(METAB, 8)
-    assert q.dims_by_weight() == {1: 2, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6}
-    # level 1 has no such restriction
+    """Derived schemes of level >= 3 stop at two generators and class 8,
+    where the quotient is free; levels 1 and 2, which the layer builder
+    imposes as laws, have no such restriction."""
+    limited = "level >= 3 are limited to two generators and class bound <= 8"
+    for p, c in ((LiePresentation(("a", "b", "c"), DerivedIdeal(3)), 4),
+                 (pres(("x", "y"), (), DerivedIdeal(3)), 9)):
+        for f in (lcs_quotient, lcs_graded_dims):
+            with pytest.raises(PresentationError, match=limited):
+                f(p, c)
+    q = lcs_quotient(pres(("x", "y"), (), DerivedIdeal(3)), 8)
+    assert q.dims_by_weight() == {k: witt_dim(2, k) for k in range(1, 8)}
+    q = lcs_quotient(METAB, 9)
+    assert q.dims_by_weight() == {1: 2, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 7}
+    q = lcs_quotient(LiePresentation(("a", "b", "c"), DerivedIdeal(2)), 4)
+    assert q.dims_by_weight() == {1: 3, 2: 3, 3: 8}
     q = lcs_quotient(LiePresentation(("a", "b", "c"), DerivedIdeal(1)), 4)
     assert q.dims_by_weight() == {1: 3, 2: 0, 3: 0}
 
@@ -1894,11 +1941,10 @@ def word_vector_lcs_quotient(p, class_bound):
 
 
 def test_derived_quotient_matches_the_word_vector_scan():
-    """A derived ideal's quotient, whose basis words now go through
-    _eliminate_linear and the closure like any relator list, equals the
-    quotient that scanned modulo the words' own vectors: labels, weights,
-    brackets and generator images, on levels 1-3 and 2-4 letters at every
-    class the guard allows, up to 8."""
+    """A derived ideal's quotient, which the layer builder now takes by the
+    derived law, equals the quotient that scanned modulo the words' own
+    vectors: labels, weights, brackets and generator images, on levels 1-3
+    and 2-4 letters at every class up to 8."""
     for level in (1, 2, 3):
         for n in (2, 3, 4) if level == 1 else (2,):
             p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
@@ -1906,24 +1952,71 @@ def test_derived_quotient_matches_the_word_vector_scan():
                 assert lcs_quotient(p, c) == word_vector_lcs_quotient(p, c), (level, n, c)
 
 
+def test_derived_quotient_matches_the_basis_word_route():
+    """lcs_quotient of a derived scheme, which the layer builder now takes
+    by the derived law, equals the quotient of the route it took before
+    (basis_word_quotient): labels, weights, brackets and generator images,
+    scalar types included.  Within the old guard: levels 1-3 at 1-2 letters
+    and level 1 at 3-4 letters, at classes 1-8.  Past it, on the second
+    derived ideal: (letters, class) (2, 9), (2, 11), (3, 6), (3, 7), (4, 5)
+    and (5, 5)."""
+    cases = [(level, n, c) for level in (1, 2, 3) for n in (1, 2) for c in range(1, 9)]
+    cases += [(1, n, c) for n in (3, 4) for c in range(1, 9)]
+    cases += [(2, n, c) for n, c in ((2, 9), (2, 11), (3, 6), (3, 7), (4, 5), (5, 5))]
+    for level, n, c in cases:
+        p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
+        assert same_quotient(lcs_quotient(p, c), basis_word_quotient(p, c)), (level, n, c)
+
+
+def test_metabelian_law_kills_brackets_of_weight_two():
+    """In a quotient by the second derived ideal, the bracket of two
+    representatives of weight >= 2 is 0, while a letter brackets every
+    representative of weight below the top to a nonzero vector; the
+    structure constants satisfy the Jacobi identity."""
+    for n, c in ((2, 12), (3, 7), (4, 5)):
+        q = lcs_quotient(LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(2)), c)
+        assert all(min(q.weights[i], q.weights[j]) < 2 for i, j in q.brackets), (n, c)
+        for j, w in enumerate(q.weights):
+            if 1 < w < c - 1:
+                assert any(q.bracket_vec({x: 1}, {j: 1}) for x in range(n)), (n, c, j)
+        if q.dim <= 30:
+            assert check_jacobi(q), (n, c)
+
+
+def test_derived_quotient_expands_no_basis_word(monkeypatch):
+    """lcs_quotient of {"derived": 2} imposes the ideal as a law and forms
+    no tensor image of its basis words: tensor_expand is never called."""
+    def forbidden(*_args):
+        raise AssertionError("a derived quotient expanded a basis word")
+
+    monkeypatch.setattr(freelie, "tensor_expand", forbidden)
+    monkeypatch.setattr(fplie, "tensor_expand", forbidden)
+    for n, c in ((2, 8), (3, 5)):
+        names = [f"x{i + 1}" for i in range(n)]
+        p = presentation_from_dict({"generators": names, "scheme": {"derived": 2}})
+        assert lcs_quotient(p, c).dims_by_weight()[c - 1] == (c - 2) * comb(n + c - 3, c - 1)
+
+
 def test_derived_ideal_builds_images_only_through_its_full_degree(monkeypatch):
-    """A derived ideal's basis words go to the closure only through the
-    first degree they fill, degree 2 for level 1, so a level-1 quotient
-    builds the tensor images of the letters and of the degree-2 words
-    alone: 3 on two letters at class 14 and 6 on three at class 10, where
-    the image of every basis word through the cap was built before (1,377
-    and 3,502).  The second derived ideal never fills a degree, and all its
-    words through the cap go in.  The quotients equal the word-vector
-    scan's."""
+    """The basis-word route of the oracles (derived_relator_tensors) takes
+    a derived ideal's words only through the first degree they fill,
+    degree 2 for level 1, so it builds the tensor images of the letters and
+    of the degree-2 words alone: 3 on two letters at class 14 and 6 on
+    three at class 10, where the image of every basis word through the cap
+    would be 1,377 and 3,502.  The second derived ideal never fills a
+    degree, and all its words through the cap go in.  lcs_quotient, which
+    imposes the ideal as a law, builds no image at all.  The quotients
+    equal the word-vector scan's."""
     for n, c in ((2, 14), (3, 10)):
         p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(1))
         monkeypatch.setattr(freelie, "_EXPAND", {})
         q = lcs_quotient(p, c)
-        assert len(freelie._EXPAND) == n + witt_dim(n, 2), (n, c)
+        assert not freelie._EXPAND, (n, c)
         assert {k: v for k, v in q.dims_by_weight().items() if v} == {1: n}
-        assert [set(t) for t in _relator_tensors(p, c - 1)] == [{2}] * witt_dim(n, 2)
+        assert [set(t) for t in derived_relator_tensors(p, c - 1)] == [{2}] * witt_dim(n, 2)
+        assert len(freelie._EXPAND) == n + witt_dim(n, 2), (n, c)
     p = LiePresentation(("x1", "x2"), DerivedIdeal(2))
-    assert len(_relator_tensors(p, 9)) == len(hall_basis_derived(2, 2, 9))
+    assert len(derived_relator_tensors(p, 9)) == len(hall_basis_derived(2, 2, 9))
     for level, n, c in ((1, 2, 12), (1, 3, 9), (1, 4, 8)):
         p = LiePresentation(tuple(f"x{i + 1}" for i in range(n)), DerivedIdeal(level))
         assert lcs_quotient(p, c) == word_vector_lcs_quotient(p, c), (level, n, c)
@@ -1947,7 +2040,7 @@ def test_elimination_returns_a_list_without_linear_parts_unchanged(monkeypatch):
 
     monkeypatch.setattr(fplie, "_integral", no_copy)
     cases = [load_presentation(data_path(f"{name}.json")) for name in ("pres_cubic", "pres_torus")]
-    cases += [XXY, FREE2, METAB, pres(("x", "y", "z"), ("[x,[x,y]] + 1/2*[z,[x,y]]", "1/3*[y,z]")),
+    cases += [XXY, FREE2, pres(("x", "y", "z"), ("[x,[x,y]] + 1/2*[z,[x,y]]", "1/3*[y,z]")),
               holonomy(load_cdga(data_path("wedge2.json")))]
     for p in cases:
         for cap in range(0, 6):

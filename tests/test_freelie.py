@@ -30,7 +30,6 @@ from lieobstruct.freelie import (
     _solver,
     _substitution,
     _word_int,
-    bigraded_dims,
     bracket,
     format_element,
     gen_elt,
@@ -108,15 +107,6 @@ def test_second_derived_degree_counts():
     assert counts_by_degree(words, 12) == expected
 
 
-def test_parity_of_x_degree_two_slice():
-    dims = bigraded_dims(2, 14)
-    expected = {3: 1, 4: 1, 5: 2, 6: 2, 7: 3, 8: 3, 9: 4, 10: 4, 11: 5, 12: 5}
-    for i, d in expected.items():
-        assert dims.get((2, i), 0) == d
-    assert (2, 2) not in dims
-    assert bigraded_dims(1, 2) == {(1, 1): 1}
-
-
 def test_multidegree_grouping_matches_the_letter_walk():
     """hall_words_of_degree, which sums each word's multidegree from its
     children's, groups every word of a degree as multidegree's walk over
@@ -138,8 +128,6 @@ def test_multidegree_grouping_matches_the_letter_walk():
             top_letter = max(g for g, c in enumerate(multidegree(w, n)) if c)
             with pytest.raises(LieError, match="outside alphabet"):
                 LieElement(top_letter, {generator(0): 1, w: 1})
-    words = hall_basis_derived(2, 0, 10)
-    assert bigraded_dims(0, 10) == Counter(multidegree(w, 2) for w in words)
 
 
 def test_x_degree_lower_bound_per_level():
